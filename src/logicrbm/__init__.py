@@ -23,7 +23,8 @@ from .compiler import (
 )
 from .reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
-    infer_conditional, infer_deterministic, infer_gibbs, verify_equivalence,
+    infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
+    verify_equivalence,
 )
 from .trainer import (
     Dataset, TrainConfig, cd_gradient, dataset_from_kb,

@@ -21,10 +21,11 @@ from .compiler import (
     compile_penalty_horn, compile_universal, formula_to_sdnf_clauses,
     match_implication,
 )
-from .rbm import Rbm, load_model, save_model, energy_rank
+from .rbm import Rbm, load_model, save_model
 from .reasoner import (
     GibbsConfig, DeterministicConfig, Query,
-    infer_conditional, infer_deterministic, infer_gibbs, verify_equivalence,
+    infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
+    verify_equivalence,
 )
 from .trainer import Dataset, TrainConfig, dataset_from_kb, train
 from .extractor import extract_clauses, format_listing, listing_to_json, reliability_ratio
@@ -121,16 +122,12 @@ def cmd_reason(args) -> int:
                            for t, v in zip(targets, rep.map_config)},
         }
     elif mode == "exact":
-        from .reasoner import _completions, _best
-        X = _completions(evidence)
-        if len(X) > 2 ** 24:
-            raise SizeLimitError("too many completions for exact mode")
-        best_x, best_e = _best(X, energy_rank(m, X))
+        rep = infer_exact(m, evidence)
         out = {
             "mode": mode,
-            "assignment": {names[i]: bool(v > 0.5) for i, v in enumerate(best_x)},
-            "energy_rank": best_e,
-            "weighted_sat": None if m.epsilon is None else -best_e / m.epsilon,
+            "assignment": {names[i]: bool(v) for i, v in rep.assignment.items()},
+            "energy_rank": rep.energy_rank,
+            "weighted_sat": rep.weighted_sat,
         }
     else:
         query = Query(evidence=evidence, targets=targets, mode=mode)

@@ -75,11 +75,15 @@ def check_strict(clauses) -> bool:
     return True
 
 
-def all_assignments(n: int) -> np.ndarray:
-    """All 0/1 vectors of length n, one per row, in binary counting order."""
+def all_assignments(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """All 0/1 vectors of length n, one per row, in binary counting order.
+
+    ``start``/``stop`` select rows [start, stop) of that table without
+    building the rest, so callers can enumerate 2^n in bounded blocks.
+    """
     if n == 0:
-        return np.zeros((1, 0))
-    idx = np.arange(2 ** n)
+        return np.zeros((1, 0))[start:stop]
+    idx = np.arange(start, 2 ** n if stop is None else stop, dtype=np.int64)
     return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
 
 

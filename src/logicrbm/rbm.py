@@ -20,6 +20,15 @@ import numpy as np
 from .errors import SizeLimitError
 
 PARTITION_LIMIT = 24
+# Enumerating kernels (verification, exact search, exact conditional
+# training) work in row blocks of at most this many float64 elements per
+# intermediate array, whatever the size of the enumeration.
+BLOCK_ELEMENTS = 1 << 20
+
+
+def block_rows(width: int) -> int:
+    """Rows per block when each row holds ``width`` elements (at least 1)."""
+    return max(1, BLOCK_ELEMENTS // max(width, 1))
 
 
 @dataclass
@@ -86,8 +95,13 @@ def energy_rank(m: Rbm, X) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid(z, out=None):
+    """0.5 * (1 + tanh(z / 2)) of an array, in ``out`` when given."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def p_hidden_given_visible(m: Rbm, x) -> np.ndarray:
@@ -181,15 +195,23 @@ def save_model(m: Rbm, path):
 
 
 def model_from_dict(doc: dict) -> Rbm:
+    names = doc.get("names")
+    if names is not None and len(names) != doc["n_visible"]:
+        raise ValueError(f"model lists {len(names)} names for "
+                         f"{doc['n_visible']} visible units")
+    annotations = doc.get("clause_annotations")
+    if annotations is not None and len(annotations) != doc["n_hidden"]:
+        raise ValueError(f"model lists {len(annotations)} clause annotations for "
+                         f"{doc['n_hidden']} hidden units")
     m = Rbm(
         W=np.array(doc["W"], dtype=float).reshape(doc["n_visible"], doc["n_hidden"]),
         a=np.array(doc["a"], dtype=float),
         b=np.array(doc["b"], dtype=float),
         e0=float(doc.get("e0", 0.0)),
         tau=float(doc.get("tau", 1.0)),
-        names=doc.get("names"),
+        names=names,
         epsilon=doc.get("epsilon"),
-        clause_annotations=doc.get("clause_annotations"),
+        clause_annotations=annotations,
     )
     return m
 

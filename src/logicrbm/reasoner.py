@@ -16,7 +16,7 @@ from .errors import SizeLimitError
 from . import formula as fm
 from .formula import Assignment, KnowledgeBase, weighted_sat_batch
 from .normal_forms import all_assignments
-from .rbm import Rbm, energy_rank, free_energy, net_hidden, net_visible, _sigmoid
+from .rbm import Rbm, block_rows, energy_rank, free_energy, _sigmoid
 
 BRUTE_LIMIT = 24
 VERIFY_LIMIT = 16
@@ -99,48 +99,84 @@ def _report_from_state(m: Rbm, x, steps, restarts, trace) -> InferenceReport:
         steps=steps, restarts=restarts, energy_trace=trace)
 
 
-def _init_states(m: Rbm, evidence: Assignment, restarts, rng) -> np.ndarray:
-    X = (rng.random((restarts, m.n_visible)) < 0.5).astype(float)
-    for i, v in evidence.values.items():
-        X[:, i] = float(v)
-    return X
+class _Clamped:
+    """A network with the evidence folded in.
+
+    Clamped columns never change during a search, so their share of the
+    hidden net input and of ``e0 - a.x`` is computed once; a batch of free
+    parts ``Xf`` (columns in ``free`` order) then costs one product with
+    the free rows of W.
+    """
+
+    def __init__(self, m: Rbm, evidence: Assignment):
+        self.n = m.n_visible
+        self.free = np.array(evidence.unassigned(), dtype=int)
+        self.clamped = np.array(evidence.assigned(), dtype=int)
+        self.xc = np.array([float(evidence.values[i]) for i in self.clamped])
+        self.W = m.W[self.free]
+        self.a = m.a[self.free]
+        self.base = self.xc @ m.W[self.clamped] + m.b
+        self.e_base = m.e0 - self.xc @ m.a[self.clamped]
+
+    def net_and_energy(self, Xf):
+        """Hidden net input and E_rank of each row of free values."""
+        net = self.base + Xf @ self.W
+        return net, self.e_base - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
+
+    def net_visible(self, H):
+        return H @ self.W.T + self.a
+
+    def full(self, xf) -> np.ndarray:
+        x = np.empty(self.n)
+        x[self.clamped] = self.xc
+        x[self.free] = xf
+        return x
+
+    def initial_states(self, restarts, rng) -> np.ndarray:
+        """Uniform random free parts, drawn over every visible column."""
+        return (rng.random((restarts, self.n)) < 0.5)[:, self.free].astype(float)
 
 
-def _best(X, energies):
-    """Lowest energy; ties broken by lexicographically smallest state."""
-    order = np.lexsort(tuple(X[:, c] for c in range(X.shape[1] - 1, -1, -1)))
-    ordered = order[np.argsort(energies[order], kind="stable")]
-    k = ordered[0]
-    return X[k].copy(), float(energies[k])
+def _best(Xf, energies):
+    """Lowest energy; exact ties broken by the lexicographically smallest
+    state.  The clamped columns are shared, so the free parts decide."""
+    k = int(np.argmin(energies))
+    ties = np.flatnonzero(energies == energies[k])
+    if len(ties) > 1:
+        k = min(ties, key=lambda r: tuple(Xf[r]))
+    return Xf[k].copy(), float(energies[k])
 
 
 def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> InferenceReport:
     """Clamped Gibbs chains with a geometric temperature anneal.
 
     Runs all restarts in lockstep and reports the best-energy visible state
-    visited by any chain at any step.
+    visited by any chain at any step.  Only the free visible columns are
+    updated, and each step's net input serves both its energy and the
+    next hidden sample.
     """
     config = config or GibbsConfig()
     rng = np.random.default_rng(config.seed)
-    evidence = q.evidence
-    free = [i for i in range(m.n_visible) if i not in evidence.values]
-    X = _init_states(m, evidence, config.restarts, rng)
-    best_x, best_e = _best(X, energy_rank(m, X))
+    c = _Clamped(m, q.evidence)
+    Xf = c.initial_states(config.restarts, rng)
+    net, E = c.net_and_energy(Xf)
+    best_x, best_e = _best(Xf, E)
     trace = [best_e]
     taus = np.geomspace(config.tau_start, config.tau_end, max(config.steps, 1))
     for step in range(config.steps):
         tau = taus[step]
-        ph = _sigmoid(net_hidden(m, X) / tau)
+        ph = _sigmoid(net / tau)
         H = (rng.random(ph.shape) < ph).astype(float)
-        if free:
-            pv = _sigmoid(net_visible(m, H)[:, free] / tau)
-            X[:, free] = (rng.random(pv.shape) < pv).astype(float)
-        cand_x, cand_e = _best(X, energy_rank(m, X))
+        if len(c.free):
+            pv = _sigmoid(c.net_visible(H) / tau)
+            Xf = (rng.random(pv.shape) < pv).astype(float)
+            net, E = c.net_and_energy(Xf)
+        cand_x, cand_e = _best(Xf, E)
         if cand_e < best_e - 1e-12 or (abs(cand_e - best_e) <= 1e-12
                                        and tuple(cand_x) < tuple(best_x)):
             best_x, best_e = cand_x, cand_e
         trace.append(best_e)
-    return _report_from_state(m, best_x, config.steps, config.restarts, trace)
+    return _report_from_state(m, c.full(best_x), config.steps, config.restarts, trace)
 
 
 def infer_deterministic(m: Rbm, q: Query,
@@ -149,33 +185,59 @@ def infer_deterministic(m: Rbm, q: Query,
 
     Each sweep sets h_j = [net_j > 0] and then every unclamped visible to
     [net_i > 0]; both are exact conditional minimisations, so E_rank never
-    increases along a run.
+    increases along a run.  The restarts sweep in lockstep; each stops at
+    its own fixed point and keeps its own energy trace.
     """
     config = config or DeterministicConfig()
     rng = np.random.default_rng(config.seed)
-    evidence = q.evidence
-    free = [i for i in range(m.n_visible) if i not in evidence.values]
-    starts = _init_states(m, evidence, config.restarts, rng)
-    best_x, best_e, traces = None, np.inf, []
-    for x in starts:
-        trace = [float(energy_rank(m, x))]
-        for _ in range(config.sweeps):
-            h = (net_hidden(m, x) > 0).astype(float)
-            new = x.copy()
-            if free:
-                new[free] = (net_visible(m, h)[free] > 0).astype(float)
-            e = float(energy_rank(m, new))
-            if np.array_equal(new, x):
-                break
-            x = new
-            trace.append(e)
-        traces.append(trace)
-        e = float(energy_rank(m, x))
-        if e < best_e - 1e-12 or (abs(e - best_e) <= 1e-12
-                                  and (best_x is None or tuple(x) < tuple(best_x))):
-            best_x, best_e = x.copy(), e
-    report = _report_from_state(m, best_x, config.sweeps, config.restarts, traces)
-    return report
+    c = _Clamped(m, q.evidence)
+    Xf = c.initial_states(config.restarts, rng)
+    net, E = c.net_and_energy(Xf)
+    traces = [[float(e)] for e in E]
+    active = np.arange(config.restarts)
+    for _ in range(config.sweeps):
+        h = (net[active] > 0).astype(float)
+        new = (c.net_visible(h) > 0).astype(float)
+        moved = (new != Xf[active]).any(axis=1)
+        active, new = active[moved], new[moved]
+        if not len(active):
+            break
+        Xf[active] = new
+        net[active], E[active] = c.net_and_energy(new)
+        for r in active:
+            traces[r].append(float(E[r]))
+    best_r = None
+    for r in range(config.restarts):
+        if best_r is None or E[r] < E[best_r] - 1e-12 or (
+                abs(E[r] - E[best_r]) <= 1e-12 and tuple(Xf[r]) < tuple(Xf[best_r])):
+            best_r = r
+    return _report_from_state(m, c.full(Xf[best_r]), config.sweeps, config.restarts,
+                              traces)
+
+
+def infer_exact(m: Rbm, evidence: Assignment, limit: int = BRUTE_LIMIT) -> InferenceReport:
+    """Lowest-energy completion of the evidence by enumeration.
+
+    Ties go to the lexicographically smallest state.  The completions are
+    scored in bounded row blocks, and the size check comes before any of
+    them is built.
+    """
+    c = _Clamped(m, evidence)
+    k = len(c.free)
+    if k > limit:
+        raise SizeLimitError(f"{k} unassigned variables exceeds the exact-mode limit {limit}")
+    total = 2 ** k
+    step = block_rows(m.n_hidden)
+    best_x, best_e = None, np.inf
+    for start in range(0, total, step):
+        # counting order is lexicographic order, so the first minimum is
+        # the lexicographically smallest of the exact ties
+        Xf = all_assignments(k, start, min(start + step, total))
+        _, E = c.net_and_energy(Xf)
+        r = int(np.argmin(E))
+        if best_x is None or E[r] < best_e:
+            best_x, best_e = Xf[r].copy(), float(E[r])
+    return _report_from_state(m, c.full(best_x), total, 1, [])
 
 
 @dataclass
@@ -229,15 +291,25 @@ class VerificationReport:
 
 def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float,
                        limit: int = VERIFY_LIMIT) -> VerificationReport:
-    """Enumerate every assignment and report max |weighted_sat + E_rank/eps|."""
+    """Enumerate every assignment and report max |weighted_sat + E_rank/eps|.
+
+    The 2^n assignments are checked in bounded row blocks; the witness is
+    the first assignment, in counting order, with the largest deviation.
+    """
     n = len(kb.table)
     if n > limit:
         raise SizeLimitError(f"universe of {n} variables exceeds limit {limit}")
     if n != m.n_visible:
         raise ValueError("model and knowledge base have different universes")
-    X = all_assignments(n)
-    dev = np.abs(weighted_sat_batch(kb, X) + energy_rank(m, X) / epsilon)
-    k = int(np.argmax(dev))
-    witness = {i: bool(X[k, i] > 0.5) for i in range(n)}
-    return VerificationReport(max_deviation=float(dev[k]), witness=witness,
-                              n_assignments=len(X))
+    total = 2 ** n
+    step = block_rows(max(m.n_hidden, n))
+    worst, witness = -np.inf, None
+    for start in range(0, total, step):
+        X = all_assignments(n, start, min(start + step, total))
+        dev = np.abs(weighted_sat_batch(kb, X) + energy_rank(m, X) / epsilon)
+        k = int(np.argmax(dev))
+        if witness is None or dev[k] > worst:
+            worst, witness = float(dev[k]), X[k]
+    return VerificationReport(max_deviation=worst,
+                              witness={i: bool(witness[i] > 0.5) for i in range(n)},
+                              n_assignments=total)

@@ -23,7 +23,7 @@ from .errors import SizeLimitError
 from . import formula as fm
 from .compiler import match_implication
 from .normal_forms import all_assignments
-from .rbm import Rbm, net_hidden, net_visible, free_energy, _sigmoid
+from .rbm import Rbm, block_rows, net_hidden, net_visible, _sigmoid
 
 
 @dataclass
@@ -121,42 +121,80 @@ class Grads:
         self.b += scale * other.b
 
 
-def _target_grid(m: Rbm, x, targets) -> np.ndarray:
-    grid = all_assignments(len(targets))
-    X = np.tile(np.asarray(x, dtype=float), (len(grid), 1))
-    for col, t in enumerate(targets):
-        X[:, t] = grid[:, col]
-    return X
+def _conditional(m: Rbm, rows, targets, grad: bool = True):
+    """Exact -log p(y | x) for each row, and the gradient of their mean.
+
+    Each row carries its own label y in the target columns.  Within a row's
+    2^T target grid only the target columns change, so the net input of
+    configuration c is ``net_r + grid_c @ W[T]`` with ``net_r`` taken once
+    with the targets at 0.  A hidden unit with no weight on a target has the
+    same soft-plus term for every c, which cancels in p(y | x); only the
+    units wired to a target are evaluated over the grid.  For the others
+    the gradient has a closed form: with ``D = sum_c coeff_c x_c``, which
+    is zero outside the target columns, ``gW[:, j] = -D sig(net_r)_j / tau``
+    and ``gb[j] = 0``.  Rows are processed in blocks that keep
+    block x 2^T x (wired units) within ``BLOCK_ELEMENTS``.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    targets = list(targets)
+    if len(targets) > 16:
+        raise SizeLimitError("too many target units for exact enumeration")
+    tau = m.tau
+    N = len(rows)
+    grid = all_assignments(len(targets))                      # (C, T)
+    W_t = m.W[targets]
+    touches = (W_t != 0).any(axis=0)
+    wired, loose = np.flatnonzero(touches), np.flatnonzero(~touches)
+    grid_net = grid @ W_t[:, wired]                           # (C, wired)
+    grid_a = grid @ m.a[targets] / tau                        # (C,)
+    # index of each row's label in counting order
+    true = (rows[:, targets] @ (2 ** np.arange(len(targets) - 1, -1, -1))).astype(int)
+    nll = np.empty(N)
+    g = Grads.zeros(m) if grad else None
+    step = block_rows(len(grid) * max(len(wired), 1))
+    for start in range(0, N, step):
+        X0 = rows[start:start + step].copy()
+        X0[:, targets] = 0.0
+        net0 = X0 @ m.W + m.b                                 # (B, H)
+        z = net0[:, None, wired] + grid_net                   # (B, C, wired)
+        z /= tau
+        buf = np.logaddexp(0.0, z)
+        logp = grid_a + buf.sum(axis=2)
+        logp -= np.logaddexp.reduce(logp, axis=1, keepdims=True)
+        r = np.arange(len(X0))
+        nll[start:start + step] = -logp[r, true[start:start + step]]
+        if not grad:
+            continue
+        coeff = -np.exp(logp)                                 # (B, C)
+        coeff[r, true[start:start + step]] += 1.0
+        coeff /= N                                            # gradient of the mean
+        D = coeff @ grid                                      # (B, T), target columns of D
+        P = _sigmoid(z, out=buf)                              # (B, C, wired)
+        P *= coeff[:, :, None]                                # coeff_rc * sig_rcw
+        gb_w = -P.sum(axis=1) / tau                           # (B, wired), per row
+        g.b[wired] += gb_w.sum(axis=0)
+        g.W[:, wired] += X0.T @ gb_w
+        g.W[np.ix_(targets, wired)] -= (grid.T @ P).sum(axis=0) / tau
+        g.W[np.ix_(targets, loose)] -= D.T @ _sigmoid(net0[:, loose] / tau) / tau
+        g.a[targets] -= D.sum(axis=0) / tau
+    return nll, g
+
+
+def _labelled(x, y_true, targets) -> np.ndarray:
+    row = np.array(x, dtype=float)
+    row[list(targets)] = y_true
+    return row
 
 
 def conditional_nll(m: Rbm, x, y_true, targets) -> float:
     """Exact -log p(y_true | x) over enumerated target configurations."""
-    targets = tuple(targets)
-    X = _target_grid(m, x, targets)
-    logp = -free_energy(m, X) / m.tau
-    logp -= np.logaddexp.reduce(logp)
-    true = int("".join(str(int(v)) for v in y_true), 2) if targets else 0
-    return float(-logp[true])
+    nll, _ = _conditional(m, _labelled(x, y_true, targets), targets, grad=False)
+    return float(nll[0])
 
 
 def discriminative_gradient(m: Rbm, x, y_true, targets) -> Grads:
     """Exact gradient of -log p(y_true | x) via free-energy differences."""
-    targets = tuple(targets)
-    if len(targets) > 16:
-        raise SizeLimitError("too many target units for exact enumeration")
-    X = _target_grid(m, x, targets)
-    logp = -free_energy(m, X) / m.tau
-    logp -= np.logaddexp.reduce(logp)
-    p = np.exp(logp)
-    true = int("".join(str(int(v)) for v in y_true), 2) if targets else 0
-    coeff = -p
-    coeff[true] += 1.0
-    sig = _sigmoid(net_hidden(m, X) / m.tau)
-    # dNLL/dtheta = (1/tau) sum_c coeff_c * dF(c)/dtheta, with dF/dW = -x sig^T
-    gW = -(X.T * coeff) @ sig / m.tau
-    ga = -(coeff @ X) / m.tau
-    gb = -(coeff @ sig) / m.tau
-    return Grads(gW, ga, gb)
+    return _conditional(m, _labelled(x, y_true, targets), targets)[1]
 
 
 def cd_gradient(m: Rbm, x_batch, cd_k: int, rng) -> Grads:
@@ -180,19 +218,18 @@ def cd_gradient(m: Rbm, x_batch, cd_k: int, rng) -> Grads:
 
 
 def _clause_patterns(m: Rbm):
-    """(unit index, sign pattern, bias pattern) for annotated hidden units."""
-    if m.clause_annotations is None:
-        return []
+    """Annotated hidden units, their sign matrix S (n x units) and the
+    per-unit bias pattern -T_j + eps."""
+    units = [j for j, ann in enumerate(m.clause_annotations or []) if ann]
     eps = m.epsilon if m.epsilon is not None else 0.5
-    out = []
-    for j, ann in enumerate(m.clause_annotations):
-        if not ann:
-            continue
-        s = np.zeros(m.n_visible)
-        s[ann["pos"]] = 1.0
-        s[ann["neg"]] = -1.0
-        out.append((j, s, -len(ann["pos"]) + eps))
-    return out
+    S = np.zeros((m.n_visible, len(units)))
+    bias = np.zeros(len(units))
+    for col, j in enumerate(units):
+        ann = m.clause_annotations[j]
+        S[ann["pos"], col] = 1.0
+        S[ann["neg"], col] = -1.0
+        bias[col] = -len(ann["pos"]) + eps
+    return np.array(units, dtype=int), S, bias
 
 
 def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
@@ -209,15 +246,15 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     out = m.copy()
     rng = np.random.default_rng(cfg.seed)
     targets = d.target_indices
-    patterns = _clause_patterns(out) if cfg.freeze_structure else []
-    conf = {j: float(out.clause_annotations[j]["confidence"]) for j, _, _ in patterns}
+    units, S, bias_pat = _clause_patterns(out) if cfg.freeze_structure \
+        else (np.zeros(0, dtype=int), None, None)
+    conf = np.array([float(out.clause_annotations[j]["confidence"]) for j in units])
     vel = Grads.zeros(out)
     trace = []
     N = len(d.rows)
     batch = N if cfg.batch_size in (0, None) else cfg.batch_size
     for epoch in range(cfg.epochs):
         perm = rng.permutation(N) if batch < N else np.arange(N)
-        recon_err = 0.0
         for start in range(0, N, max(batch, 1)):
             rows = d.rows[perm[start:start + batch]]
             if len(rows) == 0:
@@ -226,15 +263,12 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             if cfg.alpha > 0:
                 g.scaled_add(cd_gradient(out, rows, cfg.cd_k, rng), cfg.alpha)
             if cfg.beta > 0:
-                for row in rows:
-                    dg = discriminative_gradient(out, row, row[list(targets)], targets)
-                    g.scaled_add(dg, cfg.beta / len(rows))
+                g.scaled_add(_conditional(out, rows, targets)[1], cfg.beta)
             if cfg.freeze_structure:
-                for j, s, bias_pat in patterns:
-                    dc = float(s @ g.W[:, j] + bias_pat * g.b[j])
-                    conf[j] = max(conf[j] - cfg.lr * dc, 0.0)
-                    g.W[:, j] = 0.0
-                    g.b[j] = 0.0
+                dc = np.einsum("ij,ij->j", S, g.W[:, units]) + bias_pat * g.b[units]
+                conf = np.maximum(conf - cfg.lr * dc, 0.0)
+                g.W[:, units] = 0.0
+                g.b[units] = 0.0
                 g.a[:] = 0.0
             vel.W = cfg.momentum * vel.W - cfg.lr * g.W
             vel.a = cfg.momentum * vel.a - cfg.lr * g.a
@@ -242,17 +276,15 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             out.W += vel.W
             out.a += vel.a
             out.b += vel.b
-            for j, s, bias_pat in patterns:
-                out.W[:, j] = conf[j] * s
-                out.b[j] = conf[j] * bias_pat
-            if out.clause_annotations is not None:
-                for j, s, _ in patterns:
-                    out.clause_annotations[j]["confidence"] = conf[j]
+            if cfg.freeze_structure:
+                out.W[:, units] = S * conf
+                out.b[units] = conf * bias_pat
+        for j, c in zip(units, conf):
+            out.clause_annotations[j]["confidence"] = float(c)
         entry = {"epoch": epoch}
         if cfg.beta > 0:
-            entry["nll"] = float(np.mean([
-                conditional_nll(out, row, row[list(targets)], targets)
-                for row in d.rows])) if N else 0.0
+            entry["nll"] = float(_conditional(out, d.rows, targets, grad=False)[0].mean()) \
+                if N else 0.0
         ph = _sigmoid(net_hidden(out, d.rows) / out.tau)
         pv = _sigmoid(net_visible(out, ph) / out.tau)
         recon_err = float(np.mean((d.rows - pv) ** 2)) if N else 0.0

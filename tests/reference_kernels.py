@@ -1,0 +1,190 @@
+"""Straightforward reference versions of the search and training loops.
+
+These are the original full-column Gibbs and descent loops and the
+per-row discriminative training loop, kept here only as oracles for the
+incremental and batched kernels in ``logicrbm.reasoner`` and
+``logicrbm.trainer``.  They draw random numbers in the same order as the
+library, so for the same seed both must reach the same answers.
+"""
+import numpy as np
+
+from logicrbm.normal_forms import all_assignments
+from logicrbm.rbm import energy_rank, free_energy, net_hidden, net_visible, _sigmoid
+from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
+from logicrbm.trainer import Grads, cd_gradient
+
+
+def _report_from_state(m, x, steps, restarts, trace):
+    er = energy_rank(m, x)
+    ws = None if m.epsilon is None else -er / m.epsilon
+    return InferenceReport(
+        assignment={i: bool(v > 0.5) for i, v in enumerate(x)},
+        energy_rank=er, weighted_sat=ws,
+        steps=steps, restarts=restarts, energy_trace=trace)
+
+
+def _init_states(m, evidence, restarts, rng):
+    X = (rng.random((restarts, m.n_visible)) < 0.5).astype(float)
+    for i, v in evidence.values.items():
+        X[:, i] = float(v)
+    return X
+
+
+def _best(X, energies):
+    order = np.lexsort(tuple(X[:, c] for c in range(X.shape[1] - 1, -1, -1)))
+    ordered = order[np.argsort(energies[order], kind="stable")]
+    k = ordered[0]
+    return X[k].copy(), float(energies[k])
+
+
+def ref_infer_gibbs(m, q, config=None):
+    config = config or GibbsConfig()
+    rng = np.random.default_rng(config.seed)
+    evidence = q.evidence
+    free = [i for i in range(m.n_visible) if i not in evidence.values]
+    X = _init_states(m, evidence, config.restarts, rng)
+    best_x, best_e = _best(X, energy_rank(m, X))
+    trace = [best_e]
+    taus = np.geomspace(config.tau_start, config.tau_end, max(config.steps, 1))
+    for step in range(config.steps):
+        tau = taus[step]
+        ph = _sigmoid(net_hidden(m, X) / tau)
+        H = (rng.random(ph.shape) < ph).astype(float)
+        if free:
+            pv = _sigmoid(net_visible(m, H)[:, free] / tau)
+            X[:, free] = (rng.random(pv.shape) < pv).astype(float)
+        cand_x, cand_e = _best(X, energy_rank(m, X))
+        if cand_e < best_e - 1e-12 or (abs(cand_e - best_e) <= 1e-12
+                                       and tuple(cand_x) < tuple(best_x)):
+            best_x, best_e = cand_x, cand_e
+        trace.append(best_e)
+    return _report_from_state(m, best_x, config.steps, config.restarts, trace)
+
+
+def ref_infer_deterministic(m, q, config=None):
+    config = config or DeterministicConfig()
+    rng = np.random.default_rng(config.seed)
+    evidence = q.evidence
+    free = [i for i in range(m.n_visible) if i not in evidence.values]
+    starts = _init_states(m, evidence, config.restarts, rng)
+    best_x, best_e, traces = None, np.inf, []
+    for x in starts:
+        trace = [float(energy_rank(m, x))]
+        for _ in range(config.sweeps):
+            h = (net_hidden(m, x) > 0).astype(float)
+            new = x.copy()
+            if free:
+                new[free] = (net_visible(m, h)[free] > 0).astype(float)
+            e = float(energy_rank(m, new))
+            if np.array_equal(new, x):
+                break
+            x = new
+            trace.append(e)
+        traces.append(trace)
+        e = float(energy_rank(m, x))
+        if e < best_e - 1e-12 or (abs(e - best_e) <= 1e-12
+                                  and (best_x is None or tuple(x) < tuple(best_x))):
+            best_x, best_e = x.copy(), e
+    return _report_from_state(m, best_x, config.sweeps, config.restarts, traces)
+
+
+def _target_grid(x, targets):
+    grid = all_assignments(len(targets))
+    X = np.tile(np.asarray(x, dtype=float), (len(grid), 1))
+    for col, t in enumerate(targets):
+        X[:, t] = grid[:, col]
+    return X
+
+
+def ref_conditional_nll(m, x, y_true, targets):
+    targets = tuple(targets)
+    X = _target_grid(x, targets)
+    logp = -free_energy(m, X) / m.tau
+    logp -= np.logaddexp.reduce(logp)
+    true = int("".join(str(int(v)) for v in y_true), 2) if targets else 0
+    return float(-logp[true])
+
+
+def ref_discriminative_gradient(m, x, y_true, targets):
+    targets = tuple(targets)
+    X = _target_grid(x, targets)
+    logp = -free_energy(m, X) / m.tau
+    logp -= np.logaddexp.reduce(logp)
+    p = np.exp(logp)
+    true = int("".join(str(int(v)) for v in y_true), 2) if targets else 0
+    coeff = -p
+    coeff[true] += 1.0
+    sig = _sigmoid(net_hidden(m, X) / m.tau)
+    gW = -(X.T * coeff) @ sig / m.tau
+    ga = -(coeff @ X) / m.tau
+    gb = -(coeff @ sig) / m.tau
+    return Grads(gW, ga, gb)
+
+
+def _clause_patterns(m):
+    if m.clause_annotations is None:
+        return []
+    eps = m.epsilon if m.epsilon is not None else 0.5
+    out = []
+    for j, ann in enumerate(m.clause_annotations):
+        if not ann:
+            continue
+        s = np.zeros(m.n_visible)
+        s[ann["pos"]] = 1.0
+        s[ann["neg"]] = -1.0
+        out.append((j, s, -len(ann["pos"]) + eps))
+    return out
+
+
+def ref_train(m, d, cfg):
+    out = m.copy()
+    rng = np.random.default_rng(cfg.seed)
+    targets = d.target_indices
+    patterns = _clause_patterns(out) if cfg.freeze_structure else []
+    conf = {j: float(out.clause_annotations[j]["confidence"]) for j, _, _ in patterns}
+    vel = Grads.zeros(out)
+    trace = []
+    N = len(d.rows)
+    batch = N if cfg.batch_size in (0, None) else cfg.batch_size
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(N) if batch < N else np.arange(N)
+        for start in range(0, N, max(batch, 1)):
+            rows = d.rows[perm[start:start + batch]]
+            if len(rows) == 0:
+                continue
+            g = Grads.zeros(out)
+            if cfg.alpha > 0:
+                g.scaled_add(cd_gradient(out, rows, cfg.cd_k, rng), cfg.alpha)
+            if cfg.beta > 0:
+                for row in rows:
+                    dg = ref_discriminative_gradient(out, row, row[list(targets)], targets)
+                    g.scaled_add(dg, cfg.beta / len(rows))
+            if cfg.freeze_structure:
+                for j, s, bias_pat in patterns:
+                    dc = float(s @ g.W[:, j] + bias_pat * g.b[j])
+                    conf[j] = max(conf[j] - cfg.lr * dc, 0.0)
+                    g.W[:, j] = 0.0
+                    g.b[j] = 0.0
+                g.a[:] = 0.0
+            vel.W = cfg.momentum * vel.W - cfg.lr * g.W
+            vel.a = cfg.momentum * vel.a - cfg.lr * g.a
+            vel.b = cfg.momentum * vel.b - cfg.lr * g.b
+            out.W += vel.W
+            out.a += vel.a
+            out.b += vel.b
+            for j, s, bias_pat in patterns:
+                out.W[:, j] = conf[j] * s
+                out.b[j] = conf[j] * bias_pat
+            if out.clause_annotations is not None:
+                for j, s, _ in patterns:
+                    out.clause_annotations[j]["confidence"] = conf[j]
+        entry = {"epoch": epoch}
+        if cfg.beta > 0:
+            entry["nll"] = float(np.mean([
+                ref_conditional_nll(out, row, row[list(targets)], targets)
+                for row in d.rows])) if N else 0.0
+        ph = _sigmoid(net_hidden(out, d.rows) / out.tau)
+        pv = _sigmoid(net_visible(out, ph) / out.tau)
+        entry["reconstruction_error"] = float(np.mean((d.rows - pv) ** 2)) if N else 0.0
+        trace.append(entry)
+    return out, trace

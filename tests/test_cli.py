@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logicrbm.cli import OneHotSpec, ingest_categorical, main
-from logicrbm.rbm import load_model
+from logicrbm.rbm import Rbm, load_model, save_model
 
 
 def run(capsys, *argv):
@@ -132,6 +132,29 @@ class TestReason:
         code, stdout, _ = run(capsys, "reason", str(nixon_model), str(q))
         doc = json.loads(stdout)
         assert code == 0 and doc["weighted_sat"] == pytest.approx(2010.0)
+
+    def test_exact_size_limit(self, tmp_path, capsys):
+        model = tmp_path / "wide.json"
+        save_model(Rbm(W=np.zeros((71, 1)), a=np.zeros(71), b=np.zeros(1)), model)
+        q = self.query(tmp_path, {"mode": "exact"})
+        code, _, err = run(capsys, "reason", str(model), str(q))
+        assert code == 3 and "limit" in err
+
+    def test_model_names_mismatch(self, xor_model, tmp_path, capsys):
+        doc = json.loads(xor_model.read_text())
+        doc["names"].append("extra")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "reason", str(bad), str(self.query(tmp_path, {})))
+        assert code == 2 and "names" in err
+
+    def test_model_annotations_mismatch(self, xor_model, tmp_path, capsys):
+        doc = json.loads(xor_model.read_text())
+        doc["clause_annotations"].pop()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "reason", str(bad), str(self.query(tmp_path, {})))
+        assert code == 2 and "annotations" in err
 
     def test_unknown_evidence_name(self, xor_model, tmp_path, capsys):
         q = self.query(tmp_path, {"evidence": {"bogus": True}})

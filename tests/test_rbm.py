@@ -226,3 +226,15 @@ class TestModelIO:
                              "W": [[0.5]], "a": [0.0], "b": [0.0]})
         assert m.tau == 1.0 and m.e0 == 0.0
         assert model_to_dict(m)["names"] == ["x0"]
+
+    def test_names_length_checked(self):
+        doc = model_to_dict(xor_rbm())
+        doc["names"] = doc["names"][:-1]
+        with pytest.raises(ValueError, match="names"):
+            model_from_dict(doc)
+
+    def test_annotations_length_checked(self):
+        doc = model_to_dict(xor_rbm())
+        doc["clause_annotations"] = doc["clause_annotations"] + [None]
+        with pytest.raises(ValueError, match="annotations"):
+            model_from_dict(doc)

@@ -1,4 +1,6 @@
 """Inference: MaxSAT oracle, Gibbs search, descent, conditionals, verify."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
-    infer_conditional, infer_deterministic, infer_gibbs, verify_equivalence,
+    infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
+    verify_equivalence,
 )
 from logicrbm.rbm import Rbm, energy_rank
 
@@ -127,6 +130,43 @@ class TestInferDeterministic:
                 assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
 
+class TestInferExact:
+    def test_random_kbs_reach_the_optimum(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            kb = random_kb(rng, n_vars=5, n_formulas=4, w_low=0.5, w_high=5.0)
+            m, _ = L.compile_kb(kb)
+            evidence = fm.Assignment({0: bool(rng.random() < 0.5)}, 5)
+            winners, best = brute_force_maxsat(kb, evidence)
+            rep = infer_exact(m, evidence)
+            assert rep.weighted_sat == pytest.approx(best, abs=1e-9)
+            assert tuple(int(rep.assignment[i]) for i in range(5)) in winners
+
+    def test_blocks_match_full_enumeration(self):
+        # 4096 hidden units: 256 completions per block, 1024 completions
+        rng = np.random.default_rng(29)
+        m = random_rbm(rng, 12, 4096)
+        evidence = fm.Assignment({3: True, 7: False}, 12)
+        free = evidence.unassigned()
+        X = np.zeros((1024, 12))
+        X[:, 3] = 1.0
+        X[:, free] = all_assignments(10)
+        e = energy_rank(m, X)
+        rep = infer_exact(m, evidence)
+        assert rep.assignment == {i: bool(v) for i, v in enumerate(X[np.argmin(e)])}
+        assert rep.energy_rank == pytest.approx(e.min(), abs=1e-9)
+
+    def test_ties_go_to_the_smallest_state(self):
+        m = Rbm(W=np.zeros((3, 1)), a=np.zeros(3), b=np.zeros(1))
+        rep = infer_exact(m, fm.Assignment({1: True}, 3))
+        assert rep.assignment == {0: False, 1: True, 2: False}
+
+    def test_size_limit_before_allocation(self):
+        m = Rbm(W=np.zeros((71, 1)), a=np.zeros(71), b=np.zeros(1))
+        with pytest.raises(SizeLimitError):
+            infer_exact(m, fm.Assignment({}, 71))
+
+
 class TestInferConditional:
     def test_zero_weights_uniform(self):
         m = Rbm(W=np.zeros((3, 2)), a=np.zeros(3), b=np.zeros(2))
@@ -205,3 +245,25 @@ class TestVerifyEquivalence:
             e = energy_rank(m, X)
             assert set(map(tuple, X[np.isclose(s, s.max())])) \
                 == set(map(tuple, X[np.isclose(e, e.min())]))
+
+    def test_wide_disjunction_in_bounded_memory(self):
+        kb = fm.parse_kb(" | ".join(f"v{i}" for i in range(12)))
+        m, _ = L.compile_kb(kb)
+        assert m.n_hidden == 4095
+        # distinct visible-bias errors: the unique worst assignment sets the
+        # odd-indexed variables
+        m.a += 1e-3 * np.array([(-1) ** i * (i + 1) for i in range(12)])
+        X = all_assignments(12)
+        dev = np.abs(fm.weighted_sat_batch(kb, X) + energy_rank(m, X) / m.epsilon)
+        k = int(np.argmax(dev))
+        tracemalloc.start()
+        try:
+            rep = verify_equivalence(m, kb, m.epsilon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert rep.max_deviation == pytest.approx(dev[k], rel=1e-12)
+        assert rep.witness == {i: bool(X[k, i]) for i in range(12)}
+        assert rep.witness == {i: i % 2 == 1 for i in range(12)}
+        assert rep.n_assignments == 4096
