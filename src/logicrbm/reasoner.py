@@ -65,15 +65,23 @@ class InferenceReport:
         return np.array([float(self.assignment[i]) for i in range(n)])
 
 
-def _completions(evidence: Assignment) -> np.ndarray:
+def _completion_blocks(evidence: Assignment, width: int):
+    """Every completion of the evidence, as blocks of full rows.
+
+    The free variables run in binary counting order, which is also the
+    lexicographic order of the full states.  Each block has
+    ``block_rows(width)`` rows at most.
+    """
     free = evidence.unassigned()
-    grid = all_assignments(len(free))
-    X = np.zeros((len(grid), evidence.n))
-    for i, v in evidence.values.items():
-        X[:, i] = float(v)
-    for col, i in enumerate(free):
-        X[:, i] = grid[:, col]
-    return X
+    total = 2 ** len(free)
+    step = block_rows(width)
+    for start in range(0, total, step):
+        grid = all_assignments(len(free), start, min(start + step, total))
+        X = np.zeros((len(grid), evidence.n))
+        for i, v in evidence.values.items():
+            X[:, i] = float(v)
+        X[:, free] = grid
+        yield X
 
 
 def brute_force_maxsat(kb: KnowledgeBase, evidence: Assignment,
@@ -82,12 +90,16 @@ def brute_force_maxsat(kb: KnowledgeBase, evidence: Assignment,
     if len(evidence.unassigned()) > limit:
         raise SizeLimitError(
             f"{len(evidence.unassigned())} unassigned variables exceeds limit {limit}")
-    X = _completions(evidence)
-    scores = weighted_sat_batch(kb, X)
-    best = scores.max()
-    winners = X[np.isclose(scores, best, rtol=0, atol=1e-9)]
-    winners = sorted(tuple(int(v) for v in row) for row in winners)
-    return winners, float(best)
+    best, rows, scores = -np.inf, np.zeros((0, evidence.n)), np.zeros(0)
+    for X in _completion_blocks(evidence, evidence.n):
+        s = weighted_sat_batch(kb, X)
+        best = max(best, float(s.max()))
+        rows, scores = np.concatenate([rows, X]), np.concatenate([scores, s])
+        # best only grows, so a row dropped here can never win later
+        near = np.isclose(scores, best, rtol=0, atol=1e-9)
+        rows, scores = rows[near], scores[near]
+    winners = sorted(tuple(int(v) for v in row) for row in rows)
+    return winners, best
 
 
 def _report_from_state(m: Rbm, x, steps, restarts, trace) -> InferenceReport:
@@ -215,7 +227,7 @@ def infer_deterministic(m: Rbm, q: Query,
                               traces)
 
 
-def infer_exact(m: Rbm, evidence: Assignment, limit: int = BRUTE_LIMIT) -> InferenceReport:
+def infer_exact(m: Rbm, evidence: Assignment) -> InferenceReport:
     """Lowest-energy completion of the evidence by enumeration.
 
     Ties go to the lexicographically smallest state.  The completions are
@@ -224,20 +236,18 @@ def infer_exact(m: Rbm, evidence: Assignment, limit: int = BRUTE_LIMIT) -> Infer
     """
     c = _Clamped(m, evidence)
     k = len(c.free)
-    if k > limit:
-        raise SizeLimitError(f"{k} unassigned variables exceeds the exact-mode limit {limit}")
-    total = 2 ** k
-    step = block_rows(m.n_hidden)
+    if k > BRUTE_LIMIT:
+        raise SizeLimitError(
+            f"{k} unassigned variables exceeds the exact-mode limit {BRUTE_LIMIT}")
     best_x, best_e = None, np.inf
-    for start in range(0, total, step):
-        # counting order is lexicographic order, so the first minimum is
-        # the lexicographically smallest of the exact ties
-        Xf = all_assignments(k, start, min(start + step, total))
-        _, E = c.net_and_energy(Xf)
+    for X in _completion_blocks(evidence, m.n_hidden):
+        # blocks come in lexicographic order, so the first minimum is the
+        # smallest of the exact ties
+        _, E = c.net_and_energy(X[:, c.free])
         r = int(np.argmin(E))
         if best_x is None or E[r] < best_e:
-            best_x, best_e = Xf[r].copy(), float(E[r])
-    return _report_from_state(m, c.full(best_x), total, 1, [])
+            best_x, best_e = X[r].copy(), float(E[r])
+    return _report_from_state(m, best_x, 2 ** k, 1, [])
 
 
 @dataclass
@@ -301,15 +311,12 @@ def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float,
         raise SizeLimitError(f"universe of {n} variables exceeds limit {limit}")
     if n != m.n_visible:
         raise ValueError("model and knowledge base have different universes")
-    total = 2 ** n
-    step = block_rows(max(m.n_hidden, n))
     worst, witness = -np.inf, None
-    for start in range(0, total, step):
-        X = all_assignments(n, start, min(start + step, total))
+    for X in _completion_blocks(fm.Assignment({}, n), max(m.n_hidden, n)):
         dev = np.abs(weighted_sat_batch(kb, X) + energy_rank(m, X) / epsilon)
         k = int(np.argmax(dev))
         if witness is None or dev[k] > worst:
             worst, witness = float(dev[k]), X[k]
     return VerificationReport(max_deviation=worst,
                               witness={i: bool(witness[i] > 0.5) for i in range(n)},
-                              n_assignments=total)
+                              n_assignments=2 ** n)

@@ -54,6 +54,32 @@ class TestBruteForceMaxsat:
         with pytest.raises(SizeLimitError):
             brute_force_maxsat(kb, fm.Assignment({}, 30))
 
+    def test_blocks_match_full_enumeration(self, monkeypatch):
+        # 64-element blocks: 8 rows of 8 variables, so 32 blocks of 256 rows
+        monkeypatch.setattr("logicrbm.rbm.BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            kb = random_kb(rng, n_vars=8, n_formulas=5, w_low=1.0, w_high=3.0)
+            kb.add(0.5, fm.parse_formula("v0 | ~v0", kb.table))  # a tie-rich case too
+            X = all_assignments(8)
+            scores = fm.weighted_sat_batch(kb, X)
+            near = np.isclose(scores, scores.max(), rtol=0, atol=1e-9)
+            winners, best = brute_force_maxsat(kb, fm.Assignment({}, 8))
+            assert best == scores.max()
+            assert winners == sorted(tuple(int(v) for v in row) for row in X[near])
+
+    def test_memory_bounded_in_blocks(self):
+        # 20 free variables: the full completion matrix alone would be 160 MB
+        kb = fm.parse_kb("\n".join(f"2: x{i} -> x{i + 1}" for i in range(20)))
+        tracemalloc.start()
+        try:
+            winners, best = brute_force_maxsat(kb, fm.Assignment({0: True}, 21))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert best == 40.0 and winners == [(1,) * 21]
+
 
 class TestQueryValidation:
     def test_overlap_rejected(self):
