@@ -41,8 +41,7 @@ def main():
           f"weighted_sat = {report.weighted_sat:g} (matches the oracle: "
           f"{abs(report.weighted_sat - best) < 1e-9})")
 
-    report = infer_deterministic(model, Query(evidence=evidence,
-                                              mode="deterministic"))
+    report = infer_deterministic(model, Query(evidence=evidence))
     print(f"\nzero-temperature descent: {show(names, report.assignment)}  "
           f"(weighted_sat {report.weighted_sat:g})")
 

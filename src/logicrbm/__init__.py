@@ -9,7 +9,7 @@ from .formula import (
     weighted_sat,
 )
 from .normal_forms import (
-    ConjunctiveClause, Dnf, dnf_to_sdnf, implication_to_sdnf, to_full_dnf,
+    ConjunctiveClause, Dnf, implication_to_sdnf, to_full_dnf,
 )
 from .rbm import (
     Rbm, energy, energy_rank, free_energy, gibbs_step, load_model,
@@ -18,8 +18,9 @@ from .rbm import (
 )
 from .compiler import (
     ClauseBase, CompileOptions, WeightedClause, attach_hidden_units,
-    compile_implication, compile_kb, compile_penalty_horn, compile_sdnf,
-    compile_universal, merge_clauses,
+    clause_patterns, compile_implication, compile_kb, compile_penalty_horn,
+    compile_sdnf, compile_universal, merge_clauses, penalty_network,
+    universal_network,
 )
 from .reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,

@@ -15,13 +15,12 @@ import numpy as np
 
 from .errors import ParseError, SizeLimitError
 from . import formula as fm
-from .normal_forms import to_full_dnf
+from .normal_forms import implication_to_sdnf, to_full_dnf
 from .compiler import (
-    CompileOptions, attach_hidden_units, compile_kb,
-    compile_penalty_horn, compile_universal, formula_to_sdnf_clauses,
-    match_implication,
+    CompileOptions, attach_hidden_units, compile_kb, match_implication,
+    penalty_network, universal_network,
 )
-from .rbm import Rbm, load_model, save_model
+from .rbm import load_model, save_model
 from .reasoner import (
     GibbsConfig, DeterministicConfig, Query,
     infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
@@ -37,45 +36,27 @@ VERIFY_TOL = 1e-9
 # compile
 # ---------------------------------------------------------------------------
 
-def _hstack_models(parts, names, epsilon) -> Rbm:
-    n = len(names)
-    W = np.hstack([p.W for p in parts]) if parts else np.zeros((n, 0))
-    b = np.concatenate([p.b for p in parts]) if parts else np.zeros(0)
-    a = sum((p.a for p in parts), np.zeros(n))
-    e0 = sum(p.e0 for p in parts)
-    return Rbm(W=W, a=a, b=b, e0=float(e0), tau=1.0, names=list(names),
-               epsilon=epsilon)
+def _baseline_clauses(f, baseline):
+    """The clauses of one formula that a baseline turns into units."""
+    if baseline == "universal":
+        return to_full_dnf(f).clauses
+    imp = match_implication(f)
+    if imp is None or imp[1] or not imp[3]:
+        raise ValueError("penalty baseline requires Horn clauses (positive body and head)")
+    body_pos, _, head, _ = imp
+    return implication_to_sdnf(body_pos, (), head).clauses
 
 
 def cmd_compile(args) -> int:
     kb = fm.load_kb(args.kb_file)
-    opts = CompileOptions(epsilon=args.epsilon)
-    n = len(kb.table)
     if args.baseline == "sdnf":
-        m, _base = compile_kb(kb, opts)
-        per_formula = [len(formula_to_sdnf_clauses(f, opts)) for _, f in kb.items]
-    elif args.baseline == "penalty":
-        parts, per_formula = [], []
-        for w, f in kb.items:
-            imp = match_implication(f)
-            if imp is None or imp[1] or not imp[3]:
-                raise ValueError(
-                    "penalty baseline requires Horn clauses (positive body and head)")
-            body_pos, _, head, _ = imp
-            parts.append(compile_penalty_horn(body_pos, head, epsilon=args.epsilon,
-                                              n_visible=n, confidence=w, opts=opts))
-            per_formula.append(parts[-1].n_hidden)
-        m = _hstack_models(parts, kb.table.names, args.epsilon)
-    else:  # universal
-        parts, per_formula = [], []
-        for w, f in kb.items:
-            dnf = to_full_dnf(f, limit=opts.var_limit)
-            part = compile_universal(dnf, lam=args.epsilon, n_visible=n)
-            part.W *= w
-            part.b *= w
-            parts.append(part)
-            per_formula.append(part.n_hidden)
-        m = _hstack_models(parts, kb.table.names, args.epsilon)
+        m, base = compile_kb(kb, CompileOptions(epsilon=args.epsilon))
+        per_formula = base.per_formula
+    else:
+        groups = [(w, _baseline_clauses(f, args.baseline)) for w, f in kb.items]
+        network = penalty_network if args.baseline == "penalty" else universal_network
+        m = network(groups, len(kb.table), args.epsilon, names=list(kb.table.names))
+        per_formula = [len(part) for _, part in groups]
     if args.extra_hidden:
         rng = np.random.default_rng(args.seed)
         m = attach_hidden_units(m, args.extra_hidden, args.init_scale, rng)
@@ -130,7 +111,7 @@ def cmd_reason(args) -> int:
             "weighted_sat": rep.weighted_sat,
         }
     else:
-        query = Query(evidence=evidence, targets=targets, mode=mode)
+        query = Query(evidence)
         if mode == "deterministic":
             rep = infer_deterministic(
                 m, query, DeterministicConfig(sweeps=steps, restarts=restarts, seed=seed))

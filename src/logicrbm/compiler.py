@@ -9,10 +9,12 @@ the minimised energy satisfies
 
     weighted_sat(x) = -E_rank(x) / eps
 
-for every total assignment.  Implications get a compact K+T-unit network in
-which the last eliminated body variable collapses to a visible bias.  Two
-comparison baselines are provided: the Penalty-logic quadratic form for
-Horn clauses and the one-unit-per-model universal-approximator network.
+for every total assignment.  ``clause_patterns`` builds that sign and bias
+pattern, and every construction here scales it by its confidences.
+Implications get a compact K+T-unit network in which the last eliminated
+body variable collapses to a visible bias.  Two comparison baselines are
+provided: the Penalty-logic quadratic form for Horn clauses and the
+one-unit-per-model universal-approximator network.
 """
 from __future__ import annotations
 
@@ -20,12 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeLimitError
 from . import formula as fm
-from .normal_forms import (
-    ConjunctiveClause, Dnf, DEFAULT_VAR_LIMIT,
-    implication_to_sdnf, to_full_dnf,
-)
+from .normal_forms import ConjunctiveClause, Dnf, implication_to_sdnf, to_full_dnf
 from .rbm import Rbm
 
 
@@ -43,23 +41,52 @@ class WeightedClause:
 class ClauseBase:
     table: fm.PropositionTable
     clauses: list[WeightedClause] = field(default_factory=list)
+    per_formula: list[int] = field(default_factory=list)   # SDNF clauses of each formula
+
+
+def _check_epsilon(epsilon: float):
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
 
 
 @dataclass
 class CompileOptions:
     epsilon: float = 0.5
-    elimination_order: str = "descending"   # "descending" | "ascending"
-    subsumption_merge: bool = False
-    var_limit: int = DEFAULT_VAR_LIMIT
 
     def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.elimination_order not in ("descending", "ascending"):
-            raise ValueError("elimination_order must be 'descending' or 'ascending'")
+        _check_epsilon(self.epsilon)
 
-    def order(self, body) -> list[int]:
-        return sorted(body, reverse=self.elimination_order == "descending")
+
+def clause_patterns(clauses, n_visible: int, epsilon: float):
+    """The unit pattern of each clause: signs S (n_visible x units) and bias.
+
+    ``S[i, j]`` is +1 for a positive literal of clause j, -1 for a negative
+    one and 0 otherwise; ``bias[j] = -T_j + epsilon`` with T_j the number of
+    positive literals.  A clause with confidence c becomes the hidden unit
+    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.
+    """
+    S = np.zeros((n_visible, len(clauses)))
+    bias = np.zeros(len(clauses))
+    for j, cl in enumerate(clauses):
+        S[list(cl.pos), j] = 1.0
+        S[list(cl.neg), j] = -1.0
+        bias[j] = -len(cl.pos) + epsilon
+    return S, bias
+
+
+def _units(clauses, c, n_visible: int, epsilon: float):
+    """Weights and biases of the units for ``clauses`` at confidences c.
+
+    A negative c would put a satisfied clause's net input below zero, so its
+    unit would never fire and weighted_sat = -E_rank / eps would not hold.
+    """
+    c = np.asarray(c, dtype=float)
+    if (c < 0).any():
+        raise ValueError("confidence value must be non-negative")
+    S, bias = clause_patterns(clauses, n_visible, epsilon)
+    S *= c
+    bias *= c
+    return S, bias
 
 
 def _annotation(clause: ConjunctiveClause, c: float) -> dict:
@@ -88,14 +115,8 @@ def compile_sdnf(d: Dnf, opts: CompileOptions | None = None,
     n_visible = _infer_n_visible(d.clauses, n_visible)
     if confidences is None:
         confidences = [1.0] * len(d.clauses)
-    W = np.zeros((n_visible, len(d.clauses)))
-    b = np.zeros(len(d.clauses))
-    annotations = []
-    for j, (cl, c) in enumerate(zip(d.clauses, confidences)):
-        W[list(cl.pos), j] = c
-        W[list(cl.neg), j] = -c
-        b[j] = c * (-len(cl.pos) + opts.epsilon)
-        annotations.append(_annotation(cl, c))
+    W, b = _units(d.clauses, confidences, n_visible, opts.epsilon)
+    annotations = [_annotation(cl, c) for cl, c in zip(d.clauses, confidences)]
     return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
                names=names, epsilon=opts.epsilon, clause_annotations=annotations)
 
@@ -113,36 +134,26 @@ def compile_implication(body_pos, body_neg, head: int,
     to a visible bias (plus a constant when the literal is negative), which
     is pointwise identical in E_rank.
     """
-    if confidence < 0:
-        raise ValueError("confidence value must be non-negative")
     opts = opts or CompileOptions()
-    order = opts.order(frozenset(body_pos) | frozenset(body_neg))
-    sdnf = implication_to_sdnf(body_pos, body_neg, head, order=order,
-                               head_positive=head_positive)
+    sdnf = implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
     n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
     eps = opts.epsilon
     c = confidence
 
-    unit_clauses = sdnf.clauses if not order else sdnf.clauses[:-1]
-    W = np.zeros((n_visible, len(unit_clauses)))
-    b = np.zeros(len(unit_clauses))
+    has_body = len(sdnf.clauses) > 1
+    unit_clauses = sdnf.clauses[:-1] if has_body else sdnf.clauses
+    W, b = _units(unit_clauses, [c] * len(unit_clauses), n_visible, eps)
     a = np.zeros(n_visible)
     e0 = 0.0
-    annotations = []
-    for j, cl in enumerate(unit_clauses):
-        W[list(cl.pos), j] = c
-        W[list(cl.neg), j] = -c
-        b[j] = c * (-len(cl.pos) + eps)
-        annotations.append(_annotation(cl, c))
-    if order:
+    if has_body:
         last = sdnf.clauses[-1]
         if last.pos:                      # clause {p}: energy term -c*eps*x_p
             a[last.pos[0]] = c * eps
         else:                             # clause {~p}: -c*eps*(1 - x_p)
             a[last.neg[0]] = -c * eps
             e0 = -c * eps
-    return Rbm(W=W, a=a, b=b, e0=e0, tau=1.0, names=names,
-               epsilon=eps, clause_annotations=annotations)
+    return Rbm(W=W, a=a, b=b, e0=e0, tau=1.0, names=names, epsilon=eps,
+               clause_annotations=[_annotation(cl, c) for cl in unit_clauses])
 
 
 def match_implication(f: fm.Formula):
@@ -176,45 +187,21 @@ def match_implication(f: fm.Formula):
     return frozenset(pos), frozenset(neg), head[0], head[1]
 
 
-def formula_to_sdnf_clauses(f: fm.Formula, opts: CompileOptions) -> list[ConjunctiveClause]:
+def formula_to_sdnf_clauses(f: fm.Formula) -> list[ConjunctiveClause]:
     """Strict-DNF clauses of a formula: implication fast path, else full DNF."""
     imp = match_implication(f)
     if imp is not None:
         body_pos, body_neg, head, head_positive = imp
-        order = opts.order(body_pos | body_neg)
-        return list(implication_to_sdnf(body_pos, body_neg, head, order=order,
+        return list(implication_to_sdnf(body_pos, body_neg, head,
                                         head_positive=head_positive).clauses)
-    return list(to_full_dnf(f, limit=opts.var_limit).clauses)
+    return list(to_full_dnf(f).clauses)
 
 
-def merge_clauses(clauses, subsumption: bool = False) -> list[WeightedClause]:
-    """Merge identical clauses by summing confidences; optional subsumption.
-
-    With subsumption on, a clause whose literal set is a strict superset of
-    another's is removed and its confidence added to the more general
-    clause.  This changes weighted-satisfiability semantics, which is why
-    it is off by default.
-    """
+def merge_clauses(clauses) -> list[WeightedClause]:
+    """Merge identical clauses by summing confidences, in canonical order."""
     merged: dict[ConjunctiveClause, float] = {}
     for wc in clauses:
         merged[wc.clause] = merged.get(wc.clause, 0.0) + wc.c
-    if subsumption:
-        changed = True
-        while changed:
-            changed = False
-            order = sorted(merged, key=lambda cl: (len(cl.pos) + len(cl.neg), cl))
-            for specific in reversed(order):
-                for general in order:
-                    if general is specific:
-                        continue
-                    if set(general.pos) <= set(specific.pos) \
-                            and set(general.neg) <= set(specific.neg) \
-                            and general != specific:
-                        merged[general] += merged.pop(specific)
-                        changed = True
-                        break
-                if changed:
-                    break
     return [WeightedClause(cl, merged[cl]) for cl in sorted(merged)]
 
 
@@ -222,79 +209,80 @@ def compile_kb(kb: fm.KnowledgeBase, opts: CompileOptions | None = None
                ) -> tuple[Rbm, ClauseBase]:
     """Weighted KB -> RBM with weighted_sat(x) = -E_rank(x) / eps."""
     opts = opts or CompileOptions()
-    weighted = []
+    weighted, per_formula = [], []
     for w, f in kb.items:
         if w < 0:
             raise ValueError("negative formula weights are not compilable")
-        for cl in formula_to_sdnf_clauses(f, opts):
-            weighted.append(WeightedClause(cl, w))
-    merged = merge_clauses(weighted, subsumption=opts.subsumption_merge)
+        clauses = formula_to_sdnf_clauses(f)
+        weighted += [WeightedClause(cl, w) for cl in clauses]
+        per_formula.append(len(clauses))
+    merged = merge_clauses(weighted)
 
     n = len(kb.table)
     units = [wc for wc in merged if not wc.clause.is_true_clause]
     e0 = -opts.epsilon * sum(wc.c for wc in merged if wc.clause.is_true_clause)
-    W = np.zeros((n, len(units)))
-    b = np.zeros(len(units))
-    annotations = []
-    for j, wc in enumerate(units):
-        W[list(wc.clause.pos), j] = wc.c
-        W[list(wc.clause.neg), j] = -wc.c
-        b[j] = wc.c * (-len(wc.clause.pos) + opts.epsilon)
-        annotations.append(_annotation(wc.clause, wc.c))
+    W, b = _units([wc.clause for wc in units], [wc.c for wc in units], n, opts.epsilon)
     m = Rbm(W=W, a=np.zeros(n), b=b, e0=e0, tau=1.0,
             names=list(kb.table.names), epsilon=opts.epsilon,
-            clause_annotations=annotations)
-    return m, ClauseBase(kb.table, merged)
+            clause_annotations=[_annotation(wc.clause, wc.c) for wc in units])
+    return m, ClauseBase(kb.table, merged, per_formula)
+
+
+def penalty_network(groups, n_visible: int, epsilon: float = 0.5, names=None) -> Rbm:
+    """Penalty-logic network for weighted Horn clauses.
+
+    ``groups`` holds one ``(w, clauses)`` pair per Horn clause, the clauses
+    being its implication SDNF.  Every clause becomes a unit with doubled
+    parameters (c = 2w) and the offset is the sum of the weights, which
+    realises E_penalty(x) = 2 * E_sdnf(x) + sum(w) pointwise at epsilon = 0.5.
+    """
+    _check_epsilon(epsilon)
+    clauses = [cl for _, part in groups for cl in part]
+    W, b = _units(clauses, [2.0 * w for w, part in groups for _ in part],
+                  n_visible, epsilon)
+    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=float(sum(w for w, _ in groups)),
+               tau=1.0, names=names, epsilon=epsilon)
 
 
 def compile_penalty_horn(body_pos, head: int, epsilon: float = 0.5,
                          n_visible: int | None = None,
-                         confidence: float = 1.0, names=None,
-                         opts: CompileOptions | None = None) -> Rbm:
-    """Penalty-logic quadratic network for a Horn clause ``head <- body``.
-
-    Every clause of the implication SDNF becomes a hidden unit with doubled
-    parameters, plus a constant offset of +1, which realises
-    E_penalty(x) = 2 * E_sdnf(x) + 1 pointwise at epsilon = 0.5.
-    """
-    body_pos = frozenset(body_pos)
-    opts = opts or CompileOptions(epsilon=epsilon)
-    order = opts.order(body_pos)
-    sdnf = implication_to_sdnf(body_pos, (), head, order=order)
+                         confidence: float = 1.0, names=None) -> Rbm:
+    """Penalty-logic quadratic network for a Horn clause ``head <- body``."""
+    sdnf = implication_to_sdnf(body_pos, (), head)
     n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
-    W = np.zeros((n_visible, len(sdnf.clauses)))
-    b = np.zeros(len(sdnf.clauses))
-    for j, cl in enumerate(sdnf.clauses):
-        W[list(cl.pos), j] = 2.0 * confidence
-        W[list(cl.neg), j] = -2.0 * confidence
-        b[j] = 2.0 * confidence * (-len(cl.pos) + opts.epsilon)
-    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=1.0 * confidence, tau=1.0,
-               names=names, epsilon=opts.epsilon)
+    return penalty_network([(confidence, sdnf.clauses)], n_visible, epsilon, names)
+
+
+def universal_network(groups, n_visible: int, lam: float = 0.5, names=None) -> Rbm:
+    """One hidden unit per preferred model, for weighted full DNFs.
+
+    ``groups`` holds one ``(w, clauses)`` pair per formula, each clause a
+    total model v over the formula's variables.  Its unit gets weights
+    w * (v - 1/2) on those variables and bias w * (-T / 2 + lam), T being
+    the number of true variables in v: the unit pattern at
+    epsilon = 2 * lam, scaled by c = w / 2.  For 0 < lam <= 1/2 the net
+    input is w * lam exactly on v and at most w * (lam - 1/2) elsewhere, so
+    s(x) = -E_rank(x) / lam.
+    """
+    if not 0 < lam <= 0.5:
+        raise ValueError("the universal construction needs 0 < lambda <= 1/2")
+    if any(not part for _, part in groups):
+        raise ValueError("universal construction needs at least one model")
+    clauses = [cl for _, part in groups for cl in part]
+    W, b = _units(clauses, [0.5 * w for w, part in groups for _ in part],
+                  n_visible, 2 * lam)
+    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
+               names=names, epsilon=lam)
 
 
 def compile_universal(d: Dnf, lam: float = 0.5,
                       n_visible: int | None = None, names=None) -> Rbm:
-    """One hidden unit per preferred model of a full DNF.
-
-    Each clause is a total model v; its unit gets weights v - 1/2 and bias
-    -w.v + lam.  For 0 < lam <= 1/2 the net input is lam exactly on v and
-    strictly negative elsewhere, so s(x) = -E_rank(x) / lam.
-    """
-    if not d.clauses:
-        raise ValueError("universal construction needs at least one model")
-    varset = d.clauses[0].variables()
+    """One hidden unit per model of a full DNF; see ``universal_network``."""
     for cl in d.clauses:
-        if cl.variables() != varset:
+        if cl.variables() != d.clauses[0].variables():
             raise ValueError("compile_universal requires a full DNF (total-model clauses)")
     n_visible = _infer_n_visible(d.clauses, n_visible)
-    W = np.zeros((n_visible, len(d.clauses)))
-    b = np.zeros(len(d.clauses))
-    for j, cl in enumerate(d.clauses):
-        W[list(cl.pos), j] = 0.5
-        W[list(cl.neg), j] = -0.5
-        b[j] = -0.5 * len(cl.pos) + lam
-    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
-               names=names, epsilon=lam)
+    return universal_network([(1.0, d.clauses)], n_visible, lam, names)
 
 
 def attach_hidden_units(m: Rbm, count: int, init_scale: float, rng) -> Rbm:

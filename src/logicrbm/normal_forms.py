@@ -151,47 +151,3 @@ def implication_to_sdnf(body_pos, body_neg, head: int, order=None,
             clauses.append(ConjunctiveClause(tuple(rem_pos) + (p,), tuple(rem_neg)))
     return Dnf(clauses, strict=True)
 
-
-def dnf_to_sdnf(d: Dnf, limit: int = DEFAULT_VAR_LIMIT) -> Dnf:
-    """Make a DNF strict without changing its model set.
-
-    Repeatedly take a pair of clauses that are not mutually exclusive and
-    replace it with the full DNF of their disjunction over the union of
-    their variables; clauses over an identical variable set are pairwise
-    exclusive, so the process reaches a fixpoint.
-    """
-    clauses = sorted(set(d.clauses))
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("dnf_to_sdnf failed to reach a fixpoint")
-        pair = None
-        for i, c1 in enumerate(clauses):
-            for j in range(i + 1, len(clauses)):
-                if not mutually_exclusive(c1, clauses[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        i, j = pair
-        c1, c2 = clauses[i], clauses[j]
-        union = sorted(c1.variables() | c2.variables())
-        if len(union) > limit:
-            raise SizeLimitError(
-                f"strictness patch needs a full DNF over {len(union)} variables (limit {limit})")
-        grid = all_assignments(len(union))
-        replacement = []
-        for row in grid:
-            vals = dict(zip(union, row))
-            def holds(c):
-                return (all(vals.get(v, 0) > 0.5 for v in c.pos)
-                        and all(vals.get(v, 1) < 0.5 for v in c.neg))
-            if holds(c1) or holds(c2):
-                pos = tuple(v for v in union if vals[v] > 0.5)
-                neg = tuple(v for v in union if vals[v] < 0.5)
-                replacement.append(ConjunctiveClause(pos, neg))
-        clauses = sorted(set(clauses[:i] + clauses[i + 1:j] + clauses[j + 1:] + replacement))
-    return Dnf(clauses, strict=True)

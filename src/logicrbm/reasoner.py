@@ -26,13 +26,6 @@ CONDITIONAL_LIMIT = 16
 @dataclass
 class Query:
     evidence: Assignment
-    targets: tuple[int, ...] = ()
-    mode: str = "gibbs"          # gibbs | deterministic | conditional | exact
-
-    def __post_init__(self):
-        self.targets = tuple(self.targets)
-        if set(self.targets) & set(self.evidence.values):
-            raise ValueError("targets and evidence must be disjoint")
 
 
 @dataclass
@@ -54,7 +47,6 @@ class DeterministicConfig:
 @dataclass
 class InferenceReport:
     assignment: dict[int, bool] | None = None
-    probabilities: dict | None = None
     energy_rank: float | None = None
     weighted_sat: float | None = None
     steps: int = 0

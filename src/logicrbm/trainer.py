@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import SizeLimitError
 from . import formula as fm
-from .compiler import match_implication
-from .normal_forms import all_assignments
+from .compiler import clause_patterns, match_implication
+from .normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
 from .rbm import Rbm, block_rows, net_hidden, net_visible, _sigmoid
 
 
@@ -64,7 +64,6 @@ def dataset_from_kb(kb: fm.KnowledgeBase, targets=()) -> Dataset:
     Unmentioned propositions are left at 0.  Non-implication formulas fall
     back to their first satisfying assignment.
     """
-    from .normal_forms import to_full_dnf
     n = len(kb.table)
     rows = []
     for _, f in kb.items:
@@ -217,18 +216,13 @@ def cd_gradient(m: Rbm, x_batch, cd_k: int, rng) -> Grads:
     return Grads(gW, ga, gb)
 
 
-def _clause_patterns(m: Rbm):
-    """Annotated hidden units, their sign matrix S (n x units) and the
-    per-unit bias pattern -T_j + eps."""
-    units = [j for j, ann in enumerate(m.clause_annotations or []) if ann]
+def _clause_units(m: Rbm):
+    """Annotated hidden units with their sign matrix and bias pattern."""
+    anns = m.clause_annotations or []
+    units = [j for j, ann in enumerate(anns) if ann]
+    clauses = [ConjunctiveClause(anns[j]["pos"], anns[j]["neg"]) for j in units]
     eps = m.epsilon if m.epsilon is not None else 0.5
-    S = np.zeros((m.n_visible, len(units)))
-    bias = np.zeros(len(units))
-    for col, j in enumerate(units):
-        ann = m.clause_annotations[j]
-        S[ann["pos"], col] = 1.0
-        S[ann["neg"], col] = -1.0
-        bias[col] = -len(ann["pos"]) + eps
+    S, bias = clause_patterns(clauses, m.n_visible, eps)
     return np.array(units, dtype=int), S, bias
 
 
@@ -246,7 +240,7 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     out = m.copy()
     rng = np.random.default_rng(cfg.seed)
     targets = d.target_indices
-    units, S, bias_pat = _clause_patterns(out) if cfg.freeze_structure \
+    units, S, bias_pat = _clause_units(out) if cfg.freeze_structure \
         else (np.zeros(0, dtype=int), None, None)
     conf = np.array([float(out.clause_annotations[j]["confidence"]) for j in units])
     vel = Grads.zeros(out)

@@ -1,18 +1,162 @@
-"""Straightforward reference versions of the search and training loops.
+"""Straightforward reference versions of the constructions and loops.
 
-These are the original full-column Gibbs and descent loops and the
-per-row discriminative training loop, kept here only as oracles for the
-incremental and batched kernels in ``logicrbm.reasoner`` and
-``logicrbm.trainer``.  They draw random numbers in the same order as the
-library, so for the same seed both must reach the same answers.
+These are the original per-construction unit loops and the model
+concatenation the command line used for the baselines, the original
+full-column Gibbs and descent loops and the per-row discriminative
+training loop, kept here only as oracles for the shared clause kernel in
+``logicrbm.compiler`` and the incremental and batched kernels in
+``logicrbm.reasoner`` and ``logicrbm.trainer``.  The search and training
+loops draw random numbers in the same order as the library, so for the
+same seed both must reach the same answers.
 """
 import numpy as np
 
-from logicrbm.normal_forms import all_assignments
-from logicrbm.rbm import energy_rank, free_energy, net_hidden, net_visible, _sigmoid
+from logicrbm.compiler import match_implication
+from logicrbm.normal_forms import all_assignments, implication_to_sdnf, to_full_dnf
+from logicrbm.rbm import Rbm, energy_rank, free_energy, net_hidden, net_visible, _sigmoid
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
 from logicrbm.trainer import Grads, cd_gradient
 
+
+# ---------------------------------------------------------------------------
+# Constructions: one loop per construction, each writing +-c and c(-T+eps)
+# ---------------------------------------------------------------------------
+
+def _annotation(clause, c):
+    return {"pos": list(clause.pos), "neg": list(clause.neg), "confidence": float(c)}
+
+
+def _infer_n_visible(clauses, n_visible, extra=()):
+    if n_visible is not None:
+        return n_visible
+    top = -1
+    for cl in clauses:
+        if cl.variables():
+            top = max(top, max(cl.variables()))
+    for i in extra:
+        top = max(top, i)
+    return top + 1
+
+
+def ref_compile_sdnf(d, epsilon=0.5, n_visible=None, confidences=None, names=None):
+    n_visible = _infer_n_visible(d.clauses, n_visible)
+    if confidences is None:
+        confidences = [1.0] * len(d.clauses)
+    W = np.zeros((n_visible, len(d.clauses)))
+    b = np.zeros(len(d.clauses))
+    annotations = []
+    for j, (cl, c) in enumerate(zip(d.clauses, confidences)):
+        W[list(cl.pos), j] = c
+        W[list(cl.neg), j] = -c
+        b[j] = c * (-len(cl.pos) + epsilon)
+        annotations.append(_annotation(cl, c))
+    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
+               names=names, epsilon=epsilon, clause_annotations=annotations)
+
+
+def ref_compile_implication(body_pos, body_neg, head, epsilon=0.5, n_visible=None,
+                            confidence=1.0, head_positive=True, names=None):
+    order = sorted(frozenset(body_pos) | frozenset(body_neg), reverse=True)
+    sdnf = implication_to_sdnf(body_pos, body_neg, head, order=order,
+                               head_positive=head_positive)
+    n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
+    eps = epsilon
+    c = confidence
+    unit_clauses = sdnf.clauses if not order else sdnf.clauses[:-1]
+    W = np.zeros((n_visible, len(unit_clauses)))
+    b = np.zeros(len(unit_clauses))
+    a = np.zeros(n_visible)
+    e0 = 0.0
+    annotations = []
+    for j, cl in enumerate(unit_clauses):
+        W[list(cl.pos), j] = c
+        W[list(cl.neg), j] = -c
+        b[j] = c * (-len(cl.pos) + eps)
+        annotations.append(_annotation(cl, c))
+    if order:
+        last = sdnf.clauses[-1]
+        if last.pos:
+            a[last.pos[0]] = c * eps
+        else:
+            a[last.neg[0]] = -c * eps
+            e0 = -c * eps
+    return Rbm(W=W, a=a, b=b, e0=e0, tau=1.0, names=names,
+               epsilon=eps, clause_annotations=annotations)
+
+
+def ref_sdnf_clauses(f):
+    imp = match_implication(f)
+    if imp is not None:
+        body_pos, body_neg, head, head_positive = imp
+        order = sorted(body_pos | body_neg, reverse=True)
+        return list(implication_to_sdnf(body_pos, body_neg, head, order=order,
+                                        head_positive=head_positive).clauses)
+    return list(to_full_dnf(f, limit=20).clauses)
+
+
+def ref_compile_kb(kb, epsilon=0.5):
+    merged = {}
+    for w, f in kb.items:
+        for cl in ref_sdnf_clauses(f):
+            merged[cl] = merged.get(cl, 0.0) + w
+    merged = [(cl, merged[cl]) for cl in sorted(merged)]
+    n = len(kb.table)
+    units = [(cl, c) for cl, c in merged if not cl.is_true_clause]
+    e0 = -epsilon * sum(c for cl, c in merged if cl.is_true_clause)
+    W = np.zeros((n, len(units)))
+    b = np.zeros(len(units))
+    annotations = []
+    for j, (cl, c) in enumerate(units):
+        W[list(cl.pos), j] = c
+        W[list(cl.neg), j] = -c
+        b[j] = c * (-len(cl.pos) + epsilon)
+        annotations.append(_annotation(cl, c))
+    return Rbm(W=W, a=np.zeros(n), b=b, e0=e0, tau=1.0,
+               names=list(kb.table.names), epsilon=epsilon,
+               clause_annotations=annotations)
+
+
+def ref_compile_penalty_horn(body_pos, head, epsilon=0.5, n_visible=None,
+                             confidence=1.0, names=None):
+    body_pos = frozenset(body_pos)
+    sdnf = implication_to_sdnf(body_pos, (), head, order=sorted(body_pos, reverse=True))
+    n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
+    W = np.zeros((n_visible, len(sdnf.clauses)))
+    b = np.zeros(len(sdnf.clauses))
+    for j, cl in enumerate(sdnf.clauses):
+        W[list(cl.pos), j] = 2.0 * confidence
+        W[list(cl.neg), j] = -2.0 * confidence
+        b[j] = 2.0 * confidence * (-len(cl.pos) + epsilon)
+    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=1.0 * confidence, tau=1.0,
+               names=names, epsilon=epsilon)
+
+
+def ref_compile_universal(d, lam=0.5, n_visible=None, names=None):
+    n_visible = _infer_n_visible(d.clauses, n_visible)
+    W = np.zeros((n_visible, len(d.clauses)))
+    b = np.zeros(len(d.clauses))
+    for j, cl in enumerate(d.clauses):
+        W[list(cl.pos), j] = 0.5
+        W[list(cl.neg), j] = -0.5
+        b[j] = -0.5 * len(cl.pos) + lam
+    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
+               names=names, epsilon=lam)
+
+
+def ref_hstack_models(parts, names, epsilon):
+    """The command line's baseline assembly: one network per formula, side by side."""
+    n = len(names)
+    W = np.hstack([p.W for p in parts]) if parts else np.zeros((n, 0))
+    b = np.concatenate([p.b for p in parts]) if parts else np.zeros(0)
+    a = sum((p.a for p in parts), np.zeros(n))
+    e0 = sum(p.e0 for p in parts)
+    return Rbm(W=W, a=a, b=b, e0=float(e0), tau=1.0, names=list(names),
+               epsilon=epsilon)
+
+
+# ---------------------------------------------------------------------------
+# Search and training loops
+# ---------------------------------------------------------------------------
 
 def _report_from_state(m, x, steps, restarts, trace):
     er = energy_rank(m, x)

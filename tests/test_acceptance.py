@@ -145,8 +145,7 @@ def test_criterion_5_descent_and_gibbs(capsys):
             clamp = {int(i): bool(rng.random() < 0.5)
                      for i in rng.permutation(m.n_visible)
                      [: rng.integers(0, m.n_visible)]}
-            q = Query(evidence=fm.Assignment(clamp, m.n_visible),
-                      mode="deterministic")
+            q = Query(evidence=fm.Assignment(clamp, m.n_visible))
             rep = infer_deterministic(
                 m, q, DeterministicConfig(sweeps=15, restarts=2,
                                           seed=int(rng.integers(1 << 31))))

@@ -47,6 +47,28 @@ class TestCompile:
                               "--baseline", "universal", "-o", str(out))
         assert code == 0 and "hidden units: 15" in stdout
 
+    def test_universal_lambda_above_half_rejected(self, kb_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "compile", str(kb_dir / "horn3.kb"),
+                           "--baseline", "universal", "--epsilon", "0.7", "-o", str(out))
+        assert code == 2 and "lambda" in err and not out.exists()
+
+    def test_universal_lambda_verifies(self, kb_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, _, _ = run(capsys, "compile", str(kb_dir / "horn3.kb"),
+                         "--baseline", "universal", "--epsilon", "0.3", "-o", str(out))
+        assert code == 0
+        code, stdout, _ = run(capsys, "verify", str(out), str(kb_dir / "horn3.kb"))
+        assert code == 0 and json.loads(stdout)["ok"]
+
+    def test_baselines_reject_negative_weights(self, tmp_path, capsys):
+        kb = tmp_path / "neg.kb"
+        kb.write_text("-2: y <- x\n")
+        for baseline in ("sdnf", "penalty", "universal"):
+            code, _, err = run(capsys, "compile", str(kb), "--baseline", baseline,
+                               "-o", str(tmp_path / "m.json"))
+            assert code == 2 and "negative" in err
+
     def test_penalty_requires_horn(self, kb_dir, tmp_path, capsys):
         code, _, err = run(capsys, "compile", str(kb_dir / "horn3.kb"),
                            "--baseline", "penalty", "-o", str(tmp_path / "m.json"))

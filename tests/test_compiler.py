@@ -39,6 +39,11 @@ class TestCompileSdnf:
         m = compile_sdnf(L.Dnf([ConjunctiveClause((0,), ())], strict=True))
         assert m.W.tolist() == [[1.0]] and m.b.tolist() == [-0.5]
 
+    def test_rejects_negative_confidence(self):
+        d = L.Dnf([ConjunctiveClause((0,), ()), ConjunctiveClause((), (0,))], strict=True)
+        with pytest.raises(ValueError):
+            compile_sdnf(d, confidences=[1.0, -1.0])
+
     def test_requires_strict(self):
         with pytest.raises(ValueError):
             compile_sdnf(L.Dnf([ConjunctiveClause((0,), ())], strict=False))
@@ -151,13 +156,6 @@ class TestMergeClauses:
               WeightedClause(ConjunctiveClause((1,), ()), 2.0)]
         assert set(merge_clauses(cs)) == set(cs)
 
-    def test_subsumption(self):
-        out = merge_clauses(
-            [WeightedClause(ConjunctiveClause((0,), ()), 1.0),
-             WeightedClause(ConjunctiveClause((0, 1), ()), 2.0)],
-            subsumption=True)
-        assert out == [WeightedClause(ConjunctiveClause((0,), ()), 3.0)]
-
 
 class TestCompileKb:
     def test_nixon_units_and_coefficients(self, kb_dir):
@@ -213,6 +211,15 @@ class TestCompileKb:
         with pytest.raises(ValueError):
             compile_kb(kb)
 
+    def test_clause_base_counts_clauses_per_formula(self, kb_dir):
+        # n -> r style implications have two SDNF clauses each
+        _, base = compile_kb(L.load_kb(kb_dir / "nixon.kb"))
+        assert base.per_formula == [2, 2, 2, 2]
+        f = fm.parse_formula("(x ^ y) <-> z", fm.PropositionTable())
+        _, base = compile_kb(fm.KnowledgeBase(fm.PropositionTable(["x", "y", "z"]),
+                                              [(1.0, f), (2.0, fm.TRUE)]))
+        assert base.per_formula == [4, 1]
+
     def test_clause_base_canonical_unique(self):
         rng = np.random.default_rng(37)
         kb = random_kb(rng, n_vars=4)
@@ -241,6 +248,12 @@ class TestPenaltyBaseline:
     def test_y_from_x_unit_count(self):
         pen = compile_penalty_horn({1}, 0)
         assert pen.n_hidden == 2  # both SDNF clauses stay as (doubled) units
+
+    def test_rejects_negative_confidence_and_bad_epsilon(self):
+        with pytest.raises(ValueError):
+            compile_penalty_horn({1}, 0, confidence=-1.0)
+        with pytest.raises(ValueError):
+            compile_penalty_horn({1}, 0, epsilon=1.0)
 
 
 class TestUniversalBaseline:
@@ -273,6 +286,21 @@ class TestUniversalBaseline:
         d = L.Dnf([ConjunctiveClause((0,), ()), ConjunctiveClause((0,), (1,))])
         with pytest.raises(ValueError):
             compile_universal(d)
+
+    def test_lambda_range(self):
+        # at Hamming distance 1 from a model the net input is lam - 1/2
+        f = fm.parse_formula("y <- x1 & ~x2 & ~x3", fm.PropositionTable())
+        d = to_full_dnf(f)
+        for lam in (0.0, -0.1, 0.5000001, 0.7):
+            with pytest.raises(ValueError):
+                compile_universal(d, lam=lam)
+        kb = fm.KnowledgeBase(fm.PropositionTable(["y", "x1", "x2", "x3"]), [(1.0, f)])
+        for lam in (0.01, 0.25, 0.5):
+            assert_equivalent(compile_universal(d, lam=lam), kb, lam)
+
+    def test_rejects_formula_without_models(self):
+        with pytest.raises(ValueError):
+            compile_universal(L.Dnf([], strict=True))
 
 
 class TestAttachHiddenUnits:

@@ -1,0 +1,220 @@
+"""Every construction against the original per-construction unit loops in
+``reference_kernels``: the networks must agree byte for byte, including the
+sign of zero, and the command line must write the same model files."""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from logicrbm import formula as fm
+from logicrbm.cli import main
+from logicrbm.compiler import (
+    CompileOptions, compile_implication, compile_kb, compile_penalty_horn,
+    compile_sdnf, compile_universal, match_implication, penalty_network,
+    universal_network,
+)
+from logicrbm.normal_forms import implication_to_sdnf, to_full_dnf
+from logicrbm.rbm import model_to_dict, save_model
+
+from conftest import KB_DIR, random_formula, random_implication, random_kb
+from reference_kernels import (
+    ref_compile_implication, ref_compile_kb, ref_compile_penalty_horn,
+    ref_compile_sdnf, ref_compile_universal, ref_hstack_models, ref_sdnf_clauses,
+)
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_same_network(m, ref):
+    for name in ("W", "a", "b"):
+        x, y = getattr(m, name), getattr(ref, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    assert json.dumps(model_to_dict(m)) == json.dumps(model_to_dict(ref))
+
+
+def draw_confidence(rng):
+    kind = rng.integers(4)
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return float(rng.integers(1, 2000))
+    return float(rng.uniform(0, 10 ** rng.integers(0, 4)))
+
+
+def draw_epsilon(rng):
+    return 0.5 if rng.random() < 0.3 else float(rng.uniform(0.01, 0.99))
+
+
+def draw_lambda(rng):
+    return 0.5 if rng.random() < 0.3 else float(rng.uniform(1e-3, 0.5))
+
+
+def draw_n_visible(rng, top):
+    return None if rng.random() < 0.5 else top + 1 + int(rng.integers(0, 3))
+
+
+def satisfiable_formula(rng, n_vars):
+    while True:
+        f = random_formula(rng, n_vars)
+        if to_full_dnf(f).clauses:
+            return f
+
+
+def horn_kb(rng, n_vars):
+    table = fm.PropositionTable([f"v{i}" for i in range(n_vars)])
+    kb = fm.KnowledgeBase(table)
+    for _ in range(int(rng.integers(0, 5))):
+        variables = rng.permutation(n_vars)[: rng.integers(2, n_vars + 1)]
+        body = fm.Var(int(variables[1]))
+        for v in variables[2:]:
+            body = fm.And(body, fm.Var(int(v)))
+        kb.add(draw_confidence(rng), fm.Implies(body=body, head=fm.Var(int(variables[0]))))
+    return kb
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_compile_sdnf_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        body_pos, body_neg, head, head_positive = random_implication(rng, max_body=5)
+        d = implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
+    else:
+        d = to_full_dnf(random_formula(rng, int(rng.integers(1, 6))))
+    top = max((max(cl.variables()) for cl in d.clauses if cl.variables()), default=-1)
+    n_visible = draw_n_visible(rng, top)
+    eps = draw_epsilon(rng)
+    confidences = None if rng.random() < 0.3 else [draw_confidence(rng) for _ in d.clauses]
+    names = None if n_visible is None else [f"v{i}" for i in range(n_visible)]
+    assert_same_network(
+        compile_sdnf(d, CompileOptions(eps), n_visible, confidences, names),
+        ref_compile_sdnf(d, eps, n_visible, confidences, names))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_compile_implication_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    body_pos, body_neg, head, head_positive = random_implication(rng, max_body=6)
+    if rng.random() < 0.2:
+        body_pos, body_neg = frozenset(), frozenset()
+    n_visible = draw_n_visible(rng, max(body_pos | body_neg | {head}))
+    eps, c = draw_epsilon(rng), draw_confidence(rng)
+    assert_same_network(
+        compile_implication(body_pos, body_neg, head, CompileOptions(eps), n_visible,
+                            c, head_positive),
+        ref_compile_implication(body_pos, body_neg, head, eps, n_visible, c,
+                                head_positive))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_compile_kb_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    n_vars = int(rng.integers(1, 7))
+    kb = random_kb(rng, n_vars=n_vars)
+    if rng.random() < 0.3:
+        kb.add(draw_confidence(rng), fm.TRUE)
+    kb.items = [(0.0 if rng.random() < 0.1 else w, f) for w, f in kb.items]
+    eps = draw_epsilon(rng)
+    m, base = compile_kb(kb, CompileOptions(eps))
+    assert_same_network(m, ref_compile_kb(kb, eps))
+    assert base.per_formula == [len(ref_sdnf_clauses(f)) for _, f in kb.items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_compile_penalty_horn_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 7))
+    variables = rng.permutation(size + 1)
+    head, body = int(variables[0]), frozenset(int(v) for v in variables[1:])
+    n_visible = draw_n_visible(rng, size)
+    eps, c = draw_epsilon(rng), draw_confidence(rng)
+    assert_same_network(
+        compile_penalty_horn(body, head, eps, n_visible, c),
+        ref_compile_penalty_horn(body, head, eps, n_visible, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_compile_universal_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    d = to_full_dnf(satisfiable_formula(rng, int(rng.integers(1, 6))))
+    top = max((max(cl.variables()) for cl in d.clauses if cl.variables()), default=-1)
+    n_visible = draw_n_visible(rng, top)
+    lam = draw_lambda(rng)
+    assert_same_network(compile_universal(d, lam, n_visible),
+                        ref_compile_universal(d, lam, n_visible))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_baseline_networks_match_per_formula_assembly(seed):
+    rng = np.random.default_rng(seed)
+    n_vars = int(rng.integers(2, 7))
+    names = [f"v{i}" for i in range(n_vars)]
+    eps = draw_epsilon(rng)
+    kb = horn_kb(rng, n_vars)
+    groups, parts = [], []
+    for w, f in kb.items:
+        body_pos, _, head, _ = match_implication(f)
+        groups.append((w, implication_to_sdnf(body_pos, (), head).clauses))
+        parts.append(ref_compile_penalty_horn(body_pos, head, eps, n_vars, w))
+    assert_same_network(penalty_network(groups, n_vars, eps, names),
+                        ref_hstack_models(parts, names, eps))
+
+    lam = draw_lambda(rng)
+    weights = [draw_confidence(rng) for _ in range(int(rng.integers(0, 4)))]
+    formulas = [satisfiable_formula(rng, n_vars) for _ in weights]
+    groups, parts = [], []
+    for w, f in zip(weights, formulas):
+        d = to_full_dnf(f)
+        groups.append((w, d.clauses))
+        part = ref_compile_universal(d, lam, n_vars)
+        part.W *= w
+        part.b *= w
+        parts.append(part)
+    assert_same_network(universal_network(groups, n_vars, lam, names),
+                        ref_hstack_models(parts, names, lam))
+
+
+def reference_model(kb, baseline, epsilon):
+    """The network the command line wrote before the shared kernel, with its
+    clauses per formula, or None where it refused the KB."""
+    n, names = len(kb.table), kb.table.names
+    if baseline == "sdnf":
+        return ref_compile_kb(kb, epsilon), [len(ref_sdnf_clauses(f)) for _, f in kb.items]
+    parts = []
+    for w, f in kb.items:
+        if baseline == "penalty":
+            imp = match_implication(f)
+            if imp is None or imp[1] or not imp[3]:
+                return None
+            parts.append(ref_compile_penalty_horn(imp[0], imp[2], epsilon, n, w))
+        else:
+            part = ref_compile_universal(to_full_dnf(f), epsilon, n)
+            part.W *= w
+            part.b *= w
+            parts.append(part)
+    return ref_hstack_models(parts, names, epsilon), [p.n_hidden for p in parts]
+
+
+@pytest.mark.parametrize("baseline", ["sdnf", "penalty", "universal"])
+@pytest.mark.parametrize("kb_path", sorted(KB_DIR.glob("*.kb")), ids=lambda p: p.stem)
+def test_cli_writes_the_reference_model(kb_path, baseline, tmp_path, capsys):
+    kb = fm.load_kb(kb_path)
+    expected = reference_model(kb, baseline, 0.5)
+    out = tmp_path / "model.json"
+    code = main(["compile", str(kb_path), "--baseline", baseline, "-o", str(out)])
+    stdout = capsys.readouterr().out
+    if expected is None:
+        assert code == 2 and not out.exists()
+        return
+    ref, per_formula = expected
+    assert code == 0
+    save_model(ref, tmp_path / "ref.json")
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert stdout == f"hidden units: {ref.n_hidden}\nclauses per formula: {per_formula}\n"

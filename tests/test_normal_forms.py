@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import (
-    ConjunctiveClause, Dnf, all_assignments, check_strict, dnf_to_sdnf,
+    ConjunctiveClause, all_assignments, check_strict,
     implication_to_sdnf, mutually_exclusive, to_full_dnf,
 )
 
@@ -164,36 +164,3 @@ class TestImplicationToSdnf:
         X, truth = oracle_truth_table(f, n)
         assert np.array_equal(models_of(d, n), truth)
         assert_strict_by_enumeration(d, n)
-
-
-class TestDnfToSdnf:
-    def test_already_strict_unchanged(self):
-        d = implication_to_sdnf({1}, (), 0)
-        out = dnf_to_sdnf(d)
-        assert clause_set(out) == clause_set(d)
-
-    def test_x_or_y(self):
-        d = Dnf([ConjunctiveClause((0,), ()), ConjunctiveClause((1,), ())])
-        out = dnf_to_sdnf(d)
-        assert clause_set(out) == {((0, 1), ()), ((0,), (1,)), ((1,), (0,))}
-
-    def test_xor_fdnf_unchanged(self):
-        f = fm.parse_formula("(x ^ y) <-> z", fm.PropositionTable())
-        d = to_full_dnf(f)
-        assert clause_set(dnf_to_sdnf(d)) == clause_set(d)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_model_preservation(self, seed):
-        rng = np.random.default_rng(seed)
-        clauses = []
-        for _ in range(int(rng.integers(1, 5))):
-            polarity = rng.integers(0, 3, size=5)
-            clauses.append(ConjunctiveClause(
-                tuple(np.flatnonzero(polarity == 1)),
-                tuple(np.flatnonzero(polarity == 2))))
-        d = Dnf(clauses)
-        out = dnf_to_sdnf(d)
-        assert out.strict
-        assert np.array_equal(models_of(out, 5), models_of(d, 5))
-        assert_strict_by_enumeration(out, 5)

@@ -81,12 +81,6 @@ class TestBruteForceMaxsat:
         assert best == 40.0 and winners == [(1,) * 21]
 
 
-class TestQueryValidation:
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Query(evidence=fm.Assignment({0: True}, 3), targets=(0,))
-
-
 class TestInferGibbs:
     def test_all_clamped_echo(self, xor):
         _, m = xor
@@ -138,7 +132,7 @@ class TestInferDeterministic:
 
     def test_xor_clamp_x(self, xor):
         _, m = xor
-        q = Query(evidence=fm.Assignment({0: True}, 3), mode="deterministic")
+        q = Query(evidence=fm.Assignment({0: True}, 3))
         rep = infer_deterministic(m, q)
         assert rep.energy_rank == pytest.approx(-0.5)
         assert (rep.assignment[1], rep.assignment[2]) in {(False, True), (True, False)}
@@ -149,7 +143,7 @@ class TestInferDeterministic:
             m = random_rbm(rng, int(rng.integers(2, 7)), int(rng.integers(1, 5)))
             clamp = {int(i): bool(rng.random() < 0.5)
                      for i in rng.permutation(m.n_visible)[: rng.integers(0, m.n_visible)]}
-            q = Query(evidence=fm.Assignment(clamp, m.n_visible), mode="deterministic")
+            q = Query(evidence=fm.Assignment(clamp, m.n_visible))
             rep = infer_deterministic(m, q, DeterministicConfig(sweeps=20, restarts=3,
                                                                 seed=int(rng.integers(1e6))))
             for trace in rep.energy_trace:
@@ -220,6 +214,11 @@ class TestInferConditional:
             rep = infer_conditional(m, evidence, (1, 2, 3))
             assert tuple(winners[0][1:]) == rep.map_config
             done += 1
+
+    def test_targets_and_evidence_disjoint(self, xor):
+        _, m = xor
+        with pytest.raises(ValueError, match="disjoint"):
+            infer_conditional(m, fm.Assignment({0: True, 1: True}, 3), (1, 2))
 
     def test_coverage_required(self, xor):
         _, m = xor
