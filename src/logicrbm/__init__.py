@@ -12,7 +12,7 @@ from .normal_forms import (
     ConjunctiveClause, Dnf, implication_to_sdnf, to_full_dnf,
 )
 from .rbm import (
-    Rbm, energy, energy_rank, free_energy, gibbs_step, load_model,
+    Rbm, energy, energy_rank, free_energy, load_model,
     p_hidden_given_visible, p_visible_given_hidden, partition_brute,
     save_model,
 )

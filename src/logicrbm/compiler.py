@@ -63,11 +63,15 @@ def clause_patterns(clauses, n_visible: int, epsilon: float):
     ``S[i, j]`` is +1 for a positive literal of clause j, -1 for a negative
     one and 0 otherwise; ``bias[j] = -T_j + epsilon`` with T_j the number of
     positive literals.  A clause with confidence c becomes the hidden unit
-    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.
+    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.  A variable outside
+    ``0 .. n_visible - 1`` raises ``ValueError``.
     """
     S = np.zeros((n_visible, len(clauses)))
     bias = np.zeros(len(clauses))
     for j, cl in enumerate(clauses):
+        idx = cl.pos + cl.neg
+        if idx and (min(idx) < 0 or max(idx) >= n_visible):
+            raise ValueError(f"clause {j} mentions a variable outside 0..{n_visible - 1}")
         S[list(cl.pos), j] = 1.0
         S[list(cl.neg), j] = -1.0
         bias[j] = -len(cl.pos) + epsilon

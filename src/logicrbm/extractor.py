@@ -49,14 +49,13 @@ def _candidates(column: np.ndarray, prune_fractions):
         yield s, c
 
 
-def extract_clauses(m: Rbm, prune_fractions=DEFAULT_PRUNE_FRACTIONS
-                    ) -> list[ExtractedClause]:
+def extract_clauses(m: Rbm) -> list[ExtractedClause]:
     """Best-matching clause for every hidden column."""
     out = []
     for j in range(m.n_hidden):
         column = m.W[:, j]
         best = None
-        for s, c in _candidates(column, prune_fractions):
+        for s, c in _candidates(column, DEFAULT_PRUNE_FRACTIONS):
             dist = float(np.linalg.norm(column - c * s))
             if best is None or dist < best[0] - 1e-15:
                 best = (dist, s, c)

@@ -36,10 +36,6 @@ class ConjunctiveClause:
     def variables(self) -> frozenset[int]:
         return frozenset(self.pos) | frozenset(self.neg)
 
-    def satisfied_by(self, x) -> bool:
-        x = np.asarray(x)
-        return bool(all(x[i] > 0.5 for i in self.pos) and all(x[i] < 0.5 for i in self.neg))
-
     def satisfied_batch(self, X: np.ndarray) -> np.ndarray:
         out = np.ones(len(X), dtype=bool)
         for i in self.pos:

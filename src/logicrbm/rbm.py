@@ -13,7 +13,7 @@ minimised over h has the closed form used throughout:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,31 +128,6 @@ def free_energy(m: Rbm, X) -> np.ndarray | float:
         soft = np.maximum(net, 0.0).sum(axis=1)
     out = m.e0 - X2 @ m.a - soft
     return float(out[0]) if single else out
-
-
-def gibbs_step(m: Rbm, clamp, state, rng) -> np.ndarray:
-    """One alternating update: h from p(h|x), then the unclamped visibles.
-
-    ``clamp`` is a partial Assignment; clamped coordinates are left alone.
-    With tau > 0 both layers are sampled; with tau == 0 the update is the
-    deterministic sweep (activate iff net > 0, ties broken toward 0).
-    Visible units are conditionally independent given h, so the block
-    update is exact coordinate descent at tau == 0.
-    """
-    x = np.asarray(state, dtype=float).copy()
-    free = [i for i in range(m.n_visible) if i not in clamp.values]
-    for i, v in clamp.values.items():
-        x[i] = float(v)
-    if m.tau > 0:
-        h = (rng.random(m.n_hidden) < p_hidden_given_visible(m, x)).astype(float)
-        if free:
-            p = p_visible_given_hidden(m, h)[free]
-            x[free] = (rng.random(len(free)) < p).astype(float)
-    else:
-        h = (net_hidden(m, x) > 0).astype(float)
-        if free:
-            x[free] = (net_visible(m, h)[free] > 0).astype(float)
-    return x
 
 
 def partition_brute(m: Rbm) -> float:

@@ -76,12 +76,11 @@ def _completion_blocks(evidence: Assignment, width: int):
         yield X
 
 
-def brute_force_maxsat(kb: KnowledgeBase, evidence: Assignment,
-                       limit: int = BRUTE_LIMIT):
+def brute_force_maxsat(kb: KnowledgeBase, evidence: Assignment):
     """Exhaustive argmax of weighted_sat over completions; returns all ties."""
-    if len(evidence.unassigned()) > limit:
+    if len(evidence.unassigned()) > BRUTE_LIMIT:
         raise SizeLimitError(
-            f"{len(evidence.unassigned())} unassigned variables exceeds limit {limit}")
+            f"{len(evidence.unassigned())} unassigned variables exceeds limit {BRUTE_LIMIT}")
     best, rows, scores = -np.inf, np.zeros((0, evidence.n)), np.zeros(0)
     for X in _completion_blocks(evidence, evidence.n):
         s = weighted_sat_batch(kb, X)
@@ -291,16 +290,15 @@ class VerificationReport:
         return self.max_deviation <= tol
 
 
-def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float,
-                       limit: int = VERIFY_LIMIT) -> VerificationReport:
+def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float) -> VerificationReport:
     """Enumerate every assignment and report max |weighted_sat + E_rank/eps|.
 
     The 2^n assignments are checked in bounded row blocks; the witness is
     the first assignment, in counting order, with the largest deviation.
     """
     n = len(kb.table)
-    if n > limit:
-        raise SizeLimitError(f"universe of {n} variables exceeds limit {limit}")
+    if n > VERIFY_LIMIT:
+        raise SizeLimitError(f"universe of {n} variables exceeds limit {VERIFY_LIMIT}")
     if n != m.n_visible:
         raise ValueError("model and knowledge base have different universes")
     worst, witness = -np.inf, None

@@ -15,7 +15,7 @@ constant terms are preserved.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .errors import SizeLimitError
 from . import formula as fm
 from .compiler import clause_patterns, match_implication
 from .normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
-from .rbm import Rbm, block_rows, net_hidden, net_visible, _sigmoid
+from .rbm import (Rbm, block_rows, p_hidden_given_visible, p_visible_given_hidden,
+                  _sigmoid)
+from .reasoner import CONDITIONAL_LIMIT
 
 
 @dataclass
@@ -94,7 +96,6 @@ class TrainConfig:
     batch_size: int = 0            # 0 = full batch
     cd_k: int = 1
     seed: int = 0
-    momentum: float = 0.0
     freeze_structure: bool = False
 
     def __post_init__(self):
@@ -109,15 +110,6 @@ class Grads:
     W: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-    @classmethod
-    def zeros(cls, m: Rbm) -> "Grads":
-        return cls(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b))
-
-    def scaled_add(self, other: "Grads", scale: float):
-        self.W += scale * other.W
-        self.a += scale * other.a
-        self.b += scale * other.b
 
 
 def _conditional(m: Rbm, rows, targets, grad: bool = True):
@@ -136,8 +128,10 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True):
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     targets = list(targets)
-    if len(targets) > 16:
-        raise SizeLimitError("too many target units for exact enumeration")
+    if len(targets) > CONDITIONAL_LIMIT:
+        raise SizeLimitError(f"{len(targets)} targets exceeds limit {CONDITIONAL_LIMIT}")
+    if m.tau <= 0:
+        raise ValueError("the exact conditional likelihood needs tau > 0")
     tau = m.tau
     N = len(rows)
     grid = all_assignments(len(targets))                      # (C, T)
@@ -149,7 +143,7 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True):
     # index of each row's label in counting order
     true = (rows[:, targets] @ (2 ** np.arange(len(targets) - 1, -1, -1))).astype(int)
     nll = np.empty(N)
-    g = Grads.zeros(m) if grad else None
+    g = Grads(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b)) if grad else None
     step = block_rows(len(grid) * max(len(wired), 1))
     for start in range(0, N, step):
         X0 = rows[start:start + step].copy()
@@ -202,14 +196,13 @@ def cd_gradient(m: Rbm, x_batch, cd_k: int, rng) -> Grads:
         raise ValueError("cd_k must be >= 1")
     X0 = np.atleast_2d(np.asarray(x_batch, dtype=float))
     B = len(X0)
-    ph0 = _sigmoid(net_hidden(m, X0) / m.tau)
-    Xk = X0
+    ph0 = p_hidden_given_visible(m, X0)
+    Xk, phk = X0, ph0
     for _ in range(cd_k):
-        ph = _sigmoid(net_hidden(m, Xk) / m.tau)
-        H = (rng.random(ph.shape) < ph).astype(float)
-        pv = _sigmoid(net_visible(m, H) / m.tau)
+        H = (rng.random(phk.shape) < phk).astype(float)
+        pv = p_visible_given_hidden(m, H)
         Xk = (rng.random(pv.shape) < pv).astype(float)
-    phk = _sigmoid(net_hidden(m, Xk) / m.tau)
+        phk = p_hidden_given_visible(m, Xk)
     gW = -(X0.T @ ph0 - Xk.T @ phk) / B
     ga = -(X0 - Xk).mean(axis=0)
     gb = -(ph0 - phk).mean(axis=0)
@@ -229,6 +222,10 @@ def _clause_units(m: Rbm):
 def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     """SGD on the hybrid objective; returns a new network and a loss trace.
 
+    Each step is ``param -= lr * (alpha * g_cd + beta * g_cond)`` over one
+    batch.  The model needs tau > 0: both gradients sample or sum over the
+    tau-scaled distributions.
+
     The trace records, per epoch, the exact mean discriminative NLL (when
     beta > 0) and the mean squared one-step reconstruction error as a proxy
     for the generative term.
@@ -243,7 +240,6 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     units, S, bias_pat = _clause_units(out) if cfg.freeze_structure \
         else (np.zeros(0, dtype=int), None, None)
     conf = np.array([float(out.clause_annotations[j]["confidence"]) for j in units])
-    vel = Grads.zeros(out)
     trace = []
     N = len(d.rows)
     batch = N if cfg.batch_size in (0, None) else cfg.batch_size
@@ -253,34 +249,29 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             rows = d.rows[perm[start:start + batch]]
             if len(rows) == 0:
                 continue
-            g = Grads.zeros(out)
+            terms = []
             if cfg.alpha > 0:
-                g.scaled_add(cd_gradient(out, rows, cfg.cd_k, rng), cfg.alpha)
+                terms.append((cfg.alpha, cd_gradient(out, rows, cfg.cd_k, rng)))
             if cfg.beta > 0:
-                g.scaled_add(_conditional(out, rows, targets)[1], cfg.beta)
+                terms.append((cfg.beta, _conditional(out, rows, targets)[1]))
+            gW = sum(w * g.W for w, g in terms)
+            gb = sum(w * g.b for w, g in terms)
+            out.W -= cfg.lr * gW
+            out.b -= cfg.lr * gb
             if cfg.freeze_structure:
-                dc = np.einsum("ij,ij->j", S, g.W[:, units]) + bias_pat * g.b[units]
+                dc = np.einsum("ij,ij->j", S, gW[:, units]) + bias_pat * gb[units]
                 conf = np.maximum(conf - cfg.lr * dc, 0.0)
-                g.W[:, units] = 0.0
-                g.b[units] = 0.0
-                g.a[:] = 0.0
-            vel.W = cfg.momentum * vel.W - cfg.lr * g.W
-            vel.a = cfg.momentum * vel.a - cfg.lr * g.a
-            vel.b = cfg.momentum * vel.b - cfg.lr * g.b
-            out.W += vel.W
-            out.a += vel.a
-            out.b += vel.b
-            if cfg.freeze_structure:
                 out.W[:, units] = S * conf
                 out.b[units] = conf * bias_pat
+            else:
+                out.a -= cfg.lr * sum(w * g.a for w, g in terms)
         for j, c in zip(units, conf):
             out.clause_annotations[j]["confidence"] = float(c)
         entry = {"epoch": epoch}
         if cfg.beta > 0:
             entry["nll"] = float(_conditional(out, d.rows, targets, grad=False)[0].mean()) \
                 if N else 0.0
-        ph = _sigmoid(net_hidden(out, d.rows) / out.tau)
-        pv = _sigmoid(net_visible(out, ph) / out.tau)
+        pv = p_visible_given_hidden(out, p_hidden_given_visible(out, d.rows))
         recon_err = float(np.mean((d.rows - pv) ** 2)) if N else 0.0
         entry["reconstruction_error"] = recon_err
         trace.append(entry)

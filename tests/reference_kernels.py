@@ -2,8 +2,9 @@
 
 These are the original per-construction unit loops and the model
 concatenation the command line used for the baselines, the original
-full-column Gibbs and descent loops and the per-row discriminative
-training loop, kept here only as oracles for the shared clause kernel in
+full-column Gibbs and descent loops, the CD-k estimator and the per-row
+discriminative training loop with its zero-buffer and velocity update,
+kept here only as oracles for the shared clause kernel in
 ``logicrbm.compiler`` and the incremental and batched kernels in
 ``logicrbm.reasoner`` and ``logicrbm.trainer``.  The search and training
 loops draw random numbers in the same order as the library, so for the
@@ -15,7 +16,7 @@ from logicrbm.compiler import match_implication
 from logicrbm.normal_forms import all_assignments, implication_to_sdnf, to_full_dnf
 from logicrbm.rbm import Rbm, energy_rank, free_energy, net_hidden, net_visible, _sigmoid
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
-from logicrbm.trainer import Grads, cd_gradient
+from logicrbm.trainer import Grads
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +266,33 @@ def ref_discriminative_gradient(m, x, y_true, targets):
     return Grads(gW, ga, gb)
 
 
+def ref_cd_gradient(m, x_batch, cd_k, rng):
+    X0 = np.atleast_2d(np.asarray(x_batch, dtype=float))
+    B = len(X0)
+    ph0 = _sigmoid(net_hidden(m, X0) / m.tau)
+    Xk = X0
+    for _ in range(cd_k):
+        ph = _sigmoid(net_hidden(m, Xk) / m.tau)
+        H = (rng.random(ph.shape) < ph).astype(float)
+        pv = _sigmoid(net_visible(m, H) / m.tau)
+        Xk = (rng.random(pv.shape) < pv).astype(float)
+    phk = _sigmoid(net_hidden(m, Xk) / m.tau)
+    gW = -(X0.T @ ph0 - Xk.T @ phk) / B
+    ga = -(X0 - Xk).mean(axis=0)
+    gb = -(ph0 - phk).mean(axis=0)
+    return Grads(gW, ga, gb)
+
+
+def _zeros(m):
+    return Grads(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b))
+
+
+def _scaled_add(g, other, scale):
+    g.W += scale * other.W
+    g.a += scale * other.a
+    g.b += scale * other.b
+
+
 def _clause_patterns(m):
     if m.clause_annotations is None:
         return []
@@ -286,7 +314,7 @@ def ref_train(m, d, cfg):
     targets = d.target_indices
     patterns = _clause_patterns(out) if cfg.freeze_structure else []
     conf = {j: float(out.clause_annotations[j]["confidence"]) for j, _, _ in patterns}
-    vel = Grads.zeros(out)
+    vel = _zeros(out)
     trace = []
     N = len(d.rows)
     batch = N if cfg.batch_size in (0, None) else cfg.batch_size
@@ -296,13 +324,13 @@ def ref_train(m, d, cfg):
             rows = d.rows[perm[start:start + batch]]
             if len(rows) == 0:
                 continue
-            g = Grads.zeros(out)
+            g = _zeros(out)
             if cfg.alpha > 0:
-                g.scaled_add(cd_gradient(out, rows, cfg.cd_k, rng), cfg.alpha)
+                _scaled_add(g, ref_cd_gradient(out, rows, cfg.cd_k, rng), cfg.alpha)
             if cfg.beta > 0:
                 for row in rows:
                     dg = ref_discriminative_gradient(out, row, row[list(targets)], targets)
-                    g.scaled_add(dg, cfg.beta / len(rows))
+                    _scaled_add(g, dg, cfg.beta / len(rows))
             if cfg.freeze_structure:
                 for j, s, bias_pat in patterns:
                     dc = float(s @ g.W[:, j] + bias_pat * g.b[j])
@@ -310,9 +338,9 @@ def ref_train(m, d, cfg):
                     g.W[:, j] = 0.0
                     g.b[j] = 0.0
                 g.a[:] = 0.0
-            vel.W = cfg.momentum * vel.W - cfg.lr * g.W
-            vel.a = cfg.momentum * vel.a - cfg.lr * g.a
-            vel.b = cfg.momentum * vel.b - cfg.lr * g.b
+            vel.W = 0.0 * vel.W - cfg.lr * g.W
+            vel.a = 0.0 * vel.a - cfg.lr * g.a
+            vel.b = 0.0 * vel.b - cfg.lr * g.b
             out.W += vel.W
             out.a += vel.a
             out.b += vel.b

@@ -12,13 +12,10 @@ import pytest
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import (
-    compile_implication, compile_kb, compile_penalty_horn, compile_sdnf,
-    compile_universal,
+    compile_implication, compile_kb, compile_penalty_horn, compile_universal,
 )
 from logicrbm.extractor import extract_clauses, reliability_ratio
-from logicrbm.normal_forms import (
-    ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
-)
+from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
 from logicrbm.rbm import Rbm, energy_rank
 from logicrbm.reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,

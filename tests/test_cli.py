@@ -226,6 +226,18 @@ class TestTrainExtract:
                          "-o", str(out))
         assert code == 0 and out.exists()
 
+    def test_train_refuses_zero_temperature(self, tmp_path, xor_model, capsys):
+        doc = json.loads(xor_model.read_text())
+        doc["tau"] = 0
+        xor_model.write_text(json.dumps(doc))
+        data = tmp_path / "xor.csv"
+        data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        out = tmp_path / "trained.json"
+        code, _, err = run(capsys, "train", str(xor_model), str(data),
+                           "--targets", "z", "-o", str(out))
+        assert code == 2 and "tau" in err
+        assert not out.exists()
+
     def test_train_needs_data(self, xor_model, tmp_path, capsys):
         code, _, err = run(capsys, "train", str(xor_model),
                            "-o", str(tmp_path / "out.json"))

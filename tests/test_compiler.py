@@ -5,7 +5,7 @@ import pytest
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import (
-    ClauseBase, CompileOptions, WeightedClause, attach_hidden_units,
+    CompileOptions, WeightedClause, attach_hidden_units, clause_patterns,
     compile_implication, compile_kb, compile_penalty_horn, compile_sdnf,
     compile_universal, match_implication, merge_clauses,
 )
@@ -66,6 +66,25 @@ class TestCompileSdnf:
             CompileOptions(epsilon=1.0)
         with pytest.raises(ValueError):
             CompileOptions(epsilon=0.0)
+
+
+class TestClauseRange:
+    """A clause variable outside 0..n_visible-1 is refused, not wrapped."""
+
+    def test_negative_index_does_not_wrap(self):
+        with pytest.raises(ValueError):
+            clause_patterns([ConjunctiveClause((-1,), ())], 2, 0.5)
+
+    @pytest.mark.parametrize("var", [-1, 2, 3])
+    def test_every_construction_refuses(self, var):
+        with pytest.raises(ValueError):
+            compile_sdnf(L.Dnf([ConjunctiveClause((var,), ())], strict=True), n_visible=2)
+        with pytest.raises(ValueError):
+            compile_implication({var}, (), 0, n_visible=2)
+        with pytest.raises(ValueError):
+            compile_implication({0}, (), var, n_visible=2)
+        with pytest.raises(ValueError):
+            compile_penalty_horn({var}, 0, n_visible=2)
 
 
 class TestCompileImplication:

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import compile_kb
 from logicrbm.extractor import (

@@ -1,5 +1,6 @@
-"""The incremental search kernels and the batched conditional-likelihood
-kernel against the straightforward loops in ``reference_kernels``."""
+"""The incremental search kernels, the batched conditional-likelihood
+kernel and the CD-k training step against the straightforward loops in
+``reference_kernels``."""
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,12 @@ from logicrbm import formula as fm
 from logicrbm.compiler import attach_hidden_units
 from logicrbm.rbm import block_rows
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, Query
-from logicrbm.trainer import Dataset, TrainConfig, discriminative_gradient
+from logicrbm.trainer import Dataset, TrainConfig, cd_gradient, discriminative_gradient
 
 from conftest import random_kb, random_rbm
 from reference_kernels import (
-    ref_discriminative_gradient, ref_infer_deterministic, ref_infer_gibbs, ref_train,
+    ref_cd_gradient, ref_discriminative_gradient, ref_infer_deterministic,
+    ref_infer_gibbs, ref_train,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -125,7 +127,6 @@ class TestConditionalKernel:
         cfg = TrainConfig(alpha=float(rng.choice([0.0, 0.5])), beta=1.0, lr=0.05,
                           epochs=int(rng.integers(1, 6)),
                           batch_size=int(rng.integers(0, 4)),
-                          momentum=float(rng.choice([0.0, 0.5])),
                           seed=int(rng.integers(1 << 31)), freeze_structure=frozen)
         assert_same_training(m, d, cfg)
 
@@ -164,3 +165,46 @@ class TestConditionalKernel:
         new, ref = results
         for arr, ref_arr in ((new.W, ref.W), (new.a, ref.a), (new.b, ref.b)):
             np.testing.assert_allclose(arr, ref_arr, rtol=0, atol=1e-10)
+
+
+def same_bytes(new, ref):
+    return all(x.tobytes() == y.tobytes()
+               for x, y in ((new.W, ref.W), (new.a, ref.a), (new.b, ref.b)))
+
+
+class TestCdKernel:
+    """CD-k and the SGD step agree with the momentum-buffer loop bit for bit.
+
+    The random networks hold no -0.0 parameter: an entry stored as -0.0
+    whose gradient is exactly zero is the one case where the buffered loop
+    could return +0.0 and the direct step -0.0 (equal as numbers).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.integers(1, 3), st.integers(1, 6))
+    def test_cd_gradient_matches_reference_bytes(self, seed, cd_k, batch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        m = random_rbm(rng, n, int(rng.integers(1, 7)))
+        X = (rng.random((batch, n)) < 0.5).astype(float)
+        s = int(rng.integers(1 << 31))
+        new_rng, ref_rng = np.random.default_rng(s), np.random.default_rng(s)
+        assert same_bytes(cd_gradient(m, X, cd_k, new_rng),
+                          ref_cd_gradient(m, X, cd_k, ref_rng))
+        assert new_rng.random() == ref_rng.random()
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.integers(1, 3), st.sampled_from([0, 1, 2, 3, 8]))
+    def test_cd_training_matches_reference_bytes(self, seed, cd_k, batch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        m = random_rbm(rng, n, int(rng.integers(1, 6)))
+        table = fm.PropositionTable([f"v{i}" for i in range(n)])
+        d = Dataset(table, (rng.random((int(rng.integers(1, 9)), n)) < 0.5).astype(float))
+        cfg = TrainConfig(alpha=float(rng.choice([0.3, 1.0])), beta=0.0, lr=0.1,
+                          epochs=int(rng.integers(1, 6)), batch_size=batch, cd_k=cd_k,
+                          seed=int(rng.integers(1 << 31)))
+        out, trace = L.train(m, d, cfg)
+        ref, ref_trace = ref_train(m, d, cfg)
+        assert same_bytes(out, ref)
+        assert trace == ref_trace

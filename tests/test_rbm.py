@@ -9,7 +9,7 @@ from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import (
-    Rbm, energy, energy_rank, free_energy, gibbs_step, load_model,
+    Rbm, energy, energy_rank, free_energy, load_model,
     model_from_dict, model_to_dict, p_hidden_given_visible,
     p_visible_given_hidden, partition_brute, save_model,
 )
@@ -21,12 +21,6 @@ def xor_rbm():
     kb = fm.parse_kb("(x ^ y) <-> z")
     m, _ = L.compile_kb(kb)
     return m
-
-
-def nixon_rbm(kb_dir):
-    kb = L.load_kb(kb_dir / "nixon.kb")
-    m, _ = L.compile_kb(kb)
-    return m, kb
 
 
 class TestConstruction:
@@ -172,31 +166,6 @@ class TestPartition:
         m = Rbm(W=np.zeros((20, 10)), a=np.zeros(20), b=np.zeros(10))
         with pytest.raises(SizeLimitError):
             partition_brute(m)
-
-
-class TestGibbsStep:
-    def test_all_clamped_unchanged(self):
-        m = random_rbm(np.random.default_rng(0), 3, 2)
-        clamp = fm.Assignment.total([1, 0, 1])
-        out = gibbs_step(m, clamp, [0, 0, 0], np.random.default_rng(1))
-        assert np.array_equal(out, [1.0, 0.0, 1.0])
-
-    def test_deterministic_sweep_descends(self, kb_dir):
-        m, _ = nixon_rbm(kb_dir)
-        m.tau = 0.0
-        clamp = fm.Assignment({0: True}, 4)  # n = 1
-        x = np.array([1.0, 0.0, 0.0, 0.0])
-        before = energy_rank(m, x)
-        after = energy_rank(m, gibbs_step(m, clamp, x, np.random.default_rng(0)))
-        assert after <= before + 1e-12
-
-    def test_seeded_determinism(self):
-        m = random_rbm(np.random.default_rng(2), 5, 4)
-        clamp = fm.Assignment({0: True}, 5)
-        x = (np.random.default_rng(3).random(5) < 0.5).astype(float)
-        out1 = gibbs_step(m, clamp, x, np.random.default_rng(42))
-        out2 = gibbs_step(m, clamp, x, np.random.default_rng(42))
-        assert np.array_equal(out1, out2)
 
 
 class TestModelIO:

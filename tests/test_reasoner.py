@@ -121,15 +121,6 @@ class TestInferGibbs:
 
 
 class TestInferDeterministic:
-    def test_global_minimizer_is_fixed_point(self, xor):
-        _, m = xor
-        m0 = m.copy()
-        m0.tau = 0.0
-        from logicrbm.rbm import gibbs_step
-        x = np.array([1.0, 1.0, 0.0])
-        out = gibbs_step(m0, fm.Assignment({}, 3), x, np.random.default_rng(0))
-        assert np.array_equal(out, x)
-
     def test_xor_clamp_x(self, xor):
         _, m = xor
         q = Query(evidence=fm.Assignment({0: True}, 3))

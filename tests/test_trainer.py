@@ -224,3 +224,21 @@ class TestTrain:
         _, trace = train(m, xor_dataset(targets=()),
                          TrainConfig(alpha=1.0, beta=0.0, epochs=2, lr=0.01))
         assert all("nll" not in t for t in trace)
+
+
+class TestZeroTemperature:
+    """Training and the exact conditional refuse tau <= 0 instead of returning NaN."""
+
+    def test_conditional_refuses(self):
+        m = random_rbm(np.random.default_rng(0), 3, 2, tau=0.0)
+        with pytest.raises(ValueError):
+            conditional_nll(m, [1, 0, 0], [1], (2,))
+        with pytest.raises(ValueError):
+            discriminative_gradient(m, [1, 0, 0], [1], (2,))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (0.5, 1.0)])
+    def test_train_refuses(self, alpha, beta):
+        m = random_rbm(np.random.default_rng(0), 3, 2, tau=0.0)
+        targets = (2,) if beta > 0 else ()
+        with pytest.raises(ValueError):
+            train(m, xor_dataset(targets), TrainConfig(alpha=alpha, beta=beta, epochs=1))
