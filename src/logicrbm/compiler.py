@@ -160,19 +160,20 @@ def compile_implication(body_pos, body_neg, head: int,
                clause_annotations=[_annotation(cl, c) for cl in unit_clauses])
 
 
+def _literal(g: fm.Formula):
+    """(index, positive) if g is a literal, else None."""
+    if isinstance(g, fm.Var):
+        return g.index, True
+    if isinstance(g, fm.Not) and isinstance(g.operand, fm.Var):
+        return g.operand.index, False
+    return None
+
+
 def match_implication(f: fm.Formula):
     """(body_pos, body_neg, head, head_positive) if f is a literal implication."""
     if not isinstance(f, fm.Implies):
         return None
-
-    def literal(g):
-        if isinstance(g, fm.Var):
-            return g.index, True
-        if isinstance(g, fm.Not) and isinstance(g.operand, fm.Var):
-            return g.operand.index, False
-        return None
-
-    head = literal(f.head)
+    head = _literal(f.head)
     if head is None:
         return None
     pos, neg = set(), set()
@@ -182,7 +183,7 @@ def match_implication(f: fm.Formula):
         if isinstance(g, fm.And):
             stack += [g.left, g.right]
             continue
-        lit = literal(g)
+        lit = _literal(g)
         if lit is None:
             return None
         (pos if lit[1] else neg).add(lit[0])
@@ -191,9 +192,44 @@ def match_implication(f: fm.Formula):
     return frozenset(pos), frozenset(neg), head[0], head[1]
 
 
+def _clause_literals(f: fm.Formula):
+    """The distinct literals of an ``Or`` tree of literals, left to right."""
+    if not isinstance(f, fm.Or):
+        return None
+    lits, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, fm.Or):
+            stack += [g.right, g.left]
+            continue
+        lit = _literal(g)
+        if lit is None:
+            return None
+        lits.append(lit)
+    return list(dict.fromkeys(lits))
+
+
 def formula_to_sdnf_clauses(f: fm.Formula) -> list[ConjunctiveClause]:
-    """Strict-DNF clauses of a formula: implication fast path, else full DNF."""
+    """Strict-DNF clauses of a formula, by one of three routes.
+
+    - A literal implication ``head <- body`` gets its T + K + 1 clauses from
+      ``implication_to_sdnf``.
+    - A disjunction of k distinct literals ``l1 | ... | lk`` is the
+      implication ``l1 <- ~l2 & ... & ~lk`` and gets its k clauses the same
+      way, with the first literal as head and the default elimination order.
+      A disjunction holding a literal and its negation is a tautology: one
+      true clause, which ``compile_kb`` folds into ``e0``.
+    - Anything else (XOR, iff, constants, other shapes) goes through
+      ``to_full_dnf``: one clause per model, limited to 20 free variables.
+    """
     imp = match_implication(f)
+    lits = _clause_literals(f)
+    if lits is not None:
+        if len({v for v, _ in lits}) < len(lits):
+            return [ConjunctiveClause((), ())]
+        (head, head_positive), rest = lits[0], lits[1:]
+        imp = ([v for v, positive in rest if not positive],
+               [v for v, positive in rest if positive], head, head_positive)
     if imp is not None:
         body_pos, body_neg, head, head_positive = imp
         return list(implication_to_sdnf(body_pos, body_neg, head,

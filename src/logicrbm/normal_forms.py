@@ -8,7 +8,7 @@ clause become a single hidden unit downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,6 +83,15 @@ def all_assignments(n: int, start: int = 0, stop: int | None = None) -> np.ndarr
     return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
 
 
+def _relabel(f: fm.Formula, col: dict[int, int]) -> fm.Formula:
+    """f with each variable v renamed to col[v]."""
+    if isinstance(f, fm.Var):
+        return fm.Var(col[f.index])
+    if isinstance(f, fm.Const):
+        return f
+    return type(f)(*(_relabel(getattr(f, x.name), col) for x in fields(f)))
+
+
 def to_full_dnf(f: fm.Formula, limit: int = DEFAULT_VAR_LIMIT) -> Dnf:
     """One clause per satisfying assignment over the free variables.
 
@@ -93,12 +102,8 @@ def to_full_dnf(f: fm.Formula, limit: int = DEFAULT_VAR_LIMIT) -> Dnf:
     if len(variables) > limit:
         raise SizeLimitError(
             f"{len(variables)} free variables exceeds the full-DNF limit of {limit}")
-    n = (max(variables) + 1) if variables else 0
     grid = all_assignments(len(variables))
-    X = np.zeros((len(grid), n))
-    for col, v in enumerate(variables):
-        X[:, v] = grid[:, col]
-    sat = fm.evaluate_batch(f, X)
+    sat = fm.evaluate_batch(_relabel(f, {v: col for col, v in enumerate(variables)}), grid)
     clauses = []
     for row in grid[sat]:
         pos = tuple(v for col, v in enumerate(variables) if row[col] > 0.5)

@@ -2,6 +2,8 @@
 
 These are the original per-construction unit loops and the model
 concatenation the command line used for the baselines, the original
+full-DNF conversion and the formula-to-clause routing without the clause
+route for disjunctions of literals, the original
 full-column Gibbs and descent loops, the CD-k estimator and the per-row
 discriminative training loop with its zero-buffer and velocity update,
 kept here only as oracles for the shared clause kernel in
@@ -12,8 +14,12 @@ same seed both must reach the same answers.
 """
 import numpy as np
 
+from logicrbm import formula as fm
 from logicrbm.compiler import match_implication
-from logicrbm.normal_forms import all_assignments, implication_to_sdnf, to_full_dnf
+from logicrbm.errors import SizeLimitError
+from logicrbm.normal_forms import (
+    ConjunctiveClause, Dnf, all_assignments, implication_to_sdnf,
+)
 from logicrbm.rbm import Rbm, energy_rank, free_energy, net_hidden, net_visible, _sigmoid
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
 from logicrbm.trainer import Grads
@@ -85,14 +91,36 @@ def ref_compile_implication(body_pos, body_neg, head, epsilon=0.5, n_visible=Non
                epsilon=eps, clause_annotations=annotations)
 
 
+def ref_to_full_dnf(f, limit=20):
+    """The full DNF evaluated on a table as wide as the highest variable."""
+    variables = sorted(fm.free_vars(f))
+    if len(variables) > limit:
+        raise SizeLimitError(
+            f"{len(variables)} free variables exceeds the full-DNF limit of {limit}")
+    n = (max(variables) + 1) if variables else 0
+    grid = all_assignments(len(variables))
+    X = np.zeros((len(grid), n))
+    for col, v in enumerate(variables):
+        X[:, v] = grid[:, col]
+    sat = fm.evaluate_batch(f, X)
+    clauses = []
+    for row in grid[sat]:
+        pos = tuple(v for col, v in enumerate(variables) if row[col] > 0.5)
+        neg = tuple(v for col, v in enumerate(variables) if row[col] < 0.5)
+        clauses.append(ConjunctiveClause(pos, neg))
+    clauses.sort()
+    return Dnf(clauses, strict=True)
+
+
 def ref_sdnf_clauses(f):
+    """Implication clauses for a literal implication, else the full DNF."""
     imp = match_implication(f)
     if imp is not None:
         body_pos, body_neg, head, head_positive = imp
         order = sorted(body_pos | body_neg, reverse=True)
         return list(implication_to_sdnf(body_pos, body_neg, head, order=order,
                                         head_positive=head_positive).clauses)
-    return list(to_full_dnf(f, limit=20).clauses)
+    return list(ref_to_full_dnf(f).clauses)
 
 
 def ref_compile_kb(kb, epsilon=0.5):

@@ -108,10 +108,28 @@ class TestCompile:
 
     def test_size_limit_exit_code(self, tmp_path, capsys):
         big = tmp_path / "big.kb"
-        big.write_text(" | ".join(f"v{i}" for i in range(21)) + "\n")
+        big.write_text(" ^ ".join(f"v{i}" for i in range(21)) + "\n")
         code, _, err = run(capsys, "compile", str(big),
                            "-o", str(tmp_path / "m.json"))
         assert code == 3
+
+    def test_wide_disjunction_one_unit_per_literal(self, tmp_path, capsys):
+        wide = tmp_path / "wide.kb"
+        wide.write_text(" | ".join(f"{'~' * (i % 2)}v{i}" for i in range(21)) + "\n")
+        out = tmp_path / "m.json"
+        code, stdout, _ = run(capsys, "compile", str(wide), "-o", str(out))
+        assert code == 0 and "clauses per formula: [21]" in stdout
+        assert load_model(out).n_hidden == 21
+
+    def test_wide_disjunction_verifies(self, tmp_path, capsys):
+        wide = tmp_path / "wide.kb"
+        wide.write_text("0.7: " + " | ".join(f"{'~' * (i % 3 == 0)}v{i}"
+                                             for i in range(16)) + "\n")
+        out = tmp_path / "m.json"
+        code, _, _ = run(capsys, "compile", str(wide), "-o", str(out))
+        assert code == 0 and load_model(out).n_hidden == 16
+        code, stdout, _ = run(capsys, "verify", str(out), str(wide))
+        assert code == 0 and json.loads(stdout)["ok"]
 
 
 class TestReason:

@@ -1,6 +1,7 @@
 """Every construction against the original per-construction unit loops in
 ``reference_kernels``: the networks must agree byte for byte, including the
-sign of zero, and the command line must write the same model files."""
+sign of zero, and the command line must write the same model files.  A
+disjunction of literals must compile exactly as its implication form does."""
 import json
 
 import numpy as np
@@ -16,8 +17,11 @@ from logicrbm.compiler import (
 )
 from logicrbm.normal_forms import implication_to_sdnf, to_full_dnf
 from logicrbm.rbm import model_to_dict, save_model
+from logicrbm.reasoner import verify_equivalence
 
-from conftest import KB_DIR, random_formula, random_implication, random_kb
+from conftest import (
+    KB_DIR, implication_formula, random_formula, random_implication, random_kb,
+)
 from reference_kernels import (
     ref_compile_implication, ref_compile_kb, ref_compile_penalty_horn,
     ref_compile_sdnf, ref_compile_universal, ref_hstack_models, ref_sdnf_clauses,
@@ -109,12 +113,73 @@ def test_compile_implication_matches_reference(seed):
                                 head_positive))
 
 
+def literal_of(f):
+    """(index, positive) of a literal formula, else None."""
+    if isinstance(f, fm.Var):
+        return f.index, True
+    if isinstance(f, fm.Not) and isinstance(f.operand, fm.Var):
+        return f.operand.index, False
+    return None
+
+
+def or_leaves(f):
+    """The leaves of an Or tree, left to right."""
+    if isinstance(f, fm.Or):
+        return or_leaves(f.left) + or_leaves(f.right)
+    return [f]
+
+
+def on_clause_route(f):
+    """True for a disjunction whose leaves are all literals."""
+    return isinstance(f, fm.Or) and all(literal_of(g) is not None for g in or_leaves(f))
+
+
+def as_implication(f):
+    """A clause-route formula rewritten as the formula the reference compiles
+    to the same clauses: ``l1 <- ~l2 & ... & ~lk`` over its distinct literals,
+    the literal alone for k = 1, or TRUE for a tautology."""
+    lits = list(dict.fromkeys(literal_of(g) for g in or_leaves(f)))
+    if len({v for v, _ in lits}) < len(lits):
+        return fm.TRUE
+    if len(lits) == 1:
+        return or_leaves(f)[0]
+    (head, head_positive), rest = lits[0], lits[1:]
+    return implication_formula({v for v, positive in rest if not positive},
+                               {v for v, positive in rest if positive}, head, head_positive)
+
+
+def random_or_tree(rng, lits):
+    """A randomly nested Or over ``lits`` that keeps their left-to-right order."""
+    if len(lits) == 1:
+        return lits[0]
+    cut = int(rng.integers(1, len(lits)))
+    return fm.Or(random_or_tree(rng, lits[:cut]), random_or_tree(rng, lits[cut:]))
+
+
+def random_clause(rng, n_vars):
+    """A disjunction of 2-7 literals, repeats and complementary pairs allowed."""
+    lits = []
+    for _ in range(int(rng.integers(2, 8))):
+        if lits and rng.random() < 0.15:
+            lits.append(lits[int(rng.integers(len(lits)))])
+        elif lits and rng.random() < 0.05:
+            g = lits[int(rng.integers(len(lits)))]
+            lits.append(g.operand if isinstance(g, fm.Not) else fm.Not(g))
+        else:
+            v = fm.Var(int(rng.integers(n_vars)))
+            lits.append(fm.Not(v) if rng.random() < 0.5 else v)
+    return random_or_tree(rng, lits)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_compile_kb_matches_reference(seed):
     rng = np.random.default_rng(seed)
     n_vars = int(rng.integers(1, 7))
     kb = random_kb(rng, n_vars=n_vars)
+    # the reference routes disjunctions of literals through the full DNF;
+    # test_clause_route_is_exact covers them
+    kb.items = [(w, f) for w, f in kb.items if not on_clause_route(f)]
     if rng.random() < 0.3:
         kb.add(draw_confidence(rng), fm.TRUE)
     kb.items = [(0.0 if rng.random() < 0.1 else w, f) for w, f in kb.items]
@@ -122,6 +187,45 @@ def test_compile_kb_matches_reference(seed):
     m, base = compile_kb(kb, CompileOptions(eps))
     assert_same_network(m, ref_compile_kb(kb, eps))
     assert base.per_formula == [len(ref_sdnf_clauses(f)) for _, f in kb.items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_clause_route_is_exact(seed):
+    """Disjunctions of literals, mixed with implications and other formulas,
+    at dyadic weights and epsilon, so that the identity holds exactly."""
+    rng = np.random.default_rng(seed)
+    n_vars = 8
+    table = fm.PropositionTable([f"v{i}" for i in range(n_vars)])
+    kb = fm.KnowledgeBase(table)
+    for _ in range(int(rng.integers(1, 7))):
+        kind = rng.random()
+        if kind < 0.6:
+            f = random_clause(rng, n_vars)
+        elif kind < 0.85:
+            f = implication_formula(*random_implication(rng, max_body=4, n_extra_vars=3))
+        else:
+            f = random_formula(rng, 4)
+        kb.add(float(rng.integers(0, 4096)) / 64, f)
+    eps = float(rng.integers(1, 16)) / 16
+    m, base = compile_kb(kb, CompileOptions(eps))
+
+    assert verify_equivalence(m, kb, eps).max_deviation == 0.0
+    expected = []
+    for w, f in kb.items:
+        if not on_clause_route(f):
+            expected.append(len(ref_sdnf_clauses(f)))
+            continue
+        lits = set(literal_of(g) for g in or_leaves(f))
+        tautology = len({v for v, _ in lits}) < len(lits)
+        expected.append(1 if tautology else len(lits))
+        alone, _ = compile_kb(fm.KnowledgeBase(table, [(w, f)]), CompileOptions(eps))
+        assert alone.n_hidden == (0 if tautology else len(lits))
+        assert alone.e0 == (-eps * w if tautology else 0.0)
+    assert base.per_formula == expected
+    rewritten = fm.KnowledgeBase(table, [(w, as_implication(f) if on_clause_route(f) else f)
+                                         for w, f in kb.items])
+    assert_same_network(m, ref_compile_kb(rewritten, eps))
 
 
 @settings(max_examples=150, deadline=None)

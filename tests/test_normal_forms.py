@@ -1,4 +1,6 @@
 """DNF / strict-DNF conversion tests, checked against truth-table oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from logicrbm.normal_forms import (
 )
 
 from conftest import oracle_truth_table, random_formula, random_implication
+from reference_kernels import ref_to_full_dnf
 
 
 def clause_set(d):
@@ -119,6 +122,51 @@ class TestToFullDnf:
         assert_strict_by_enumeration(d, max(n, 1))
         for c in d.clauses:
             assert c.variables() == fv
+
+
+def spread(f, col):
+    """f with each variable v renamed to col[v]."""
+    if isinstance(f, fm.Var):
+        return fm.Var(col[f.index])
+    if isinstance(f, fm.Not):
+        return fm.Not(spread(f.operand, col))
+    if isinstance(f, fm.Implies):
+        return fm.Implies(body=spread(f.body, col), head=spread(f.head, col))
+    if isinstance(f, fm.Const):
+        return f
+    return type(f)(spread(f.left, col), spread(f.right, col))
+
+
+def xor_chain(variables):
+    f = fm.Var(variables[0])
+    for v in variables[1:]:
+        f = fm.Xor(f, fm.Var(v))
+    return f
+
+
+def full_dnf_peak(f):
+    tracemalloc.start()
+    try:
+        to_full_dnf(f)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFullDnfColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_sparse_indices(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_formula(rng, 5)
+        col = {i: int(v) for i, v in enumerate(rng.choice(200, 5, replace=False))}
+        f = spread(f, col)
+        assert to_full_dnf(f).clauses == ref_to_full_dnf(f).clauses
+
+    def test_memory_independent_of_variable_indices(self):
+        low = full_dnf_peak(xor_chain(range(14)))
+        high = full_dnf_peak(xor_chain(range(186, 200)))
+        assert high <= 1.5 * low
 
 
 class TestImplicationToSdnf:

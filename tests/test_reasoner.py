@@ -262,10 +262,10 @@ class TestVerifyEquivalence:
             assert set(map(tuple, X[np.isclose(s, s.max())])) \
                 == set(map(tuple, X[np.isclose(e, e.min())]))
 
-    def test_wide_disjunction_in_bounded_memory(self):
-        kb = fm.parse_kb(" | ".join(f"v{i}" for i in range(12)))
+    def test_wide_xor_in_bounded_memory(self):
+        kb = fm.parse_kb(" ^ ".join(f"v{i}" for i in range(12)))
         m, _ = L.compile_kb(kb)
-        assert m.n_hidden == 4095
+        assert m.n_hidden == 2048
         # distinct visible-bias errors: the unique worst assignment sets the
         # odd-indexed variables
         m.a += 1e-3 * np.array([(-1) ** i * (i + 1) for i in range(12)])
