@@ -5,22 +5,20 @@ then reason over, train, and extract rules from the resulting networks."""
 from .errors import ParseError, SizeLimitError
 from .formula import (
     Assignment, KnowledgeBase, PropositionTable,
-    evaluate, format_formula, load_kb, parse_formula, parse_kb,
+    evaluate, load_kb, parse_formula, parse_kb,
     weighted_sat,
 )
 from .normal_forms import (
-    ConjunctiveClause, Dnf, implication_to_sdnf, to_full_dnf,
+    ConjunctiveClause, implication_to_sdnf, to_full_dnf,
 )
 from .rbm import (
-    Rbm, energy, energy_rank, free_energy, load_model,
-    p_hidden_given_visible, p_visible_given_hidden, partition_brute,
-    save_model,
+    Rbm, energy_rank, free_energy, load_model,
+    p_hidden_given_visible, p_visible_given_hidden, save_model,
 )
 from .compiler import (
-    ClauseBase, CompileOptions, WeightedClause, attach_hidden_units,
-    clause_patterns, compile_implication, compile_kb, compile_penalty_horn,
-    compile_sdnf, compile_universal, merge_clauses, penalty_network,
-    universal_network,
+    ClauseBase, WeightedClause, attach_hidden_units, clause_patterns,
+    compile_implication, compile_kb, compile_sdnf, merge_clauses,
+    penalty_network, universal_network,
 )
 from .reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,

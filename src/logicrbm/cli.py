@@ -17,8 +17,8 @@ from .errors import ParseError, SizeLimitError
 from . import formula as fm
 from .normal_forms import implication_to_sdnf, to_full_dnf
 from .compiler import (
-    CompileOptions, attach_hidden_units, compile_kb, match_implication,
-    penalty_network, universal_network,
+    attach_hidden_units, compile_kb, match_implication, penalty_network,
+    universal_network,
 )
 from .rbm import load_model, save_model
 from .reasoner import (
@@ -39,18 +39,18 @@ VERIFY_TOL = 1e-9
 def _baseline_clauses(f, baseline):
     """The clauses of one formula that a baseline turns into units."""
     if baseline == "universal":
-        return to_full_dnf(f).clauses
+        return to_full_dnf(f)
     imp = match_implication(f)
     if imp is None or imp[1] or not imp[3]:
         raise ValueError("penalty baseline requires Horn clauses (positive body and head)")
     body_pos, _, head, _ = imp
-    return implication_to_sdnf(body_pos, (), head).clauses
+    return implication_to_sdnf(body_pos, (), head)
 
 
 def cmd_compile(args) -> int:
     kb = fm.load_kb(args.kb_file)
     if args.baseline == "sdnf":
-        m, base = compile_kb(kb, CompileOptions(epsilon=args.epsilon))
+        m, base = compile_kb(kb, epsilon=args.epsilon)
         per_formula = base.per_formula
     else:
         groups = [(w, _baseline_clauses(f, args.baseline)) for w, f in kb.items]
@@ -76,6 +76,8 @@ def _evidence_from_doc(doc, names) -> fm.Assignment:
     for nm, val in doc.get("evidence", {}).items():
         if nm not in index:
             raise ValueError(f"unknown proposition {nm!r} in evidence")
+        if val not in (0, 1):
+            raise ValueError(f"evidence for {nm!r} must be true, false, 0 or 1, not {val!r}")
         values[index[nm]] = bool(val)
     return fm.Assignment(values, len(names))
 

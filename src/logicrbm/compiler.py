@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formula as fm
-from .normal_forms import ConjunctiveClause, Dnf, implication_to_sdnf, to_full_dnf
-from .rbm import Rbm
+from .normal_forms import ConjunctiveClause, implication_to_sdnf, to_full_dnf
+from .rbm import Rbm, _check_epsilon
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,6 @@ class ClauseBase:
     table: fm.PropositionTable
     clauses: list[WeightedClause] = field(default_factory=list)
     per_formula: list[int] = field(default_factory=list)   # SDNF clauses of each formula
-
-
-def _check_epsilon(epsilon: float):
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-
-
-@dataclass
-class CompileOptions:
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
 
 
 def clause_patterns(clauses, n_visible: int, epsilon: float):
@@ -109,24 +96,27 @@ def _infer_n_visible(clauses, n_visible, extra=()):
     return top + 1
 
 
-def compile_sdnf(d: Dnf, opts: CompileOptions | None = None,
+def compile_sdnf(clauses, epsilon: float = 0.5,
                  n_visible: int | None = None,
                  confidences=None, names=None) -> Rbm:
-    """One hidden unit per clause of a strict DNF (Theorem-1 construction)."""
-    opts = opts or CompileOptions()
-    if not d.strict:
-        raise ValueError("compile_sdnf requires a strict DNF")
-    n_visible = _infer_n_visible(d.clauses, n_visible)
+    """One hidden unit per clause of a strict DNF (Theorem-1 construction).
+
+    ``clauses`` must be pairwise exclusive, as every list that
+    ``to_full_dnf``, ``implication_to_sdnf`` and ``formula_to_sdnf_clauses``
+    returns is; only then does each model satisfy exactly one unit.
+    """
+    _check_epsilon(epsilon)
+    n_visible = _infer_n_visible(clauses, n_visible)
     if confidences is None:
-        confidences = [1.0] * len(d.clauses)
-    W, b = _units(d.clauses, confidences, n_visible, opts.epsilon)
-    annotations = [_annotation(cl, c) for cl, c in zip(d.clauses, confidences)]
+        confidences = [1.0] * len(clauses)
+    W, b = _units(clauses, confidences, n_visible, epsilon)
+    annotations = [_annotation(cl, c) for cl, c in zip(clauses, confidences)]
     return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
-               names=names, epsilon=opts.epsilon, clause_annotations=annotations)
+               names=names, epsilon=epsilon, clause_annotations=annotations)
 
 
 def compile_implication(body_pos, body_neg, head: int,
-                        opts: CompileOptions | None = None,
+                        epsilon: float = 0.5,
                         n_visible: int | None = None,
                         confidence: float = 1.0,
                         head_positive: bool = True,
@@ -138,25 +128,24 @@ def compile_implication(body_pos, body_neg, head: int,
     to a visible bias (plus a constant when the literal is negative), which
     is pointwise identical in E_rank.
     """
-    opts = opts or CompileOptions()
+    _check_epsilon(epsilon)
     sdnf = implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
-    n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
-    eps = opts.epsilon
+    n_visible = _infer_n_visible(sdnf, n_visible, extra=(head,))
     c = confidence
 
-    has_body = len(sdnf.clauses) > 1
-    unit_clauses = sdnf.clauses[:-1] if has_body else sdnf.clauses
-    W, b = _units(unit_clauses, [c] * len(unit_clauses), n_visible, eps)
+    has_body = len(sdnf) > 1
+    unit_clauses = sdnf[:-1] if has_body else sdnf
+    W, b = _units(unit_clauses, [c] * len(unit_clauses), n_visible, epsilon)
     a = np.zeros(n_visible)
     e0 = 0.0
     if has_body:
-        last = sdnf.clauses[-1]
+        last = sdnf[-1]
         if last.pos:                      # clause {p}: energy term -c*eps*x_p
-            a[last.pos[0]] = c * eps
+            a[last.pos[0]] = c * epsilon
         else:                             # clause {~p}: -c*eps*(1 - x_p)
-            a[last.neg[0]] = -c * eps
-            e0 = -c * eps
-    return Rbm(W=W, a=a, b=b, e0=e0, tau=1.0, names=names, epsilon=eps,
+            a[last.neg[0]] = -c * epsilon
+            e0 = -c * epsilon
+    return Rbm(W=W, a=a, b=b, e0=e0, tau=1.0, names=names, epsilon=epsilon,
                clause_annotations=[_annotation(cl, c) for cl in unit_clauses])
 
 
@@ -232,9 +221,8 @@ def formula_to_sdnf_clauses(f: fm.Formula) -> list[ConjunctiveClause]:
                [v for v, positive in rest if positive], head, head_positive)
     if imp is not None:
         body_pos, body_neg, head, head_positive = imp
-        return list(implication_to_sdnf(body_pos, body_neg, head,
-                                        head_positive=head_positive).clauses)
-    return list(to_full_dnf(f).clauses)
+        return implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
+    return to_full_dnf(f)
 
 
 def merge_clauses(clauses) -> list[WeightedClause]:
@@ -245,10 +233,9 @@ def merge_clauses(clauses) -> list[WeightedClause]:
     return [WeightedClause(cl, merged[cl]) for cl in sorted(merged)]
 
 
-def compile_kb(kb: fm.KnowledgeBase, opts: CompileOptions | None = None
-               ) -> tuple[Rbm, ClauseBase]:
+def compile_kb(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseBase]:
     """Weighted KB -> RBM with weighted_sat(x) = -E_rank(x) / eps."""
-    opts = opts or CompileOptions()
+    _check_epsilon(epsilon)
     weighted, per_formula = [], []
     for w, f in kb.items:
         if w < 0:
@@ -260,10 +247,10 @@ def compile_kb(kb: fm.KnowledgeBase, opts: CompileOptions | None = None
 
     n = len(kb.table)
     units = [wc for wc in merged if not wc.clause.is_true_clause]
-    e0 = -opts.epsilon * sum(wc.c for wc in merged if wc.clause.is_true_clause)
-    W, b = _units([wc.clause for wc in units], [wc.c for wc in units], n, opts.epsilon)
+    e0 = -epsilon * sum(wc.c for wc in merged if wc.clause.is_true_clause)
+    W, b = _units([wc.clause for wc in units], [wc.c for wc in units], n, epsilon)
     m = Rbm(W=W, a=np.zeros(n), b=b, e0=e0, tau=1.0,
-            names=list(kb.table.names), epsilon=opts.epsilon,
+            names=list(kb.table.names), epsilon=epsilon,
             clause_annotations=[_annotation(wc.clause, wc.c) for wc in units])
     return m, ClauseBase(kb.table, merged, per_formula)
 
@@ -284,15 +271,6 @@ def penalty_network(groups, n_visible: int, epsilon: float = 0.5, names=None) ->
                tau=1.0, names=names, epsilon=epsilon)
 
 
-def compile_penalty_horn(body_pos, head: int, epsilon: float = 0.5,
-                         n_visible: int | None = None,
-                         confidence: float = 1.0, names=None) -> Rbm:
-    """Penalty-logic quadratic network for a Horn clause ``head <- body``."""
-    sdnf = implication_to_sdnf(body_pos, (), head)
-    n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
-    return penalty_network([(confidence, sdnf.clauses)], n_visible, epsilon, names)
-
-
 def universal_network(groups, n_visible: int, lam: float = 0.5, names=None) -> Rbm:
     """One hidden unit per preferred model, for weighted full DNFs.
 
@@ -308,21 +286,13 @@ def universal_network(groups, n_visible: int, lam: float = 0.5, names=None) -> R
         raise ValueError("the universal construction needs 0 < lambda <= 1/2")
     if any(not part for _, part in groups):
         raise ValueError("universal construction needs at least one model")
+    if any(cl.variables() != part[0].variables() for _, part in groups for cl in part):
+        raise ValueError("universal construction requires a full DNF (total-model clauses)")
     clauses = [cl for _, part in groups for cl in part]
     W, b = _units(clauses, [0.5 * w for w, part in groups for _ in part],
                   n_visible, 2 * lam)
     return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
                names=names, epsilon=lam)
-
-
-def compile_universal(d: Dnf, lam: float = 0.5,
-                      n_visible: int | None = None, names=None) -> Rbm:
-    """One hidden unit per model of a full DNF; see ``universal_network``."""
-    for cl in d.clauses:
-        if cl.variables() != d.clauses[0].variables():
-            raise ValueError("compile_universal requires a full DNF (total-model clauses)")
-    n_visible = _infer_n_visible(d.clauses, n_visible)
-    return universal_network([(1.0, d.clauses)], n_visible, lam, names)
 
 
 def attach_hidden_units(m: Rbm, count: int, init_scale: float, rng) -> Rbm:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import WeightedClause
 from .normal_forms import ConjunctiveClause
 from .rbm import Rbm
 from .trainer import Dataset
@@ -29,10 +28,6 @@ class ExtractedClause:
     distance: float
     reliability: tuple[int, int] | None = None
     empty: bool = False
-
-    @property
-    def weighted(self) -> WeightedClause:
-        return WeightedClause(self.clause, self.c)
 
 
 def _candidates(column: np.ndarray, prune_fractions):

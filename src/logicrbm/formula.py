@@ -378,40 +378,3 @@ def parse_kb(text: str, table: PropositionTable | None = None) -> KnowledgeBase:
 def load_kb(path) -> KnowledgeBase:
     with open(path, encoding="utf-8") as fh:
         return parse_kb(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Printing (inverse of the parser up to whitespace)
-# ---------------------------------------------------------------------------
-
-def format_formula(f: Formula, table: PropositionTable | None = None) -> str:
-    def name(i):
-        return table.names[i] if table is not None else f"x{i}"
-
-    def atom(g):
-        # parenthesise anything that is not an atom or a negation
-        s = fmt(g)
-        if isinstance(g, (Var, Const, Not)):
-            return s
-        return f"({s})"
-
-    def fmt(g):
-        if isinstance(g, Var):
-            return name(g.index)
-        if isinstance(g, Const):
-            return "(x0 | ~x0)" if g.value else "(x0 & ~x0)"  # no literal constants in the grammar
-        if isinstance(g, Not):
-            return f"~{atom(g.operand)}"
-        if isinstance(g, And):
-            return f"{atom(g.left)} & {atom(g.right)}"
-        if isinstance(g, Or):
-            return f"{atom(g.left)} | {atom(g.right)}"
-        if isinstance(g, Xor):
-            return f"{atom(g.left)} ^ {atom(g.right)}"
-        if isinstance(g, Iff):
-            return f"{atom(g.left)} <-> {atom(g.right)}"
-        if isinstance(g, Implies):
-            return f"{atom(g.head)} <- {atom(g.body)}"
-        raise TypeError(f"not a formula node: {g!r}")
-
-    return fmt(f)

@@ -1,14 +1,15 @@
-"""DNF / full-DNF / strict-DNF conversions.
+"""Full-DNF and strict-DNF conversions.
 
 A conjunctive clause is a pair of disjoint index sets (positive and negative
-literals).  A DNF is *strict* when no assignment satisfies two of its
-clauses; for conjunctive clauses this is exactly the condition that every
-pair of clauses shares a complementary literal.  Strictness is what lets a
-clause become a single hidden unit downstream.
+literals), and a DNF is a plain list of them.  A DNF is *strict* when no
+assignment satisfies two of its clauses; for conjunctive clauses this is
+exactly the condition that every pair of clauses shares a complementary
+literal.  Strictness is what lets a clause become a single hidden unit
+downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,40 +37,6 @@ class ConjunctiveClause:
     def variables(self) -> frozenset[int]:
         return frozenset(self.pos) | frozenset(self.neg)
 
-    def satisfied_batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.ones(len(X), dtype=bool)
-        for i in self.pos:
-            out &= X[:, i] > 0.5
-        for i in self.neg:
-            out &= X[:, i] < 0.5
-        return out
-
-
-@dataclass
-class Dnf:
-    clauses: list[ConjunctiveClause] = field(default_factory=list)
-    strict: bool = False
-
-    def satisfied_batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X), dtype=bool)
-        for c in self.clauses:
-            out |= c.satisfied_batch(X)
-        return out
-
-
-def mutually_exclusive(c1: ConjunctiveClause, c2: ConjunctiveClause) -> bool:
-    """True iff no assignment can satisfy both clauses."""
-    return bool(set(c1.pos) & set(c2.neg)) or bool(set(c1.neg) & set(c2.pos))
-
-
-def check_strict(clauses) -> bool:
-    clauses = list(clauses)
-    for i, c1 in enumerate(clauses):
-        for c2 in clauses[i + 1:]:
-            if not mutually_exclusive(c1, c2):
-                return False
-    return True
-
 
 def all_assignments(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """All 0/1 vectors of length n, one per row, in binary counting order.
@@ -92,7 +59,7 @@ def _relabel(f: fm.Formula, col: dict[int, int]) -> fm.Formula:
     return type(f)(*(_relabel(getattr(f, x.name), col) for x in fields(f)))
 
 
-def to_full_dnf(f: fm.Formula, limit: int = DEFAULT_VAR_LIMIT) -> Dnf:
+def to_full_dnf(f: fm.Formula, limit: int = DEFAULT_VAR_LIMIT) -> list[ConjunctiveClause]:
     """One clause per satisfying assignment over the free variables.
 
     Every free variable appears in every clause, so the result is both full
@@ -110,11 +77,11 @@ def to_full_dnf(f: fm.Formula, limit: int = DEFAULT_VAR_LIMIT) -> Dnf:
         neg = tuple(v for col, v in enumerate(variables) if row[col] < 0.5)
         clauses.append(ConjunctiveClause(pos, neg))
     clauses.sort()
-    return Dnf(clauses, strict=True)
+    return clauses
 
 
 def implication_to_sdnf(body_pos, body_neg, head: int, order=None,
-                        head_positive: bool = True) -> Dnf:
+                        head_positive: bool = True) -> list[ConjunctiveClause]:
     """Strict DNF of ``head <- body`` with T + K + 1 clauses.
 
     The first clause is the full conjunct (head plus the body literals);
@@ -150,5 +117,5 @@ def implication_to_sdnf(body_pos, body_neg, head: int, order=None,
         else:
             rem_neg.remove(p)
             clauses.append(ConjunctiveClause(tuple(rem_pos) + (p,), tuple(rem_neg)))
-    return Dnf(clauses, strict=True)
+    return clauses
 

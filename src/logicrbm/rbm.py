@@ -17,9 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SizeLimitError
-
-PARTITION_LIMIT = 24
 # Enumerating kernels (verification, exact search, exact conditional
 # training) work in row blocks of at most this many float64 elements per
 # intermediate array, whatever the size of the enumeration.
@@ -29,6 +26,12 @@ BLOCK_ELEMENTS = 1 << 20
 def block_rows(width: int) -> int:
     """Rows per block when each row holds ``width`` elements (at least 1)."""
     return max(1, BLOCK_ELEMENTS // max(width, 1))
+
+
+def _check_epsilon(epsilon: float):
+    """The margin of the identity weighted_sat = -E_rank / eps lies in (0, 1)."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
 
 
 @dataclass
@@ -68,14 +71,6 @@ class Rbm:
             self, W=self.W.copy(), a=self.a.copy(), b=self.b.copy(),
             clause_annotations=None if self.clause_annotations is None
             else [dict(ann) if ann else ann for ann in self.clause_annotations])
-
-
-def energy(m: Rbm, x, h) -> float:
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if x.shape != (m.n_visible,) or h.shape != (m.n_hidden,):
-        raise ValueError("dimension mismatch")
-    return float(-x @ m.W @ h - m.a @ x - m.b @ h + m.e0)
 
 
 def net_hidden(m: Rbm, X) -> np.ndarray:
@@ -128,18 +123,6 @@ def free_energy(m: Rbm, X) -> np.ndarray | float:
         soft = np.maximum(net, 0.0).sum(axis=1)
     out = m.e0 - X2 @ m.a - soft
     return float(out[0]) if single else out
-
-
-def partition_brute(m: Rbm) -> float:
-    """Exact partition function by enumeration (small networks only)."""
-    if m.n_visible + m.n_hidden > PARTITION_LIMIT:
-        raise SizeLimitError(
-            f"{m.n_visible}+{m.n_hidden} units exceeds partition limit {PARTITION_LIMIT}")
-    if m.tau <= 0:
-        raise ValueError("partition function needs tau > 0")
-    from .normal_forms import all_assignments
-    X = all_assignments(m.n_visible)
-    return float(np.exp(-free_energy(m, X) / m.tau).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,14 @@ from .errors import SizeLimitError
 from . import formula as fm
 from .formula import Assignment, KnowledgeBase, weighted_sat_batch
 from .normal_forms import all_assignments
-from .rbm import Rbm, block_rows, energy_rank, free_energy, _sigmoid
+from .rbm import Rbm, block_rows, energy_rank, free_energy, _check_epsilon, _sigmoid
 
 BRUTE_LIMIT = 24
 VERIFY_LIMIT = 16
 CONDITIONAL_LIMIT = 16
+# Gibbs anneals geometrically from TAU_START down to TAU_END over its steps.
+TAU_START = 1.0
+TAU_END = 0.05
 
 
 @dataclass
@@ -32,9 +35,11 @@ class Query:
 class GibbsConfig:
     steps: int = 200
     restarts: int = 10
-    tau_start: float = 1.0
-    tau_end: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps < 0 or self.restarts < 1:
+            raise ValueError("need steps >= 0 and restarts >= 1")
 
 
 @dataclass
@@ -42,6 +47,10 @@ class DeterministicConfig:
     sweeps: int = 100
     restarts: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.sweeps < 0 or self.restarts < 1:
+            raise ValueError("need sweeps >= 0 and restarts >= 1")
 
 
 @dataclass
@@ -165,7 +174,7 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     net, E = c.net_and_energy(Xf)
     best_x, best_e = _best(Xf, E)
     trace = [best_e]
-    taus = np.geomspace(config.tau_start, config.tau_end, max(config.steps, 1))
+    taus = np.geomspace(TAU_START, TAU_END, max(config.steps, 1))
     for step in range(config.steps):
         tau = taus[step]
         ph = _sigmoid(net / tau)
@@ -295,7 +304,9 @@ def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float) -> Verificatio
 
     The 2^n assignments are checked in bounded row blocks; the witness is
     the first assignment, in counting order, with the largest deviation.
+    ``epsilon`` outside (0, 1) raises ``ValueError``.
     """
+    _check_epsilon(epsilon)
     n = len(kb.table)
     if n > VERIFY_LIMIT:
         raise SizeLimitError(f"universe of {n} variables exceeds limit {VERIFY_LIMIT}")

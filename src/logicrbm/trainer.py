@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import SizeLimitError
 from . import formula as fm
-from .compiler import clause_patterns, match_implication
-from .normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
+from .compiler import clause_patterns, formula_to_sdnf_clauses
+from .normal_forms import ConjunctiveClause, all_assignments
 from .rbm import (Rbm, block_rows, p_hidden_given_visible, p_visible_given_hidden,
                   _sigmoid)
 from .reasoner import CONDITIONAL_LIMIT
@@ -63,25 +63,20 @@ class Dataset:
 def dataset_from_kb(kb: fm.KnowledgeBase, targets=()) -> Dataset:
     """One preferred model per formula: both sides of the implication true.
 
-    Unmentioned propositions are left at 0.  Non-implication formulas fall
-    back to their first satisfying assignment.
+    The row sets the positive literals of the formula's first strict-DNF
+    clause.  For an implication that clause is the full conjunct, body and
+    head; a disjunction ``l1 | ... | lk`` is read as ``l1 <- ~l2 & ... & ~lk``;
+    other formulas get their first model.  Unmentioned propositions are left
+    at 0, and a formula without models adds no row.
     """
     n = len(kb.table)
     rows = []
     for _, f in kb.items:
+        clauses = formula_to_sdnf_clauses(f)
+        if not clauses:
+            continue
         row = np.zeros(n)
-        imp = match_implication(f)
-        if imp is not None:
-            body_pos, body_neg, head, head_positive = imp
-            for i in body_pos:
-                row[i] = 1.0
-            row[head] = 1.0 if head_positive else 0.0
-        else:
-            dnf = to_full_dnf(f)
-            if not dnf.clauses:
-                continue
-            for i in dnf.clauses[0].pos:
-                row[i] = 1.0
+        row[list(clauses[0].pos)] = 1.0
         rows.append(row)
     idx = tuple(kb.table.index[t] if isinstance(t, str) else t for t in targets)
     return Dataset(kb.table, np.array(rows) if rows else np.zeros((0, n)), idx)

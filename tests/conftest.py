@@ -2,16 +2,20 @@
 
 The oracles deliberately re-derive quantities by brute force (hidden-state
 enumeration, truth tables) so the library code is checked against an
-independent implementation rather than against itself.
+independent implementation rather than against itself.  The joint energy,
+the partition function, clause satisfaction and exclusivity, and the
+formula printer are needed only by tests, so they live here and not in
+the library.
 """
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import logicrbm as L
 from logicrbm import formula as fm
+from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
+from logicrbm.rbm import Rbm, free_energy
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -25,12 +29,102 @@ def kb_dir():
 # Brute-force oracles
 # ---------------------------------------------------------------------------
 
+def energy(m, x, h) -> float:
+    """The joint energy E(x, h) = -x W h - a.x - b.h + e0."""
+    x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if x.shape != (m.n_visible,) or h.shape != (m.n_hidden,):
+        raise ValueError("dimension mismatch")
+    return float(-x @ m.W @ h - m.a @ x - m.b @ h + m.e0)
+
+
 def oracle_min_energy(m, x):
     """min_h E(x, h) by enumerating every hidden configuration."""
     best = np.inf
     for h in all_assignments(m.n_hidden):
-        best = min(best, L.energy(m, x, h))
+        best = min(best, energy(m, x, h))
     return best
+
+
+PARTITION_LIMIT = 24
+
+
+def partition_brute(m) -> float:
+    """Exact partition function by enumeration (small networks only)."""
+    if m.n_visible + m.n_hidden > PARTITION_LIMIT:
+        raise SizeLimitError(
+            f"{m.n_visible}+{m.n_hidden} units exceeds partition limit {PARTITION_LIMIT}")
+    if m.tau <= 0:
+        raise ValueError("partition function needs tau > 0")
+    X = all_assignments(m.n_visible)
+    return float(np.exp(-free_energy(m, X) / m.tau).sum())
+
+
+def satisfied_batch(clause, X):
+    """Which rows of the 0/1 matrix X satisfy a conjunctive clause."""
+    out = np.ones(len(X), dtype=bool)
+    for i in clause.pos:
+        out &= X[:, i] > 0.5
+    for i in clause.neg:
+        out &= X[:, i] < 0.5
+    return out
+
+
+def dnf_satisfied_batch(clauses, X):
+    """Which rows of X satisfy at least one clause of a DNF."""
+    out = np.zeros(len(X), dtype=bool)
+    for c in clauses:
+        out |= satisfied_batch(c, X)
+    return out
+
+
+def mutually_exclusive(c1, c2) -> bool:
+    """True iff no assignment can satisfy both clauses."""
+    return bool(set(c1.pos) & set(c2.neg)) or bool(set(c1.neg) & set(c2.pos))
+
+
+def check_strict(clauses) -> bool:
+    """True iff the clauses are pairwise mutually exclusive."""
+    clauses = list(clauses)
+    for i, c1 in enumerate(clauses):
+        for c2 in clauses[i + 1:]:
+            if not mutually_exclusive(c1, c2):
+                return False
+    return True
+
+
+def format_formula(f, table=None) -> str:
+    """A formula as knowledge-base text (inverse of the parser up to whitespace)."""
+    def name(i):
+        return table.names[i] if table is not None else f"x{i}"
+
+    def atom(g):
+        # parenthesise anything that is not an atom or a negation
+        s = fmt(g)
+        if isinstance(g, (fm.Var, fm.Const, fm.Not)):
+            return s
+        return f"({s})"
+
+    def fmt(g):
+        if isinstance(g, fm.Var):
+            return name(g.index)
+        if isinstance(g, fm.Const):
+            return "(x0 | ~x0)" if g.value else "(x0 & ~x0)"  # no literal constants in the grammar
+        if isinstance(g, fm.Not):
+            return f"~{atom(g.operand)}"
+        if isinstance(g, fm.And):
+            return f"{atom(g.left)} & {atom(g.right)}"
+        if isinstance(g, fm.Or):
+            return f"{atom(g.left)} | {atom(g.right)}"
+        if isinstance(g, fm.Xor):
+            return f"{atom(g.left)} ^ {atom(g.right)}"
+        if isinstance(g, fm.Iff):
+            return f"{atom(g.left)} <-> {atom(g.right)}"
+        if isinstance(g, fm.Implies):
+            return f"{atom(g.head)} <- {atom(g.body)}"
+        raise TypeError(f"not a formula node: {g!r}")
+
+    return fmt(f)
 
 
 def oracle_truth_table(f, n):
@@ -44,7 +138,7 @@ def oracle_truth_table(f, n):
 # ---------------------------------------------------------------------------
 
 def random_rbm(rng, n_visible, n_hidden, scale=1.0, tau=1.0):
-    return L.Rbm(
+    return Rbm(
         W=rng.normal(0, scale, (n_visible, n_hidden)),
         a=rng.normal(0, scale, n_visible),
         b=rng.normal(0, scale, n_hidden),
@@ -71,6 +165,29 @@ def random_formula(rng, n_vars, depth=3):
     if kind == 4:
         return fm.Implies(body=left, head=right)
     return fm.Not(left)
+
+
+def random_or_tree(rng, lits):
+    """A randomly nested Or over ``lits`` that keeps their left-to-right order."""
+    if len(lits) == 1:
+        return lits[0]
+    cut = int(rng.integers(1, len(lits)))
+    return fm.Or(random_or_tree(rng, lits[:cut]), random_or_tree(rng, lits[cut:]))
+
+
+def random_clause(rng, n_vars, p_complement=0.05):
+    """A disjunction of 2-7 literals, repeats and complementary pairs allowed."""
+    lits = []
+    for _ in range(int(rng.integers(2, 8))):
+        if lits and rng.random() < 0.15:
+            lits.append(lits[int(rng.integers(len(lits)))])
+        elif lits and rng.random() < p_complement:
+            g = lits[int(rng.integers(len(lits)))]
+            lits.append(g.operand if isinstance(g, fm.Not) else fm.Not(g))
+        else:
+            v = fm.Var(int(rng.integers(n_vars)))
+            lits.append(fm.Not(v) if rng.random() < 0.5 else v)
+    return random_or_tree(rng, lits)
 
 
 def random_kb(rng, n_vars=6, n_formulas=5, w_low=0.1, w_high=1000.0):

@@ -18,7 +18,7 @@ from logicrbm import formula as fm
 from logicrbm.compiler import match_implication
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import (
-    ConjunctiveClause, Dnf, all_assignments, implication_to_sdnf,
+    ConjunctiveClause, all_assignments, implication_to_sdnf,
 )
 from logicrbm.rbm import Rbm, energy_rank, free_energy, net_hidden, net_visible, _sigmoid
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
@@ -45,14 +45,14 @@ def _infer_n_visible(clauses, n_visible, extra=()):
     return top + 1
 
 
-def ref_compile_sdnf(d, epsilon=0.5, n_visible=None, confidences=None, names=None):
-    n_visible = _infer_n_visible(d.clauses, n_visible)
+def ref_compile_sdnf(clauses, epsilon=0.5, n_visible=None, confidences=None, names=None):
+    n_visible = _infer_n_visible(clauses, n_visible)
     if confidences is None:
-        confidences = [1.0] * len(d.clauses)
-    W = np.zeros((n_visible, len(d.clauses)))
-    b = np.zeros(len(d.clauses))
+        confidences = [1.0] * len(clauses)
+    W = np.zeros((n_visible, len(clauses)))
+    b = np.zeros(len(clauses))
     annotations = []
-    for j, (cl, c) in enumerate(zip(d.clauses, confidences)):
+    for j, (cl, c) in enumerate(zip(clauses, confidences)):
         W[list(cl.pos), j] = c
         W[list(cl.neg), j] = -c
         b[j] = c * (-len(cl.pos) + epsilon)
@@ -66,10 +66,10 @@ def ref_compile_implication(body_pos, body_neg, head, epsilon=0.5, n_visible=Non
     order = sorted(frozenset(body_pos) | frozenset(body_neg), reverse=True)
     sdnf = implication_to_sdnf(body_pos, body_neg, head, order=order,
                                head_positive=head_positive)
-    n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
+    n_visible = _infer_n_visible(sdnf, n_visible, extra=(head,))
     eps = epsilon
     c = confidence
-    unit_clauses = sdnf.clauses if not order else sdnf.clauses[:-1]
+    unit_clauses = sdnf if not order else sdnf[:-1]
     W = np.zeros((n_visible, len(unit_clauses)))
     b = np.zeros(len(unit_clauses))
     a = np.zeros(n_visible)
@@ -81,7 +81,7 @@ def ref_compile_implication(body_pos, body_neg, head, epsilon=0.5, n_visible=Non
         b[j] = c * (-len(cl.pos) + eps)
         annotations.append(_annotation(cl, c))
     if order:
-        last = sdnf.clauses[-1]
+        last = sdnf[-1]
         if last.pos:
             a[last.pos[0]] = c * eps
         else:
@@ -109,7 +109,7 @@ def ref_to_full_dnf(f, limit=20):
         neg = tuple(v for col, v in enumerate(variables) if row[col] < 0.5)
         clauses.append(ConjunctiveClause(pos, neg))
     clauses.sort()
-    return Dnf(clauses, strict=True)
+    return clauses
 
 
 def ref_sdnf_clauses(f):
@@ -118,9 +118,9 @@ def ref_sdnf_clauses(f):
     if imp is not None:
         body_pos, body_neg, head, head_positive = imp
         order = sorted(body_pos | body_neg, reverse=True)
-        return list(implication_to_sdnf(body_pos, body_neg, head, order=order,
-                                        head_positive=head_positive).clauses)
-    return list(ref_to_full_dnf(f).clauses)
+        return implication_to_sdnf(body_pos, body_neg, head, order=order,
+                                   head_positive=head_positive)
+    return ref_to_full_dnf(f)
 
 
 def ref_compile_kb(kb, epsilon=0.5):
@@ -149,10 +149,10 @@ def ref_compile_penalty_horn(body_pos, head, epsilon=0.5, n_visible=None,
                              confidence=1.0, names=None):
     body_pos = frozenset(body_pos)
     sdnf = implication_to_sdnf(body_pos, (), head, order=sorted(body_pos, reverse=True))
-    n_visible = _infer_n_visible(sdnf.clauses, n_visible, extra=(head,))
-    W = np.zeros((n_visible, len(sdnf.clauses)))
-    b = np.zeros(len(sdnf.clauses))
-    for j, cl in enumerate(sdnf.clauses):
+    n_visible = _infer_n_visible(sdnf, n_visible, extra=(head,))
+    W = np.zeros((n_visible, len(sdnf)))
+    b = np.zeros(len(sdnf))
+    for j, cl in enumerate(sdnf):
         W[list(cl.pos), j] = 2.0 * confidence
         W[list(cl.neg), j] = -2.0 * confidence
         b[j] = 2.0 * confidence * (-len(cl.pos) + epsilon)
@@ -160,11 +160,11 @@ def ref_compile_penalty_horn(body_pos, head, epsilon=0.5, n_visible=None,
                names=names, epsilon=epsilon)
 
 
-def ref_compile_universal(d, lam=0.5, n_visible=None, names=None):
-    n_visible = _infer_n_visible(d.clauses, n_visible)
-    W = np.zeros((n_visible, len(d.clauses)))
-    b = np.zeros(len(d.clauses))
-    for j, cl in enumerate(d.clauses):
+def ref_compile_universal(clauses, lam=0.5, n_visible=None, names=None):
+    n_visible = _infer_n_visible(clauses, n_visible)
+    W = np.zeros((n_visible, len(clauses)))
+    b = np.zeros(len(clauses))
+    for j, cl in enumerate(clauses):
         W[list(cl.pos), j] = 0.5
         W[list(cl.neg), j] = -0.5
         b[j] = -0.5 * len(cl.pos) + lam
@@ -218,7 +218,7 @@ def ref_infer_gibbs(m, q, config=None):
     X = _init_states(m, evidence, config.restarts, rng)
     best_x, best_e = _best(X, energy_rank(m, X))
     trace = [best_e]
-    taus = np.geomspace(config.tau_start, config.tau_end, max(config.steps, 1))
+    taus = np.geomspace(1.0, 0.05, max(config.steps, 1))
     for step in range(config.steps):
         tau = taus[step]
         ph = _sigmoid(net_hidden(m, X) / tau)

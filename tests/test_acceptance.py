@@ -12,10 +12,12 @@ import pytest
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import (
-    compile_implication, compile_kb, compile_penalty_horn, compile_universal,
+    compile_implication, compile_kb, penalty_network, universal_network,
 )
 from logicrbm.extractor import extract_clauses, reliability_ratio
-from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
+from logicrbm.normal_forms import (
+    ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
+)
 from logicrbm.rbm import Rbm, energy_rank
 from logicrbm.reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
@@ -103,10 +105,10 @@ def test_criterion_3_implication_size_and_correctness(capsys):
             body_pos, body_neg, head, head_positive = \
                 random_implication(rng, max_body=6)
             f = implication_formula(body_pos, body_neg, head, head_positive)
-            mu = compile_universal(to_full_dnf(f))
+            n = max(body_pos | body_neg | {head}) + 1
+            mu = universal_network([(1.0, to_full_dnf(f))], n)
             k_t = len(body_pos) + len(body_neg)
             assert mu.n_hidden == 2 ** (k_t + 1) - 1
-            n = max(body_pos | body_neg | {head}) + 1
             kb = fm.KnowledgeBase(
                 fm.PropositionTable([f"v{i}" for i in range(n)]), [(1.0, f)])
             assert verify_equivalence(mu, kb, mu.epsilon).max_deviation <= 1e-9
@@ -122,7 +124,7 @@ def test_criterion_4_penalty_identity(capsys):
             head = int(variables[0])
             body = frozenset(int(v) for v in variables[1:])
             n = size + 1
-            pen = compile_penalty_horn(body, head, n_visible=n)
+            pen = penalty_network([(1.0, implication_to_sdnf(body, (), head))], n)
             sdnf = compile_implication(body, (), head, n_visible=n)
             X = all_assignments(n)
             ep = energy_rank(pen, X)

@@ -106,6 +106,13 @@ class TestCompile:
                            "-o", str(tmp_path / "m.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["0", "1", "1.5", "-0.5"])
+    def test_epsilon_outside_unit_interval(self, kb_dir, tmp_path, capsys, eps):
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "compile", str(kb_dir / "xor.kb"),
+                           "--epsilon", eps, "-o", str(out))
+        assert code == 2 and "epsilon" in err and not out.exists()
+
     def test_size_limit_exit_code(self, tmp_path, capsys):
         big = tmp_path / "big.kb"
         big.write_text(" ^ ".join(f"v{i}" for i in range(21)) + "\n")
@@ -201,6 +208,31 @@ class TestReason:
         code, _, err = run(capsys, "reason", str(xor_model), str(q))
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["false", "true", 2, -1, 0.5, None, [1]])
+    def test_evidence_value_must_be_boolean(self, xor_model, tmp_path, capsys, value):
+        q = self.query(tmp_path, {"evidence": {"x": value, "y": True}, "mode": "exact"})
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 2 and "evidence" in err and stdout == ""
+
+    @pytest.mark.parametrize("value", [False, 0])
+    def test_evidence_false_and_zero_clamp_false(self, xor_model, tmp_path, capsys, value):
+        q = self.query(tmp_path, {"evidence": {"x": value, "y": True}, "mode": "exact"})
+        code, stdout, _ = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 0 and json.loads(stdout)["assignment"] == \
+            {"x": False, "y": True, "z": True}
+
+    @pytest.mark.parametrize("mode", ["gibbs", "deterministic"])
+    def test_zero_restarts_rejected(self, xor_model, tmp_path, capsys, mode):
+        q = self.query(tmp_path, {"mode": mode, "restarts": 0})
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 2 and "restarts >= 1" in err and stdout == ""
+
+    @pytest.mark.parametrize("mode", ["gibbs", "deterministic"])
+    def test_negative_steps_rejected(self, xor_model, tmp_path, capsys, mode):
+        q = self.query(tmp_path, {"mode": mode, "steps": -3})
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 2 and ">= 0" in err and stdout == ""
+
 
 class TestVerify:
     def test_compiled_model_passes(self, nixon_model, kb_dir, capsys):
@@ -208,6 +240,12 @@ class TestVerify:
                               str(kb_dir / "nixon.kb"))
         doc = json.loads(stdout)
         assert code == 0 and doc["ok"] and doc["max_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "1"])
+    def test_epsilon_outside_unit_interval(self, xor_model, kb_dir, capsys, eps):
+        code, stdout, err = run(capsys, "verify", str(xor_model), str(kb_dir / "xor.kb"),
+                                "--epsilon", eps)
+        assert code == 2 and "epsilon" in err and stdout == ""
 
     def test_perturbed_model_fails(self, xor_model, kb_dir, tmp_path, capsys):
         doc = json.loads(xor_model.read_text())
@@ -234,6 +272,18 @@ class TestTrainExtract:
         assert header == "epoch,nll,reconstruction_error" and len(rows) == 5
         code, stdout, _ = run(capsys, "extract", str(out))
         assert code == 0 and len(stdout.strip().splitlines()) == 7
+
+    def test_train_from_wide_disjunction(self, tmp_path, capsys):
+        wide = tmp_path / "wide.kb"
+        wide.write_text(" | ".join(f"v{i}" for i in range(21)) + "\n")
+        model, out = tmp_path / "m.json", tmp_path / "trained.json"
+        code, _, _ = run(capsys, "compile", str(wide), "-o", str(model))
+        assert code == 0
+        code, _, err = run(capsys, "train", str(model), "--from-clauses", str(wide),
+                           "--targets", "v0", "--epochs", "2", "--freeze-structure",
+                           "-o", str(out))
+        assert code == 0, err
+        assert load_model(out).n_hidden == 21
 
     def test_train_csv_path(self, tmp_path, xor_model, capsys):
         data = tmp_path / "xor.csv"

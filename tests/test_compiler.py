@@ -1,20 +1,24 @@
 """KB -> RBM constructions, checked by enumeration against weighted_sat."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import (
-    CompileOptions, WeightedClause, attach_hidden_units, clause_patterns,
-    compile_implication, compile_kb, compile_penalty_horn, compile_sdnf,
-    compile_universal, match_implication, merge_clauses,
+    WeightedClause, attach_hidden_units, clause_patterns, compile_implication,
+    compile_kb, compile_sdnf, formula_to_sdnf_clauses, match_implication,
+    merge_clauses, penalty_network, universal_network,
 )
 from logicrbm.normal_forms import (
     ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
 )
 from logicrbm.rbm import energy_rank
 
-from conftest import implication_formula, random_implication, random_kb
+from conftest import (
+    check_strict, dnf_satisfied_batch, implication_formula, oracle_truth_table,
+    random_clause, random_formula, random_implication, random_kb, satisfied_batch,
+)
 
 
 def assert_equivalent(m, kb, epsilon, n=None, atol=1e-9):
@@ -36,36 +40,36 @@ class TestCompileSdnf:
                                       [1, -1, 1], [-1, 1, 1]])
 
     def test_single_positive_literal(self):
-        m = compile_sdnf(L.Dnf([ConjunctiveClause((0,), ())], strict=True))
+        m = compile_sdnf([ConjunctiveClause((0,), ())])
         assert m.W.tolist() == [[1.0]] and m.b.tolist() == [-0.5]
 
     def test_rejects_negative_confidence(self):
-        d = L.Dnf([ConjunctiveClause((0,), ()), ConjunctiveClause((), (0,))], strict=True)
+        clauses = [ConjunctiveClause((0,), ()), ConjunctiveClause((), (0,))]
         with pytest.raises(ValueError):
-            compile_sdnf(d, confidences=[1.0, -1.0])
-
-    def test_requires_strict(self):
-        with pytest.raises(ValueError):
-            compile_sdnf(L.Dnf([ConjunctiveClause((0,), ())], strict=False))
+            compile_sdnf(clauses, confidences=[1.0, -1.0])
 
     def test_equivalence_on_random_strict_dnfs(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             body_pos, body_neg, head, head_positive = random_implication(rng, max_body=4)
-            d = implication_to_sdnf(body_pos, body_neg, head,
-                                    head_positive=head_positive)
+            clauses = implication_to_sdnf(body_pos, body_neg, head,
+                                          head_positive=head_positive)
             n = max(body_pos | body_neg | {head}) + 1
-            m = compile_sdnf(d, n_visible=n)
+            m = compile_sdnf(clauses, n_visible=n)
             X = all_assignments(n)
             np.testing.assert_allclose(
-                d.satisfied_batch(X).astype(float),
+                dnf_satisfied_batch(clauses, X).astype(float),
                 -energy_rank(m, X) / m.epsilon, atol=1e-9)
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            CompileOptions(epsilon=1.0)
-        with pytest.raises(ValueError):
-            CompileOptions(epsilon=0.0)
+        kb = fm.parse_kb("y <- x\n")
+        for eps in (1.0, 0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="epsilon"):
+                compile_sdnf([ConjunctiveClause((0,), ())], eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                compile_implication({1}, (), 0, eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                compile_kb(kb, eps)
 
 
 class TestClauseRange:
@@ -78,13 +82,13 @@ class TestClauseRange:
     @pytest.mark.parametrize("var", [-1, 2, 3])
     def test_every_construction_refuses(self, var):
         with pytest.raises(ValueError):
-            compile_sdnf(L.Dnf([ConjunctiveClause((var,), ())], strict=True), n_visible=2)
+            compile_sdnf([ConjunctiveClause((var,), ())], n_visible=2)
         with pytest.raises(ValueError):
             compile_implication({var}, (), 0, n_visible=2)
         with pytest.raises(ValueError):
             compile_implication({0}, (), var, n_visible=2)
         with pytest.raises(ValueError):
-            compile_penalty_horn({var}, 0, n_visible=2)
+            penalty_network([(1.0, implication_to_sdnf({var}, (), 0))], 2)
 
 
 class TestCompileImplication:
@@ -130,13 +134,13 @@ class TestCompileImplication:
             compact = compile_implication(body_pos, body_neg, head,
                                           confidence=conf,
                                           head_positive=head_positive)
-            d = implication_to_sdnf(
+            clauses = implication_to_sdnf(
                 body_pos, body_neg, head,
                 order=sorted(body_pos | body_neg, reverse=True),
                 head_positive=head_positive)
             n = max(body_pos | body_neg | {head}) + 1
-            full = compile_sdnf(d, n_visible=n,
-                                confidences=[conf] * len(d.clauses))
+            full = compile_sdnf(clauses, n_visible=n,
+                                confidences=[conf] * len(clauses))
             X = all_assignments(n)
             np.testing.assert_allclose(energy_rank(compact, X),
                                        energy_rank(full, X), atol=1e-9)
@@ -162,6 +166,39 @@ class TestMatchImplication:
     def test_non_literal_body_rejected(self):
         f = fm.parse_formula("y <- x1 | x2", fm.PropositionTable())
         assert match_implication(f) is None
+
+
+class TestFormulaRoutes:
+    """Every route of ``formula_to_sdnf_clauses`` returns a strict DNF of the
+    formula: pairwise-exclusive clauses whose union is exactly its models."""
+
+    @staticmethod
+    def draw(rng):
+        route = int(rng.integers(3))
+        if route == 0:
+            return route, implication_formula(
+                *random_implication(rng, max_body=5, n_extra_vars=2))
+        if route == 1:
+            return route, random_clause(rng, 6, p_complement=0.2)
+        return route, random_formula(rng, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_exclusive_and_exact_on_every_route(self, seed):
+        route, f = self.draw(np.random.default_rng(seed))
+        clauses = formula_to_sdnf_clauses(f)
+        n = max(fm.free_vars(f), default=0) + 1
+        X, truth = oracle_truth_table(f, n)
+        hits = np.zeros(len(X), dtype=int)
+        for c in clauses:
+            hits += satisfied_batch(c, X)   # a true clause holds everywhere
+        assert hits.max(initial=0) <= 1
+        assert check_strict(clauses)
+        assert np.array_equal(dnf_satisfied_batch(clauses, X), truth)
+        if route == 0:                      # head <- body: |body| + 1 clauses
+            assert len(clauses) == len(fm.free_vars(f))
+        elif route == 1 and truth.all():    # a tautology is one true clause
+            assert clauses == [ConjunctiveClause((), ())]
 
 
 class TestMergeClauses:
@@ -247,6 +284,13 @@ class TestCompileKb:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+def penalty_horn(body_pos, head, epsilon=0.5, n_visible=None, confidence=1.0):
+    """The penalty network of one Horn clause ``head <- body``."""
+    n_visible = max(body_pos | {head}) + 1 if n_visible is None else n_visible
+    return penalty_network([(confidence, implication_to_sdnf(body_pos, (), head))],
+                           n_visible, epsilon)
+
+
 class TestPenaltyBaseline:
     def test_identity_and_argmin_random_horn(self):
         rng = np.random.default_rng(41)
@@ -256,7 +300,7 @@ class TestPenaltyBaseline:
             head, body = int(variables[0]), frozenset(int(v) for v in variables[1:])
             conf = float(rng.uniform(0.1, 5))
             n = size + 1
-            pen = compile_penalty_horn(body, head, n_visible=n, confidence=conf)
+            pen = penalty_horn(body, head, n_visible=n, confidence=conf)
             sdnf = compile_implication(body, (), head, n_visible=n, confidence=conf)
             X = all_assignments(n)
             ep, es = energy_rank(pen, X), energy_rank(sdnf, X)
@@ -265,25 +309,30 @@ class TestPenaltyBaseline:
                 == set(map(tuple, X[np.isclose(es, es.min())]))
 
     def test_y_from_x_unit_count(self):
-        pen = compile_penalty_horn({1}, 0)
+        pen = penalty_horn({1}, 0)
         assert pen.n_hidden == 2  # both SDNF clauses stay as (doubled) units
 
     def test_rejects_negative_confidence_and_bad_epsilon(self):
         with pytest.raises(ValueError):
-            compile_penalty_horn({1}, 0, confidence=-1.0)
+            penalty_horn({1}, 0, confidence=-1.0)
         with pytest.raises(ValueError):
-            compile_penalty_horn({1}, 0, epsilon=1.0)
+            penalty_horn({1}, 0, epsilon=1.0)
+
+
+def universal(clauses, lam=0.5):
+    """The universal network of one full DNF at weight 1."""
+    n_visible = max((max(cl.variables()) for cl in clauses), default=-1) + 1
+    return universal_network([(1.0, clauses)], n_visible, lam)
 
 
 class TestUniversalBaseline:
     def test_horn3_fifteen_units(self):
         f = fm.parse_formula("y <- x1 & ~x2 & ~x3", fm.PropositionTable())
-        m = compile_universal(to_full_dnf(f))
+        m = universal(to_full_dnf(f))
         assert m.n_hidden == 15  # 2^(K+T+1) - 1 with T=1, K=2
 
     def test_model_1101_unit(self):
-        d = L.Dnf([ConjunctiveClause((0, 1, 3), (2,))], strict=True)
-        m = compile_universal(d, lam=0.5)
+        m = universal([ConjunctiveClause((0, 1, 3), (2,))], lam=0.5)
         assert m.W[:, 0].tolist() == [0.5, 0.5, -0.5, 0.5]
         assert m.b[0] == pytest.approx(-3 / 2 + 0.5)
 
@@ -292,8 +341,7 @@ class TestUniversalBaseline:
         for _ in range(10):
             body_pos, body_neg, head, head_positive = random_implication(rng, max_body=4)
             f = implication_formula(body_pos, body_neg, head, head_positive)
-            d = to_full_dnf(f)
-            m = compile_universal(d)
+            m = universal(to_full_dnf(f))
             assert m.n_hidden == 2 ** (len(body_pos) + len(body_neg) + 1) - 1
             n = max(body_pos | body_neg | {head}) + 1
             X = all_assignments(n)
@@ -302,24 +350,30 @@ class TestUniversalBaseline:
                                        -energy_rank(m, X) / m.epsilon, atol=1e-9)
 
     def test_rejects_partial_clauses(self):
-        d = L.Dnf([ConjunctiveClause((0,), ()), ConjunctiveClause((0,), (1,))])
-        with pytest.raises(ValueError):
-            compile_universal(d)
+        partial = [ConjunctiveClause((0,), ()), ConjunctiveClause((0,), (1,))]
+        with pytest.raises(ValueError, match="full DNF"):
+            universal(partial)
+        # each group is checked on its own: two full DNFs over different
+        # variables are fine side by side, a partial one is not
+        full = [(1.0, to_full_dnf(fm.Var(0))), (2.0, to_full_dnf(fm.Var(1)))]
+        universal_network(full, 2)
+        with pytest.raises(ValueError, match="full DNF"):
+            universal_network(full + [(1.0, partial)], 2)
 
     def test_lambda_range(self):
         # at Hamming distance 1 from a model the net input is lam - 1/2
         f = fm.parse_formula("y <- x1 & ~x2 & ~x3", fm.PropositionTable())
-        d = to_full_dnf(f)
+        clauses = to_full_dnf(f)
         for lam in (0.0, -0.1, 0.5000001, 0.7):
             with pytest.raises(ValueError):
-                compile_universal(d, lam=lam)
+                universal(clauses, lam=lam)
         kb = fm.KnowledgeBase(fm.PropositionTable(["y", "x1", "x2", "x3"]), [(1.0, f)])
         for lam in (0.01, 0.25, 0.5):
-            assert_equivalent(compile_universal(d, lam=lam), kb, lam)
+            assert_equivalent(universal(clauses, lam=lam), kb, lam)
 
     def test_rejects_formula_without_models(self):
         with pytest.raises(ValueError):
-            compile_universal(L.Dnf([], strict=True))
+            universal([])
 
 
 class TestAttachHiddenUnits:
@@ -345,6 +399,6 @@ class TestAttachHiddenUnits:
         assert np.abs(energy_rank(out, X) - energy_rank(m, X)).max() <= bound + 1e-12
 
     def test_negative_count(self):
-        m = compile_sdnf(L.Dnf([ConjunctiveClause((0,), ())], strict=True))
+        m = compile_sdnf([ConjunctiveClause((0,), ())])
         with pytest.raises(ValueError):
             attach_hidden_units(m, -1, 0.1, np.random.default_rng(0))

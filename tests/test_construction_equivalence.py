@@ -11,16 +11,16 @@ from hypothesis import given, settings, strategies as st
 from logicrbm import formula as fm
 from logicrbm.cli import main
 from logicrbm.compiler import (
-    CompileOptions, compile_implication, compile_kb, compile_penalty_horn,
-    compile_sdnf, compile_universal, match_implication, penalty_network,
-    universal_network,
+    compile_implication, compile_kb, compile_sdnf, match_implication,
+    penalty_network, universal_network,
 )
 from logicrbm.normal_forms import implication_to_sdnf, to_full_dnf
 from logicrbm.rbm import model_to_dict, save_model
 from logicrbm.reasoner import verify_equivalence
 
 from conftest import (
-    KB_DIR, implication_formula, random_formula, random_implication, random_kb,
+    KB_DIR, implication_formula, random_clause, random_formula, random_implication,
+    random_kb,
 )
 from reference_kernels import (
     ref_compile_implication, ref_compile_kb, ref_compile_penalty_horn,
@@ -62,7 +62,7 @@ def draw_n_visible(rng, top):
 def satisfiable_formula(rng, n_vars):
     while True:
         f = random_formula(rng, n_vars)
-        if to_full_dnf(f).clauses:
+        if to_full_dnf(f):
             return f
 
 
@@ -84,17 +84,17 @@ def test_compile_sdnf_matches_reference(seed):
     rng = np.random.default_rng(seed)
     if rng.random() < 0.5:
         body_pos, body_neg, head, head_positive = random_implication(rng, max_body=5)
-        d = implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
+        clauses = implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
     else:
-        d = to_full_dnf(random_formula(rng, int(rng.integers(1, 6))))
-    top = max((max(cl.variables()) for cl in d.clauses if cl.variables()), default=-1)
+        clauses = to_full_dnf(random_formula(rng, int(rng.integers(1, 6))))
+    top = max((max(cl.variables()) for cl in clauses if cl.variables()), default=-1)
     n_visible = draw_n_visible(rng, top)
     eps = draw_epsilon(rng)
-    confidences = None if rng.random() < 0.3 else [draw_confidence(rng) for _ in d.clauses]
+    confidences = None if rng.random() < 0.3 else [draw_confidence(rng) for _ in clauses]
     names = None if n_visible is None else [f"v{i}" for i in range(n_visible)]
     assert_same_network(
-        compile_sdnf(d, CompileOptions(eps), n_visible, confidences, names),
-        ref_compile_sdnf(d, eps, n_visible, confidences, names))
+        compile_sdnf(clauses, eps, n_visible, confidences, names),
+        ref_compile_sdnf(clauses, eps, n_visible, confidences, names))
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,8 +107,7 @@ def test_compile_implication_matches_reference(seed):
     n_visible = draw_n_visible(rng, max(body_pos | body_neg | {head}))
     eps, c = draw_epsilon(rng), draw_confidence(rng)
     assert_same_network(
-        compile_implication(body_pos, body_neg, head, CompileOptions(eps), n_visible,
-                            c, head_positive),
+        compile_implication(body_pos, body_neg, head, eps, n_visible, c, head_positive),
         ref_compile_implication(body_pos, body_neg, head, eps, n_visible, c,
                                 head_positive))
 
@@ -148,29 +147,6 @@ def as_implication(f):
                                {v for v, positive in rest if positive}, head, head_positive)
 
 
-def random_or_tree(rng, lits):
-    """A randomly nested Or over ``lits`` that keeps their left-to-right order."""
-    if len(lits) == 1:
-        return lits[0]
-    cut = int(rng.integers(1, len(lits)))
-    return fm.Or(random_or_tree(rng, lits[:cut]), random_or_tree(rng, lits[cut:]))
-
-
-def random_clause(rng, n_vars):
-    """A disjunction of 2-7 literals, repeats and complementary pairs allowed."""
-    lits = []
-    for _ in range(int(rng.integers(2, 8))):
-        if lits and rng.random() < 0.15:
-            lits.append(lits[int(rng.integers(len(lits)))])
-        elif lits and rng.random() < 0.05:
-            g = lits[int(rng.integers(len(lits)))]
-            lits.append(g.operand if isinstance(g, fm.Not) else fm.Not(g))
-        else:
-            v = fm.Var(int(rng.integers(n_vars)))
-            lits.append(fm.Not(v) if rng.random() < 0.5 else v)
-    return random_or_tree(rng, lits)
-
-
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_compile_kb_matches_reference(seed):
@@ -184,7 +160,7 @@ def test_compile_kb_matches_reference(seed):
         kb.add(draw_confidence(rng), fm.TRUE)
     kb.items = [(0.0 if rng.random() < 0.1 else w, f) for w, f in kb.items]
     eps = draw_epsilon(rng)
-    m, base = compile_kb(kb, CompileOptions(eps))
+    m, base = compile_kb(kb, eps)
     assert_same_network(m, ref_compile_kb(kb, eps))
     assert base.per_formula == [len(ref_sdnf_clauses(f)) for _, f in kb.items]
 
@@ -208,7 +184,7 @@ def test_clause_route_is_exact(seed):
             f = random_formula(rng, 4)
         kb.add(float(rng.integers(0, 4096)) / 64, f)
     eps = float(rng.integers(1, 16)) / 16
-    m, base = compile_kb(kb, CompileOptions(eps))
+    m, base = compile_kb(kb, eps)
 
     assert verify_equivalence(m, kb, eps).max_deviation == 0.0
     expected = []
@@ -219,7 +195,7 @@ def test_clause_route_is_exact(seed):
         lits = set(literal_of(g) for g in or_leaves(f))
         tautology = len({v for v, _ in lits}) < len(lits)
         expected.append(1 if tautology else len(lits))
-        alone, _ = compile_kb(fm.KnowledgeBase(table, [(w, f)]), CompileOptions(eps))
+        alone, _ = compile_kb(fm.KnowledgeBase(table, [(w, f)]), eps)
         assert alone.n_hidden == (0 if tautology else len(lits))
         assert alone.e0 == (-eps * w if tautology else 0.0)
     assert base.per_formula == expected
@@ -231,6 +207,7 @@ def test_clause_route_is_exact(seed):
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_compile_penalty_horn_matches_reference(seed):
+    """One Horn clause through ``penalty_network``."""
     rng = np.random.default_rng(seed)
     size = int(rng.integers(0, 7))
     variables = rng.permutation(size + 1)
@@ -238,20 +215,23 @@ def test_compile_penalty_horn_matches_reference(seed):
     n_visible = draw_n_visible(rng, size)
     eps, c = draw_epsilon(rng), draw_confidence(rng)
     assert_same_network(
-        compile_penalty_horn(body, head, eps, n_visible, c),
+        penalty_network([(c, implication_to_sdnf(body, (), head))],
+                        size + 1 if n_visible is None else n_visible, eps),
         ref_compile_penalty_horn(body, head, eps, n_visible, c))
 
 
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_compile_universal_matches_reference(seed):
+    """One full DNF at weight 1 through ``universal_network``."""
     rng = np.random.default_rng(seed)
-    d = to_full_dnf(satisfiable_formula(rng, int(rng.integers(1, 6))))
-    top = max((max(cl.variables()) for cl in d.clauses if cl.variables()), default=-1)
+    clauses = to_full_dnf(satisfiable_formula(rng, int(rng.integers(1, 6))))
+    top = max((max(cl.variables()) for cl in clauses if cl.variables()), default=-1)
     n_visible = draw_n_visible(rng, top)
     lam = draw_lambda(rng)
-    assert_same_network(compile_universal(d, lam, n_visible),
-                        ref_compile_universal(d, lam, n_visible))
+    assert_same_network(
+        universal_network([(1.0, clauses)], top + 1 if n_visible is None else n_visible, lam),
+        ref_compile_universal(clauses, lam, n_visible))
 
 
 @settings(max_examples=100, deadline=None)
@@ -265,7 +245,7 @@ def test_baseline_networks_match_per_formula_assembly(seed):
     groups, parts = [], []
     for w, f in kb.items:
         body_pos, _, head, _ = match_implication(f)
-        groups.append((w, implication_to_sdnf(body_pos, (), head).clauses))
+        groups.append((w, implication_to_sdnf(body_pos, (), head)))
         parts.append(ref_compile_penalty_horn(body_pos, head, eps, n_vars, w))
     assert_same_network(penalty_network(groups, n_vars, eps, names),
                         ref_hstack_models(parts, names, eps))
@@ -275,9 +255,9 @@ def test_baseline_networks_match_per_formula_assembly(seed):
     formulas = [satisfiable_formula(rng, n_vars) for _ in weights]
     groups, parts = [], []
     for w, f in zip(weights, formulas):
-        d = to_full_dnf(f)
-        groups.append((w, d.clauses))
-        part = ref_compile_universal(d, lam, n_vars)
+        clauses = to_full_dnf(f)
+        groups.append((w, clauses))
+        part = ref_compile_universal(clauses, lam, n_vars)
         part.W *= w
         part.b *= w
         parts.append(part)

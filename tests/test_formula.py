@@ -7,7 +7,7 @@ import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.errors import ParseError
 
-from conftest import random_formula
+from conftest import format_formula, random_formula
 
 
 def table(*names):
@@ -223,7 +223,7 @@ class TestProperties:
     @given(formulas())
     def test_print_parse_round_trip(self, f):
         t = table("x0", "x1", "x2", "x3")
-        assert fm.parse_formula(fm.format_formula(f, t), t) == f
+        assert fm.parse_formula(format_formula(f, t), t) == f
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(), st.integers(0, 15))

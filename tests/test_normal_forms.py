@@ -8,29 +8,31 @@ from hypothesis import given, settings, strategies as st
 from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import (
-    ConjunctiveClause, all_assignments, check_strict,
-    implication_to_sdnf, mutually_exclusive, to_full_dnf,
+    ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
 )
 
-from conftest import oracle_truth_table, random_formula, random_implication
+from conftest import (
+    check_strict, dnf_satisfied_batch, implication_formula, mutually_exclusive,
+    oracle_truth_table, random_formula, random_implication, satisfied_batch,
+)
 from reference_kernels import ref_to_full_dnf
 
 
-def clause_set(d):
-    return {(c.pos, c.neg) for c in d.clauses}
+def clause_set(clauses):
+    return {(c.pos, c.neg) for c in clauses}
 
 
-def models_of(d, n):
+def models_of(clauses, n):
     X = all_assignments(n)
-    return d.satisfied_batch(X)
+    return dnf_satisfied_batch(clauses, X)
 
 
-def assert_strict_by_enumeration(d, n):
+def assert_strict_by_enumeration(clauses, n):
     """Independent check: no assignment satisfies two clauses."""
     X = all_assignments(n)
     counts = np.zeros(len(X), dtype=int)
-    for c in d.clauses:
-        counts += c.satisfied_batch(X)
+    for c in clauses:
+        counts += satisfied_batch(c, X)
     assert counts.max(initial=0) <= 1
 
 
@@ -50,7 +52,7 @@ class TestConjunctiveClause:
         c = ConjunctiveClause((0,), (2,))
         X = all_assignments(3)
         want = (X[:, 0] > 0.5) & (X[:, 2] < 0.5)
-        assert np.array_equal(c.satisfied_batch(X), want)
+        assert np.array_equal(satisfied_batch(c, X), want)
 
 
 class TestMutualExclusion:
@@ -73,7 +75,7 @@ class TestMutualExclusion:
                 tuple(np.flatnonzero(polarity == 2)))
         c1, c2 = rand_clause(), rand_clause()
         X = all_assignments(4)
-        both = c1.satisfied_batch(X) & c2.satisfied_batch(X)
+        both = satisfied_batch(c1, X) & satisfied_batch(c2, X)
         assert mutually_exclusive(c1, c2) == (not both.any())
         assert check_strict([c1, c2]) == (not both.any())
 
@@ -90,17 +92,14 @@ class TestAllAssignments:
 class TestToFullDnf:
     def test_xor_four_clauses(self):
         f = fm.parse_formula("(x ^ y) <-> z", fm.PropositionTable())
-        d = to_full_dnf(f)
-        assert d.strict
-        assert clause_set(d) == {
+        assert clause_set(to_full_dnf(f)) == {
             ((), (0, 1, 2)), ((1, 2), (0,)), ((0, 2), (1,)), ((0, 1), (2,))}
 
     def test_single_literal(self):
-        d = to_full_dnf(fm.Var(0))
-        assert clause_set(d) == {((0,), ())}
+        assert clause_set(to_full_dnf(fm.Var(0))) == {((0,), ())}
 
     def test_const_false(self):
-        assert to_full_dnf(fm.FALSE).clauses == []
+        assert to_full_dnf(fm.FALSE) == []
 
     def test_variable_limit(self):
         f = fm.Var(0)
@@ -114,13 +113,13 @@ class TestToFullDnf:
     def test_model_preservation_and_fullness(self, seed):
         rng = np.random.default_rng(seed)
         f = random_formula(rng, 4)
-        d = to_full_dnf(f)
+        clauses = to_full_dnf(f)
         fv = fm.free_vars(f)
         n = max(fv, default=-1) + 1
         X, truth = oracle_truth_table(f, max(n, 1))
-        assert np.array_equal(models_of(d, max(n, 1)), truth)
-        assert_strict_by_enumeration(d, max(n, 1))
-        for c in d.clauses:
+        assert np.array_equal(models_of(clauses, max(n, 1)), truth)
+        assert_strict_by_enumeration(clauses, max(n, 1))
+        for c in clauses:
             assert c.variables() == fv
 
 
@@ -161,7 +160,7 @@ class TestFullDnfColumns:
         f = random_formula(rng, 5)
         col = {i: int(v) for i, v in enumerate(rng.choice(200, 5, replace=False))}
         f = spread(f, col)
-        assert to_full_dnf(f).clauses == ref_to_full_dnf(f).clauses
+        assert to_full_dnf(f) == ref_to_full_dnf(f)
 
     def test_memory_independent_of_variable_indices(self):
         low = full_dnf_peak(xor_chain(range(14)))
@@ -172,8 +171,8 @@ class TestFullDnfColumns:
 class TestImplicationToSdnf:
     def test_worked_elimination_example(self):
         # y <- x1 & ~x2 & ~x3 with y=0, x1=1, x2=2, x3=3, order x3,x2,x1
-        d = implication_to_sdnf({1}, {2, 3}, 0, order=[3, 2, 1])
-        assert [(c.pos, c.neg) for c in d.clauses] == [
+        clauses = implication_to_sdnf({1}, {2, 3}, 0, order=[3, 2, 1])
+        assert [(c.pos, c.neg) for c in clauses] == [
             ((0, 1), (2, 3)),   # y  x1 ~x2 ~x3
             ((1, 3), (2,)),     # x1 ~x2  x3
             ((1, 2), ()),       # x1  x2
@@ -181,12 +180,12 @@ class TestImplicationToSdnf:
         ]
 
     def test_horn_single_body(self):
-        d = implication_to_sdnf({1}, (), 0)
-        assert [(c.pos, c.neg) for c in d.clauses] == [((0, 1), ()), ((), (1,))]
+        clauses = implication_to_sdnf({1}, (), 0)
+        assert [(c.pos, c.neg) for c in clauses] == [((0, 1), ()), ((), (1,))]
 
     def test_negative_single_body(self):
-        d = implication_to_sdnf((), {1}, 0)
-        assert [(c.pos, c.neg) for c in d.clauses] == [((0,), (1,)), ((1,), ())]
+        clauses = implication_to_sdnf((), {1}, 0)
+        assert [(c.pos, c.neg) for c in clauses] == [((0,), (1,)), ((1,), ())]
 
     def test_precondition_errors(self):
         with pytest.raises(ValueError):
@@ -203,12 +202,11 @@ class TestImplicationToSdnf:
         body_pos, body_neg, head, head_positive = random_implication(rng, max_body=5)
         ascending = bool(rng.random() < 0.5)
         order = sorted(body_pos | body_neg, reverse=not ascending)
-        d = implication_to_sdnf(body_pos, body_neg, head, order=order,
-                                head_positive=head_positive)
-        assert len(d.clauses) == len(body_pos) + len(body_neg) + 1
-        from conftest import implication_formula
+        clauses = implication_to_sdnf(body_pos, body_neg, head, order=order,
+                                      head_positive=head_positive)
+        assert len(clauses) == len(body_pos) + len(body_neg) + 1
         f = implication_formula(body_pos, body_neg, head, head_positive)
         n = max(body_pos | body_neg | {head}) + 1
         X, truth = oracle_truth_table(f, n)
-        assert np.array_equal(models_of(d, n), truth)
-        assert_strict_by_enumeration(d, n)
+        assert np.array_equal(models_of(clauses, n), truth)
+        assert_strict_by_enumeration(clauses, n)

@@ -81,6 +81,18 @@ class TestBruteForceMaxsat:
         assert best == 40.0 and winners == [(1,) * 21]
 
 
+class TestSearchConfigs:
+    def test_counts_validated(self):
+        for bad in (dict(restarts=0), dict(restarts=-1), dict(steps=-3)):
+            with pytest.raises(ValueError):
+                GibbsConfig(**bad)
+        for bad in (dict(restarts=0), dict(sweeps=-1)):
+            with pytest.raises(ValueError):
+                DeterministicConfig(**bad)
+        GibbsConfig(steps=0, restarts=1)
+        DeterministicConfig(sweeps=0, restarts=1)
+
+
 class TestInferGibbs:
     def test_all_clamped_echo(self, xor):
         _, m = xor
@@ -250,6 +262,12 @@ class TestVerifyEquivalence:
         m = Rbm(W=np.zeros((17, 0)), a=np.zeros(17), b=np.zeros(0))
         with pytest.raises(SizeLimitError):
             verify_equivalence(m, kb, 0.5)
+
+    def test_epsilon_outside_unit_interval(self, xor):
+        kb, m = xor
+        for eps in (0.0, -1.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="epsilon"):
+                verify_equivalence(m, kb, eps)
 
     def test_argmin_argmax_duality(self):
         rng = np.random.default_rng(21)

@@ -53,6 +53,22 @@ class TestDatasetFromKb:
         d = dataset_from_kb(kb)
         assert np.array_equal(d.rows, [[0, 1]])
 
+    def test_disjunction_first_literal_true_others_false(self):
+        # ~a | b | ~c reads as ~a <- ~b & c: a = 0, b = 0, c = 1
+        kb = fm.parse_kb("~a | b | ~c\n")
+        d = dataset_from_kb(kb)
+        assert d.table.names == ["a", "b", "c"]
+        assert np.array_equal(d.rows, [[0, 0, 1]])
+
+    def test_tautology_zero_row_and_contradiction_skipped(self):
+        kb = fm.parse_kb("x | ~x\nx & ~x\n")
+        assert np.array_equal(dataset_from_kb(kb).rows, [[0]])
+
+    def test_wide_disjunction_needs_no_full_dnf(self):
+        kb = fm.parse_kb(" | ".join(f"v{i}" for i in range(21)) + "\n")
+        d = dataset_from_kb(kb)
+        assert np.array_equal(d.rows, [[1] + [0] * 20])
+
 
 class TestTrainConfig:
     def test_alpha_beta_validation(self):
