@@ -72,8 +72,11 @@ def cmd_compile(args) -> int:
 
 def _evidence_from_doc(doc, names) -> fm.Assignment:
     index = {nm: i for i, nm in enumerate(names)}
+    evidence = doc.get("evidence", {})
+    if not isinstance(evidence, dict):
+        raise ValueError(f"query evidence must be an object of name: value, not {evidence!r}")
     values = {}
-    for nm, val in doc.get("evidence", {}).items():
+    for nm, val in evidence.items():
         if nm not in index:
             raise ValueError(f"unknown proposition {nm!r} in evidence")
         if val not in (0, 1):
@@ -82,18 +85,33 @@ def _evidence_from_doc(doc, names) -> fm.Assignment:
     return fm.Assignment(values, len(names))
 
 
+def _query_int(doc, key, default) -> int:
+    """An integer field of a query file; an integral float such as 2.0 passes."""
+    val = doc.get(key, default)
+    if isinstance(val, bool) or not (
+            isinstance(val, int) or isinstance(val, float) and val.is_integer()):
+        raise ValueError(f"query field {key!r} must be an integer, not {val!r}")
+    return int(val)
+
+
 def cmd_reason(args) -> int:
     m = load_model(args.model_file)
     with open(args.query_file, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a query file must hold one JSON object")
     names = m.names or [f"x{i}" for i in range(m.n_visible)]
     index = {nm: i for i, nm in enumerate(names)}
     evidence = _evidence_from_doc(doc, names)
-    targets = tuple(index[t] for t in doc.get("targets", []))
+    targets = doc.get("targets", [])
+    if not isinstance(targets, list) or not all(
+            isinstance(t, str) and t in index for t in targets):
+        raise ValueError(f"query targets must be a list of proposition names, not {targets!r}")
+    targets = tuple(index[t] for t in targets)
     mode = doc.get("mode", "gibbs")
-    seed = int(doc.get("seed", 0))
-    steps = int(doc.get("steps", 200))
-    restarts = int(doc.get("restarts", 10))
+    seed = _query_int(doc, "seed", 0)
+    steps = _query_int(doc, "steps", 200)
+    restarts = _query_int(doc, "restarts", 10)
 
     if mode == "conditional":
         rep = infer_conditional(m, evidence, targets)

@@ -90,9 +90,12 @@ def energy_rank(m: Rbm, X) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def _sigmoid(z, out=None):
-    """0.5 * (1 + tanh(z / 2)) of an array, in ``out`` when given."""
-    out = np.multiply(z, 0.5, out=out)
+def _sigmoid(z, out=None, tau: float = 1.0):
+    """sigmoid(z / tau) as 0.5 * (1 + tanh(z / (2 tau))), in ``out`` when given.
+
+    Dividing by 2 tau rounds exactly as dividing by tau and then halving.
+    """
+    out = np.divide(z, 2.0 * tau, out=out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -102,13 +105,13 @@ def _sigmoid(z, out=None):
 def p_hidden_given_visible(m: Rbm, x) -> np.ndarray:
     if m.tau <= 0:
         raise ValueError("sampling distributions need tau > 0")
-    return _sigmoid(net_hidden(m, x) / m.tau)
+    return _sigmoid(net_hidden(m, x), tau=m.tau)
 
 
 def p_visible_given_hidden(m: Rbm, h) -> np.ndarray:
     if m.tau <= 0:
         raise ValueError("sampling distributions need tau > 0")
-    return _sigmoid(net_visible(m, h) / m.tau)
+    return _sigmoid(net_visible(m, h), tau=m.tau)
 
 
 def free_energy(m: Rbm, X) -> np.ndarray | float:

@@ -15,6 +15,7 @@ constant terms are preserved.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,15 @@ class TrainConfig:
     freeze_structure: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
-            raise ValueError("need alpha, beta >= 0 with alpha + beta > 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf
+                and self.alpha + self.beta > 0):
+            raise ValueError("need finite alpha, beta >= 0 with alpha + beta > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 = full batch)")
         if self.cd_k < 1:
             raise ValueError("cd_k must be >= 1")
 
@@ -107,8 +115,11 @@ class Grads:
     b: np.ndarray
 
 
-def _conditional(m: Rbm, rows, targets, grad: bool = True):
+def _conditional(m: Rbm, rows, targets, grad: bool = True, into: Grads | None = None):
     """Exact -log p(y | x) for each row, and the gradient of their mean.
+
+    The gradient is added to ``into`` when given (the caller zeroes it),
+    else to fresh zero arrays.
 
     Each row carries its own label y in the target columns.  Within a row's
     2^T target grid only the target columns change, so the net input of
@@ -138,7 +149,9 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True):
     # index of each row's label in counting order
     true = (rows[:, targets] @ (2 ** np.arange(len(targets) - 1, -1, -1))).astype(int)
     nll = np.empty(N)
-    g = Grads(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b)) if grad else None
+    g = into
+    if grad and g is None:
+        g = Grads(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b))
     step = block_rows(len(grid) * max(len(wired), 1))
     for start in range(0, N, step):
         X0 = rows[start:start + step].copy()
@@ -185,23 +198,61 @@ def discriminative_gradient(m: Rbm, x, y_true, targets) -> Grads:
     return _conditional(m, _labelled(x, y_true, targets), targets)[1]
 
 
+def _cd_buffers(n_visible: int, n_hidden: int, rows: int) -> tuple:
+    """Scratch arrays for one CD-k step over a batch of ``rows`` rows."""
+    return (np.empty((rows, n_hidden)), np.empty((rows, n_hidden)),
+            np.empty((rows, n_hidden)), np.empty((rows, n_visible)),
+            np.empty((rows, n_visible)), np.empty((n_visible, n_hidden)))
+
+
+def _cd_into(m: Rbm, X0, cd_k: int, rng, bufs: tuple, g: Grads):
+    """CD-k estimate of the gradient of mean -log p(x) over X0, written into g.
+
+    Every intermediate lives in ``bufs`` (see ``_cd_buffers``).  The RNG
+    draws and the arithmetic are those of the textbook step, regrouped only
+    where IEEE arithmetic gives the same bits: a mean is a sum divided by B,
+    ``-x / B`` is ``x / -B``, and ``_sigmoid`` divides by 2 tau in one step.
+    """
+    ph0, phk, H, pv, Xk, dW = bufs
+    W, a, b, tau = m.W, m.a, m.b, m.tau
+    np.matmul(X0, W, out=ph0)
+    ph0 += b
+    p = _sigmoid(ph0, ph0, tau)
+    for _ in range(cd_k):
+        np.less(rng.random(out=H), p, out=H)
+        np.matmul(H, W.T, out=pv)
+        pv += a
+        np.less(rng.random(out=Xk), _sigmoid(pv, pv, tau), out=Xk)
+        np.matmul(Xk, W, out=phk)
+        phk += b
+        p = _sigmoid(phk, phk, tau)
+    neg_B = -len(X0)
+    np.matmul(X0.T, ph0, out=g.W)
+    g.W -= np.matmul(Xk.T, phk, out=dW)
+    g.W /= neg_B
+    np.add.reduce(np.subtract(X0, Xk, out=pv), axis=0, out=g.a)
+    g.a /= neg_B
+    np.add.reduce(np.subtract(ph0, phk, out=H), axis=0, out=g.b)
+    g.b /= neg_B
+
+
 def cd_gradient(m: Rbm, x_batch, cd_k: int, rng) -> Grads:
     """CD-k estimate of the gradient of mean -log p(x) over the batch."""
     if cd_k < 1:
         raise ValueError("cd_k must be >= 1")
+    if m.tau <= 0:
+        raise ValueError("sampling distributions need tau > 0")
     X0 = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    B = len(X0)
-    ph0 = p_hidden_given_visible(m, X0)
-    Xk, phk = X0, ph0
-    for _ in range(cd_k):
-        H = (rng.random(phk.shape) < phk).astype(float)
-        pv = p_visible_given_hidden(m, H)
-        Xk = (rng.random(pv.shape) < pv).astype(float)
-        phk = p_hidden_given_visible(m, Xk)
-    gW = -(X0.T @ ph0 - Xk.T @ phk) / B
-    ga = -(X0 - Xk).mean(axis=0)
-    gb = -(ph0 - phk).mean(axis=0)
-    return Grads(gW, ga, gb)
+    g = Grads(np.empty(m.W.shape), np.empty(m.n_visible), np.empty(m.n_hidden))
+    _cd_into(m, X0, cd_k, rng, _cd_buffers(m.n_visible, m.n_hidden, len(X0)), g)
+    return g
+
+
+def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:
+    """W, a and b as views into one flat parameter-shaped buffer."""
+    k = n_visible * n_hidden
+    return (flat[:k].reshape(n_visible, n_hidden), flat[k:k + n_visible],
+            flat[k + n_visible:])
 
 
 def _clause_units(m: Rbm):
@@ -229,7 +280,21 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         raise ValueError("discriminative training needs target indices")
     if d.rows.shape[1] != m.n_visible:
         raise ValueError("dataset and model dimensions differ")
+    if m.tau <= 0:
+        raise ValueError("training needs tau > 0")
     out = m.copy()
+    n, h = out.W.shape
+    # The parameters and the gradient each live in one flat buffer, with
+    # W, a and b as views, so that a step updates them all in one operation.
+    theta = np.concatenate((out.W.ravel(), out.a, out.b))
+    G = np.empty_like(theta)
+    out.W, out.a, out.b = _flat_views(theta, n, h)
+    g = Grads(*_flat_views(G, n, h))
+    # the discriminative gradient is summed in a buffer of its own when it
+    # is added to a CD estimate
+    C = np.empty_like(theta) if cfg.alpha > 0 and cfg.beta > 0 else G
+    c = Grads(*_flat_views(C, n, h))
+    cd_buffers = {}                        # per batch length
     rng = np.random.default_rng(cfg.seed)
     targets = d.target_indices
     units, S, bias_pat = _clause_units(out) if cfg.freeze_structure \
@@ -237,31 +302,34 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     conf = np.array([float(out.clause_annotations[j]["confidence"]) for j in units])
     trace = []
     N = len(d.rows)
-    batch = N if cfg.batch_size in (0, None) else cfg.batch_size
+    batch = cfg.batch_size or max(N, 1)
     for epoch in range(cfg.epochs):
         perm = rng.permutation(N) if batch < N else np.arange(N)
-        for start in range(0, N, max(batch, 1)):
+        for start in range(0, N, batch):
             rows = d.rows[perm[start:start + batch]]
-            if len(rows) == 0:
-                continue
-            terms = []
             if cfg.alpha > 0:
-                terms.append((cfg.alpha, cd_gradient(out, rows, cfg.cd_k, rng)))
+                bufs = cd_buffers.get(len(rows))
+                if bufs is None:
+                    bufs = cd_buffers[len(rows)] = _cd_buffers(n, h, len(rows))
+                _cd_into(out, rows, cfg.cd_k, rng, bufs, g)
+                G *= cfg.alpha
             if cfg.beta > 0:
-                terms.append((cfg.beta, _conditional(out, rows, targets)[1]))
-            gW = sum(w * g.W for w, g in terms)
-            gb = sum(w * g.b for w, g in terms)
-            out.W -= cfg.lr * gW
-            out.b -= cfg.lr * gb
+                C.fill(0.0)
+                _conditional(out, rows, targets, into=c)
+                C *= cfg.beta
+                if C is not G:
+                    G += C
             if cfg.freeze_structure:
-                dc = np.einsum("ij,ij->j", S, gW[:, units]) + bias_pat * gb[units]
+                dc = np.einsum("ij,ij->j", S, g.W[:, units]) + bias_pat * g.b[units]
                 conf = np.maximum(conf - cfg.lr * dc, 0.0)
+                g.a.fill(0.0)              # visible biases stay fixed
+            G *= cfg.lr
+            theta -= G
+            if cfg.freeze_structure:
                 out.W[:, units] = S * conf
                 out.b[units] = conf * bias_pat
-            else:
-                out.a -= cfg.lr * sum(w * g.a for w, g in terms)
-        for j, c in zip(units, conf):
-            out.clause_annotations[j]["confidence"] = float(c)
+        for j, c_j in zip(units, conf):
+            out.clause_annotations[j]["confidence"] = float(c_j)
         entry = {"epoch": epoch}
         if cfg.beta > 0:
             entry["nll"] = float(_conditional(out, d.rows, targets, grad=False)[0].mean()) \
@@ -270,4 +338,5 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         recon_err = float(np.mean((d.rows - pv) ** 2)) if N else 0.0
         entry["reconstruction_error"] = recon_err
         trace.append(entry)
+    out.W, out.a, out.b = out.W.copy(), out.a.copy(), out.b.copy()
     return out, trace

@@ -233,6 +233,36 @@ class TestReason:
         code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
         assert code == 2 and ">= 0" in err and stdout == ""
 
+    @pytest.mark.parametrize("key", ["steps", "restarts", "seed"])
+    @pytest.mark.parametrize("value", [None, True, "3", 2.7, float("nan"), [2]])
+    def test_integer_fields_must_be_integers(self, xor_model, tmp_path, capsys, key, value):
+        q = self.query(tmp_path, {"mode": "gibbs", key: value})
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 2 and key in err and stdout == ""
+
+    def test_integral_float_fields_accepted(self, xor_model, tmp_path, capsys):
+        q = self.query(tmp_path, {"mode": "deterministic", "steps": 5.0, "restarts": 2.0})
+        code, stdout, _ = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 0 and json.loads(stdout)["restarts"] == 2
+
+    @pytest.mark.parametrize("doc", [[{"mode": "gibbs"}], "gibbs", 3, None])
+    def test_query_must_be_an_object(self, xor_model, tmp_path, capsys, doc):
+        q = self.query(tmp_path, doc)
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 2 and "JSON object" in err and stdout == ""
+
+    @pytest.mark.parametrize("evidence", [["x"], "x", 1, None])
+    def test_evidence_must_be_an_object(self, xor_model, tmp_path, capsys, evidence):
+        q = self.query(tmp_path, {"mode": "exact", "evidence": evidence})
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 2 and "evidence" in err and stdout == ""
+
+    @pytest.mark.parametrize("targets", ["z", [["z"]], ["q"], 3])
+    def test_targets_must_name_propositions(self, xor_model, tmp_path, capsys, targets):
+        q = self.query(tmp_path, {"mode": "conditional", "targets": targets})
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert code == 2 and "targets" in err and stdout == ""
+
 
 class TestVerify:
     def test_compiled_model_passes(self, nixon_model, kb_dir, capsys):
@@ -293,6 +323,18 @@ class TestTrainExtract:
                          "--targets", "z", "--epochs", "3", "--lr", "0.01",
                          "-o", str(out))
         assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
+                                             ("--epochs", "-3"), ("--batch-size", "-1")])
+    def test_train_rejects_bad_hyperparameters(self, tmp_path, xor_model, capsys,
+                                               flag, value):
+        data = tmp_path / "xor.csv"
+        data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        out = tmp_path / "trained.json"
+        code, stdout, err = run(capsys, "train", str(xor_model), str(data),
+                                "--targets", "z", f"{flag}={value}", "-o", str(out))
+        assert code == 2 and flag.lstrip("-").replace("-", "_") in err and stdout == ""
+        assert not out.exists()
 
     def test_train_refuses_zero_temperature(self, tmp_path, xor_model, capsys):
         doc = json.loads(xor_model.read_text())

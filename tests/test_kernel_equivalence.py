@@ -4,6 +4,7 @@ kernel and the CD-k training step against the straightforward loops in
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import logicrbm as L
@@ -172,6 +173,10 @@ def same_bytes(new, ref):
                for x, y in ((new.W, ref.W), (new.a, ref.a), (new.b, ref.b)))
 
 
+# temperatures other than 1 exercise the net / (2 tau) regrouping of the kernel
+TAUS = (1.0, 0.3, 0.7, 2.5)
+
+
 class TestCdKernel:
     """CD-k and the SGD step agree with the momentum-buffer loop bit for bit.
 
@@ -185,7 +190,7 @@ class TestCdKernel:
     def test_cd_gradient_matches_reference_bytes(self, seed, cd_k, batch):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
-        m = random_rbm(rng, n, int(rng.integers(1, 7)))
+        m = random_rbm(rng, n, int(rng.integers(1, 7)), tau=float(rng.choice(TAUS)))
         X = (rng.random((batch, n)) < 0.5).astype(float)
         s = int(rng.integers(1 << 31))
         new_rng, ref_rng = np.random.default_rng(s), np.random.default_rng(s)
@@ -198,12 +203,62 @@ class TestCdKernel:
     def test_cd_training_matches_reference_bytes(self, seed, cd_k, batch):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
-        m = random_rbm(rng, n, int(rng.integers(1, 6)))
+        m = random_rbm(rng, n, int(rng.integers(1, 6)), tau=float(rng.choice(TAUS)))
         table = fm.PropositionTable([f"v{i}" for i in range(n)])
         d = Dataset(table, (rng.random((int(rng.integers(1, 9)), n)) < 0.5).astype(float))
         cfg = TrainConfig(alpha=float(rng.choice([0.3, 1.0])), beta=0.0, lr=0.1,
                           epochs=int(rng.integers(1, 6)), batch_size=batch, cd_k=cd_k,
                           seed=int(rng.integers(1 << 31)))
+        out, trace = L.train(m, d, cfg)
+        ref, ref_trace = ref_train(m, d, cfg)
+        assert same_bytes(out, ref)
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_ragged_last_batch_matches_reference_bytes(self, tau):
+        rng = np.random.default_rng(7)
+        m = random_rbm(rng, 4, 3, tau=tau)
+        table = fm.PropositionTable([f"v{i}" for i in range(4)])
+        d = Dataset(table, (rng.random((7, 4)) < 0.5).astype(float))
+        cfg = TrainConfig(alpha=0.7, beta=0.0, lr=0.1, epochs=4, batch_size=3, cd_k=2,
+                          seed=5)
+        out, trace = L.train(m, d, cfg)          # batches of 3, 3 and 1 rows
+        ref, ref_trace = ref_train(m, d, cfg)
+        assert same_bytes(out, ref)
+        assert trace == ref_trace
+
+    def test_ragged_hybrid_batch_matches_reference(self):
+        rng = np.random.default_rng(8)
+        m, table = mixed_network(rng, 5, 2)
+        m.tau = 0.7
+        d = Dataset(table, (rng.random((5, 5)) < 0.5).astype(float), (1, 3))
+        for frozen in (False, True):
+            assert_same_training(m, d, TrainConfig(alpha=0.5, beta=1.0, lr=0.05, epochs=3,
+                                                   batch_size=2, seed=6,
+                                                   freeze_structure=frozen))
+
+    def test_returns_owned_arrays_and_leaves_input_alone(self):
+        rng = np.random.default_rng(9)
+        m = random_rbm(rng, 3, 4)
+        before = m.copy()
+        table = fm.PropositionTable(["x", "y", "z"])
+        d = Dataset(table, (rng.random((4, 3)) < 0.5).astype(float))
+        out, _ = L.train(m, d, TrainConfig(alpha=1.0, beta=0.0, epochs=2, batch_size=1))
+        params = (out.W, out.a, out.b)
+        for arr in params:
+            assert arr.base is None and arr.flags.owndata and arr.flags.c_contiguous
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(params)
+                       for y in params[i + 1:] + (m.W, m.a, m.b))
+        assert same_bytes(m, before)
+
+    def test_criterion_8_run_matches_reference_bytes(self):
+        """500 epochs of the criterion-8 XOR run (seed 22), 2 000 CD-1 steps."""
+        table = fm.PropositionTable(["x", "y", "z"])
+        d = Dataset(table, [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        init = np.random.default_rng(22)
+        m = L.Rbm(W=init.normal(0, 1.5, (3, 4)), a=np.zeros(3), b=np.zeros(4))
+        cfg = TrainConfig(alpha=1.0, beta=0.0, lr=0.1, epochs=500, cd_k=1, batch_size=1,
+                          seed=22)
         out, trace = L.train(m, d, cfg)
         ref, ref_trace = ref_train(m, d, cfg)
         assert same_bytes(out, ref)

@@ -81,6 +81,24 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(alpha=1.0, beta=0.0, cd_k=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_objective_weights_must_be_finite(self, field):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                TrainConfig(**{field: value})
+
+    def test_negative_epochs_and_batch_size(self):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=-3)
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=-1)
+        TrainConfig(epochs=0, batch_size=0)           # the boundaries stay valid
+
 
 class TestConditionalNll:
     def test_matches_manual_softmax(self):
