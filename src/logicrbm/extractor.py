@@ -30,36 +30,56 @@ class ExtractedClause:
     empty: bool = False
 
 
-def _candidates(column: np.ndarray, prune_fractions):
-    top = np.abs(column).max()
-    if top == 0.0:
-        yield np.zeros_like(column), 0.0
-        return
-    for f in prune_fractions:
-        keep = np.abs(column) >= f * top
-        if not keep.any():
+# columns scored per block: each block array holds at most this many elements
+EXTRACT_BLOCK = 1 << 15
+
+
+def _block_scores(Wb: np.ndarray):
+    """Winning prune fraction, its scale c and its distance for each column.
+
+    Every column is scored against every fraction at once.  A fraction
+    replaces the running best only when its distance is smaller by more
+    than 1e-15, so the first of near-equal candidates wins.  An all-zero
+    column keeps every entry, and scores c = 0 at distance 0.
+    """
+    A = np.abs(Wb)
+    top = A.max(axis=0)
+    best_k = np.zeros(Wb.shape[1], dtype=int)
+    for k, f in enumerate(DEFAULT_PRUNE_FRACTIONS):
+        keep = A >= f * top
+        c = np.where(keep, A, 0.0).sum(axis=0) / keep.sum(axis=0)
+        resid = Wb - np.sign(Wb) * keep * c
+        dist = np.sqrt(np.einsum("ij,ij->j", resid, resid))
+        if k == 0:
+            best_c, best_d = c, dist
             continue
-        s = np.sign(column) * keep
-        c = float(np.abs(column[keep]).mean())
-        yield s, c
+        better = dist < best_d - 1e-15
+        best_k[better] = k
+        best_c = np.where(better, c, best_c)
+        best_d = np.where(better, dist, best_d)
+    keep = A >= np.asarray(DEFAULT_PRUNE_FRACTIONS)[best_k] * top
+    return keep, best_c, best_d
+
+
+def _rows_per_column(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """The True row indices of each column, ascending."""
+    rows = np.nonzero(mask.T)[1].tolist()
+    ends = np.cumsum(mask.sum(axis=0)).tolist()
+    return [tuple(rows[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
 
 def extract_clauses(m: Rbm) -> list[ExtractedClause]:
-    """Best-matching clause for every hidden column."""
+    """Best-matching clause for every hidden column, scored in column blocks."""
     out = []
-    for j in range(m.n_hidden):
-        column = m.W[:, j]
-        best = None
-        for s, c in _candidates(column, DEFAULT_PRUNE_FRACTIONS):
-            dist = float(np.linalg.norm(column - c * s))
-            if best is None or dist < best[0] - 1e-15:
-                best = (dist, s, c)
-        dist, s, c = best
-        clause = ConjunctiveClause(
-            tuple(np.flatnonzero(s > 0).tolist()),
-            tuple(np.flatnonzero(s < 0).tolist()))
-        out.append(ExtractedClause(clause=clause, c=c, hidden_index=j,
-                                   distance=dist, empty=not clause.variables()))
+    step = max(1, EXTRACT_BLOCK // max(m.n_visible, 1))
+    for start in range(0, m.n_hidden, step):
+        Wb = m.W[:, start:start + step]
+        keep, cs, dists = _block_scores(Wb)
+        for j, (pos, neg) in enumerate(zip(_rows_per_column(keep & (Wb > 0)),
+                                           _rows_per_column(keep & (Wb < 0)))):
+            out.append(ExtractedClause(clause=ConjunctiveClause(pos, neg), c=float(cs[j]),
+                                       hidden_index=start + j, distance=float(dists[j]),
+                                       empty=not (pos or neg)))
     return out
 
 

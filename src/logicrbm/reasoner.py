@@ -21,6 +21,9 @@ from .rbm import Rbm, block_rows, energy_rank, free_energy, _check_epsilon, _sig
 BRUTE_LIMIT = 24
 VERIFY_LIMIT = 16
 CONDITIONAL_LIMIT = 16
+# Gibbs and descent hold restarts x (visible + hidden units) elements per
+# state array and one trace entry per step; both stay within this bound.
+SEARCH_LIMIT = 1 << 22
 # Gibbs anneals geometrically from TAU_START down to TAU_END over its steps.
 TAU_START = 1.0
 TAU_END = 0.05
@@ -102,6 +105,15 @@ def brute_force_maxsat(kb: KnowledgeBase, evidence: Assignment):
     return winners, best
 
 
+def _check_search_size(m: Rbm, restarts: int, steps: int):
+    width = m.n_visible + m.n_hidden
+    if restarts * width > SEARCH_LIMIT:
+        raise SizeLimitError(
+            f"{restarts} restarts x {width} units exceeds the search limit {SEARCH_LIMIT}")
+    if steps > SEARCH_LIMIT:
+        raise SizeLimitError(f"{steps} steps exceeds the search limit {SEARCH_LIMIT}")
+
+
 def _report_from_state(m: Rbm, x, steps, restarts, trace) -> InferenceReport:
     er = energy_rank(m, x)
     ws = None if m.epsilon is None else -er / m.epsilon
@@ -117,7 +129,11 @@ class _Clamped:
     Clamped columns never change during a search, so their share of the
     hidden net input and of ``e0 - a.x`` is computed once; a batch of free
     parts ``Xf`` (columns in ``free`` order) then costs one product with
-    the free rows of W.
+    the free rows of W.  Only the ``wired`` hidden units, those with a
+    nonzero weight on some free variable, can move: every other unit's
+    net input is its constant ``base_j``, so its ``max(base_j, 0)`` is
+    folded into ``e_base`` and ``W``, ``base`` and the net inputs keep the
+    wired columns alone.
     """
 
     def __init__(self, m: Rbm, evidence: Assignment):
@@ -125,17 +141,23 @@ class _Clamped:
         self.free = np.array(evidence.unassigned(), dtype=int)
         self.clamped = np.array(evidence.assigned(), dtype=int)
         self.xc = np.array([float(evidence.values[i]) for i in self.clamped])
-        self.W = m.W[self.free]
+        W_free = m.W[self.free]
+        touches = (W_free != 0).any(axis=0)
+        self.wired = np.flatnonzero(touches)
+        base = self.xc @ m.W[self.clamped] + m.b
+        self.W = W_free[:, self.wired]
         self.a = m.a[self.free]
-        self.base = self.xc @ m.W[self.clamped] + m.b
-        self.e_base = m.e0 - self.xc @ m.a[self.clamped]
+        self.base = base[self.wired]
+        self.e_base = (m.e0 - self.xc @ m.a[self.clamped]
+                       - np.maximum(base[~touches], 0.0).sum())
 
     def net_and_energy(self, Xf):
-        """Hidden net input and E_rank of each row of free values."""
+        """Wired units' net input and E_rank of each row of free values."""
         net = self.base + Xf @ self.W
         return net, self.e_base - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
 
     def net_visible(self, H):
+        """Free visibles' net input from the wired units' states."""
         return H @ self.W.T + self.a
 
     def full(self, xf) -> np.ndarray:
@@ -163,11 +185,12 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     """Clamped Gibbs chains with a geometric temperature anneal.
 
     Runs all restarts in lockstep and reports the best-energy visible state
-    visited by any chain at any step.  Only the free visible columns are
-    updated, and each step's net input serves both its energy and the
-    next hidden sample.
+    visited by any chain at any step.  Only the free visible columns and
+    the wired hidden units are updated, and each step's net input serves
+    both its energy and the next hidden sample.
     """
     config = config or GibbsConfig()
+    _check_search_size(m, config.restarts, config.steps)
     rng = np.random.default_rng(config.seed)
     c = _Clamped(m, q.evidence)
     Xf = c.initial_states(config.restarts, rng)
@@ -178,7 +201,9 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     for step in range(config.steps):
         tau = taus[step]
         ph = _sigmoid(net / tau)
-        H = (rng.random(ph.shape) < ph).astype(float)
+        # uniforms for every hidden unit keep the random stream of the full chain
+        U = rng.random((config.restarts, m.n_hidden)).take(c.wired, axis=1)
+        H = (U < ph).astype(float)
         if len(c.free):
             pv = _sigmoid(c.net_visible(H) / tau)
             Xf = (rng.random(pv.shape) < pv).astype(float)
@@ -201,6 +226,7 @@ def infer_deterministic(m: Rbm, q: Query,
     its own fixed point and keeps its own energy trace.
     """
     config = config or DeterministicConfig()
+    _check_search_size(m, config.restarts, config.sweeps)
     rng = np.random.default_rng(config.seed)
     c = _Clamped(m, q.evidence)
     Xf = c.initial_states(config.restarts, rng)

@@ -4,11 +4,12 @@ These are the original per-construction unit loops and the model
 concatenation the command line used for the baselines, the original
 full-DNF conversion and the formula-to-clause routing without the clause
 route for disjunctions of literals, the original
-full-column Gibbs and descent loops, the CD-k estimator and the per-row
-discriminative training loop with its zero-buffer and velocity update,
-kept here only as oracles for the shared clause kernel in
-``logicrbm.compiler`` and the incremental and batched kernels in
-``logicrbm.reasoner`` and ``logicrbm.trainer``.  The search and training
+full-column Gibbs and descent loops over every hidden unit, the CD-k
+estimator, the per-row discriminative training loop with its zero-buffer
+and velocity update and the per-column extraction loop, kept here only as
+oracles for the shared clause kernel in ``logicrbm.compiler`` and the
+incremental, batched and blocked kernels in ``logicrbm.reasoner``,
+``logicrbm.trainer`` and ``logicrbm.extractor``.  The search and training
 loops draw random numbers in the same order as the library, so for the
 same seed both must reach the same answers.
 """
@@ -17,6 +18,7 @@ import numpy as np
 from logicrbm import formula as fm
 from logicrbm.compiler import match_implication
 from logicrbm.errors import SizeLimitError
+from logicrbm.extractor import DEFAULT_PRUNE_FRACTIONS, ExtractedClause
 from logicrbm.normal_forms import (
     ConjunctiveClause, all_assignments, implication_to_sdnf,
 )
@@ -261,6 +263,19 @@ def ref_infer_deterministic(m, q, config=None):
     return _report_from_state(m, best_x, config.sweeps, config.restarts, traces)
 
 
+def ref_infer_exact(m, evidence):
+    """Every completion at once, scored over every hidden unit; ties go to
+    the first completion in counting order, the smallest state."""
+    free = evidence.unassigned()
+    X = np.zeros((2 ** len(free), m.n_visible))
+    for i, v in evidence.values.items():
+        X[:, i] = float(v)
+    X[:, list(free)] = all_assignments(len(free))
+    E = energy_rank(m, X)
+    k = int(np.argmin(E))
+    return _report_from_state(m, X[k], 2 ** len(free), 1, [])
+
+
 def _target_grid(x, targets):
     grid = all_assignments(len(targets))
     X = np.tile(np.asarray(x, dtype=float), (len(grid), 1))
@@ -388,3 +403,40 @@ def ref_train(m, d, cfg):
         entry["reconstruction_error"] = float(np.mean((d.rows - pv) ** 2)) if N else 0.0
         trace.append(entry)
     return out, trace
+
+
+# ---------------------------------------------------------------------------
+# Extraction: one column and one prune fraction at a time
+# ---------------------------------------------------------------------------
+
+def ref_candidates(column, prune_fractions=DEFAULT_PRUNE_FRACTIONS):
+    """(sign pattern, scale) for each prune fraction of one column."""
+    top = np.abs(column).max()
+    if top == 0.0:
+        yield np.zeros_like(column), 0.0
+        return
+    for f in prune_fractions:
+        keep = np.abs(column) >= f * top
+        if not keep.any():
+            continue
+        s = np.sign(column) * keep
+        c = float(np.abs(column[keep]).mean())
+        yield s, c
+
+
+def ref_extract_clauses(m):
+    out = []
+    for j in range(m.n_hidden):
+        column = m.W[:, j]
+        best = None
+        for s, c in ref_candidates(column):
+            dist = float(np.linalg.norm(column - c * s))
+            if best is None or dist < best[0] - 1e-15:
+                best = (dist, s, c)
+        dist, s, c = best
+        clause = ConjunctiveClause(
+            tuple(np.flatnonzero(s > 0).tolist()),
+            tuple(np.flatnonzero(s < 0).tolist()))
+        out.append(ExtractedClause(clause=clause, c=c, hidden_index=j,
+                                   distance=dist, empty=not clause.variables()))
+    return out

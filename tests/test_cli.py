@@ -1,9 +1,15 @@
 """End-to-end command-line tests driving logicrbm.cli.main()."""
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logicrbm
 from logicrbm.cli import OneHotSpec, ingest_categorical, main
 from logicrbm.rbm import Rbm, load_model, save_model
 
@@ -186,6 +192,28 @@ class TestReason:
         q = self.query(tmp_path, {"mode": "exact"})
         code, _, err = run(capsys, "reason", str(model), str(q))
         assert code == 3 and "limit" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"mode": "deterministic", "restarts": 1e9, "steps": 0},
+        {"mode": "gibbs", "restarts": 1e9},
+        {"mode": "gibbs", "restarts": 10 ** 7},
+        {"mode": "gibbs", "steps": 1e30},
+        {"mode": "deterministic", "steps": 10 ** 12},
+    ])
+    def test_search_size_limit_before_allocation(self, xor_model, tmp_path, doc):
+        # under a 1 GiB address-space cap a search that sized its arrays
+        # first would fail at once with a MemoryError rather than swap
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(logicrbm.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "logicrbm", "reason", str(xor_model),
+             str(self.query(tmp_path, doc))],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3 and "search limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_model_names_mismatch(self, xor_model, tmp_path, capsys):
         doc = json.loads(xor_model.read_text())

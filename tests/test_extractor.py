@@ -1,5 +1,6 @@
 """Clause extraction from weight columns and reliability scoring."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import pytest
 from logicrbm import formula as fm
 from logicrbm.compiler import compile_kb
 from logicrbm.extractor import (
-    DEFAULT_PRUNE_FRACTIONS, _candidates, extract_clauses, format_listing,
-    listing_to_json, reliability_ratio,
+    EXTRACT_BLOCK, extract_clauses, format_listing, listing_to_json, reliability_ratio,
 )
 from logicrbm.normal_forms import ConjunctiveClause
 from logicrbm.rbm import Rbm
-from logicrbm.trainer import Dataset
+from logicrbm.trainer import Dataset, TrainConfig, train
 
 from conftest import random_kb
+from reference_kernels import ref_candidates, ref_extract_clauses
 
 
 def rbm_with_columns(*columns):
@@ -78,8 +79,75 @@ class TestExtractClauses:
             m = rbm_with_columns(col)
             [ec] = extract_clauses(m)
             dists = [np.linalg.norm(col - c * s)
-                     for s, c in _candidates(col, DEFAULT_PRUNE_FRACTIONS)]
+                     for s, c in ref_candidates(col)]
             assert ec.distance == pytest.approx(min(dists), abs=1e-12)
+
+
+def fields(extracted):
+    return [(e.clause, e.hidden_index, e.empty) for e in extracted]
+
+
+def assert_matches_reference(m):
+    """Same clauses as the per-column loop; c and distance to rounding, since
+    BLAS dot and numpy's pairwise mean sum in another order than the
+    blocked reductions."""
+    new, ref = extract_clauses(m), ref_extract_clauses(m)
+    assert fields(new) == fields(ref)
+    np.testing.assert_allclose([e.c for e in new], [e.c for e in ref], rtol=1e-12)
+    np.testing.assert_allclose([e.distance for e in new], [e.distance for e in ref],
+                               rtol=1e-12, atol=1e-12)
+
+
+class TestAgainstReferenceLoop:
+    """The blocked array scoring against the per-column, per-fraction loop."""
+
+    def test_dense_columns_across_blocks(self):
+        rng = np.random.default_rng(48)
+        n = 40
+        H = 2 * (EXTRACT_BLOCK // n) + 7          # three column blocks
+        W = rng.normal(0, 2, (n, H))
+        W[rng.random(W.shape) < 0.3] = 0.0
+        W[:, 5] = 0.0
+        W[:, 9] = np.where(rng.random(n) < 0.5, 1.5, -1.5)
+        assert_matches_reference(Rbm(W=W, a=np.zeros(n), b=np.zeros(H)))
+
+    def test_compiled_and_frozen_trained_networks(self):
+        rng = np.random.default_rng(49)
+        for _ in range(15):
+            kb = random_kb(rng, n_vars=6, n_formulas=4, w_low=0.1, w_high=10.0)
+            m, _ = compile_kb(kb)
+            rows = (rng.random((6, 6)) < 0.5).astype(float)
+            trained, _ = train(m, Dataset(kb.table, rows, (0, 1)),
+                               TrainConfig(beta=1.0, lr=0.05, epochs=3,
+                                           freeze_structure=True))
+            assert_matches_reference(m)
+            assert_matches_reference(trained)
+
+    def test_exact_tie_keeps_the_first_fraction(self):
+        # keeping all four entries (c = 1.5) and keeping only the 3 (c = 3)
+        # both leave a residual of norm sqrt(3); the earlier fraction wins
+        m = rbm_with_columns([3.0, 1.0, 1.0, 1.0])
+        [ec] = extract_clauses(m)
+        assert (ec.clause.pos, ec.clause.neg) == ((0, 1, 2, 3), ())
+        assert_matches_reference(m)
+
+    def test_no_hidden_units(self):
+        m = Rbm(W=np.zeros((3, 0)), a=np.zeros(3), b=np.zeros(0))
+        assert extract_clauses(m) == []
+
+    def test_working_memory_does_not_grow_with_the_network(self):
+        rng = np.random.default_rng(50)
+        W = rng.normal(0, 1, (200, 8000))
+        W[rng.random(W.shape) < 0.97] = 0.0
+        m = Rbm(W=W, a=np.zeros(200), b=np.zeros(8000))
+        tracemalloc.start()
+        try:
+            extracted = extract_clauses(m)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(extracted) == 8000
+        assert peak - kept < W.nbytes / 4
 
 
 def labelled_dataset():

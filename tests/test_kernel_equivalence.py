@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import attach_hidden_units
-from logicrbm.rbm import block_rows
-from logicrbm.reasoner import DeterministicConfig, GibbsConfig, Query
+from logicrbm.rbm import block_rows, energy_rank
+from logicrbm.reasoner import (
+    DeterministicConfig, GibbsConfig, Query, _Clamped, brute_force_maxsat, infer_exact,
+)
 from logicrbm.trainer import Dataset, TrainConfig, cd_gradient, discriminative_gradient
 
 from conftest import random_kb, random_rbm
 from reference_kernels import (
     ref_cd_gradient, ref_discriminative_gradient, ref_infer_deterministic,
-    ref_infer_gibbs, ref_train,
+    ref_infer_exact, ref_infer_gibbs, ref_train,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -90,6 +92,119 @@ class TestSearchKernels:
             weights = fm.weighted_sat_batch(
                 kb, np.array([r.vector(m.n_visible) for r in gibbs]))
             assert abs(weights[0] - weights[1]) <= 1e-9
+
+
+def sparse_rbm(rng, n_visible, n_hidden, zero_columns=()):
+    """A random network with most weights zero, so a query leaves units loose."""
+    m = random_rbm(rng, n_visible, n_hidden)
+    m.W[rng.random(m.W.shape) < rng.uniform(0.4, 0.9)] = 0.0
+    m.W[:, list(zero_columns)] = 0.0
+    m.epsilon = 0.5
+    return m
+
+
+def sparse_search_instance(seed):
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(1, 12))
+    m = sparse_rbm(rng, int(rng.integers(1, 9)), h,
+                   zero_columns=np.flatnonzero(rng.random(h) < 0.2))
+    return rng, m, random_query(rng, m)
+
+
+def search_configs(rng):
+    s = int(rng.integers(1 << 31))
+    return (GibbsConfig(steps=int(rng.integers(0, 40)), restarts=int(rng.integers(1, 6)),
+                        seed=s),
+            DeterministicConfig(sweeps=int(rng.integers(0, 20)),
+                                restarts=int(rng.integers(1, 6)), seed=s))
+
+
+def assert_same_traces(new, ref):
+    if new.energy_trace and isinstance(new.energy_trace[0], list):
+        assert [len(t) for t in new.energy_trace] == [len(t) for t in ref.energy_trace]
+        for a, b in zip(new.energy_trace, ref.energy_trace):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+    else:
+        np.testing.assert_allclose(new.energy_trace, ref.energy_trace, rtol=0, atol=1e-9)
+
+
+def assert_same_search(m, q, gibbs_cfg, descent_cfg, weigh=None):
+    """Gibbs, descent and exact search all agree with the full-network loops.
+
+    With ``weigh`` (a weighted_sat of state rows) differing answers pass
+    when they weigh the same: states that tie exactly can round apart once
+    the loose units' constant regroups the energy sum.
+    """
+    pairs = ((L.infer_gibbs(m, q, gibbs_cfg), ref_infer_gibbs(m, q, gibbs_cfg)),
+             (L.infer_deterministic(m, q, descent_cfg),
+              ref_infer_deterministic(m, q, descent_cfg)),
+             (infer_exact(m, q.evidence), ref_infer_exact(m, q.evidence)))
+    for new, ref in pairs:
+        assert abs(new.weighted_sat - ref.weighted_sat) <= 1e-9
+        assert (new.steps, new.restarts) == (ref.steps, ref.restarts)
+        assert_same_traces(new, ref)
+        if new.assignment != ref.assignment:
+            assert weigh is not None
+            w = weigh(np.array([r.vector(m.n_visible) for r in (new, ref)]))
+            assert abs(w[0] - w[1]) <= 1e-9
+
+
+def loose_units(m, evidence):
+    return int((~(m.W[list(evidence.unassigned())] != 0).any(axis=0)).sum())
+
+
+class TestSparseSearch:
+    """Searches fold the units no free variable reaches into one constant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_clamped_kernel_keeps_only_wired_units(self, seed):
+        rng, m, q = sparse_search_instance(seed)
+        c = _Clamped(m, q.evidence)
+        assert c.W.shape[1] == m.n_hidden - loose_units(m, q.evidence)
+        Xf = (rng.random((4, len(c.free))) < 0.5).astype(float)
+        _, E = c.net_and_energy(Xf)
+        X = np.array([c.full(x) for x in Xf])
+        np.testing.assert_allclose(E, energy_rank(m, X), rtol=0, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_searches_match_reference(self, seed):
+        rng, m, q = sparse_search_instance(seed)
+        assert_same_search(m, q, *search_configs(rng))
+
+    @pytest.mark.parametrize("case", ["all clamped", "none clamped", "zero column"])
+    def test_edge_cases(self, case):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 9])
+            m = sparse_rbm(rng, 6, 8, zero_columns=[3] if case == "zero column" else [])
+            n_clamped = {"all clamped": 6, "none clamped": 0, "zero column": 3}[case]
+            clamp = {int(i): bool(rng.random() < 0.5)
+                     for i in rng.permutation(6)[:n_clamped]}
+            q = Query(evidence=fm.Assignment(clamp, 6))
+            if case == "all clamped":
+                assert loose_units(m, q.evidence) == m.n_hidden
+            assert_same_search(m, q, *search_configs(rng))
+
+    def test_compiled_kbs_with_most_variables_clamped(self):
+        loose = 0
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 10])
+            kb = random_kb(rng, n_vars=8, n_formulas=6, w_low=0.5, w_high=5.0)
+            m, _ = L.compile_kb(kb)
+            free = rng.permutation(8)[: rng.integers(1, 4)]
+            evidence = fm.Assignment({i: bool(rng.random() < 0.5)
+                                      for i in range(8) if i not in free}, 8)
+            q = Query(evidence=evidence)
+            loose += loose_units(m, evidence)
+            assert_same_search(m, q, GibbsConfig(steps=30, restarts=3, seed=seed),
+                               DeterministicConfig(restarts=3, seed=seed),
+                               weigh=lambda X: fm.weighted_sat_batch(kb, X))
+            winners, best = brute_force_maxsat(kb, evidence)
+            rep = infer_exact(m, evidence)
+            assert abs(rep.weighted_sat - best) <= 1e-9
+            assert tuple(int(rep.assignment[i]) for i in range(8)) in winners
+        assert loose > 0
 
 
 def mixed_network(rng, n, free_units):
