@@ -12,7 +12,7 @@ from .normal_forms import (
     ConjunctiveClause, implication_to_sdnf, to_full_dnf,
 )
 from .rbm import (
-    Rbm, energy_rank, free_energy, load_model,
+    Rbm, energy_rank, load_model,
     p_hidden_given_visible, p_visible_given_hidden, save_model,
 )
 from .compiler import (

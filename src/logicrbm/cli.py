@@ -29,8 +29,6 @@ from .reasoner import (
 from .trainer import Dataset, TrainConfig, dataset_from_kb, train
 from .extractor import extract_clauses, format_listing, listing_to_json, reliability_ratio
 
-VERIFY_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # compile
@@ -239,10 +237,10 @@ def cmd_verify(args) -> int:
         "max_deviation": report.max_deviation,
         "witness": {names[i]: v for i, v in report.witness.items()},
         "n_assignments": report.n_assignments,
-        "ok": report.ok(VERIFY_TOL),
+        "ok": report.ok(),
     }
     print(json.dumps(out, indent=1))
-    return 0 if report.ok(VERIFY_TOL) else 1
+    return 0 if report.ok() else 1
 
 
 # ---------------------------------------------------------------------------

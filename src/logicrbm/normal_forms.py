@@ -59,16 +59,16 @@ def _relabel(f: fm.Formula, col: dict[int, int]) -> fm.Formula:
     return type(f)(*(_relabel(getattr(f, x.name), col) for x in fields(f)))
 
 
-def to_full_dnf(f: fm.Formula, limit: int = DEFAULT_VAR_LIMIT) -> list[ConjunctiveClause]:
+def to_full_dnf(f: fm.Formula) -> list[ConjunctiveClause]:
     """One clause per satisfying assignment over the free variables.
 
     Every free variable appears in every clause, so the result is both full
     and strict.  Exponential in the number of free variables; guarded.
     """
     variables = sorted(fm.free_vars(f))
-    if len(variables) > limit:
+    if len(variables) > DEFAULT_VAR_LIMIT:
         raise SizeLimitError(
-            f"{len(variables)} free variables exceeds the full-DNF limit of {limit}")
+            f"{len(variables)} free variables exceeds the full-DNF limit of {DEFAULT_VAR_LIMIT}")
     grid = all_assignments(len(variables))
     sat = fm.evaluate_batch(_relabel(f, {v: col for col, v in enumerate(variables)}), grid)
     clauses = []

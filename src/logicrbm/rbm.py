@@ -17,10 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Enumerating kernels (verification, exact search, exact conditional
-# training) work in row blocks of at most this many float64 elements per
+from .errors import SizeLimitError
+from .normal_forms import all_assignments
+
+# Enumerating kernels (verification, exact search, exact conditionals)
+# work in row blocks of at most this many float64 elements per
 # intermediate array, whatever the size of the enumeration.
 BLOCK_ELEMENTS = 1 << 20
+CONDITIONAL_LIMIT = 16                  # targets of an exact p(y | x)
 
 
 def block_rows(width: int) -> int:
@@ -114,18 +118,40 @@ def p_visible_given_hidden(m: Rbm, h) -> np.ndarray:
     return _sigmoid(net_visible(m, h), tau=m.tau)
 
 
-def free_energy(m: Rbm, X) -> np.ndarray | float:
-    """-tau * log sum_h exp(-E(x,h)/tau); equals E_rank in the tau -> 0 limit."""
-    X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    X2 = np.atleast_2d(X)
-    net = net_hidden(m, X2)
-    if m.tau > 0:
-        soft = m.tau * np.logaddexp(0.0, net / m.tau).sum(axis=1)
-    else:
-        soft = np.maximum(net, 0.0).sum(axis=1)
-    out = m.e0 - X2 @ m.a - soft
-    return float(out[0]) if single else out
+class _TargetGrid:
+    """Exact p(y | x) over the 2^T configurations y of the targets.
+
+    Configuration c has net input ``net0 + grid_c @ W[T]``; units with no
+    weight on a target add the same soft-plus term for every c, which
+    cancels, so only the ``wired`` units are evaluated.  ``step`` rows keep
+    step x 2^T x wired units within ``BLOCK_ELEMENTS``.
+    """
+
+    def __init__(self, m: Rbm, targets):
+        targets = list(targets)
+        if len(targets) > CONDITIONAL_LIMIT:
+            raise SizeLimitError(f"{len(targets)} targets exceeds limit {CONDITIONAL_LIMIT}")
+        if len(set(targets)) < len(targets):
+            raise ValueError("targets must be distinct")
+        if m.tau <= 0:
+            raise ValueError("exact conditionals need tau > 0")
+        self.m, self.targets, self.tau = m, targets, m.tau
+        self.grid = all_assignments(len(targets))                  # (C, T)
+        touches = (m.W[targets] != 0).any(axis=0)
+        self.wired, self.loose = np.flatnonzero(touches), np.flatnonzero(~touches)
+        self.grid_net = self.grid @ m.W[np.ix_(targets, self.wired)]   # (C, wired)
+        self.grid_a = self.grid @ m.a[targets] / m.tau             # (C,)
+        self.step = block_rows(len(self.grid) * max(len(self.wired), 1))
+
+    def log_p(self, X0):
+        """net0, wired z = net / tau, soft-plus(z), log p(c | x); targets at 0."""
+        net0 = X0 @ self.m.W + self.m.b                            # (B, H)
+        z = net0[:, None, self.wired] + self.grid_net              # (B, C, wired)
+        z /= self.tau
+        soft = np.logaddexp(0.0, z)
+        logp = self.grid_a + soft.sum(axis=2)
+        logp -= np.logaddexp.reduce(logp, axis=1, keepdims=True)
+        return net0, z, soft, logp
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ from .errors import SizeLimitError
 from . import formula as fm
 from .formula import Assignment, KnowledgeBase, weighted_sat_batch
 from .normal_forms import all_assignments
-from .rbm import Rbm, block_rows, energy_rank, free_energy, _check_epsilon, _sigmoid
+from .rbm import Rbm, _TargetGrid, block_rows, energy_rank, _check_epsilon, _sigmoid
 
 BRUTE_LIMIT = 24
 VERIFY_LIMIT = 16
-CONDITIONAL_LIMIT = 16
 # Gibbs and descent hold restarts x (visible + hidden units) elements per
 # state array and one trace entry per step; both stay within this bound.
 SEARCH_LIMIT = 1 << 22
@@ -198,14 +197,13 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     best_x, best_e = _best(Xf, E)
     trace = [best_e]
     taus = np.geomspace(TAU_START, TAU_END, max(config.steps, 1))
-    for step in range(config.steps):
-        tau = taus[step]
-        ph = _sigmoid(net / tau)
+    for tau in taus[:config.steps]:
+        ph = _sigmoid(net, tau=tau)
         # uniforms for every hidden unit keep the random stream of the full chain
         U = rng.random((config.restarts, m.n_hidden)).take(c.wired, axis=1)
         H = (U < ph).astype(float)
         if len(c.free):
-            pv = _sigmoid(c.net_visible(H) / tau)
+            pv = _sigmoid(c.net_visible(H), tau=tau)
             Xf = (rng.random(pv.shape) < pv).astype(float)
             net, E = c.net_and_energy(Xf)
         cand_x, cand_e = _best(Xf, E)
@@ -279,7 +277,6 @@ def infer_exact(m: Rbm, evidence: Assignment) -> InferenceReport:
 @dataclass
 class ConditionalReport:
     targets: tuple[int, ...]
-    configs: list[tuple[int, ...]]
     probabilities: np.ndarray
     marginals: dict[int, float]
     decision: dict[int, bool]
@@ -287,32 +284,21 @@ class ConditionalReport:
 
 
 def infer_conditional(m: Rbm, evidence: Assignment, targets) -> ConditionalReport:
-    """Exact p(targets | evidence) when the evidence covers all other visibles."""
+    """Exact p(targets | evidence) when the evidence covers all other visibles,
+    from the kernel of the exact training conditional.  ``probabilities``
+    follows binary counting order over ``targets`` as given."""
     targets = tuple(targets)
-    if set(targets) & set(evidence.values):
-        raise ValueError("targets and evidence must be disjoint")
-    if set(targets) | set(evidence.values) != set(range(m.n_visible)):
-        raise ValueError("evidence plus targets must cover every visible unit")
-    if len(targets) > CONDITIONAL_LIMIT:
-        raise SizeLimitError(f"{len(targets)} targets exceeds limit {CONDITIONAL_LIMIT}")
-    if m.tau <= 0:
-        raise ValueError("conditional inference needs tau > 0")
-    grid = all_assignments(len(targets))
-    X = np.zeros((len(grid), m.n_visible))
-    for i, v in evidence.values.items():
-        X[:, i] = float(v)
-    for col, i in enumerate(targets):
-        X[:, i] = grid[:, col]
-    logp = -free_energy(m, X) / m.tau
-    logp -= logp.max()
-    p = np.exp(logp)
+    if sorted(targets + tuple(evidence.values)) != list(range(m.n_visible)):
+        raise ValueError("targets must be distinct, disjoint from the evidence "
+                         "and with it cover every visible unit")
+    k = _TargetGrid(m, targets)
+    x0 = np.array([[float(evidence.values.get(i, 0)) for i in range(m.n_visible)]])
+    p = np.exp(k.log_p(x0)[3][0])
     p /= p.sum()
-    configs = [tuple(int(v) for v in row) for row in grid]
-    marginals = {t: float(p[grid[:, col] > 0.5].sum()) for col, t in enumerate(targets)}
+    marginals = {t: float(p[k.grid[:, col] > 0.5].sum()) for col, t in enumerate(targets)}
     decision = {t: marginals[t] >= 0.5 for t in targets}
-    return ConditionalReport(targets=targets, configs=configs, probabilities=p,
-                             marginals=marginals, decision=decision,
-                             map_config=configs[int(np.argmax(p))])
+    return ConditionalReport(targets, p, marginals, decision,
+                             map_config=tuple(int(v) for v in k.grid[int(np.argmax(p))]))
 
 
 @dataclass

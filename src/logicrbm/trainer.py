@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
 from . import formula as fm
 from .compiler import clause_patterns, formula_to_sdnf_clauses
-from .normal_forms import ConjunctiveClause, all_assignments
-from .rbm import (Rbm, block_rows, p_hidden_given_visible, p_visible_given_hidden,
+from .normal_forms import ConjunctiveClause
+from .rbm import (Rbm, _TargetGrid, p_hidden_given_visible, p_visible_given_hidden,
                   _sigmoid)
-from .reasoner import CONDITIONAL_LIMIT
 
 
 @dataclass
@@ -121,47 +119,26 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True, into: Grads | None = 
     The gradient is added to ``into`` when given (the caller zeroes it),
     else to fresh zero arrays.
 
-    Each row carries its own label y in the target columns.  Within a row's
-    2^T target grid only the target columns change, so the net input of
-    configuration c is ``net_r + grid_c @ W[T]`` with ``net_r`` taken once
-    with the targets at 0.  A hidden unit with no weight on a target has the
-    same soft-plus term for every c, which cancels in p(y | x); only the
-    units wired to a target are evaluated over the grid.  For the others
-    the gradient has a closed form: with ``D = sum_c coeff_c x_c``, which
-    is zero outside the target columns, ``gW[:, j] = -D sig(net_r)_j / tau``
-    and ``gb[j] = 0``.  Rows are processed in blocks that keep
-    block x 2^T x (wired units) within ``BLOCK_ELEMENTS``.
+    Each row carries its own label y in the target columns, and p(y | x)
+    comes from ``rbm._TargetGrid`` in its row blocks.  The wired units'
+    gradient sums over the grid; for the loose ones, with ``D = sum_c
+    coeff_c x_c`` (zero outside the target columns), ``gW[:, j] =
+    -D sig(net0)_j / tau`` and ``gb[j] = 0``.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    targets = list(targets)
-    if len(targets) > CONDITIONAL_LIMIT:
-        raise SizeLimitError(f"{len(targets)} targets exceeds limit {CONDITIONAL_LIMIT}")
-    if m.tau <= 0:
-        raise ValueError("the exact conditional likelihood needs tau > 0")
-    tau = m.tau
+    k = _TargetGrid(m, targets)
+    targets, grid, wired, loose, tau, step = k.targets, k.grid, k.wired, k.loose, k.tau, k.step
     N = len(rows)
-    grid = all_assignments(len(targets))                      # (C, T)
-    W_t = m.W[targets]
-    touches = (W_t != 0).any(axis=0)
-    wired, loose = np.flatnonzero(touches), np.flatnonzero(~touches)
-    grid_net = grid @ W_t[:, wired]                           # (C, wired)
-    grid_a = grid @ m.a[targets] / tau                        # (C,)
     # index of each row's label in counting order
     true = (rows[:, targets] @ (2 ** np.arange(len(targets) - 1, -1, -1))).astype(int)
     nll = np.empty(N)
     g = into
     if grad and g is None:
         g = Grads(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b))
-    step = block_rows(len(grid) * max(len(wired), 1))
     for start in range(0, N, step):
         X0 = rows[start:start + step].copy()
         X0[:, targets] = 0.0
-        net0 = X0 @ m.W + m.b                                 # (B, H)
-        z = net0[:, None, wired] + grid_net                   # (B, C, wired)
-        z /= tau
-        buf = np.logaddexp(0.0, z)
-        logp = grid_a + buf.sum(axis=2)
-        logp -= np.logaddexp.reduce(logp, axis=1, keepdims=True)
+        net0, z, buf, logp = k.log_p(X0)
         r = np.arange(len(X0))
         nll[start:start + step] = -logp[r, true[start:start + step]]
         if not grad:

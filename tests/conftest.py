@@ -2,10 +2,10 @@
 
 The oracles deliberately re-derive quantities by brute force (hidden-state
 enumeration, truth tables) so the library code is checked against an
-independent implementation rather than against itself.  The joint energy,
-the partition function, clause satisfaction and exclusivity, and the
-formula printer are needed only by tests, so they live here and not in
-the library.
+independent implementation rather than against itself.  The joint and
+free energies, the partition function, clause satisfaction and
+exclusivity, and the formula printer are needed only by tests, so they
+live here and not in the library.
 """
 from pathlib import Path
 
@@ -15,7 +15,7 @@ import pytest
 from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
-from logicrbm.rbm import Rbm, free_energy
+from logicrbm.rbm import Rbm, net_hidden
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -44,6 +44,20 @@ def oracle_min_energy(m, x):
     for h in all_assignments(m.n_hidden):
         best = min(best, energy(m, x, h))
     return best
+
+
+def free_energy(m, X):
+    """-tau * log sum_h exp(-E(x,h)/tau); equals E_rank in the tau -> 0 limit."""
+    X = np.asarray(X, dtype=float)
+    single = X.ndim == 1
+    X2 = np.atleast_2d(X)
+    net = net_hidden(m, X2)
+    if m.tau > 0:
+        soft = m.tau * np.logaddexp(0.0, net / m.tau).sum(axis=1)
+    else:
+        soft = np.maximum(net, 0.0).sum(axis=1)
+    out = m.e0 - X2 @ m.a - soft
+    return float(out[0]) if single else out
 
 
 PARTITION_LIMIT = 24

@@ -22,9 +22,11 @@ from logicrbm.extractor import DEFAULT_PRUNE_FRACTIONS, ExtractedClause
 from logicrbm.normal_forms import (
     ConjunctiveClause, all_assignments, implication_to_sdnf,
 )
-from logicrbm.rbm import Rbm, energy_rank, free_energy, net_hidden, net_visible, _sigmoid
+from logicrbm.rbm import Rbm, energy_rank, net_hidden, net_visible, _sigmoid
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
 from logicrbm.trainer import Grads
+
+from conftest import free_energy
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import logicrbm
+from logicrbm import formula as fm
 from logicrbm.cli import OneHotSpec, ingest_categorical, main
+from logicrbm.reasoner import infer_conditional
 from logicrbm.rbm import Rbm, load_model, save_model
 
 
@@ -179,6 +181,21 @@ class TestReason:
         doc = json.loads(stdout)
         assert code == 0 and doc["decision"]["z"] is False
         assert doc["marginals"]["z"] < 0.5
+
+    def test_conditional_targets_out_of_index_order(self, nixon_model, tmp_path, capsys):
+        # nixon.kb registers n, r, q, p; with n true and q false the unique
+        # best completion makes r true and p false
+        q = self.query(tmp_path, {"evidence": {"n": True, "q": False},
+                                  "targets": ["p", "r"], "mode": "conditional"})
+        code, stdout, _ = run(capsys, "reason", str(nixon_model), str(q))
+        doc = json.loads(stdout)
+        assert code == 0
+        assert doc["map_config"] == {"p": False, "r": True}
+        assert doc["decision"] == {"p": False, "r": True}
+        rep = infer_conditional(load_model(nixon_model), fm.Assignment({0: True, 2: False}, 4),
+                                (1, 3))
+        assert doc["marginals"] == pytest.approx({"r": rep.marginals[1], "p": rep.marginals[3]},
+                                                 rel=1e-12)
 
     def test_exact(self, nixon_model, tmp_path, capsys):
         q = self.query(tmp_path, {"evidence": {"n": True}, "mode": "exact"})

@@ -10,15 +10,17 @@ from hypothesis import given, settings, strategies as st
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import attach_hidden_units
+from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import block_rows, energy_rank
 from logicrbm.reasoner import (
-    DeterministicConfig, GibbsConfig, Query, _Clamped, brute_force_maxsat, infer_exact,
+    DeterministicConfig, GibbsConfig, Query, _Clamped, brute_force_maxsat, infer_conditional,
+    infer_exact,
 )
 from logicrbm.trainer import Dataset, TrainConfig, cd_gradient, discriminative_gradient
 
 from conftest import random_kb, random_rbm
 from reference_kernels import (
-    ref_cd_gradient, ref_discriminative_gradient, ref_infer_deterministic,
+    ref_cd_gradient, ref_conditional_nll, ref_discriminative_gradient, ref_infer_deterministic,
     ref_infer_exact, ref_infer_gibbs, ref_train,
 )
 
@@ -245,6 +247,26 @@ class TestConditionalKernel:
                           batch_size=int(rng.integers(0, 4)),
                           seed=int(rng.integers(1 << 31)), freeze_structure=frozen)
         assert_same_training(m, d, cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, st.sampled_from([0.3, 1.0, 2.5]))
+    def test_inference_matches_reference(self, seed, tau):
+        rng = np.random.default_rng(seed)
+        n, h = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        m = sparse_rbm(rng, n, h, zero_columns=[0])       # unit 0 is always loose
+        m.tau = tau
+        targets = rng.permutation(n)[: rng.integers(1, min(n, 5) + 1)].tolist()
+        if targets == sorted(targets):
+            targets.reverse()
+        x = (rng.random(n) < 0.5).astype(float)
+        evidence = fm.Assignment({i: bool(x[i]) for i in range(n) if i not in targets}, n)
+        rep = infer_conditional(m, evidence, targets)
+        grid = all_assignments(len(targets))
+        ref = np.exp([-ref_conditional_nll(m, x, y, targets) for y in grid])
+        np.testing.assert_allclose(rep.probabilities, ref, rtol=0, atol=1e-12)
+        assert rep.map_config == tuple(int(v) for v in grid[np.argmax(rep.probabilities)])
+        for col, t in enumerate(targets):
+            assert abs(rep.marginals[t] - ref[grid[:, col] > 0.5].sum()) <= 1e-12
 
     def test_ten_targets_span_several_row_blocks(self):
         rng = np.random.default_rng(10)

@@ -9,11 +9,11 @@ from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import (
-    Rbm, energy_rank, free_energy, load_model, model_from_dict, model_to_dict,
+    Rbm, energy_rank, load_model, model_from_dict, model_to_dict,
     p_hidden_given_visible, p_visible_given_hidden, save_model,
 )
 
-from conftest import energy, oracle_min_energy, partition_brute, random_rbm
+from conftest import energy, free_energy, oracle_min_energy, partition_brute, random_rbm
 
 
 def xor_rbm():

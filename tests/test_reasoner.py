@@ -16,6 +16,7 @@ from logicrbm.reasoner import (
 from logicrbm.rbm import Rbm, energy_rank
 
 from conftest import random_kb, random_rbm
+from reference_kernels import ref_conditional_nll
 
 
 @pytest.fixture
@@ -232,6 +233,37 @@ class TestInferConditional:
         m = Rbm(W=np.zeros((18, 1)), a=np.zeros(18), b=np.zeros(1))
         with pytest.raises(SizeLimitError):
             infer_conditional(m, fm.Assignment({0: True}, 18), tuple(range(1, 18)))
+
+    def test_repeated_target_rejected(self, xor):
+        _, m = xor
+        with pytest.raises(ValueError, match="distinct"):
+            infer_conditional(m, fm.Assignment({0: True, 1: True}, 3), (2, 2))
+
+    def test_twelve_targets_in_bounded_memory(self):
+        # 400 weighted Horn rules over 200 variables, each with three body
+        # literals (30% negated); every variable occurs in 8 rules
+        rng = np.random.default_rng(1)
+        stream = np.concatenate([rng.permutation(200) for _ in range(8)])
+        rules = []
+        for r in range(400):
+            body, head = stream[4 * r:4 * r + 3], stream[4 * r + 3]
+            lits = " & ".join(("~" if rng.random() < 0.3 else "") + f"v{i}" for i in body)
+            rules.append(f"{1 + r % 10}: v{head} <- {lits}")
+        m, _ = L.compile_kb(fm.parse_kb("\n".join(rules)))
+        targets = rng.choice(200, 12, replace=False).tolist()
+        x = (rng.random(200) < 0.5).astype(float)
+        evidence = fm.Assignment({i: bool(x[i]) for i in range(200) if i not in targets}, 200)
+        tracemalloc.start()
+        try:
+            rep = infer_conditional(m, evidence, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20, peak
+        y = [int(x[t]) for t in targets]
+        k = int("".join(map(str, y)), 2)
+        assert np.log(rep.probabilities[k]) == pytest.approx(
+            -ref_conditional_nll(m, x, y, targets), abs=1e-9)
 
     def test_probabilities_normalize(self, nixon):
         _, m = nixon

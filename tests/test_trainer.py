@@ -5,13 +5,13 @@ import pytest
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.normal_forms import all_assignments
-from logicrbm.rbm import Rbm, free_energy
+from logicrbm.rbm import Rbm
 from logicrbm.trainer import (
     Dataset, TrainConfig, cd_gradient, conditional_nll, dataset_from_kb,
     discriminative_gradient, train,
 )
 
-from conftest import random_rbm
+from conftest import free_energy, random_rbm
 
 XOR_ROWS = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
 
@@ -116,6 +116,11 @@ class TestConditionalNll:
         # y_true = (0, 1) is config index 1 in binary counting order
         assert conditional_nll(m, x, [0, 1], targets) == pytest.approx(
             -logp[1], rel=1e-9)
+
+    def test_repeated_target_rejected(self):
+        m = random_rbm(np.random.default_rng(0), 3, 2)
+        with pytest.raises(ValueError, match="distinct"):
+            conditional_nll(m, [1.0, 0.0, 0.0], [0, 0], (2, 2))
 
 
 class TestDiscriminativeGradient:
