@@ -17,8 +17,7 @@ from .rbm import (
 )
 from .compiler import (
     ClauseBase, WeightedClause, attach_hidden_units, clause_patterns,
-    compile_implication, compile_kb, compile_sdnf, merge_clauses,
-    penalty_network, universal_network,
+    compile_kb, merge_clauses, penalty_network, universal_network,
 )
 from .reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
@@ -26,8 +25,7 @@ from .reasoner import (
     verify_equivalence,
 )
 from .trainer import (
-    Dataset, TrainConfig, cd_gradient, dataset_from_kb,
-    discriminative_gradient, train,
+    Dataset, TrainConfig, dataset_from_kb, train,
 )
 from .extractor import ExtractedClause, extract_clauses, reliability_ratio
 

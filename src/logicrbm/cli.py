@@ -30,6 +30,21 @@ from .trainer import Dataset, TrainConfig, dataset_from_kb, train
 from .extractor import extract_clauses, format_listing, listing_to_json, reliability_ratio
 
 
+def _names(m) -> list[str]:
+    return m.names or [f"x{i}" for i in range(m.n_visible)]
+
+
+def _load_kb_over(path, m) -> fm.KnowledgeBase:
+    """The KB at ``path`` over the model's propositions, in the model's order."""
+    names = _names(m)
+    with open(path, encoding="utf-8") as fh:
+        kb = fm.parse_kb(fh.read(), fm.PropositionTable(names))
+    if len(kb.table) > len(names):
+        raise ValueError(f"the knowledge base mentions {kb.table.names[len(names)]!r}, "
+                         "which the model does not have")
+    return kb
+
+
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------
@@ -98,7 +113,7 @@ def cmd_reason(args) -> int:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("a query file must hold one JSON object")
-    names = m.names or [f"x{i}" for i in range(m.n_visible)]
+    names = _names(m)
     index = {nm: i for i, nm in enumerate(names)}
     evidence = _evidence_from_doc(doc, names)
     targets = doc.get("targets", [])
@@ -158,14 +173,13 @@ def cmd_train(args) -> int:
     m = load_model(args.model_file)
     targets = [t for t in (args.targets.split(",") if args.targets else []) if t]
     if args.from_clauses:
-        kb = fm.load_kb(args.from_clauses)
-        d = dataset_from_kb(kb, targets=targets)
+        d = dataset_from_kb(_load_kb_over(args.from_clauses, m), targets=targets)
     else:
         if not args.data:
             raise ValueError("need a data CSV or --from-clauses")
         d = Dataset.from_csv(args.data, targets=targets)
-    if d.rows.shape[1] != m.n_visible:
-        raise ValueError("dataset columns do not match the model's visible units")
+        if d.table.names != _names(m):
+            raise ValueError("dataset columns do not match the model")
     cfg = TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
                       epochs=args.epochs, batch_size=args.batch_size,
                       cd_k=args.cd_k, seed=args.seed,
@@ -201,13 +215,13 @@ def _class_indices(names, attr):
 
 def cmd_extract(args) -> int:
     m = load_model(args.model_file)
-    names = m.names or [f"x{i}" for i in range(m.n_visible)]
+    names = _names(m)
     extracted = extract_clauses(m)
     if args.data:
         if not args.class_attr:
             raise ValueError("reliability scoring needs --class")
         d = Dataset.from_csv(args.data)
-        if d.table.names != list(names):
+        if d.table.names != names:
             raise ValueError("dataset columns do not match the model")
         cls = _class_indices(names, args.class_attr)
         for ec in extracted:
@@ -229,7 +243,7 @@ def cmd_extract(args) -> int:
 
 def cmd_verify(args) -> int:
     m = load_model(args.model_file)
-    kb = fm.load_kb(args.kb_file)
+    kb = _load_kb_over(args.kb_file, m)
     epsilon = args.epsilon if args.epsilon is not None else (m.epsilon or 0.5)
     report = verify_equivalence(m, kb, epsilon)
     names = kb.table.names

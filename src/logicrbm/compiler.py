@@ -11,10 +11,12 @@ the minimised energy satisfies
 
 for every total assignment.  ``clause_patterns`` builds that sign and bias
 pattern, and every construction here scales it by its confidences.
-Implications get a compact K+T-unit network in which the last eliminated
-body variable collapses to a visible bias.  Two comparison baselines are
-provided: the Penalty-logic quadratic form for Horn clauses and the
-one-unit-per-model universal-approximator network.
+``compile_kb`` needs no unit for a clause of fewer than two literals: a true
+clause is a constant in e0 and a single literal a visible bias, so an
+implication whose body has K + T literals costs K + T units and a
+disjunction of k literals k - 1.  Two comparison baselines are provided:
+the Penalty-logic quadratic form for Horn clauses and the one-unit-per-model
+universal-approximator network.
 """
 from __future__ import annotations
 
@@ -82,71 +84,6 @@ def _units(clauses, c, n_visible: int, epsilon: float):
 
 def _annotation(clause: ConjunctiveClause, c: float) -> dict:
     return {"pos": list(clause.pos), "neg": list(clause.neg), "confidence": float(c)}
-
-
-def _infer_n_visible(clauses, n_visible, extra=()):
-    if n_visible is not None:
-        return n_visible
-    top = -1
-    for cl in clauses:
-        if cl.variables():
-            top = max(top, max(cl.variables()))
-    for i in extra:
-        top = max(top, i)
-    return top + 1
-
-
-def compile_sdnf(clauses, epsilon: float = 0.5,
-                 n_visible: int | None = None,
-                 confidences=None, names=None) -> Rbm:
-    """One hidden unit per clause of a strict DNF (Theorem-1 construction).
-
-    ``clauses`` must be pairwise exclusive, as every list that
-    ``to_full_dnf``, ``implication_to_sdnf`` and ``formula_to_sdnf_clauses``
-    returns is; only then does each model satisfy exactly one unit.
-    """
-    _check_epsilon(epsilon)
-    n_visible = _infer_n_visible(clauses, n_visible)
-    if confidences is None:
-        confidences = [1.0] * len(clauses)
-    W, b = _units(clauses, confidences, n_visible, epsilon)
-    annotations = [_annotation(cl, c) for cl, c in zip(clauses, confidences)]
-    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
-               names=names, epsilon=epsilon, clause_annotations=annotations)
-
-
-def compile_implication(body_pos, body_neg, head: int,
-                        epsilon: float = 0.5,
-                        n_visible: int | None = None,
-                        confidence: float = 1.0,
-                        head_positive: bool = True,
-                        names=None) -> Rbm:
-    """Compact K+T-hidden-unit network for ``head <- body``.
-
-    All clauses of the implication SDNF except the last eliminated
-    variable's become hidden units; the final single-literal clause reduces
-    to a visible bias (plus a constant when the literal is negative), which
-    is pointwise identical in E_rank.
-    """
-    _check_epsilon(epsilon)
-    sdnf = implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
-    n_visible = _infer_n_visible(sdnf, n_visible, extra=(head,))
-    c = confidence
-
-    has_body = len(sdnf) > 1
-    unit_clauses = sdnf[:-1] if has_body else sdnf
-    W, b = _units(unit_clauses, [c] * len(unit_clauses), n_visible, epsilon)
-    a = np.zeros(n_visible)
-    e0 = 0.0
-    if has_body:
-        last = sdnf[-1]
-        if last.pos:                      # clause {p}: energy term -c*eps*x_p
-            a[last.pos[0]] = c * epsilon
-        else:                             # clause {~p}: -c*eps*(1 - x_p)
-            a[last.neg[0]] = -c * epsilon
-            e0 = -c * epsilon
-    return Rbm(W=W, a=a, b=b, e0=e0, tau=1.0, names=names, epsilon=epsilon,
-               clause_annotations=[_annotation(cl, c) for cl in unit_clauses])
 
 
 def _literal(g: fm.Formula):
@@ -234,7 +171,13 @@ def merge_clauses(clauses) -> list[WeightedClause]:
 
 
 def compile_kb(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseBase]:
-    """Weighted KB -> RBM with weighted_sat(x) = -E_rank(x) / eps."""
+    """Weighted KB -> RBM with weighted_sat(x) = -E_rank(x) / eps.
+
+    Each merged clause of two or more literals becomes one annotated unit.
+    The others become terms with the same energy at every x: a true clause
+    adds -c*eps to e0, ``{p}`` adds c*eps to a_p (the term -c*eps*x_p) and
+    ``{~p}`` adds -c*eps to both a_p and e0 (the term -c*eps*(1 - x_p)).
+    """
     _check_epsilon(epsilon)
     weighted, per_formula = [], []
     for w, f in kb.items:
@@ -246,10 +189,22 @@ def compile_kb(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseB
     merged = merge_clauses(weighted)
 
     n = len(kb.table)
-    units = [wc for wc in merged if not wc.clause.is_true_clause]
+    a = np.zeros(n)
     e0 = -epsilon * sum(wc.c for wc in merged if wc.clause.is_true_clause)
+    units = []
+    for wc in merged:
+        lits = wc.clause.pos + wc.clause.neg
+        if len(lits) > 1:
+            units.append(wc)
+        elif lits and not 0 <= lits[0] < n:
+            raise ValueError(f"clause {wc.clause} mentions a variable outside 0..{n - 1}")
+        elif wc.clause.pos:
+            a[lits[0]] += wc.c * epsilon
+        elif lits:
+            a[lits[0]] -= wc.c * epsilon
+            e0 -= wc.c * epsilon
     W, b = _units([wc.clause for wc in units], [wc.c for wc in units], n, epsilon)
-    m = Rbm(W=W, a=np.zeros(n), b=b, e0=e0, tau=1.0,
+    m = Rbm(W=W, a=a, b=b, e0=e0, tau=1.0,
             names=list(kb.table.names), epsilon=epsilon,
             clause_annotations=[_annotation(wc.clause, wc.c) for wc in units])
     return m, ClauseBase(kb.table, merged, per_formula)

@@ -59,8 +59,10 @@ class Rbm:
         if not (np.isfinite(self.W).all() and np.isfinite(self.a).all()
                 and np.isfinite(self.b).all() and np.isfinite(self.e0)):
             raise ValueError("RBM parameters must be finite")
-        if self.tau < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.tau < np.inf:
+            raise ValueError("temperature tau must be finite and >= 0")
+        if self.epsilon is not None:
+            _check_epsilon(self.epsilon)
 
     @property
     def n_visible(self) -> int:
@@ -181,26 +183,50 @@ def save_model(m: Rbm, path):
         fh.write("\n")
 
 
+def _number(doc: dict, key: str, default):
+    """A numeric field of a model file, as a float; a bool is not a number."""
+    val = doc.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"model field {key!r} must be a number, not {val!r}")
+    return float(val)
+
+
+def _is_annotation(ann) -> bool:
+    """None, or {pos, neg, confidence}: two lists of indices and a finite number."""
+    return ann is None or isinstance(ann, dict) and {"pos", "neg", "confidence"} <= set(ann) \
+        and all(isinstance(v, list) and all(type(i) is int for i in v)
+                for v in (ann["pos"], ann["neg"])) \
+        and type(ann["confidence"]) in (int, float) and np.isfinite(ann["confidence"])
+
+
 def model_from_dict(doc: dict) -> Rbm:
-    names = doc.get("names")
-    if names is not None and len(names) != doc["n_visible"]:
-        raise ValueError(f"model lists {len(names)} names for "
-                         f"{doc['n_visible']} visible units")
-    annotations = doc.get("clause_annotations")
-    if annotations is not None and len(annotations) != doc["n_hidden"]:
+    if not isinstance(doc, dict):
+        raise ValueError("a model file must hold one JSON object")
+    n, h = (_number(doc, key, None) for key in ("n_visible", "n_hidden"))
+    if not (n.is_integer() and h.is_integer()):
+        raise ValueError("model fields 'n_visible' and 'n_hidden' must be integers")
+    names, annotations = doc.get("names"), doc.get("clause_annotations")
+    if not (names is None or isinstance(names, list) and all(type(x) is str for x in names)):
+        raise ValueError("model field 'names' must be null or a list of strings")
+    if not (annotations is None or isinstance(annotations, list)
+            and all(map(_is_annotation, annotations))):
+        raise ValueError("model field 'clause_annotations' must be null or a list whose "
+                         "entries are null or {pos, neg, confidence}")
+    if names is not None and len(names) != n:
+        raise ValueError(f"model lists {len(names)} names for {n:.0f} visible units")
+    if annotations is not None and len(annotations) != h:
         raise ValueError(f"model lists {len(annotations)} clause annotations for "
-                         f"{doc['n_hidden']} hidden units")
-    m = Rbm(
-        W=np.array(doc["W"], dtype=float).reshape(doc["n_visible"], doc["n_hidden"]),
+                         f"{h:.0f} hidden units")
+    return Rbm(
+        W=np.array(doc["W"], dtype=float).reshape(int(n), int(h)),
         a=np.array(doc["a"], dtype=float),
         b=np.array(doc["b"], dtype=float),
-        e0=float(doc.get("e0", 0.0)),
-        tau=float(doc.get("tau", 1.0)),
+        e0=_number(doc, "e0", 0.0),
+        tau=_number(doc, "tau", 1.0),
         names=names,
-        epsilon=doc.get("epsilon"),
+        epsilon=None if doc.get("epsilon") is None else _number(doc, "epsilon", None),
         clause_annotations=annotations,
     )
-    return m
 
 
 def load_model(path) -> Rbm:

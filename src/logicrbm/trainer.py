@@ -158,23 +158,6 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True, into: Grads | None = 
     return nll, g
 
 
-def _labelled(x, y_true, targets) -> np.ndarray:
-    row = np.array(x, dtype=float)
-    row[list(targets)] = y_true
-    return row
-
-
-def conditional_nll(m: Rbm, x, y_true, targets) -> float:
-    """Exact -log p(y_true | x) over enumerated target configurations."""
-    nll, _ = _conditional(m, _labelled(x, y_true, targets), targets, grad=False)
-    return float(nll[0])
-
-
-def discriminative_gradient(m: Rbm, x, y_true, targets) -> Grads:
-    """Exact gradient of -log p(y_true | x) via free-energy differences."""
-    return _conditional(m, _labelled(x, y_true, targets), targets)[1]
-
-
 def _cd_buffers(n_visible: int, n_hidden: int, rows: int) -> tuple:
     """Scratch arrays for one CD-k step over a batch of ``rows`` rows."""
     return (np.empty((rows, n_hidden)), np.empty((rows, n_hidden)),
@@ -211,18 +194,6 @@ def _cd_into(m: Rbm, X0, cd_k: int, rng, bufs: tuple, g: Grads):
     g.a /= neg_B
     np.add.reduce(np.subtract(ph0, phk, out=H), axis=0, out=g.b)
     g.b /= neg_B
-
-
-def cd_gradient(m: Rbm, x_batch, cd_k: int, rng) -> Grads:
-    """CD-k estimate of the gradient of mean -log p(x) over the batch."""
-    if cd_k < 1:
-        raise ValueError("cd_k must be >= 1")
-    if m.tau <= 0:
-        raise ValueError("sampling distributions need tau > 0")
-    X0 = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    g = Grads(np.empty(m.W.shape), np.empty(m.n_visible), np.empty(m.n_hidden))
-    _cd_into(m, X0, cd_k, rng, _cd_buffers(m.n_visible, m.n_hidden, len(X0)), g)
-    return g
 
 
 def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:

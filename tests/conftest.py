@@ -5,7 +5,8 @@ enumeration, truth tables) so the library code is checked against an
 independent implementation rather than against itself.  The joint and
 free energies, the partition function, clause satisfaction and
 exclusivity, and the formula printer are needed only by tests, so they
-live here and not in the library.
+live here and not in the library, as does ``cd_step``, which runs one
+CD-k estimate through the trainer's buffered kernel.
 """
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import Rbm, net_hidden
+from logicrbm.trainer import Grads, _cd_buffers, _cd_into
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -72,6 +74,14 @@ def partition_brute(m) -> float:
         raise ValueError("partition function needs tau > 0")
     X = all_assignments(m.n_visible)
     return float(np.exp(-free_energy(m, X) / m.tau).sum())
+
+
+def cd_step(m, X, cd_k, rng) -> Grads:
+    """The CD-k gradient estimate over the batch X, from the trainer's kernel."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    g = Grads(np.empty(m.W.shape), np.empty(m.n_visible), np.empty(m.n_hidden))
+    _cd_into(m, X, cd_k, rng, _cd_buffers(m.n_visible, m.n_hidden, len(X)), g)
+    return g
 
 
 def satisfied_batch(clause, X):

@@ -1,6 +1,8 @@
 """Straightforward reference versions of the constructions and loops.
 
-These are the original per-construction unit loops and the model
+These are the original per-construction unit loops, which give every
+clause a unit, the fold of single-literal units into the visible biases
+done column by column, the model
 concatenation the command line used for the baselines, the original
 full-DNF conversion and the formula-to-clause routing without the clause
 route for disjunctions of literals, the original
@@ -147,6 +149,24 @@ def ref_compile_kb(kb, epsilon=0.5):
     return Rbm(W=W, a=np.zeros(n), b=b, e0=e0, tau=1.0,
                names=list(kb.table.names), epsilon=epsilon,
                clause_annotations=annotations)
+
+
+def ref_fold_literals(m):
+    """The network with every single-literal unit folded into the visible
+    biases: ``{p}`` at confidence c adds c*eps to a_p, ``{~p}`` adds -c*eps
+    to a_p and to e0, column by column."""
+    keep, a, e0 = [], m.a.copy(), m.e0
+    for j, ann in enumerate(m.clause_annotations):
+        lits = ann["pos"] + ann["neg"]
+        if len(lits) != 1:
+            keep.append(j)
+        elif ann["pos"]:
+            a[lits[0]] += ann["confidence"] * m.epsilon
+        else:
+            a[lits[0]] -= ann["confidence"] * m.epsilon
+            e0 -= ann["confidence"] * m.epsilon
+    return Rbm(W=m.W[:, keep], a=a, b=m.b[keep], e0=e0, tau=m.tau, names=m.names,
+               epsilon=m.epsilon, clause_annotations=[m.clause_annotations[j] for j in keep])
 
 
 def ref_compile_penalty_horn(body_pos, head, epsilon=0.5, n_visible=None,

@@ -11,9 +11,7 @@ import pytest
 
 import logicrbm as L
 from logicrbm import formula as fm
-from logicrbm.compiler import (
-    compile_implication, compile_kb, penalty_network, universal_network,
-)
+from logicrbm.compiler import compile_kb, penalty_network, universal_network
 from logicrbm.extractor import extract_clauses, reliability_ratio
 from logicrbm.normal_forms import (
     ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
@@ -23,7 +21,7 @@ from logicrbm.reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
     infer_deterministic, infer_gibbs, verify_equivalence,
 )
-from logicrbm.trainer import Dataset, TrainConfig, train
+from logicrbm.trainer import Dataset, TrainConfig, _conditional, train
 
 from conftest import (
     KB_DIR, implication_formula, random_implication, random_kb, random_rbm,
@@ -85,21 +83,24 @@ def test_criterion_2_weighted_kb_equivalence(capsys):
             assert dev.max() <= 1e-6 * max(1.0, np.abs(s).max())
 
 
+def implication_kb(body_pos, body_neg, head, head_positive, n=None):
+    """The knowledge base of one implication ``head <- body`` at weight 1."""
+    n = max(body_pos | body_neg | {head}) + 1 if n is None else n
+    return fm.KnowledgeBase(
+        fm.PropositionTable([f"v{i}" for i in range(n)]),
+        [(1.0, implication_formula(body_pos, body_neg, head, head_positive))])
+
+
 def test_criterion_3_implication_size_and_correctness(capsys):
-    """Compact implication networks have K+T units; universal 2^(K+T+1)-1."""
+    """Compiled implications have K+T units; universal 2^(K+T+1)-1."""
     with Criterion(capsys, 3, "implication size + correctness", 60.0):
         rng = np.random.default_rng(3)
         for _ in range(500):
             body_pos, body_neg, head, head_positive = \
                 random_implication(rng, max_body=12)
-            m = compile_implication(body_pos, body_neg, head,
-                                    head_positive=head_positive)
+            kb = implication_kb(body_pos, body_neg, head, head_positive)
+            m, _ = compile_kb(kb)
             assert m.n_hidden == len(body_pos) + len(body_neg)
-            n = max(body_pos | body_neg | {head}) + 1
-            kb = fm.KnowledgeBase(
-                fm.PropositionTable([f"v{i}" for i in range(n)]))
-            kb.add(1.0, implication_formula(body_pos, body_neg, head,
-                                            head_positive))
             assert verify_equivalence(m, kb, m.epsilon).max_deviation <= 1e-9
         for _ in range(60):
             body_pos, body_neg, head, head_positive = \
@@ -125,7 +126,7 @@ def test_criterion_4_penalty_identity(capsys):
             body = frozenset(int(v) for v in variables[1:])
             n = size + 1
             pen = penalty_network([(1.0, implication_to_sdnf(body, (), head))], n)
-            sdnf = compile_implication(body, (), head, n_visible=n)
+            sdnf, _ = compile_kb(implication_kb(body, frozenset(), head, True, n))
             X = all_assignments(n)
             ep = energy_rank(pen, X)
             es = energy_rank(sdnf, X)
@@ -166,44 +167,54 @@ def test_criterion_5_descent_and_gibbs(capsys):
 
 def test_criterion_6_gradient_correctness(capsys):
     """Exact conditional-likelihood gradients match central differences."""
-    from logicrbm.trainer import conditional_nll, discriminative_gradient
     with Criterion(capsys, 6, "discriminative gradient check", 30.0):
         rng = np.random.default_rng(6)
         h = 1e-5
         for _ in range(50):
             m = random_rbm(rng, 6, 4)
-            x = (rng.random(6) < 0.5).astype(float)
+            x = (rng.random(6) < 0.5).astype(float)    # carries its label y
             targets = tuple(sorted(rng.permutation(6)[:2].tolist()))
-            y = x[list(targets)]
-            g = discriminative_gradient(m, x, y, targets)
+            _, g = _conditional(m, x, targets)
             for arr, garr in ((m.W, g.W), (m.a, g.a), (m.b, g.b)):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _v in it:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up = conditional_nll(m, x, y, targets)
+                    up = _conditional(m, x, targets, grad=False)[0][0]
                     arr[idx] = orig - h
-                    down = conditional_nll(m, x, y, targets)
+                    down = _conditional(m, x, targets, grad=False)[0][0]
                     arr[idx] = orig
                     fd = (up - down) / (2 * h)
                     assert garr[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 def test_criterion_7_extraction_round_trip(capsys):
-    """compile -> extract recovers every clause pattern and confidence."""
+    """compile -> extract recovers every unit's clause pattern and confidence;
+    the clauses of fewer than two literals are read back from a and e0."""
     with Criterion(capsys, 7, "extraction round trip", 10.0):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            kb = random_kb(rng, n_vars=int(rng.integers(2, 7)), n_formulas=4,
-                           w_low=0.1, w_high=10.0)
+            n_vars = int(rng.integers(2, 7))
+            kb = random_kb(rng, n_vars=n_vars, n_formulas=4, w_low=0.1, w_high=10.0)
             m, base = compile_kb(kb)
-            units = [wc for wc in base.clauses if not wc.clause.is_true_clause]
+            units = [wc for wc in base.clauses if len(wc.clause.variables()) > 1]
             extracted = extract_clauses(m)
             assert len(extracted) == len(units)
             for ec, wc in zip(extracted, units):
                 assert ec.clause == wc.clause
                 assert abs(ec.c - wc.c) <= 1e-9
+            a, e0 = np.zeros(n_vars), 0.0
+            for wc in base.clauses:
+                if len(wc.clause.variables()) > 1:
+                    continue
+                for i in wc.clause.pos:
+                    a[i] += wc.c * m.epsilon
+                for i in wc.clause.neg:
+                    a[i] -= wc.c * m.epsilon
+                if not wc.clause.pos:
+                    e0 -= wc.c * m.epsilon
+            assert np.abs(m.a - a).max() <= 1e-9 and abs(m.e0 - e0) <= 1e-9
 
 
 def test_criterion_8_xor_learn_and_extract(capsys):

@@ -46,8 +46,11 @@ class TestCompile:
         assert code == 0 and "hidden units: 4" in stdout
         assert load_model(out).n_hidden == 4
 
-    def test_nixon_seven_units(self, nixon_model):
-        assert load_model(nixon_model).n_hidden == 7
+    def test_nixon_four_units(self, nixon_model):
+        # n & r, n & q, r & ~p and q & p; ~n, ~r and ~q are visible biases
+        m = load_model(nixon_model)
+        assert m.n_hidden == 4
+        assert m.a.tolist() == [-1000.0, -5.0, -5.0, 0.0] and m.e0 == -1010.0
 
     def test_horn3_universal_fifteen_units(self, kb_dir, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -128,13 +131,16 @@ class TestCompile:
                            "-o", str(tmp_path / "m.json"))
         assert code == 3
 
-    def test_wide_disjunction_one_unit_per_literal(self, tmp_path, capsys):
+    def test_wide_disjunction_one_unit_per_literal_but_one(self, tmp_path, capsys):
         wide = tmp_path / "wide.kb"
         wide.write_text(" | ".join(f"{'~' * (i % 2)}v{i}" for i in range(21)) + "\n")
         out = tmp_path / "m.json"
         code, stdout, _ = run(capsys, "compile", str(wide), "-o", str(out))
         assert code == 0 and "clauses per formula: [21]" in stdout
-        assert load_model(out).n_hidden == 21
+        # the literal eliminated last, v1 false, is the visible bias
+        m = load_model(out)
+        assert m.n_hidden == 20
+        assert np.flatnonzero(m.a).tolist() == [1] and m.a[1] == m.e0 == -0.5
 
     def test_wide_disjunction_verifies(self, tmp_path, capsys):
         wide = tmp_path / "wide.kb"
@@ -142,7 +148,7 @@ class TestCompile:
                                              for i in range(16)) + "\n")
         out = tmp_path / "m.json"
         code, _, _ = run(capsys, "compile", str(wide), "-o", str(out))
-        assert code == 0 and load_model(out).n_hidden == 16
+        assert code == 0 and load_model(out).n_hidden == 15
         code, stdout, _ = run(capsys, "verify", str(out), str(wide))
         assert code == 0 and json.loads(stdout)["ok"]
 
@@ -322,6 +328,23 @@ class TestVerify:
                                 "--epsilon", eps)
         assert code == 2 and "epsilon" in err and stdout == ""
 
+    def test_reordered_kb_is_read_in_the_model_order(self, nixon_model, kb_dir, tmp_path,
+                                                     capsys):
+        # q -> p first registers q and p before n and r
+        lines = (kb_dir / "nixon.kb").read_text().splitlines()
+        shuffled = tmp_path / "nixon.kb"
+        shuffled.write_text("\n".join(reversed(lines)) + "\n")
+        code, stdout, _ = run(capsys, "verify", str(nixon_model), str(shuffled))
+        doc = json.loads(stdout)
+        assert code == 0 and doc["max_deviation"] <= 1e-9
+        assert list(doc["witness"]) == ["n", "r", "q", "p"]
+
+    def test_kb_over_other_names_rejected(self, xor_model, tmp_path, capsys):
+        kb = tmp_path / "abc.kb"
+        kb.write_text("1: (a ^ b) <-> c\n")
+        code, stdout, err = run(capsys, "verify", str(xor_model), str(kb))
+        assert code == 2 and "'a'" in err and stdout == ""
+
     def test_perturbed_model_fails(self, xor_model, kb_dir, tmp_path, capsys):
         doc = json.loads(xor_model.read_text())
         doc["b"][0] += 0.25
@@ -346,7 +369,7 @@ class TestTrainExtract:
         header, *rows = log.read_text().strip().splitlines()
         assert header == "epoch,nll,reconstruction_error" and len(rows) == 5
         code, stdout, _ = run(capsys, "extract", str(out))
-        assert code == 0 and len(stdout.strip().splitlines()) == 7
+        assert code == 0 and len(stdout.strip().splitlines()) == 4
 
     def test_train_from_wide_disjunction(self, tmp_path, capsys):
         wide = tmp_path / "wide.kb"
@@ -358,7 +381,39 @@ class TestTrainExtract:
                            "--targets", "v0", "--epochs", "2", "--freeze-structure",
                            "-o", str(out))
         assert code == 0, err
-        assert load_model(out).n_hidden == 21
+        assert load_model(out).n_hidden == 20
+
+    def test_train_from_reordered_clauses(self, tmp_path, kb_dir, nixon_model, capsys):
+        lines = (kb_dir / "nixon.kb").read_text().splitlines()
+        shuffled = tmp_path / "nixon.kb"
+        shuffled.write_text("\n".join(reversed(lines)) + "\n")
+        trained = []
+        for kb in (kb_dir / "nixon.kb", shuffled):
+            out = tmp_path / f"trained-{len(trained)}.json"
+            code, _, err = run(capsys, "train", str(nixon_model), "--from-clauses", str(kb),
+                               "--targets", "p", "--epochs", "3", "-o", str(out))
+            assert code == 0, err
+            trained.append(load_model(out))
+        # the same rows in another order: the same full-batch steps
+        np.testing.assert_allclose(trained[0].W, trained[1].W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trained[0].b, trained[1].b, rtol=0, atol=1e-12)
+
+    def test_train_from_clauses_over_other_names_rejected(self, tmp_path, nixon_model,
+                                                          capsys):
+        kb = tmp_path / "other.kb"
+        kb.write_text("n -> r\nr -> s\n")
+        out = tmp_path / "trained.json"
+        code, _, err = run(capsys, "train", str(nixon_model), "--from-clauses", str(kb),
+                           "--targets", "r", "-o", str(out))
+        assert code == 2 and "'s'" in err and not out.exists()
+
+    def test_train_csv_with_reordered_header_rejected(self, tmp_path, xor_model, capsys):
+        data = tmp_path / "xor.csv"
+        data.write_text("z,y,x\n0,0,0\n1,1,0\n1,0,1\n0,1,1\n")
+        out = tmp_path / "trained.json"
+        code, _, err = run(capsys, "train", str(xor_model), str(data),
+                           "--targets", "z", "-o", str(out))
+        assert code == 2 and "columns" in err and not out.exists()
 
     def test_train_csv_path(self, tmp_path, xor_model, capsys):
         data = tmp_path / "xor.csv"
@@ -411,6 +466,49 @@ class TestTrainExtract:
         assert code == 0
         docs = json.loads(out.read_text())
         assert len(docs) == 4
+
+
+class TestModelFile:
+    """A model file with a bad scalar or annotation is an input error (exit 2),
+    for every command, and no command writes its output."""
+
+    CASES = {
+        "epsilon zero": ("epsilon", 0),
+        "epsilon above one": ("epsilon", 1.5),
+        "e0 null": ("e0", None),
+        "tau null": ("tau", None),
+        "tau nan": ("tau", float("nan")),
+        "tau infinite": ("tau", float("inf")),
+        "tau string": ("tau", "1"),
+        "names not a list": ("names", 5),
+        "names not strings": ("names", [1, 2, 3]),
+        "annotations not a list": ("clause_annotations", 7),
+        "annotation string": ("clause_annotations", ["x", None, None, None]),
+        "annotation without neg": ("clause_annotations",
+                                   [{"pos": [0], "confidence": 1.0}, None, None, None]),
+        "annotation confidence nan": ("clause_annotations", [
+            {"pos": [0], "neg": [1, 2], "confidence": float("nan")}, None, None, None]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejected(self, xor_model, kb_dir, tmp_path, capsys, case):
+        key, value = self.CASES[case]
+        doc = json.loads(xor_model.read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        data = tmp_path / "xor.csv"
+        data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps({"evidence": {"x": True}}))
+        out = tmp_path / "out.json"
+        for argv in (["reason", str(bad), str(query)],
+                     ["train", str(bad), str(data), "--targets", "z", "-o", str(out)],
+                     ["extract", str(bad), "--json", str(out)],
+                     ["verify", str(bad), str(kb_dir / "xor.kb")]):
+            code, stdout, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error: ") and stdout == "", argv[0]
+            assert not out.exists()
 
 
 class TestIngest:

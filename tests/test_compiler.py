@@ -6,19 +6,20 @@ from hypothesis import given, settings, strategies as st
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import (
-    WeightedClause, attach_hidden_units, clause_patterns, compile_implication,
-    compile_kb, compile_sdnf, formula_to_sdnf_clauses, match_implication,
-    merge_clauses, penalty_network, universal_network,
+    WeightedClause, attach_hidden_units, clause_patterns, compile_kb,
+    formula_to_sdnf_clauses, match_implication, merge_clauses, penalty_network,
+    universal_network,
 )
 from logicrbm.normal_forms import (
     ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
 )
-from logicrbm.rbm import energy_rank
+from logicrbm.rbm import Rbm, energy_rank
 
 from conftest import (
     check_strict, dnf_satisfied_batch, implication_formula, oracle_truth_table,
     random_clause, random_formula, random_implication, random_kb, satisfied_batch,
 )
+from reference_kernels import ref_compile_implication, ref_compile_sdnf
 
 
 def assert_equivalent(m, kb, epsilon, n=None, atol=1e-9):
@@ -28,25 +29,53 @@ def assert_equivalent(m, kb, epsilon, n=None, atol=1e-9):
         fm.weighted_sat_batch(kb, X), -energy_rank(m, X) / epsilon, atol=atol)
 
 
+def one_formula_kb(f, n, w=1.0):
+    """A knowledge base of the single formula f over v0 .. v(n-1)."""
+    return fm.KnowledgeBase(fm.PropositionTable([f"v{i}" for i in range(n)]), [(w, f)])
+
+
+def implication_network(body_pos, body_neg, head, head_positive=True, n=None, c=1.0):
+    """``compile_kb`` of the single implication ``head <- body`` at weight c."""
+    n = max(body_pos | body_neg | {head}) + 1 if n is None else n
+    f = implication_formula(frozenset(body_pos), frozenset(body_neg), head, head_positive)
+    m, _ = compile_kb(one_formula_kb(f, n, c))
+    return m
+
+
 class TestCompileSdnf:
+    """``compile_kb`` on one formula: a unit for each clause of its strict DNF
+    with two or more literals, a visible bias for a single literal."""
+
     def test_xor_parameters(self):
         f = fm.parse_formula("(x ^ y) <-> z", fm.PropositionTable())
-        m = compile_sdnf(to_full_dnf(f))
+        m, _ = compile_kb(one_formula_kb(f, 3))
         assert m.n_hidden == 4
         assert sorted(m.b.tolist()) == [-1.5, -1.5, -1.5, 0.5]
         assert set(np.unique(m.W)) <= {-1.0, 0.0, 1.0}
         # clauses are canonical (lexicographic), so columns are reproducible
         assert np.array_equal(m.W.T, [[-1, -1, -1], [1, 1, -1],
                                       [1, -1, 1], [-1, 1, 1]])
+        # no clause of fewer than two literals: the biases and the offset
+        # keep their signed zeros
+        assert m.a.tobytes() == np.zeros(3).tobytes()
+        assert np.array(m.e0).tobytes() == np.array(-0.0).tobytes()
 
     def test_single_positive_literal(self):
-        m = compile_sdnf([ConjunctiveClause((0,), ())])
-        assert m.W.tolist() == [[1.0]] and m.b.tolist() == [-0.5]
+        m, _ = compile_kb(fm.parse_kb("x\n"))
+        assert m.n_hidden == 0 and m.W.shape == (1, 0)
+        assert m.a.tolist() == [0.5] and m.e0 == 0.0
+        m, _ = compile_kb(fm.parse_kb("2: ~x\n"))
+        assert m.n_hidden == 0
+        assert m.a.tolist() == [-1.0] and m.e0 == -1.0
+        assert_equivalent(m, fm.parse_kb("2: ~x\n"), m.epsilon)
 
     def test_rejects_negative_confidence(self):
-        clauses = [ConjunctiveClause((0,), ()), ConjunctiveClause((), (0,))]
         with pytest.raises(ValueError):
-            compile_sdnf(clauses, confidences=[1.0, -1.0])
+            WeightedClause(ConjunctiveClause((0,), ()), -1.0)
+        kb = fm.parse_kb("~x\n")
+        kb.items[0] = (-1.0, kb.items[0][1])
+        with pytest.raises(ValueError, match="negative"):
+            compile_kb(kb)
 
     def test_equivalence_on_random_strict_dnfs(self):
         rng = np.random.default_rng(11)
@@ -55,7 +84,7 @@ class TestCompileSdnf:
             clauses = implication_to_sdnf(body_pos, body_neg, head,
                                           head_positive=head_positive)
             n = max(body_pos | body_neg | {head}) + 1
-            m = compile_sdnf(clauses, n_visible=n)
+            m = implication_network(body_pos, body_neg, head, head_positive)
             X = all_assignments(n)
             np.testing.assert_allclose(
                 dnf_satisfied_batch(clauses, X).astype(float),
@@ -65,11 +94,9 @@ class TestCompileSdnf:
         kb = fm.parse_kb("y <- x\n")
         for eps in (1.0, 0.0, -0.5, float("nan")):
             with pytest.raises(ValueError, match="epsilon"):
-                compile_sdnf([ConjunctiveClause((0,), ())], eps)
-            with pytest.raises(ValueError, match="epsilon"):
-                compile_implication({1}, (), 0, eps)
-            with pytest.raises(ValueError, match="epsilon"):
                 compile_kb(kb, eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                Rbm(W=np.zeros((1, 0)), a=np.zeros(1), b=np.zeros(0), epsilon=eps)
 
 
 class TestClauseRange:
@@ -81,33 +108,34 @@ class TestClauseRange:
 
     @pytest.mark.parametrize("var", [-1, 2, 3])
     def test_every_construction_refuses(self, var):
-        with pytest.raises(ValueError):
-            compile_sdnf([ConjunctiveClause((var,), ())], n_visible=2)
-        with pytest.raises(ValueError):
-            compile_implication({var}, (), 0, n_visible=2)
-        with pytest.raises(ValueError):
-            compile_implication({0}, (), var, n_visible=2)
+        for f in (fm.Var(var), fm.Not(fm.Var(var)),
+                  fm.Implies(body=fm.Var(var), head=fm.Var(0)),
+                  fm.Implies(body=fm.Var(0), head=fm.Var(var))):
+            with pytest.raises(ValueError, match="outside"):
+                compile_kb(one_formula_kb(f, 2))
         with pytest.raises(ValueError):
             penalty_network([(1.0, implication_to_sdnf({var}, (), 0))], 2)
 
 
 class TestCompileImplication:
+    """An implication whose body has K + T literals compiles to K + T units."""
+
     def test_three_literal_body_structure(self):
         # y <- x1 & ~x2 & ~x3: 3 hidden units + visible-bias term for ~x1
-        m = compile_implication({1}, {2, 3}, 0)
+        m, _ = compile_kb(fm.parse_kb("y <- x1 & ~x2 & ~x3\n"))
         assert m.n_hidden == 3
-        assert m.a[1] == pytest.approx(-0.5)  # last clause is {~x1}
-        assert m.e0 == pytest.approx(-0.5)
+        assert m.a.tolist() == [0.0, -0.5, 0.0, 0.0]  # last clause is {~x1}
+        assert m.e0 == -0.5
 
     def test_horn_t1(self):
-        m = compile_implication({1}, (), 0)
+        m = implication_network({1}, set(), 0)
         assert m.n_hidden == 1
         kb = fm.KnowledgeBase(fm.PropositionTable(["y", "x"]))
         kb.add(1.0, implication_formula({1}, frozenset(), 0, True))
         assert_equivalent(m, kb, m.epsilon)
 
     def test_negative_body(self):
-        m = compile_implication((), {1}, 0)
+        m = implication_network(set(), {1}, 0)
         assert m.n_hidden == 1
         kb = fm.KnowledgeBase(fm.PropositionTable(["y", "x"]))
         kb.add(1.0, implication_formula(frozenset(), {1}, 0, True))
@@ -118,9 +146,16 @@ class TestCompileImplication:
         for _ in range(30):
             body_pos, body_neg, head, head_positive = random_implication(rng, max_body=5)
             conf = float(rng.uniform(0.1, 10))
-            m = compile_implication(body_pos, body_neg, head,
-                                    confidence=conf, head_positive=head_positive)
+            m = implication_network(body_pos, body_neg, head, head_positive, c=conf)
             assert m.n_hidden == len(body_pos) + len(body_neg)
+            # the same units (in canonical order) and bias term as the oracle
+            ref = ref_compile_implication(body_pos, body_neg, head, confidence=conf,
+                                          head_positive=head_positive)
+            order = sorted(range(ref.n_hidden), key=lambda j: (
+                ref.clause_annotations[j]["pos"], ref.clause_annotations[j]["neg"]))
+            assert m.W.tobytes() == ref.W[:, order].tobytes()
+            assert m.b.tobytes() == ref.b[order].tobytes()
+            assert m.a.tobytes() == ref.a.tobytes() and m.e0 == ref.e0
             n = max(body_pos | body_neg | {head}) + 1
             kb = fm.KnowledgeBase(fm.PropositionTable([f"v{i}" for i in range(n)]))
             kb.add(conf, implication_formula(body_pos, body_neg, head, head_positive))
@@ -131,23 +166,23 @@ class TestCompileImplication:
         for _ in range(20):
             body_pos, body_neg, head, head_positive = random_implication(rng, max_body=4)
             conf = float(rng.uniform(0.1, 10))
-            compact = compile_implication(body_pos, body_neg, head,
-                                          confidence=conf,
-                                          head_positive=head_positive)
+            compact = implication_network(body_pos, body_neg, head, head_positive, c=conf)
+            # every clause a unit, under another elimination order
             clauses = implication_to_sdnf(
                 body_pos, body_neg, head,
-                order=sorted(body_pos | body_neg, reverse=True),
+                order=sorted(body_pos | body_neg),
                 head_positive=head_positive)
             n = max(body_pos | body_neg | {head}) + 1
-            full = compile_sdnf(clauses, n_visible=n,
-                                confidences=[conf] * len(clauses))
+            full = ref_compile_sdnf(clauses, n_visible=n,
+                                    confidences=[conf] * len(clauses))
+            assert full.n_hidden == compact.n_hidden + 1
             X = all_assignments(n)
             np.testing.assert_allclose(energy_rank(compact, X),
                                        energy_rank(full, X), atol=1e-9)
 
     def test_negative_confidence_rejected(self):
-        with pytest.raises(ValueError):
-            compile_implication({1}, (), 0, confidence=-1.0)
+        with pytest.raises(ValueError, match="negative"):
+            implication_network({1}, set(), 0, c=-1.0)
 
 
 class TestMatchImplication:
@@ -217,31 +252,30 @@ class TestCompileKb:
     def test_nixon_units_and_coefficients(self, kb_dir):
         kb = L.load_kb(kb_dir / "nixon.kb")
         m, base = compile_kb(kb)
-        assert m.n_hidden == 7
-        # clause ~n carries the merged confidence 2000
+        assert m.n_hidden == 4
         got = {(tuple(a["pos"]), tuple(a["neg"])): a["confidence"]
                for a in m.clause_annotations}
         # names: n=0 r=1 q=2 p=3
         assert got == {
             ((0, 1), ()): 1000.0,   # n & r
-            ((), (0,)): 2000.0,     # ~n (merged)
             ((0, 2), ()): 1000.0,   # n & q
             ((1,), (3,)): 10.0,     # r & ~p
-            ((), (1,)): 10.0,       # ~r
             ((2, 3), ()): 10.0,     # q & p
-            ((), (2,)): 10.0,       # ~q
         }
-        # the ~n unit realises the printed term -h(-2000 n + 1000)
-        j = next(j for j, a in enumerate(m.clause_annotations) if a["neg"] == [0])
-        assert m.W[0, j] == -2000.0 and m.b[j] == 1000.0
+        # ~n (merged to 2000), ~r and ~q are each -c*eps*(1 - x): for ~n this
+        # is the printed term -h(-2000 n + 1000) minimised over h
+        assert m.a.tolist() == [-1000.0, -5.0, -5.0, 0.0]
+        assert m.e0 == -1010.0
+        merged = {(wc.clause.pos, wc.clause.neg): wc.c for wc in base.clauses}
+        assert merged[((), (0,))] == 2000.0
         assert_equivalent(m, kb, m.epsilon)
 
     def test_single_formula_matches_compile_sdnf(self):
         f = fm.parse_formula("(x ^ y) <-> z", fm.PropositionTable())
         kb = fm.KnowledgeBase(fm.PropositionTable(["x", "y", "z"]), [(1.0, f)])
         m, _ = compile_kb(kb)
-        ref = compile_sdnf(to_full_dnf(f), n_visible=3)
-        assert np.array_equal(m.W, ref.W) and np.array_equal(m.b, ref.b)
+        ref = ref_compile_sdnf(to_full_dnf(f), n_visible=3)
+        assert m.W.tobytes() == ref.W.tobytes() and m.b.tobytes() == ref.b.tobytes()
 
     def test_random_kbs_equivalent(self):
         rng = np.random.default_rng(31)
@@ -301,7 +335,7 @@ class TestPenaltyBaseline:
             conf = float(rng.uniform(0.1, 5))
             n = size + 1
             pen = penalty_horn(body, head, n_visible=n, confidence=conf)
-            sdnf = compile_implication(body, (), head, n_visible=n, confidence=conf)
+            sdnf = implication_network(body, frozenset(), head, n=n, c=conf)
             X = all_assignments(n)
             ep, es = energy_rank(pen, X), energy_rank(sdnf, X)
             np.testing.assert_allclose(ep, 2.0 * es + conf, atol=1e-9)
@@ -399,6 +433,6 @@ class TestAttachHiddenUnits:
         assert np.abs(energy_rank(out, X) - energy_rank(m, X)).max() <= bound + 1e-12
 
     def test_negative_count(self):
-        m = compile_sdnf([ConjunctiveClause((0,), ())])
+        m, _ = compile_kb(fm.parse_kb("x <- y\n"))
         with pytest.raises(ValueError):
             attach_hidden_units(m, -1, 0.1, np.random.default_rng(0))

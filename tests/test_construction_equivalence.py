@@ -1,7 +1,9 @@
 """Every construction against the original per-construction unit loops in
 ``reference_kernels``: the networks must agree byte for byte, including the
 sign of zero, and the command line must write the same model files.  A
-disjunction of literals must compile exactly as its implication form does."""
+disjunction of literals must compile exactly as its implication form does,
+and ``compile_kb`` must fold exactly the single-literal clauses into the
+visible biases."""
 import json
 
 import numpy as np
@@ -11,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from logicrbm import formula as fm
 from logicrbm.cli import main
 from logicrbm.compiler import (
-    compile_implication, compile_kb, compile_sdnf, match_implication,
-    penalty_network, universal_network,
+    compile_kb, formula_to_sdnf_clauses, match_implication, penalty_network,
+    universal_network,
 )
-from logicrbm.normal_forms import implication_to_sdnf, to_full_dnf
-from logicrbm.rbm import model_to_dict, save_model
+from logicrbm.normal_forms import all_assignments, implication_to_sdnf, to_full_dnf
+from logicrbm.rbm import energy_rank, model_to_dict, save_model
 from logicrbm.reasoner import verify_equivalence
 
 from conftest import (
@@ -23,8 +25,8 @@ from conftest import (
     random_kb,
 )
 from reference_kernels import (
-    ref_compile_implication, ref_compile_kb, ref_compile_penalty_horn,
-    ref_compile_sdnf, ref_compile_universal, ref_hstack_models, ref_sdnf_clauses,
+    ref_compile_kb, ref_compile_penalty_horn, ref_compile_sdnf, ref_compile_universal,
+    ref_fold_literals, ref_hstack_models, ref_sdnf_clauses,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -78,40 +80,6 @@ def horn_kb(rng, n_vars):
     return kb
 
 
-@settings(max_examples=150, deadline=None)
-@given(SEEDS)
-def test_compile_sdnf_matches_reference(seed):
-    rng = np.random.default_rng(seed)
-    if rng.random() < 0.5:
-        body_pos, body_neg, head, head_positive = random_implication(rng, max_body=5)
-        clauses = implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
-    else:
-        clauses = to_full_dnf(random_formula(rng, int(rng.integers(1, 6))))
-    top = max((max(cl.variables()) for cl in clauses if cl.variables()), default=-1)
-    n_visible = draw_n_visible(rng, top)
-    eps = draw_epsilon(rng)
-    confidences = None if rng.random() < 0.3 else [draw_confidence(rng) for _ in clauses]
-    names = None if n_visible is None else [f"v{i}" for i in range(n_visible)]
-    assert_same_network(
-        compile_sdnf(clauses, eps, n_visible, confidences, names),
-        ref_compile_sdnf(clauses, eps, n_visible, confidences, names))
-
-
-@settings(max_examples=150, deadline=None)
-@given(SEEDS)
-def test_compile_implication_matches_reference(seed):
-    rng = np.random.default_rng(seed)
-    body_pos, body_neg, head, head_positive = random_implication(rng, max_body=6)
-    if rng.random() < 0.2:
-        body_pos, body_neg = frozenset(), frozenset()
-    n_visible = draw_n_visible(rng, max(body_pos | body_neg | {head}))
-    eps, c = draw_epsilon(rng), draw_confidence(rng)
-    assert_same_network(
-        compile_implication(body_pos, body_neg, head, eps, n_visible, c, head_positive),
-        ref_compile_implication(body_pos, body_neg, head, eps, n_visible, c,
-                                head_positive))
-
-
 def literal_of(f):
     """(index, positive) of a literal formula, else None."""
     if isinstance(f, fm.Var):
@@ -161,8 +129,62 @@ def test_compile_kb_matches_reference(seed):
     kb.items = [(0.0 if rng.random() < 0.1 else w, f) for w, f in kb.items]
     eps = draw_epsilon(rng)
     m, base = compile_kb(kb, eps)
-    assert_same_network(m, ref_compile_kb(kb, eps))
+    assert_same_network(m, ref_fold_literals(ref_compile_kb(kb, eps)))
     assert base.per_formula == [len(ref_sdnf_clauses(f)) for _, f in kb.items]
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_single_literal_clauses_fold_into_biases(seed):
+    """Implications, disjunctions, tautologies and other formulas, repeated
+    and overlapping so that clauses merge across formulas, at dyadic weights
+    and epsilon: the units are exactly the merged clauses of two or more
+    literals, a and e0 are the folded sums, and E_rank equals that of the
+    unfolded reference on every row."""
+    rng = np.random.default_rng(seed)
+    n_vars = int(rng.integers(2, 7))
+    kb = fm.KnowledgeBase(fm.PropositionTable([f"v{i}" for i in range(n_vars)]))
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.random()
+        if kb.items and kind < 0.15:
+            f = kb.items[int(rng.integers(len(kb.items)))][1]
+        elif kind < 0.4:
+            vs = rng.permutation(n_vars)[: rng.integers(2, n_vars + 1)].tolist()
+            pos = frozenset(v for v in vs[1:] if rng.random() < 0.5)
+            f = implication_formula(pos, frozenset(vs[1:]) - pos, vs[0], rng.random() < 0.8)
+        elif kind < 0.65:
+            f = random_clause(rng, n_vars, p_complement=0.2)
+        elif kind < 0.8:
+            f = fm.Var(int(rng.integers(n_vars)))
+            f = fm.Not(f) if rng.random() < 0.5 else f
+        else:
+            f = fm.TRUE if kind < 0.83 else random_formula(rng, n_vars)
+        kb.add(float(rng.integers(0, 4096)) / 64, f)
+    eps = float(rng.integers(1, 16)) / 16
+    m, _ = compile_kb(kb, eps)
+
+    X = all_assignments(n_vars)
+    assert np.array_equal(energy_rank(m, X), energy_rank(ref_compile_kb(kb, eps), X))
+
+    merged = {}
+    for w, f in kb.items:
+        for cl in formula_to_sdnf_clauses(f):
+            merged[cl] = merged.get(cl, 0.0) + w
+    multi = sorted(cl for cl in merged if len(cl.variables()) > 1)
+    units = ref_compile_sdnf(multi, eps, n_vars, [merged[cl] for cl in multi])
+    assert m.W.tobytes() == units.W.tobytes() and m.b.tobytes() == units.b.tobytes()
+    assert m.clause_annotations == units.clause_annotations
+
+    a, e0 = np.zeros(n_vars), 0.0
+    for cl, c in merged.items():
+        if not cl.variables():
+            e0 -= c * eps
+        elif len(cl.variables()) == 1 and cl.pos:
+            a[cl.pos[0]] += c * eps
+        elif len(cl.variables()) == 1:
+            a[cl.neg[0]] -= c * eps
+            e0 -= c * eps
+    assert m.a.tolist() == a.tolist() and m.e0 == e0
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,16 +214,22 @@ def test_clause_route_is_exact(seed):
         if not on_clause_route(f):
             expected.append(len(ref_sdnf_clauses(f)))
             continue
-        lits = set(literal_of(g) for g in or_leaves(f))
+        lits = list(dict.fromkeys(literal_of(g) for g in or_leaves(f)))
         tautology = len({v for v, _ in lits}) < len(lits)
         expected.append(1 if tautology else len(lits))
         alone, _ = compile_kb(fm.KnowledgeBase(table, [(w, f)]), eps)
-        assert alone.n_hidden == (0 if tautology else len(lits))
-        assert alone.e0 == (-eps * w if tautology else 0.0)
+        if tautology:
+            assert (alone.n_hidden, alone.e0) == (0, -eps * w)
+            continue
+        # k literals: k - 1 units, and the literal eliminated last (the
+        # head alone, else the body literal of the lowest index) is a bias
+        _, last_positive = min(lits[1:]) if len(lits) > 1 else lits[0]
+        assert alone.n_hidden == len(lits) - 1
+        assert alone.e0 == (0.0 if last_positive else -eps * w)
     assert base.per_formula == expected
     rewritten = fm.KnowledgeBase(table, [(w, as_implication(f) if on_clause_route(f) else f)
                                          for w, f in kb.items])
-    assert_same_network(m, ref_compile_kb(rewritten, eps))
+    assert_same_network(m, ref_fold_literals(ref_compile_kb(rewritten, eps)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -270,7 +298,8 @@ def reference_model(kb, baseline, epsilon):
     clauses per formula, or None where it refused the KB."""
     n, names = len(kb.table), kb.table.names
     if baseline == "sdnf":
-        return ref_compile_kb(kb, epsilon), [len(ref_sdnf_clauses(f)) for _, f in kb.items]
+        return (ref_fold_literals(ref_compile_kb(kb, epsilon)),
+                [len(ref_sdnf_clauses(f)) for _, f in kb.items])
     parts = []
     for w, f in kb.items:
         if baseline == "penalty":

@@ -52,7 +52,8 @@ class TestExtractClauses:
         for _ in range(25):
             kb = random_kb(rng, n_vars=5, n_formulas=3, w_low=0.1, w_high=10.0)
             m, base = compile_kb(kb)
-            units = [wc for wc in base.clauses if not wc.clause.is_true_clause]
+            # a clause of fewer than two literals is a bias, not a unit
+            units = [wc for wc in base.clauses if len(wc.clause.variables()) > 1]
             extracted = extract_clauses(m)
             assert len(extracted) == len(units)
             for ec, wc in zip(extracted, units):

@@ -16,9 +16,9 @@ from logicrbm.reasoner import (
     DeterministicConfig, GibbsConfig, Query, _Clamped, brute_force_maxsat, infer_conditional,
     infer_exact,
 )
-from logicrbm.trainer import Dataset, TrainConfig, cd_gradient, discriminative_gradient
+from logicrbm.trainer import Dataset, TrainConfig, _conditional
 
-from conftest import random_kb, random_rbm
+from conftest import cd_step, random_kb, random_rbm
 from reference_kernels import (
     ref_cd_gradient, ref_conditional_nll, ref_discriminative_gradient, ref_infer_deterministic,
     ref_infer_exact, ref_infer_gibbs, ref_train,
@@ -292,10 +292,12 @@ class TestConditionalKernel:
         x = (rng.random(20) < 0.5).astype(float)
         targets = tuple(range(16))
         results, peaks = [], []
-        for fn in (discriminative_gradient, ref_discriminative_gradient):
+        kernels = (lambda: _conditional(m, x, targets)[1],
+                   lambda: ref_discriminative_gradient(m, x, x[list(targets)], targets))
+        for kernel in kernels:
             tracemalloc.start()
             try:
-                results.append(fn(m, x, x[list(targets)], targets))
+                results.append(kernel())
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -331,7 +333,7 @@ class TestCdKernel:
         X = (rng.random((batch, n)) < 0.5).astype(float)
         s = int(rng.integers(1 << 31))
         new_rng, ref_rng = np.random.default_rng(s), np.random.default_rng(s)
-        assert same_bytes(cd_gradient(m, X, cd_k, new_rng),
+        assert same_bytes(cd_step(m, X, cd_k, new_rng),
                           ref_cd_gradient(m, X, cd_k, ref_rng))
         assert new_rng.random() == ref_rng.random()
 

@@ -6,12 +6,9 @@ import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import Rbm
-from logicrbm.trainer import (
-    Dataset, TrainConfig, cd_gradient, conditional_nll, dataset_from_kb,
-    discriminative_gradient, train,
-)
+from logicrbm.trainer import Dataset, TrainConfig, _conditional, dataset_from_kb, train
 
-from conftest import free_energy, random_rbm
+from conftest import cd_step, free_energy, random_rbm
 
 XOR_ROWS = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
 
@@ -113,14 +110,15 @@ class TestConditionalNll:
             F.append(free_energy(m, xx))
         logp = -np.array(F) / m.tau
         logp -= np.log(np.exp(logp).sum())
-        # y_true = (0, 1) is config index 1 in binary counting order
-        assert conditional_nll(m, x, [0, 1], targets) == pytest.approx(
-            -logp[1], rel=1e-9)
+        # the row's label y = (0, 1) is config index 1 in binary counting order
+        nll, _ = _conditional(m, [1.0, 0.0, 1.0], targets, grad=False)
+        assert nll.tolist() == [pytest.approx(-logp[1], rel=1e-9)]
 
     def test_repeated_target_rejected(self):
         m = random_rbm(np.random.default_rng(0), 3, 2)
-        with pytest.raises(ValueError, match="distinct"):
-            conditional_nll(m, [1.0, 0.0, 0.0], [0, 0], (2, 2))
+        for grad in (False, True):
+            with pytest.raises(ValueError, match="distinct"):
+                _conditional(m, [1.0, 0.0, 0.0], (2, 2), grad=grad)
 
 
 class TestDiscriminativeGradient:
@@ -129,19 +127,18 @@ class TestDiscriminativeGradient:
         h = 1e-5
         for _ in range(10):
             m = random_rbm(rng, 6, 4)
-            x = (rng.random(6) < 0.5).astype(float)
+            x = (rng.random(6) < 0.5).astype(float)    # carries its label y
             targets = (4, 5)
-            y = x[list(targets)]
-            g = discriminative_gradient(m, x, y, targets)
+            _, g = _conditional(m, x, targets)
             for arr, garr in ((m.W, g.W), (m.a, g.a), (m.b, g.b)):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _v in it:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up = conditional_nll(m, x, y, targets)
+                    up = _conditional(m, x, targets, grad=False)[0][0]
                     arr[idx] = orig - h
-                    down = conditional_nll(m, x, y, targets)
+                    down = _conditional(m, x, targets, grad=False)[0][0]
                     arr[idx] = orig
                     fd = (up - down) / (2 * h)
                     assert garr[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -149,13 +146,13 @@ class TestDiscriminativeGradient:
     def test_confident_model_has_tiny_gradient(self):
         # one strong hidden unit pins target x1 = 1 when x0 = 1
         m = Rbm(W=np.array([[50.0], [50.0]]), a=np.zeros(2), b=np.array([-75.0]))
-        g = discriminative_gradient(m, [1.0, 1.0], [1.0], (1,))
+        _, g = _conditional(m, [1.0, 1.0], (1,))
         assert max(np.abs(g.W).max(), np.abs(g.a).max(), np.abs(g.b).max()) <= 1e-6
 
     def test_label_flip_flips_bias_gradient_sign(self):
         m = Rbm(W=np.zeros((2, 1)), a=np.zeros(2), b=np.zeros(1))
-        g1 = discriminative_gradient(m, [1.0, 1.0], [1.0], (1,))
-        g0 = discriminative_gradient(m, [1.0, 0.0], [0.0], (1,))
+        _, g1 = _conditional(m, [1.0, 1.0], (1,))
+        _, g0 = _conditional(m, [1.0, 0.0], (1,))
         assert g1.a[1] == pytest.approx(-g0.a[1], abs=1e-12)
 
 
@@ -167,7 +164,7 @@ class TestCdGradient:
         total_a = np.zeros(3)
         reps = 400
         for _ in range(reps):
-            g = cd_gradient(m, X, 1, rng)
+            g = cd_step(m, X, 1, rng)
             total_a += g.a
         assert np.abs(total_a / reps).max() < 0.05
 
@@ -177,7 +174,7 @@ class TestCdGradient:
         def var_of(batch_rows, reps=120):
             vals = []
             for _ in range(reps):
-                vals.append(cd_gradient(m, batch_rows, 1, rng).W[0, 0])
+                vals.append(cd_step(m, batch_rows, 1, rng).W[0, 0])
             return np.var(vals)
         small = (rng.random((2, 4)) < 0.5).astype(float)
         big = np.tile(small, (16, 1))
@@ -270,10 +267,9 @@ class TestZeroTemperature:
 
     def test_conditional_refuses(self):
         m = random_rbm(np.random.default_rng(0), 3, 2, tau=0.0)
-        with pytest.raises(ValueError):
-            conditional_nll(m, [1, 0, 0], [1], (2,))
-        with pytest.raises(ValueError):
-            discriminative_gradient(m, [1, 0, 0], [1], (2,))
+        for grad in (False, True):
+            with pytest.raises(ValueError, match="tau"):
+                _conditional(m, [1.0, 0.0, 1.0], (2,), grad=grad)
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (0.5, 1.0)])
     def test_train_refuses(self, alpha, beta):
