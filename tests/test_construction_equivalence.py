@@ -25,8 +25,8 @@ from conftest import (
     random_kb,
 )
 from reference_kernels import (
-    ref_compile_kb, ref_compile_penalty_horn, ref_compile_sdnf, ref_compile_universal,
-    ref_fold_literals, ref_hstack_models, ref_sdnf_clauses,
+    ref_compile_implication, ref_compile_kb, ref_compile_penalty_horn, ref_compile_sdnf,
+    ref_compile_universal, ref_fold_literals, ref_hstack_models, ref_sdnf_clauses,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -78,6 +78,41 @@ def horn_kb(rng, n_vars):
             body = fm.And(body, fm.Var(int(v)))
         kb.add(draw_confidence(rng), fm.Implies(body=body, head=fm.Var(int(variables[0]))))
     return kb
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_compile_implication_matches_reference(seed):
+    """``compile_kb`` of one implication (or, with an empty body, of the head
+    literal alone) against the original implication loop with its
+    single-literal units folded: the same K + T units in canonical order,
+    byte for byte, and the same visible biases and offset.  a and e0 are
+    compared by value, since a zero confidence gives them a sign of zero
+    that depends on the order of the sums."""
+    rng = np.random.default_rng(seed)
+    body_pos, body_neg, head, head_positive = random_implication(rng, max_body=6)
+    if rng.random() < 0.2:
+        body_pos, body_neg = frozenset(), frozenset()
+    n_visible = draw_n_visible(rng, max(body_pos | body_neg | {head}))
+    n_visible = max(body_pos | body_neg | {head}) + 1 if n_visible is None else n_visible
+    eps, c = draw_epsilon(rng), draw_confidence(rng)
+    names = [f"v{i}" for i in range(n_visible)]
+    kb = fm.KnowledgeBase(fm.PropositionTable(names))
+    if body_pos or body_neg:
+        kb.add(c, implication_formula(body_pos, body_neg, head, head_positive))
+    else:
+        kb.add(c, fm.Var(head) if head_positive else fm.Not(fm.Var(head)))
+    m, _ = compile_kb(kb, eps)
+    ref = ref_fold_literals(ref_compile_implication(
+        body_pos, body_neg, head, eps, n_visible, c, head_positive, names))
+    assert m.n_hidden == len(body_pos) + len(body_neg)
+    order = sorted(range(ref.n_hidden), key=lambda j: (
+        ref.clause_annotations[j]["pos"], ref.clause_annotations[j]["neg"]))
+    assert m.W.tobytes() == ref.W[:, order].tobytes()
+    assert m.b.tobytes() == ref.b[order].tobytes()
+    assert m.clause_annotations == [ref.clause_annotations[j] for j in order]
+    assert m.a.tolist() == ref.a.tolist() and m.e0 == ref.e0
+    assert m.names == names and m.epsilon == eps
 
 
 def literal_of(f):
