@@ -208,6 +208,8 @@ def model_from_dict(doc: dict) -> Rbm:
     names, annotations = doc.get("names"), doc.get("clause_annotations")
     if not (names is None or isinstance(names, list) and all(type(x) is str for x in names)):
         raise ValueError("model field 'names' must be null or a list of strings")
+    if names is not None and len(set(names)) != len(names):
+        raise ValueError("model field 'names' repeats a name")
     if not (annotations is None or isinstance(annotations, list)
             and all(map(_is_annotation, annotations))):
         raise ValueError("model field 'clause_annotations' must be null or a list whose "

@@ -10,7 +10,9 @@ and b freely.  With ``freeze_structure`` every clause-annotated hidden unit
 keeps its +-1 literal pattern and only its scalar confidence value moves
 (weights stay c_j * sign pattern, bias stays c_j * (-T_j + eps)); free
 hidden units still train fully, and visible biases stay fixed so compiled
-constant terms are preserved.
+constant terms are preserved.  ``compile_kb`` puts every single-literal
+clause into the visible biases and e0, so frozen training does not tune
+those clauses' confidences.
 """
 from __future__ import annotations
 

@@ -151,20 +151,37 @@ def ref_compile_kb(kb, epsilon=0.5):
                clause_annotations=annotations)
 
 
+def ref_fold_clause(a, e0, pos, neg, c, epsilon):
+    """Fold one clause of at most one literal into ``a`` (in place) and
+    return the new e0: a true clause adds -c*eps to e0, ``{p}`` adds c*eps to
+    a_p and ``{~p}`` adds -c*eps to a_p and to e0."""
+    if pos:
+        a[pos[0]] += c * epsilon
+        return e0
+    if neg:
+        a[neg[0]] -= c * epsilon
+    return e0 - c * epsilon
+
+
+def ref_literal_biases(clauses, n_visible, epsilon):
+    """a and e0 of the ``(clause, c)`` pairs that have fewer than two
+    literals, folded in the given order."""
+    a, e0 = np.zeros(n_visible), 0.0
+    for cl, c in clauses:
+        if len(cl.variables()) < 2:
+            e0 = ref_fold_clause(a, e0, cl.pos, cl.neg, c, epsilon)
+    return a, e0
+
+
 def ref_fold_literals(m):
     """The network with every single-literal unit folded into the visible
-    biases: ``{p}`` at confidence c adds c*eps to a_p, ``{~p}`` adds -c*eps
-    to a_p and to e0, column by column."""
+    biases by ``ref_fold_clause``, column by column."""
     keep, a, e0 = [], m.a.copy(), m.e0
     for j, ann in enumerate(m.clause_annotations):
-        lits = ann["pos"] + ann["neg"]
-        if len(lits) != 1:
+        if len(ann["pos"] + ann["neg"]) != 1:
             keep.append(j)
-        elif ann["pos"]:
-            a[lits[0]] += ann["confidence"] * m.epsilon
         else:
-            a[lits[0]] -= ann["confidence"] * m.epsilon
-            e0 -= ann["confidence"] * m.epsilon
+            e0 = ref_fold_clause(a, e0, ann["pos"], ann["neg"], ann["confidence"], m.epsilon)
     return Rbm(W=m.W[:, keep], a=a, b=m.b[keep], e0=e0, tau=m.tau, names=m.names,
                epsilon=m.epsilon, clause_annotations=[m.clause_annotations[j] for j in keep])
 

@@ -26,6 +26,7 @@ from logicrbm.trainer import Dataset, TrainConfig, _conditional, train
 from conftest import (
     KB_DIR, implication_formula, random_implication, random_kb, random_rbm,
 )
+from reference_kernels import ref_literal_biases
 
 
 class Criterion:
@@ -204,16 +205,8 @@ def test_criterion_7_extraction_round_trip(capsys):
             for ec, wc in zip(extracted, units):
                 assert ec.clause == wc.clause
                 assert abs(ec.c - wc.c) <= 1e-9
-            a, e0 = np.zeros(n_vars), 0.0
-            for wc in base.clauses:
-                if len(wc.clause.variables()) > 1:
-                    continue
-                for i in wc.clause.pos:
-                    a[i] += wc.c * m.epsilon
-                for i in wc.clause.neg:
-                    a[i] -= wc.c * m.epsilon
-                if not wc.clause.pos:
-                    e0 -= wc.c * m.epsilon
+            a, e0 = ref_literal_biases([(wc.clause, wc.c) for wc in base.clauses],
+                                       n_vars, m.epsilon)
             assert np.abs(m.a - a).max() <= 1e-9 and abs(m.e0 - e0) <= 1e-9
 
 

@@ -371,6 +371,25 @@ class TestTrainExtract:
         code, stdout, _ = run(capsys, "extract", str(out))
         assert code == 0 and len(stdout.strip().splitlines()) == 4
 
+    def test_frozen_training_keeps_single_literal_confidences(self, tmp_path, capsys):
+        """Single-literal clauses live in a and e0, which frozen training
+        holds fixed: a KB of facts trains to the model it compiled to, while
+        full-parameter training on the same data moves the target's bias."""
+        facts = tmp_path / "facts.kb"
+        facts.write_text("2: p\n1: ~q\n3: r\n")
+        model = tmp_path / "m.json"
+        assert run(capsys, "compile", str(facts), "-o", str(model))[0] == 0
+        compiled = json.loads(model.read_text())
+        assert compiled["n_hidden"] == 0 and compiled["a"] == [1.0, -0.5, 1.5]
+        for frozen, out in ((True, tmp_path / "frozen.json"), (False, tmp_path / "free.json")):
+            code, _, err = run(capsys, "train", str(model), "--from-clauses", str(facts),
+                               "--targets", "p", "--epochs", "5", "--lr", "0.1", "-o", str(out),
+                               *(["--freeze-structure"] if frozen else []))
+            assert code == 0, err
+            trained = json.loads(out.read_text())
+            assert (trained == compiled) is frozen
+        assert trained["a"][0] != compiled["a"][0]
+
     def test_train_from_wide_disjunction(self, tmp_path, capsys):
         wide = tmp_path / "wide.kb"
         wide.write_text(" | ".join(f"v{i}" for i in range(21)) + "\n")
@@ -482,6 +501,7 @@ class TestModelFile:
         "tau string": ("tau", "1"),
         "names not a list": ("names", 5),
         "names not strings": ("names", [1, 2, 3]),
+        "names repeated": ("names", ["x", "x", "y"]),
         "annotations not a list": ("clause_annotations", 7),
         "annotation string": ("clause_annotations", ["x", None, None, None]),
         "annotation without neg": ("clause_annotations",

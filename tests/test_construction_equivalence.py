@@ -26,7 +26,8 @@ from conftest import (
 )
 from reference_kernels import (
     ref_compile_implication, ref_compile_kb, ref_compile_penalty_horn, ref_compile_sdnf,
-    ref_compile_universal, ref_fold_literals, ref_hstack_models, ref_sdnf_clauses,
+    ref_compile_universal, ref_fold_literals, ref_hstack_models, ref_literal_biases,
+    ref_sdnf_clauses,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -210,15 +211,7 @@ def test_single_literal_clauses_fold_into_biases(seed):
     assert m.W.tobytes() == units.W.tobytes() and m.b.tobytes() == units.b.tobytes()
     assert m.clause_annotations == units.clause_annotations
 
-    a, e0 = np.zeros(n_vars), 0.0
-    for cl, c in merged.items():
-        if not cl.variables():
-            e0 -= c * eps
-        elif len(cl.variables()) == 1 and cl.pos:
-            a[cl.pos[0]] += c * eps
-        elif len(cl.variables()) == 1:
-            a[cl.neg[0]] -= c * eps
-            e0 -= c * eps
+    a, e0 = ref_literal_biases(merged.items(), n_vars, eps)
     assert m.a.tolist() == a.tolist() and m.e0 == e0
 
 
