@@ -23,7 +23,9 @@ VERIFY_LIMIT = 16
 # Gibbs and descent hold restarts x (visible + hidden units) elements per
 # state array and one trace entry per step; both stay within this bound.
 SEARCH_LIMIT = 1 << 22
-# Gibbs anneals geometrically from TAU_START down to TAU_END over its steps.
+# Gibbs anneals geometrically from TAU_START down to TAU_END over its steps,
+# both multiplied by the network's largest |W| (1 when W is all zero), so
+# that the chains do not freeze in the first steps on large confidences.
 TAU_START = 1.0
 TAU_END = 0.05
 
@@ -185,8 +187,12 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
 
     Runs all restarts in lockstep and reports the best-energy visible state
     visited by any chain at any step.  Only the free visible columns and
-    the wired hidden units are updated, and each step's net input serves
-    both its energy and the next hidden sample.
+    the wired hidden units are updated, and each step draws uniforms for
+    those alone; each step's net input serves both its energy and the next
+    hidden sample.  The temperature falls from ``TAU_START`` to
+    ``TAU_END`` times the largest ``|W|`` of the network, so a network
+    with some nonzero weight, scaled as a whole, anneals through the same
+    probabilities.
     """
     config = config or GibbsConfig()
     _check_search_size(m, config.restarts, config.steps)
@@ -196,12 +202,11 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     net, E = c.net_and_energy(Xf)
     best_x, best_e = _best(Xf, E)
     trace = [best_e]
-    taus = np.geomspace(TAU_START, TAU_END, max(config.steps, 1))
+    scale = float(np.abs(m.W).max(initial=0.0)) or 1.0
+    taus = scale * np.geomspace(TAU_START, TAU_END, max(config.steps, 1))
     for tau in taus[:config.steps]:
         ph = _sigmoid(net, tau=tau)
-        # uniforms for every hidden unit keep the random stream of the full chain
-        U = rng.random((config.restarts, m.n_hidden)).take(c.wired, axis=1)
-        H = (U < ph).astype(float)
+        H = (rng.random((config.restarts, len(c.wired))) < ph).astype(float)
         if len(c.free):
             pv = _sigmoid(c.net_visible(H), tau=tau)
             Xf = (rng.random(pv.shape) < pv).astype(float)

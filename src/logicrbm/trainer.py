@@ -278,8 +278,6 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             if cfg.freeze_structure:
                 out.W[:, units] = S * conf
                 out.b[units] = conf * bias_pat
-        for j, c_j in zip(units, conf):
-            out.clause_annotations[j]["confidence"] = float(c_j)
         entry = {"epoch": epoch}
         if cfg.beta > 0:
             entry["nll"] = float(_conditional(out, d.rows, targets, grad=False)[0].mean()) \
@@ -288,5 +286,10 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         recon_err = float(np.mean((d.rows - pv) ** 2)) if N else 0.0
         entry["reconstruction_error"] = recon_err
         trace.append(entry)
+    if cfg.epochs:
+        # nothing reads the annotations while training, so they take the
+        # confidences once; with no epoch they keep their stored values
+        for j, c_j in zip(units, conf):
+            out.clause_annotations[j]["confidence"] = float(c_j)
     out.W, out.a, out.b = out.W.copy(), out.a.copy(), out.b.copy()
     return out, trace

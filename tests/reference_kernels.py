@@ -6,7 +6,8 @@ done column by column, the model
 concatenation the command line used for the baselines, the original
 full-DNF conversion and the formula-to-clause routing without the clause
 route for disjunctions of literals, the original
-full-column Gibbs and descent loops over every hidden unit, the CD-k
+full-column Gibbs and descent loops over every hidden unit (Gibbs samples
+only the units wired to a free variable, and leaves the rest at 0), the CD-k
 estimator, the per-row discriminative training loop with its zero-buffer
 and velocity update and the per-column extraction loop, kept here only as
 oracles for the shared clause kernel in ``logicrbm.compiler`` and the
@@ -256,14 +257,19 @@ def ref_infer_gibbs(m, q, config=None):
     rng = np.random.default_rng(config.seed)
     evidence = q.evidence
     free = [i for i in range(m.n_visible) if i not in evidence.values]
+    # hidden units with a nonzero weight on some free variable; the others
+    # cannot reach a free visible and draw no uniforms
+    wired = [j for j in range(m.n_hidden) if any(m.W[i, j] != 0 for i in free)]
+    scale = np.abs(m.W).max() if (m.W != 0).any() else 1.0
     X = _init_states(m, evidence, config.restarts, rng)
     best_x, best_e = _best(X, energy_rank(m, X))
     trace = [best_e]
-    taus = np.geomspace(1.0, 0.05, max(config.steps, 1))
+    taus = scale * np.geomspace(1.0, 0.05, max(config.steps, 1))
     for step in range(config.steps):
         tau = taus[step]
         ph = _sigmoid(net_hidden(m, X) / tau)
-        H = (rng.random(ph.shape) < ph).astype(float)
+        H = np.zeros(ph.shape)
+        H[:, wired] = rng.random((config.restarts, len(wired))) < ph[:, wired]
         if free:
             pv = _sigmoid(net_visible(m, H)[:, free] / tau)
             X[:, free] = (rng.random(pv.shape) < pv).astype(float)

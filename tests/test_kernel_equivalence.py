@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import logicrbm as L
 from logicrbm import formula as fm
@@ -207,6 +207,54 @@ class TestSparseSearch:
             assert abs(rep.weighted_sat - best) <= 1e-9
             assert tuple(int(rep.assignment[i]) for i in range(8)) in winners
         assert loose > 0
+
+
+def integer_rbm(rng, n_visible, n_hidden):
+    """A sparse network with small integer parameters, so every energy sum
+    is exact whatever the order of its terms."""
+    W = rng.integers(-3, 4, (n_visible, n_hidden)).astype(float)
+    W[rng.random(W.shape) < rng.uniform(0.3, 0.8)] = 0.0
+    return L.Rbm(W=W, a=rng.integers(-3, 4, n_visible).astype(float),
+                 b=rng.integers(-3, 4, n_hidden).astype(float),
+                 e0=float(rng.integers(-3, 4)), tau=1.0, epsilon=0.5)
+
+
+def integer_search_instance(seed):
+    rng = np.random.default_rng(seed)
+    m = integer_rbm(rng, int(rng.integers(1, 9)), int(rng.integers(1, 12)))
+    cfg = GibbsConfig(steps=int(rng.integers(0, 40)), restarts=int(rng.integers(1, 6)),
+                      seed=int(rng.integers(1 << 31)))
+    return rng, m, random_query(rng, m), cfg
+
+
+class TestGibbsInvariance:
+    """Gibbs draws uniforms only for the wired units and anneals at the
+    network's weight scale, so neither unreachable units nor a common
+    scale of the parameters changes its search."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS)
+    def test_appended_dead_units_change_nothing(self, seed):
+        rng, m, q, cfg = integer_search_instance(seed)
+        k = int(rng.integers(1, 6))
+        grown = L.Rbm(W=np.hstack([m.W, np.zeros((m.n_visible, k))]), a=m.a,
+                      b=np.concatenate([m.b, rng.integers(-3, 1, k).astype(float)]),
+                      e0=m.e0, tau=m.tau, epsilon=m.epsilon)
+        rep, grown_rep = L.infer_gibbs(m, q, cfg), L.infer_gibbs(grown, q, cfg)
+        assert grown_rep.assignment == rep.assignment
+        assert grown_rep.energy_trace == rep.energy_trace
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS)
+    def test_scaled_network_scales_the_trace(self, seed):
+        _, m, q, cfg = integer_search_instance(seed)
+        # the anneal follows the largest |W|; an all-zero W keeps scale 1
+        assume(m.W.any())
+        scaled = L.Rbm(W=4 * m.W, a=4 * m.a, b=4 * m.b, e0=4 * m.e0, tau=m.tau,
+                       epsilon=m.epsilon)
+        rep, scaled_rep = L.infer_gibbs(m, q, cfg), L.infer_gibbs(scaled, q, cfg)
+        assert scaled_rep.assignment == rep.assignment
+        assert scaled_rep.energy_trace == [4 * e for e in rep.energy_trace]
 
 
 def mixed_network(rng, n, free_units):

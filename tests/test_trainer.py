@@ -182,10 +182,19 @@ class TestCdGradient:
 
 
 class TestTrain:
-    def test_zero_epochs_unchanged(self):
-        m = random_rbm(np.random.default_rng(0), 3, 2)
-        out, trace = train(m, xor_dataset(), TrainConfig(epochs=0))
-        assert np.array_equal(out.W, m.W) and trace == []
+    def test_zero_epochs_unchanged(self, kb_dir, tmp_path):
+        kb = L.load_kb(kb_dir / "nixon.kb")
+        m, _ = L.compile_kb(kb)
+        for ann in m.clause_annotations:
+            ann["confidence"] = int(ann["confidence"])     # as a hand-written file may hold
+        L.save_model(m, tmp_path / "before.json")
+        d = Dataset(kb.table, np.tile([1, 1, 1, 0], (2, 1)).astype(float), (3,))
+        for frozen in (False, True):
+            out, trace = train(m, d, TrainConfig(epochs=0, freeze_structure=frozen))
+            L.save_model(out, tmp_path / "after.json")
+            assert trace == []
+            assert (tmp_path / "after.json").read_bytes() == \
+                (tmp_path / "before.json").read_bytes()
 
     def test_discriminative_nll_decreases_on_xor(self):
         m = random_rbm(np.random.default_rng(2), 3, 4, scale=0.1)
