@@ -20,7 +20,7 @@ def main():
     model = Rbm(W=rng.normal(0, 1.5, (3, 4)), a=np.zeros(3), b=np.zeros(4))
 
     cfg = TrainConfig(alpha=1.0, beta=0.0, lr=0.1, epochs=5000, cd_k=1,
-                      batch_size=1, seed=22)
+                      batch_size=1, seed=22, trace=True)
     print("training 3x4 network with CD-1 on the four XOR models "
           f"({cfg.epochs} epochs, lr {cfg.lr}) ...")
     trained, trace = train(model, data, cfg)

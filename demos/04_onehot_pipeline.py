@@ -38,7 +38,7 @@ def main():
           f"-> {model.n_hidden} hidden units")
 
     cfg = TrainConfig(alpha=0.0, beta=1.0, lr=0.05, epochs=200, seed=0,
-                      freeze_structure=True)
+                      freeze_structure=True, trace=True)
     tuned, trace = train(model, data, cfg)
     print(f"discriminative NLL: {trace[0]['nll']:.3f} -> {trace[-1]['nll']:.3f}")
 

@@ -25,7 +25,7 @@ from .reasoner import (
     verify_equivalence,
 )
 from .trainer import (
-    Dataset, TrainConfig, dataset_from_kb, train,
+    Dataset, TrainConfig, dataset_from_kb, epoch_losses, read_csv, train,
 )
 from .extractor import ExtractedClause, extract_clauses, reliability_ratio
 

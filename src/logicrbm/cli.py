@@ -26,7 +26,9 @@ from .reasoner import (
     infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
     verify_equivalence,
 )
-from .trainer import Dataset, TrainConfig, dataset_from_kb, train
+from .trainer import (
+    Dataset, TrainConfig, dataset_from_kb, epoch_losses, read_csv, train,
+)
 from .extractor import extract_clauses, format_listing, listing_to_json, reliability_ratio
 
 
@@ -183,7 +185,8 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
                       epochs=args.epochs, batch_size=args.batch_size,
                       cd_k=args.cd_k, seed=args.seed,
-                      freeze_structure=args.freeze_structure)
+                      freeze_structure=args.freeze_structure,
+                      trace=args.loss_log is not None)
     trained, trace = train(m, d, cfg)
     save_model(trained, args.output)
     if args.loss_log:
@@ -193,9 +196,9 @@ def cmd_train(args) -> int:
             for entry in trace:
                 writer.writerow([entry["epoch"], entry.get("nll", ""),
                                  entry["reconstruction_error"]])
-    if trace:
-        last = trace[-1]
-        print(f"epochs: {len(trace)}  final recon err: "
+    if cfg.epochs:
+        last = epoch_losses(trained, d, cfg.beta > 0)
+        print(f"epochs: {cfg.epochs}  final recon err: "
               f"{last['reconstruction_error']:.6f}"
               + (f"  final nll: {last['nll']:.6f}" if "nll" in last else ""))
     return 0
@@ -315,10 +318,7 @@ def ingest_categorical(rows, header, spec: OneHotSpec) -> Dataset:
 
 
 def cmd_ingest(args) -> int:
-    with open(args.csv, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
+    header, rows = read_csv(args.csv)
     if args.spec:
         spec = OneHotSpec.from_json(args.spec)
     else:

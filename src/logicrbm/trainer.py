@@ -29,6 +29,28 @@ from .rbm import (Rbm, _TargetGrid, p_hidden_given_visible, p_visible_given_hidd
                   _sigmoid)
 
 
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-blank rows of a CSV file, as strings.
+
+    An empty file, or a row whose length differs from the header's, raises
+    ``ValueError`` naming the file and the line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV, expected a header row")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: row length {len(row)} "
+                                 f"differs from header length {len(header)}")
+            rows.append(row)
+    return header, rows
+
+
 @dataclass
 class Dataset:
     table: fm.PropositionTable
@@ -45,12 +67,10 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, targets=()) -> "Dataset":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
+        header, cells = read_csv(path)
+        rows = [[float(v) for v in row] for row in cells]
         table = fm.PropositionTable(header)
-        idx = tuple(table.index[t] for t in targets)
+        idx = _target_indices(table, targets)
         return cls(table, np.array(rows) if rows else np.zeros((0, len(header))), idx)
 
     def to_csv(self, path):
@@ -59,6 +79,14 @@ class Dataset:
             writer.writerow(self.table.names)
             for row in self.rows:
                 writer.writerow([int(v) for v in row])
+
+
+def _target_indices(table: fm.PropositionTable, targets) -> tuple[int, ...]:
+    """Column indices of the targets, given by name or by index."""
+    for t in targets:
+        if isinstance(t, str) and t not in table:
+            raise ValueError(f"unknown target {t!r}: no proposition of that name")
+    return tuple(table.index[t] if isinstance(t, str) else t for t in targets)
 
 
 def dataset_from_kb(kb: fm.KnowledgeBase, targets=()) -> Dataset:
@@ -79,8 +107,8 @@ def dataset_from_kb(kb: fm.KnowledgeBase, targets=()) -> Dataset:
         row = np.zeros(n)
         row[list(clauses[0].pos)] = 1.0
         rows.append(row)
-    idx = tuple(kb.table.index[t] if isinstance(t, str) else t for t in targets)
-    return Dataset(kb.table, np.array(rows) if rows else np.zeros((0, n)), idx)
+    return Dataset(kb.table, np.array(rows) if rows else np.zeros((0, n)),
+                   _target_indices(kb.table, targets))
 
 
 @dataclass
@@ -93,6 +121,7 @@ class TrainConfig:
     cd_k: int = 1
     seed: int = 0
     freeze_structure: bool = False
+    trace: bool = False            # record epoch_losses after every epoch
 
     def __post_init__(self):
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf
@@ -167,13 +196,15 @@ def _cd_buffers(n_visible: int, n_hidden: int, rows: int) -> tuple:
             np.empty((rows, n_visible)), np.empty((n_visible, n_hidden)))
 
 
-def _cd_into(m: Rbm, X0, cd_k: int, rng, bufs: tuple, g: Grads):
+def _cd_into(m: Rbm, X0, cd_k: int, rng, bufs: tuple, g: Grads, G):
     """CD-k estimate of the gradient of mean -log p(x) over X0, written into g.
 
-    Every intermediate lives in ``bufs`` (see ``_cd_buffers``).  The RNG
-    draws and the arithmetic are those of the textbook step, regrouped only
-    where IEEE arithmetic gives the same bits: a mean is a sum divided by B,
-    ``-x / B`` is ``x / -B``, and ``_sigmoid`` divides by 2 tau in one step.
+    ``g`` holds W, a and b as views of the flat buffer ``G`` (see
+    ``_flat_views``), and every intermediate lives in ``bufs`` (see
+    ``_cd_buffers``).  The RNG draws and the arithmetic are those of the
+    textbook step, regrouped only where IEEE arithmetic gives the same bits:
+    a mean is a sum divided by B, ``-x / B`` is ``x / -B`` (one division
+    over all of G), and ``_sigmoid`` divides by 2 tau in one step.
     """
     ph0, phk, H, pv, Xk, dW = bufs
     W, a, b, tau = m.W, m.a, m.b, m.tau
@@ -188,14 +219,11 @@ def _cd_into(m: Rbm, X0, cd_k: int, rng, bufs: tuple, g: Grads):
         np.matmul(Xk, W, out=phk)
         phk += b
         p = _sigmoid(phk, phk, tau)
-    neg_B = -len(X0)
     np.matmul(X0.T, ph0, out=g.W)
     g.W -= np.matmul(Xk.T, phk, out=dW)
-    g.W /= neg_B
     np.add.reduce(np.subtract(X0, Xk, out=pv), axis=0, out=g.a)
-    g.a /= neg_B
     np.add.reduce(np.subtract(ph0, phk, out=H), axis=0, out=g.b)
-    g.b /= neg_B
+    G /= -len(X0)
 
 
 def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:
@@ -215,6 +243,24 @@ def _clause_units(m: Rbm):
     return np.array(units, dtype=int), S, bias
 
 
+def epoch_losses(m: Rbm, d: Dataset, nll: bool) -> dict:
+    """One trace entry of ``m`` on the whole of ``d``, without its epoch.
+
+    ``reconstruction_error`` is the mean squared one-step reconstruction
+    error, a proxy for the generative term; with ``nll`` the entry also
+    holds the exact mean discriminative NLL over ``d``'s targets.  Both are
+    0.0 on a dataset without rows.
+    """
+    N = len(d.rows)
+    entry = {}
+    if nll:
+        entry["nll"] = float(_conditional(m, d.rows, d.target_indices, grad=False)[0].mean()) \
+            if N else 0.0
+    pv = p_visible_given_hidden(m, p_hidden_given_visible(m, d.rows))
+    entry["reconstruction_error"] = float(np.mean((d.rows - pv) ** 2)) if N else 0.0
+    return entry
+
+
 def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     """SGD on the hybrid objective; returns a new network and a loss trace.
 
@@ -222,9 +268,11 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     batch.  The model needs tau > 0: both gradients sample or sum over the
     tau-scaled distributions.
 
-    The trace records, per epoch, the exact mean discriminative NLL (when
-    beta > 0) and the mean squared one-step reconstruction error as a proxy
-    for the generative term.
+    The trace is opt-in: with ``cfg.trace`` it holds, per epoch, the
+    ``epoch_losses`` of the network after that epoch (the NLL when beta > 0)
+    under the key ``epoch``; otherwise it is ``[]`` and no loss is
+    computed.  ``logicrbm train --loss-log`` switches it on.  The trained
+    parameters do not depend on it.
     """
     if cfg.beta > 0 and not d.target_indices:
         raise ValueError("discriminative training needs target indices")
@@ -254,15 +302,17 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     N = len(d.rows)
     batch = cfg.batch_size or max(N, 1)
     for epoch in range(cfg.epochs):
-        perm = rng.permutation(N) if batch < N else np.arange(N)
+        # one gather per epoch: each batch is a slice of the shuffled rows
+        shuffled = d.rows[rng.permutation(N)] if batch < N else d.rows
         for start in range(0, N, batch):
-            rows = d.rows[perm[start:start + batch]]
+            rows = shuffled[start:start + batch]
             if cfg.alpha > 0:
                 bufs = cd_buffers.get(len(rows))
                 if bufs is None:
                     bufs = cd_buffers[len(rows)] = _cd_buffers(n, h, len(rows))
-                _cd_into(out, rows, cfg.cd_k, rng, bufs, g)
-                G *= cfg.alpha
+                _cd_into(out, rows, cfg.cd_k, rng, bufs, g, G)
+                if cfg.alpha != 1.0:       # x * 1.0 is x, bit for bit
+                    G *= cfg.alpha
             if cfg.beta > 0:
                 C.fill(0.0)
                 _conditional(out, rows, targets, into=c)
@@ -278,14 +328,8 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             if cfg.freeze_structure:
                 out.W[:, units] = S * conf
                 out.b[units] = conf * bias_pat
-        entry = {"epoch": epoch}
-        if cfg.beta > 0:
-            entry["nll"] = float(_conditional(out, d.rows, targets, grad=False)[0].mean()) \
-                if N else 0.0
-        pv = p_visible_given_hidden(out, p_hidden_given_visible(out, d.rows))
-        recon_err = float(np.mean((d.rows - pv) ** 2)) if N else 0.0
-        entry["reconstruction_error"] = recon_err
-        trace.append(entry)
+        if cfg.trace:
+            trace.append({"epoch": epoch, **epoch_losses(out, d, cfg.beta > 0)})
     if cfg.epochs:
         # nothing reads the annotations while training, so they take the
         # confidences once; with no epoch they keep their stored values

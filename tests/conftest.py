@@ -17,7 +17,7 @@ from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import Rbm, net_hidden
-from logicrbm.trainer import Grads, _cd_buffers, _cd_into
+from logicrbm.trainer import Grads, _cd_buffers, _cd_into, _flat_views
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -79,8 +79,9 @@ def partition_brute(m) -> float:
 def cd_step(m, X, cd_k, rng) -> Grads:
     """The CD-k gradient estimate over the batch X, from the trainer's kernel."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    g = Grads(np.empty(m.W.shape), np.empty(m.n_visible), np.empty(m.n_hidden))
-    _cd_into(m, X, cd_k, rng, _cd_buffers(m.n_visible, m.n_hidden, len(X)), g)
+    G = np.empty(m.W.size + m.n_visible + m.n_hidden)
+    g = Grads(*_flat_views(G, m.n_visible, m.n_hidden))
+    _cd_into(m, X, cd_k, rng, _cd_buffers(m.n_visible, m.n_hidden, len(X)), g, G)
     return g
 
 

@@ -14,6 +14,7 @@ from logicrbm import formula as fm
 from logicrbm.cli import OneHotSpec, ingest_categorical, main
 from logicrbm.reasoner import infer_conditional
 from logicrbm.rbm import Rbm, load_model, save_model
+from logicrbm.trainer import Dataset, TrainConfig
 
 
 def run(capsys, *argv):
@@ -467,6 +468,70 @@ class TestTrainExtract:
         assert code == 2 and "tau" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kw", [
+        dict(beta=1.0, epochs=4, lr=0.05),
+        dict(alpha=1.0, beta=0.0, epochs=3, batch_size=1, seed=5),
+        dict(alpha=0.5, beta=1.0, epochs=3, batch_size=2, cd_k=2, freeze_structure=True),
+    ], ids=["discriminative", "cd", "hybrid-frozen"])
+    def test_train_summary_and_loss_log(self, tmp_path, xor_model, capsys, kw):
+        """The summary line holds the last epoch's losses, with the NLL only
+        when beta > 0, and reads the same with the loss log on or off; the
+        log holds the library's trace, one row per epoch."""
+        data = tmp_path / "xor.csv"
+        data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        targets = ("z",) if kw["beta"] > 0 else ()
+        flags = [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}")
+                 for k, v in kw.items()]
+        flags += [f"--targets={t}" for t in targets]
+        log, out = tmp_path / "loss.csv", tmp_path / "trained.json"
+        results = []
+        for extra in ((), ("--loss-log", str(log))):
+            assert not log.exists()
+            code, stdout, err = run(capsys, "train", str(xor_model), str(data), *flags,
+                                    *extra, "-o", str(out))
+            assert code == 0, err
+            results.append((stdout, out.read_bytes()))
+        assert results[0] == results[1]
+
+        _, trace = logicrbm.train(load_model(xor_model), Dataset.from_csv(data, targets),
+                                  TrainConfig(**kw, trace=True))
+        last = trace[-1]
+        line = f"epochs: {kw['epochs']}  final recon err: {last['reconstruction_error']:.6f}"
+        if kw["beta"] > 0:
+            line += f"  final nll: {last['nll']:.6f}"
+        assert results[0][0] == line + "\n"
+        header, *rows = log.read_text().splitlines()
+        assert header == "epoch,nll,reconstruction_error" and len(rows) == kw["epochs"]
+        for row, entry in zip(rows, trace):
+            epoch, nll, recon = row.split(",")
+            assert int(epoch) == entry["epoch"]
+            assert float(recon) == entry["reconstruction_error"]
+            assert (float(nll) == entry["nll"]) if kw["beta"] > 0 else nll == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("x,y,z\n0,0,0\n0,1\n1,0,1\n", "line 3: row length 2 differs from header length 3"),
+    ], ids=["empty", "ragged"])
+    def test_train_bad_csv(self, tmp_path, xor_model, capsys, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "trained.json"
+        code, stdout, err = run(capsys, "train", str(xor_model), str(data),
+                                "--targets", "z", "-o", str(out))
+        assert code == 2 and message in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["csv", "clauses"])
+    def test_train_unknown_target(self, tmp_path, kb_dir, xor_model, capsys, source):
+        data = tmp_path / "xor.csv"
+        data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        rows = [str(data)] if source == "csv" else ["--from-clauses", str(kb_dir / "xor.kb")]
+        out = tmp_path / "trained.json"
+        code, stdout, err = run(capsys, "train", str(xor_model), *rows,
+                                "--targets", "q", "-o", str(out))
+        assert code == 2 and "unknown target 'q'" in err and stdout == ""
+        assert not out.exists()
+
     def test_train_needs_data(self, xor_model, tmp_path, capsys):
         code, _, err = run(capsys, "train", str(xor_model),
                            "-o", str(tmp_path / "out.json"))
@@ -533,6 +598,17 @@ class TestModelFile:
 
 class TestIngest:
     CSV = "color,size,label\nred,small,yes\nblue,large,no\nred,large,yes\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("color,size\nred,small\nblue\n", "line 3: row length 1 differs from header length 2"),
+    ], ids=["empty", "ragged"])
+    def test_bad_csv(self, tmp_path, capsys, text, message):
+        src = tmp_path / "cat.csv"
+        src.write_text(text)
+        out = tmp_path / "onehot.csv"
+        code, stdout, err = run(capsys, "ingest", str(src), "-o", str(out))
+        assert code == 2 and message in err and stdout == "" and not out.exists()
 
     def test_inferred_spec(self, tmp_path, capsys):
         src = tmp_path / "cat.csv"

@@ -2,6 +2,7 @@
 kernel and the CD-k training step against the straightforward loops in
 ``reference_kernels``."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,9 +265,18 @@ def mixed_network(rng, n, free_units):
     return attach_hidden_units(m, free_units, 0.5, rng), kb.table
 
 
+def assert_untraced_same(m, d, cfg, traced):
+    """With the trace off, train returns [] and the traced run's bytes."""
+    out, trace = L.train(m, d, replace(cfg, trace=False))
+    assert trace == []
+    assert same_bytes(out, traced)
+    assert out.clause_annotations == traced.clause_annotations
+
+
 def assert_same_training(m, d, cfg):
-    out, trace = L.train(m, d, cfg)
+    out, trace = L.train(m, d, replace(cfg, trace=True))
     ref, ref_trace = ref_train(m, d, cfg)
+    assert_untraced_same(m, d, cfg, out)
     for new_p, ref_p in ((out.W, ref.W), (out.a, ref.a), (out.b, ref.b)):
         np.testing.assert_allclose(new_p, ref_p, rtol=0, atol=1e-10)
     assert len(trace) == len(ref_trace) == cfg.epochs
@@ -395,11 +405,12 @@ class TestCdKernel:
         d = Dataset(table, (rng.random((int(rng.integers(1, 9)), n)) < 0.5).astype(float))
         cfg = TrainConfig(alpha=float(rng.choice([0.3, 1.0])), beta=0.0, lr=0.1,
                           epochs=int(rng.integers(1, 6)), batch_size=batch, cd_k=cd_k,
-                          seed=int(rng.integers(1 << 31)))
+                          seed=int(rng.integers(1 << 31)), trace=True)
         out, trace = L.train(m, d, cfg)
         ref, ref_trace = ref_train(m, d, cfg)
         assert same_bytes(out, ref)
         assert trace == ref_trace
+        assert_untraced_same(m, d, cfg, out)
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_ragged_last_batch_matches_reference_bytes(self, tau):
@@ -408,11 +419,12 @@ class TestCdKernel:
         table = fm.PropositionTable([f"v{i}" for i in range(4)])
         d = Dataset(table, (rng.random((7, 4)) < 0.5).astype(float))
         cfg = TrainConfig(alpha=0.7, beta=0.0, lr=0.1, epochs=4, batch_size=3, cd_k=2,
-                          seed=5)
+                          seed=5, trace=True)
         out, trace = L.train(m, d, cfg)          # batches of 3, 3 and 1 rows
         ref, ref_trace = ref_train(m, d, cfg)
         assert same_bytes(out, ref)
         assert trace == ref_trace
+        assert_untraced_same(m, d, cfg, out)
 
     def test_ragged_hybrid_batch_matches_reference(self):
         rng = np.random.default_rng(8)
@@ -445,8 +457,9 @@ class TestCdKernel:
         init = np.random.default_rng(22)
         m = L.Rbm(W=init.normal(0, 1.5, (3, 4)), a=np.zeros(3), b=np.zeros(4))
         cfg = TrainConfig(alpha=1.0, beta=0.0, lr=0.1, epochs=500, cd_k=1, batch_size=1,
-                          seed=22)
+                          seed=22, trace=True)
         out, trace = L.train(m, d, cfg)
         ref, ref_trace = ref_train(m, d, cfg)
         assert same_bytes(out, ref)
         assert trace == ref_trace
+        assert_untraced_same(m, d, cfg, out)

@@ -1,4 +1,6 @@
 """Training: exact discriminative gradients, CD estimates, hybrid SGD."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,7 @@ class TestTrain:
 
     def test_discriminative_nll_decreases_on_xor(self):
         m = random_rbm(np.random.default_rng(2), 3, 4, scale=0.1)
-        cfg = TrainConfig(alpha=0.0, beta=1.0, lr=0.05, epochs=100, seed=0)
+        cfg = TrainConfig(alpha=0.0, beta=1.0, lr=0.05, epochs=100, seed=0, trace=True)
         _, trace = train(m, xor_dataset(), cfg)
         nll = [t["nll"] for t in trace]
         assert nll[-1] < nll[0]
@@ -262,13 +264,37 @@ class TestTrain:
 
     def test_trace_fields(self):
         m = random_rbm(np.random.default_rng(1), 3, 2)
-        _, trace = train(m, xor_dataset(), TrainConfig(alpha=1.0, beta=1.0,
-                                                       epochs=3, lr=0.01))
+        out, trace = train(m, xor_dataset(), TrainConfig(alpha=1.0, beta=1.0,
+                                                         epochs=3, lr=0.01, trace=True))
         assert [t["epoch"] for t in trace] == [0, 1, 2]
         assert all("nll" in t and "reconstruction_error" in t for t in trace)
+        assert trace[-1] == {"epoch": 2, **L.epoch_losses(out, xor_dataset(), True)}
         _, trace = train(m, xor_dataset(targets=()),
-                         TrainConfig(alpha=1.0, beta=0.0, epochs=2, lr=0.01))
-        assert all("nll" not in t for t in trace)
+                         TrainConfig(alpha=1.0, beta=0.0, epochs=2, lr=0.01, trace=True))
+        assert trace and all("nll" not in t for t in trace)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_untraced_training_computes_no_loss(self, kb_dir, monkeypatch, frozen):
+        """With the trace off (the default) no per-epoch loss is computed."""
+        kb = L.load_kb(kb_dir / "nixon.kb")
+        m, _ = L.compile_kb(kb)
+        m = L.attach_hidden_units(m, 2, 0.5, np.random.default_rng(0))
+        d = Dataset(kb.table, np.array([[1, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]],
+                                       dtype=float), (3,))
+        calls = []
+        real = L.trainer.epoch_losses
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(L.trainer, "epoch_losses", counted)
+        cfg = TrainConfig(alpha=0.5, beta=1.0, lr=0.05, epochs=4, batch_size=2, seed=1,
+                          freeze_structure=frozen)
+        _, trace = train(m, d, cfg)
+        assert trace == [] and calls == []
+        _, trace = train(m, d, replace(cfg, trace=True))
+        assert len(trace) == len(calls) == 4
 
 
 class TestZeroTemperature:
