@@ -271,10 +271,31 @@ class OneHotSpec:
 
     @classmethod
     def from_json(cls, path) -> "OneHotSpec":
+        """A spec file {"attributes": [{"name": ..., "values": [...]}, ...],
+        "class": ...}; a file of any other shape raises ``ValueError`` naming
+        the field."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls([(att["name"], list(att["values"])) for att in doc["attributes"]],
-                   doc.get("class"))
+        if not isinstance(doc, dict):
+            raise ValueError("an ingest spec must hold one JSON object")
+        attrs = doc.get("attributes")
+        if not isinstance(attrs, list):
+            raise ValueError("spec field 'attributes' must be a list of "
+                             f"{{name, values}} objects, not {attrs!r}")
+        out = []
+        for k, att in enumerate(attrs):
+            if not (isinstance(att, dict) and isinstance(att.get("name"), str)):
+                raise ValueError(f"spec attribute {k} must be an object with a string "
+                                 f"'name', not {att!r}")
+            values = att.get("values")
+            if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+                raise ValueError(f"spec attribute {att['name']!r}: field 'values' must be "
+                                 f"a list of strings, not {values!r}")
+            out.append((att["name"], values))
+        class_attr = doc.get("class")
+        if not (class_attr is None or isinstance(class_attr, str)):
+            raise ValueError(f"spec field 'class' must be null or a string, not {class_attr!r}")
+        return cls(out, class_attr)
 
     @classmethod
     def infer(cls, header, rows, class_attr=None) -> "OneHotSpec":

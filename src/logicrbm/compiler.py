@@ -53,18 +53,34 @@ def clause_patterns(clauses, n_visible: int, epsilon: float):
     one and 0 otherwise; ``bias[j] = -T_j + epsilon`` with T_j the number of
     positive literals.  A clause with confidence c becomes the hidden unit
     ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.  A variable outside
-    ``0 .. n_visible - 1`` raises ``ValueError``.
+    ``0 .. n_visible - 1``, or one in both polarities, raises ``ValueError``
+    naming the clause's position j.
     """
-    S = np.zeros((n_visible, len(clauses)))
-    bias = np.zeros(len(clauses))
-    for j, cl in enumerate(clauses):
-        idx = cl.pos + cl.neg
-        if idx and (min(idx) < 0 or max(idx) >= n_visible):
-            raise ValueError(f"clause {j} mentions a variable outside 0..{n_visible - 1}")
-        S[list(cl.pos), j] = 1.0
-        S[list(cl.neg), j] = -1.0
-        bias[j] = -len(cl.pos) + epsilon
-    return S, bias
+    return _sign_patterns([cl.pos for cl in clauses], [cl.neg for cl in clauses],
+                          n_visible, epsilon)
+
+
+def _sign_patterns(pos, neg, n_visible: int, epsilon: float):
+    """``clause_patterns`` of the clauses whose positive and negative
+    literals are the index lists ``pos[j]`` and ``neg[j]``, in one pass."""
+    k = len(pos)
+    cells = []
+    for lists in (pos, neg):
+        var = np.array([i for v in lists for i in v], dtype=int)
+        col = np.repeat(np.arange(k), [len(v) for v in lists])
+        bad = (var < 0) | (var >= n_visible)
+        if bad.any():
+            raise ValueError(f"clause {col[bad.argmax()]} mentions a variable outside "
+                             f"0..{n_visible - 1}")
+        cells.append((var, col))
+    (pos_var, pos_col), (neg_var, neg_col) = cells
+    S = np.zeros((n_visible, k))
+    S[pos_var, pos_col] = 1.0
+    both = S[neg_var, neg_col] == 1.0
+    if both.any():
+        raise ValueError(f"clause {neg_col[both.argmax()]} has a variable in both polarities")
+    S[neg_var, neg_col] = -1.0
+    return S, epsilon - np.bincount(pos_col, minlength=k)
 
 
 def _units(clauses, c, n_visible: int, epsilon: float):

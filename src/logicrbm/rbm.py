@@ -13,6 +13,7 @@ minimised over h has the closed form used throughout:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,16 +97,64 @@ def energy_rank(m: Rbm, X) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def _sigmoid(z, out=None, tau: float = 1.0):
-    """sigmoid(z / tau) as 0.5 * (1 + tanh(z / (2 tau))), in ``out`` when given.
+def _twice_sigmoid(z, out=None, tau: float = 1.0):
+    """2 sigmoid(z / tau) as 1 + tanh(z / (2 tau)), in ``out`` when given.
 
     Dividing by 2 tau rounds exactly as dividing by tau and then halving.
+    The result lies in [0, 2] and is never subnormal, so halving it is
+    exact, and a uniform u falls below the probability exactly when 2u
+    falls below this value: samplers compare it with ``_UniformBlocks``'
+    doubled uniforms and skip the halving.
     """
     out = np.divide(z, 2.0 * tau, out=out)
     np.tanh(out, out=out)
     out += 1.0
+    return out
+
+
+def _sigmoid(z, out=None, tau: float = 1.0):
+    """sigmoid(z / tau) as 0.5 * (1 + tanh(z / (2 tau))), in ``out`` when given."""
+    out = _twice_sigmoid(z, out, tau)
     out *= 0.5
     return out
+
+
+class _UniformBlocks:
+    """Doubled uniforms 2u, u from ``rng.random()``, for ``steps`` steps that
+    each draw arrays of ``shapes``, in that order.
+
+    ``Generator.random`` fills doubles one after another, so one draw of a
+    block of whole steps gives every step the values that separate draws
+    would, and leaves the generator in the same state.  A block holds at
+    most ``BLOCK_ELEMENTS`` values, or one step if that is larger, and is
+    doubled in one pass (doubling is exact).  Calling the object with a
+    generator yields each step's arrays as views into one reused buffer,
+    valid until the next step is taken; a block is drawn only when its
+    first step is reached.
+    """
+
+    def __init__(self, steps: int, shapes):
+        sizes = [math.prod(shape) for shape in shapes]
+        per = sum(sizes)
+        span = min(steps, max(1, BLOCK_ELEMENTS // max(per, 1)))
+        buf = np.empty(span * per)
+        offsets = np.cumsum([0, *sizes])
+
+        def block(k):
+            flat = buf[:k * per]
+            rows = flat.reshape(k, per)
+            # splitting the contiguous last axis keeps every part a view
+            return flat, [rows[:, lo:hi].reshape(k, *shape)
+                          for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
+
+        full, rest = divmod(steps, span) if span else (0, 0)
+        self.blocks = [block(span)] * full + ([block(rest)] if rest else [])
+
+    def __call__(self, rng):
+        for flat, parts in self.blocks:
+            rng.random(out=flat)
+            flat += flat
+            yield from zip(*parts)
 
 
 def p_hidden_given_visible(m: Rbm, x) -> np.ndarray:

@@ -16,7 +16,8 @@ from .errors import SizeLimitError
 from . import formula as fm
 from .formula import Assignment, KnowledgeBase, weighted_sat_batch
 from .normal_forms import all_assignments
-from .rbm import Rbm, _TargetGrid, block_rows, energy_rank, _check_epsilon, _sigmoid
+from .rbm import (Rbm, _TargetGrid, _UniformBlocks, block_rows, energy_rank, _check_epsilon,
+                  _twice_sigmoid)
 
 BRUTE_LIMIT = 24
 VERIFY_LIMIT = 16
@@ -152,14 +153,18 @@ class _Clamped:
         self.e_base = (m.e0 - self.xc @ m.a[self.clamped]
                        - np.maximum(base[~touches], 0.0).sum())
 
-    def net_and_energy(self, Xf):
-        """Wired units' net input and E_rank of each row of free values."""
-        net = self.base + Xf @ self.W
+    def net_and_energy(self, Xf, net=None):
+        """Wired units' net input, in ``net`` when given, and E_rank of each
+        row of free values."""
+        net = np.matmul(Xf, self.W, out=net)
+        net += self.base
         return net, self.e_base - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
 
-    def net_visible(self, H):
+    def net_visible(self, H, out=None):
         """Free visibles' net input from the wired units' states."""
-        return H @ self.W.T + self.a
+        out = np.matmul(H, self.W.T, out=out)
+        out += self.a
+        return out
 
     def full(self, xf) -> np.ndarray:
         x = np.empty(self.n)
@@ -188,8 +193,10 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     Runs all restarts in lockstep and reports the best-energy visible state
     visited by any chain at any step.  Only the free visible columns and
     the wired hidden units are updated, and each step draws uniforms for
-    those alone; each step's net input serves both its energy and the next
-    hidden sample.  The temperature falls from ``TAU_START`` to
+    those alone, in blocks of whole steps (``rbm._UniformBlocks``); a
+    sample compares the doubled uniform 2u with ``1 + tanh(net / 2 tau)``,
+    which is u < p exactly.  Each step's net input serves both its energy
+    and the next hidden sample.  The temperature falls from ``TAU_START`` to
     ``TAU_END`` times the largest ``|W|`` of the network, so a network
     with some nonzero weight, scaled as a whole, anneals through the same
     probabilities.
@@ -204,17 +211,22 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     trace = [best_e]
     scale = float(np.abs(m.W).max(initial=0.0)) or 1.0
     taus = scale * np.geomspace(TAU_START, TAU_END, max(config.steps, 1))
-    for tau in taus[:config.steps]:
-        ph = _sigmoid(net, tau=tau)
-        H = (rng.random((config.restarts, len(c.wired))) < ph).astype(float)
+    # samples go to C-ordered buffers: the initial states come from a column
+    # gather that may be ordered otherwise, and a product over another
+    # memory layout can round differently
+    H, PV, X = np.empty(net.shape), np.empty(Xf.shape), np.empty(Xf.shape)
+    draws = _UniformBlocks(config.steps, [H.shape, PV.shape])
+    for tau, (Uh, Uv) in zip(taus, draws(rng)):
+        np.less(Uh, _twice_sigmoid(net, H, tau), out=H)
         if len(c.free):
-            pv = _sigmoid(c.net_visible(H), tau=tau)
-            Xf = (rng.random(pv.shape) < pv).astype(float)
-            net, E = c.net_and_energy(Xf)
-        cand_x, cand_e = _best(Xf, E)
-        if cand_e < best_e - 1e-12 or (abs(cand_e - best_e) <= 1e-12
-                                       and tuple(cand_x) < tuple(best_x)):
-            best_x, best_e = cand_x, cand_e
+            Xf = np.less(Uv, _twice_sigmoid(c.net_visible(H, PV), PV, tau), out=X)
+            net, E = c.net_and_energy(Xf, net)
+        # only a state within 1e-12 of the best can replace it
+        if E.min() - best_e <= 1e-12:
+            cand_x, cand_e = _best(Xf, E)
+            if cand_e < best_e - 1e-12 or (abs(cand_e - best_e) <= 1e-12
+                                           and tuple(cand_x) < tuple(best_x)):
+                best_x, best_e = cand_x, cand_e
         trace.append(best_e)
     return _report_from_state(m, c.full(best_x), config.steps, config.restarts, trace)
 

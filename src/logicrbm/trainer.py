@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain, repeat
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import formula as fm
-from .compiler import clause_patterns, formula_to_sdnf_clauses
-from .normal_forms import ConjunctiveClause
-from .rbm import (Rbm, _TargetGrid, p_hidden_given_visible, p_visible_given_hidden,
-                  _sigmoid)
+from .compiler import _sign_patterns, formula_to_sdnf_clauses
+from .rbm import (Rbm, _TargetGrid, _UniformBlocks, p_hidden_given_visible,
+                  p_visible_given_hidden, _sigmoid, _twice_sigmoid)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -196,34 +196,52 @@ def _cd_buffers(n_visible: int, n_hidden: int, rows: int) -> tuple:
             np.empty((rows, n_visible)), np.empty((n_visible, n_hidden)))
 
 
-def _cd_into(m: Rbm, X0, cd_k: int, rng, bufs: tuple, g: Grads, G):
+def _cd_uniforms(steps: int, rows: int, n_visible: int, n_hidden: int,
+                 cd_k: int) -> _UniformBlocks:
+    """The doubled uniforms of ``steps`` CD-k steps over ``rows`` rows each:
+    per Gibbs round, the hidden draws and then the visible ones."""
+    return _UniformBlocks(steps, [(rows, n_hidden), (rows, n_visible)] * cd_k)
+
+
+def _cd_into(m: Rbm, X0, U, bufs: tuple, g: Grads, G, ascent: bool = False):
     """CD-k estimate of the gradient of mean -log p(x) over X0, written into g.
 
-    ``g`` holds W, a and b as views of the flat buffer ``G`` (see
-    ``_flat_views``), and every intermediate lives in ``bufs`` (see
-    ``_cd_buffers``).  The RNG draws and the arithmetic are those of the
-    textbook step, regrouped only where IEEE arithmetic gives the same bits:
-    a mean is a sum divided by B, ``-x / B`` is ``x / -B`` (one division
-    over all of G), and ``_sigmoid`` divides by 2 tau in one step.
+    With ``ascent`` g gets the negated gradient, mean(pos - neg), which
+    skips a pass over G at batch size 1.  ``U`` holds the step's doubled
+    uniforms from ``_cd_uniforms``, ``g`` holds W, a and b as views of the
+    flat buffer ``G`` (see ``_flat_views``), and every intermediate lives
+    in ``bufs`` (see ``_cd_buffers``).  The arithmetic is that of the
+    textbook step, regrouped only where IEEE arithmetic gives the same
+    bits: a sample compares 2u with 2p (see ``_twice_sigmoid``), a mean is
+    a sum divided by B, ``-x / B`` is ``x / -B`` and ``_sigmoid`` divides
+    by 2 tau in one step.
     """
     ph0, phk, H, pv, Xk, dW = bufs
     W, a, b, tau = m.W, m.a, m.b, m.tau
     np.matmul(X0, W, out=ph0)
     ph0 += b
-    p = _sigmoid(ph0, ph0, tau)
-    for _ in range(cd_k):
-        np.less(rng.random(out=H), p, out=H)
+    p = _twice_sigmoid(ph0, ph0, tau)
+    for k in range(0, len(U), 2):
+        np.less(U[k], p, out=H)
         np.matmul(H, W.T, out=pv)
         pv += a
-        np.less(rng.random(out=Xk), _sigmoid(pv, pv, tau), out=Xk)
+        np.less(U[k + 1], _twice_sigmoid(pv, pv, tau), out=Xk)
         np.matmul(Xk, W, out=phk)
         phk += b
-        p = _sigmoid(phk, phk, tau)
+        p = _twice_sigmoid(phk, phk, tau)
+    ph0 *= 0.5                  # the probabilities of the gradient
+    phk *= 0.5
     np.matmul(X0.T, ph0, out=g.W)
     g.W -= np.matmul(Xk.T, phk, out=dW)
-    np.add.reduce(np.subtract(X0, Xk, out=pv), axis=0, out=g.a)
-    np.add.reduce(np.subtract(ph0, phk, out=H), axis=0, out=g.b)
-    G /= -len(X0)
+    if len(X0) == 1:            # a sum over one row is that row
+        np.subtract(X0[0], Xk[0], out=g.a)
+        np.subtract(ph0[0], phk[0], out=g.b)
+    else:
+        np.add.reduce(np.subtract(X0, Xk, out=pv), axis=0, out=g.a)
+        np.add.reduce(np.subtract(ph0, phk, out=H), axis=0, out=g.b)
+    B = len(X0) if ascent else -len(X0)
+    if B != 1:
+        G /= B
 
 
 def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:
@@ -234,13 +252,17 @@ def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:
 
 
 def _clause_units(m: Rbm):
-    """Annotated hidden units with their sign matrix and bias pattern."""
+    """Annotated hidden units with their sign matrix and bias pattern.
+
+    A bad annotation raises ``ValueError`` from ``compiler._sign_patterns``,
+    which counts clauses over the annotated units alone.
+    """
     anns = m.clause_annotations or []
-    units = [j for j, ann in enumerate(anns) if ann]
-    clauses = [ConjunctiveClause(anns[j]["pos"], anns[j]["neg"]) for j in units]
+    units = np.array([j for j, ann in enumerate(anns) if ann], dtype=int)
     eps = m.epsilon if m.epsilon is not None else 0.5
-    S, bias = clause_patterns(clauses, m.n_visible, eps)
-    return np.array(units, dtype=int), S, bias
+    S, bias = _sign_patterns([anns[j]["pos"] for j in units], [anns[j]["neg"] for j in units],
+                             m.n_visible, eps)
+    return units, S, bias
 
 
 def epoch_losses(m: Rbm, d: Dataset, nll: bool) -> dict:
@@ -297,34 +319,54 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     targets = d.target_indices
     units, S, bias_pat = _clause_units(out) if cfg.freeze_structure \
         else (np.zeros(0, dtype=int), None, None)
+    # with every unit frozen, and the visible biases fixed, no parameter
+    # takes a gradient step: the confidences alone move
+    all_frozen = cfg.freeze_structure and len(units) == h
+    # a CD-only step adds the CD estimate's negation, which skips its
+    # division at batch size 1
+    ascent = cfg.beta == 0 and not cfg.freeze_structure
     conf = np.array([float(out.clause_annotations[j]["confidence"]) for j in units])
     trace = []
     N = len(d.rows)
     batch = cfg.batch_size or max(N, 1)
+    # the doubled uniforms of one epoch: its full batches, then the ragged one
+    draws = (_cd_uniforms(N // batch, batch, n, h, cfg.cd_k),
+             _cd_uniforms(int(N % batch > 0), N % batch, n, h, cfg.cd_k)) \
+        if cfg.alpha > 0 else ()
     for epoch in range(cfg.epochs):
         # one gather per epoch: each batch is a slice of the shuffled rows
         shuffled = d.rows[rng.permutation(N)] if batch < N else d.rows
-        for start in range(0, N, batch):
+        uniforms = chain(*(u(rng) for u in draws)) if draws else repeat(())
+        for start, U in zip(range(0, N, batch), uniforms):
             rows = shuffled[start:start + batch]
             if cfg.alpha > 0:
                 bufs = cd_buffers.get(len(rows))
                 if bufs is None:
                     bufs = cd_buffers[len(rows)] = _cd_buffers(n, h, len(rows))
-                _cd_into(out, rows, cfg.cd_k, rng, bufs, g, G)
+                _cd_into(out, rows, U, bufs, g, G, ascent)
                 if cfg.alpha != 1.0:       # x * 1.0 is x, bit for bit
                     G *= cfg.alpha
             if cfg.beta > 0:
                 C.fill(0.0)
                 _conditional(out, rows, targets, into=c)
-                C *= cfg.beta
+                if cfg.beta != 1.0:
+                    C *= cfg.beta
                 if C is not G:
                     G += C
             if cfg.freeze_structure:
-                dc = np.einsum("ij,ij->j", S, g.W[:, units]) + bias_pat * g.b[units]
+                gW, gb = (g.W, g.b) if all_frozen else (g.W[:, units], g.b[units])
+                dc = np.einsum("ij,ij->j", S, gW) + bias_pat * gb
                 conf = np.maximum(conf - cfg.lr * dc, 0.0)
+                if all_frozen:
+                    np.multiply(S, conf, out=out.W)
+                    np.multiply(conf, bias_pat, out=out.b)
+                    continue
                 g.a.fill(0.0)              # visible biases stay fixed
             G *= cfg.lr
-            theta -= G
+            if ascent:                     # theta - (-x) is theta + x, bit for bit
+                theta += G
+            else:
+                theta -= G
             if cfg.freeze_structure:
                 out.W[:, units] = S * conf
                 out.b[units] = conf * bias_pat

@@ -17,7 +17,7 @@ from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import Rbm, net_hidden
-from logicrbm.trainer import Grads, _cd_buffers, _cd_into, _flat_views
+from logicrbm.trainer import Grads, _cd_buffers, _cd_into, _cd_uniforms, _flat_views
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -81,7 +81,8 @@ def cd_step(m, X, cd_k, rng) -> Grads:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     G = np.empty(m.W.size + m.n_visible + m.n_hidden)
     g = Grads(*_flat_views(G, m.n_visible, m.n_hidden))
-    _cd_into(m, X, cd_k, rng, _cd_buffers(m.n_visible, m.n_hidden, len(X)), g, G)
+    U = next(_cd_uniforms(1, len(X), m.n_visible, m.n_hidden, cd_k)(rng))
+    _cd_into(m, X, U, _cd_buffers(m.n_visible, m.n_hidden, len(X)), g, G)
     return g
 
 

@@ -391,6 +391,24 @@ class TestTrainExtract:
             assert (trained == compiled) is frozen
         assert trained["a"][0] != compiled["a"][0]
 
+    @pytest.mark.parametrize("pos, neg, message", [
+        ([0, 1], [1], "both polarities"),
+        ([4], [], "outside 0..3"),
+        ([-1], [], "outside 0..3"),
+    ], ids=["both polarities", "past the universe", "negative"])
+    def test_frozen_training_rejects_bad_annotations(self, tmp_path, kb_dir, nixon_model,
+                                                     capsys, pos, neg, message):
+        doc = json.loads(nixon_model.read_text())
+        j = next(j for j, ann in enumerate(doc["clause_annotations"]) if ann)
+        doc["clause_annotations"][j].update(pos=pos, neg=neg)
+        bad, out = tmp_path / "bad.json", tmp_path / "trained.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "train", str(bad), "--from-clauses",
+                                str(kb_dir / "nixon.kb"), "--targets", "p", "--epochs", "1",
+                                "--freeze-structure", "-o", str(out))
+        assert code == 2 and message in err
+        assert stdout == "" and not out.exists()
+
     def test_train_from_wide_disjunction(self, tmp_path, capsys):
         wide = tmp_path / "wide.kb"
         wide.write_text(" | ".join(f"v{i}" for i in range(21)) + "\n")
@@ -609,6 +627,25 @@ class TestIngest:
         out = tmp_path / "onehot.csv"
         code, stdout, err = run(capsys, "ingest", str(src), "-o", str(out))
         assert code == 2 and message in err and stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("spec, field", [
+        ([1], "one JSON object"),
+        ({"attributes": 3}, "'attributes'"),
+        ({"attributes": [["color", ["red"]]]}, "attribute 0"),
+        ({"attributes": [{"name": "color", "values": 5}]}, "'values'"),
+        ({"attributes": [{"name": "color"}]}, "'values'"),
+        ({"attributes": [{"name": "color", "values": ["red"]}], "class": 1}, "'class'"),
+    ], ids=["top-level list", "attributes not a list", "attribute not an object",
+            "values not a list", "values missing", "class not a string"])
+    def test_bad_spec(self, tmp_path, capsys, spec, field):
+        src = tmp_path / "cat.csv"
+        src.write_text(self.CSV)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "onehot.csv"
+        code, stdout, err = run(capsys, "ingest", str(src), "--spec", str(spec_file),
+                                "-o", str(out))
+        assert code == 2 and field in err and stdout == "" and not out.exists()
 
     def test_inferred_spec(self, tmp_path, capsys):
         src = tmp_path / "cat.csv"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import logicrbm as L
-from logicrbm import formula as fm
+from logicrbm import formula as fm, rbm, reasoner
 from logicrbm.compiler import attach_hidden_units
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import block_rows, energy_rank
@@ -463,3 +463,85 @@ class TestCdKernel:
         assert same_bytes(out, ref)
         assert trace == ref_trace
         assert_untraced_same(m, d, cfg, out)
+
+
+class TestUniformBlocks:
+    """Uniforms drawn in blocks of whole steps, and doubled, give every
+    sampler the draws and the RNG stream of one draw per array."""
+
+    @pytest.mark.parametrize("limit", [1, 7, 40, 1 << 20])
+    def test_blocks_equal_separate_draws(self, monkeypatch, limit):
+        monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", limit)
+        shapes = [(2, 3), (2, 0), (1, 4)]
+        draws = rbm._UniformBlocks(9, shapes)
+        assert len(draws.blocks) == -(-9 // min(9, max(1, limit // 10)))
+        new_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        steps = 0
+        for arrays in draws(new_rng):
+            assert [u.shape for u in arrays] == shapes
+            for u, shape in zip(arrays, shapes):
+                assert np.shares_memory(u, draws.blocks[0][0]) or not u.size
+                assert u.tobytes() == (2 * ref_rng.random(shape)).tobytes()
+            steps += 1
+        assert steps == 9
+        assert new_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("steps_per_block", [1, 2, 3])
+    def test_gibbs_across_blocks_matches_reference(self, monkeypatch, steps_per_block):
+        blocks = []
+
+        class Counted(rbm._UniformBlocks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                blocks.append(len(self.blocks))
+
+        monkeypatch.setattr(reasoner, "_UniformBlocks", Counted)
+        default, split = rbm.BLOCK_ELEMENTS, 0
+        for seed in range(40):
+            rng, m, q = random_search_instance(seed)
+            cfg = GibbsConfig(steps=int(rng.integers(4, 30)), restarts=int(rng.integers(1, 6)),
+                              seed=int(rng.integers(1 << 31)))
+            monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", default)
+            whole = L.infer_gibbs(m, q, cfg)
+            c = _Clamped(m, q.evidence)
+            per_step = cfg.restarts * (len(c.wired) + len(c.free))
+            # a limit that is not a whole number of steps leaves a ragged last block
+            monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", steps_per_block * per_step + per_step // 2)
+            new, ref = L.infer_gibbs(m, q, cfg), ref_infer_gibbs(m, q, cfg)
+            if per_step:
+                assert blocks[-1] == -(-cfg.steps // steps_per_block) > 1
+                split += 1
+            assert new.assignment == whole.assignment == ref.assignment
+            assert new.energy_trace == whole.energy_trace
+            assert_same_answer(new, ref)
+            np.testing.assert_allclose(new.energy_trace, ref.energy_trace, rtol=0, atol=1e-9)
+        assert split >= 30
+
+    @pytest.mark.parametrize("limit", [1, "2.5 steps", 1 << 20])
+    def test_cd_training_across_blocks_matches_reference(self, monkeypatch, limit):
+        """Batches of 2, 2, 2 and a ragged 1 row; the full batches' draws
+        split across blocks, and the training generator ends in the
+        reference loop's state."""
+        rng = np.random.default_rng(12)
+        m = random_rbm(rng, 4, 3, tau=0.7)
+        table = fm.PropositionTable([f"v{i}" for i in range(4)])
+        d = Dataset(table, (rng.random((7, 4)) < 0.5).astype(float))
+        cfg = TrainConfig(alpha=1.0, beta=0.0, lr=0.1, epochs=5, batch_size=2, cd_k=2,
+                          seed=13, trace=True)
+        per_step = cfg.cd_k * cfg.batch_size * (4 + 3)
+        monkeypatch.setattr(rbm, "BLOCK_ELEMENTS",
+                            5 * per_step // 2 if limit == "2.5 steps" else limit)
+        generators = []
+        default_rng = np.random.default_rng
+
+        def recorded(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        out, trace = L.train(m, d, cfg)
+        ref, ref_trace = ref_train(m, d, cfg)
+        assert same_bytes(out, ref)
+        assert trace == ref_trace
+        new_rng, ref_rng = generators
+        assert new_rng.random() == ref_rng.random()
