@@ -1,18 +1,20 @@
 """Categorical data to rules: ingest, compile, tune, extract, score.
 
 A miniature end-to-end pipeline in the style of attribute-value
-classification tasks: one-hot encode a categorical table, compile a prior
-rule alongside free hidden units, tune confidences discriminatively, then
-extract clauses and score each against the data with its reliability
-ratio (satisfy/violate counts).
+classification tasks: one-hot encode a categorical table (attribute ``a``
+with value ``v`` becomes the proposition ``a_v``), take the class
+attribute's columns as training targets, compile a prior rule alongside
+free hidden units, tune confidences discriminatively, then extract clauses
+and score each against the data with its reliability ratio
+(satisfy/violate counts).
 """
 import numpy as np
 
 from logicrbm import (
-    TrainConfig, attach_hidden_units, compile_kb, extract_clauses, train,
+    Dataset, OneHotSpec, TrainConfig, attach_hidden_units, class_indices, compile_kb,
+    extract_clauses, ingest_categorical, score_reliability, train,
 )
-from logicrbm.cli import OneHotSpec, ingest_categorical
-from logicrbm.extractor import format_listing, reliability_ratio
+from logicrbm.extractor import format_listing
 from logicrbm.formula import parse_kb
 
 ROWS = [
@@ -25,8 +27,9 @@ HEADER = ["safety", "boot", "cls"]
 
 
 def main():
-    spec = OneHotSpec.infer(HEADER, ROWS, class_attr="cls")
-    data = ingest_categorical(ROWS, HEADER, spec)
+    onehot = ingest_categorical(ROWS, HEADER, OneHotSpec.infer(HEADER, ROWS))
+    classes = class_indices(onehot.table.names, "cls")
+    data = Dataset(onehot.table, onehot.rows, classes)
     print(f"one-hot dataset: {len(data.rows)} rows x "
           f"{len(data.table)} propositions, targets {data.target_indices}")
 
@@ -43,13 +46,9 @@ def main():
     print(f"discriminative NLL: {trace[0]['nll']:.3f} -> {trace[-1]['nll']:.3f}")
 
     extracted = extract_clauses(tuned)
-    class_indices = set(data.target_indices)
-    for ec in extracted:
-        mentioned = (set(ec.clause.pos) | set(ec.clause.neg)) & class_indices
-        if len(mentioned) == 1 and not ec.empty:
-            ec.reliability = reliability_ratio(ec.clause, data, class_indices)
+    score_reliability(extracted, data, classes)
     print("\nextracted clauses (reliability = satisfy/violate on the data):")
-    print(format_listing(extracted, names=data.table.names))
+    print(format_listing(extracted, data.table.names))
 
 
 if __name__ == "__main__":

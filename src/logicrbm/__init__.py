@@ -12,8 +12,8 @@ from .normal_forms import (
     ConjunctiveClause, implication_to_sdnf, to_full_dnf,
 )
 from .rbm import (
-    Rbm, energy_rank, load_model,
-    p_hidden_given_visible, p_visible_given_hidden, save_model,
+    Rbm, energy_rank, load_model, p_hidden_given_visible, p_visible_given_hidden,
+    proposition_names, save_model,
 )
 from .compiler import (
     ClauseBase, WeightedClause, attach_hidden_units, clause_patterns,
@@ -25,8 +25,11 @@ from .reasoner import (
     verify_equivalence,
 )
 from .trainer import (
-    Dataset, TrainConfig, dataset_from_kb, epoch_losses, read_csv, train,
+    Dataset, OneHotSpec, TrainConfig, class_indices, dataset_from_kb, epoch_losses,
+    ingest_categorical, read_csv, train,
 )
-from .extractor import ExtractedClause, extract_clauses, reliability_ratio
+from .extractor import (
+    ExtractedClause, extract_clauses, reliability_ratio, score_reliability,
+)
 
 __version__ = "0.1.0"

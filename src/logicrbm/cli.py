@@ -9,36 +9,28 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, SizeLimitError
 from . import formula as fm
-from .normal_forms import implication_to_sdnf, to_full_dnf
-from .compiler import (
-    attach_hidden_units, compile_kb, match_implication, penalty_network,
-    universal_network,
-)
-from .rbm import load_model, save_model
+from .compiler import attach_hidden_units, compile_kb, penalty_network, universal_network
+from .rbm import load_model, proposition_names, save_model
 from .reasoner import (
     GibbsConfig, DeterministicConfig, Query,
     infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
     verify_equivalence,
 )
 from .trainer import (
-    Dataset, TrainConfig, dataset_from_kb, epoch_losses, read_csv, train,
+    Dataset, OneHotSpec, TrainConfig, class_indices, dataset_from_kb, epoch_losses,
+    ingest_categorical, read_csv, train,
 )
-from .extractor import extract_clauses, format_listing, listing_to_json, reliability_ratio
-
-
-def _names(m) -> list[str]:
-    return m.names or [f"x{i}" for i in range(m.n_visible)]
+from .extractor import extract_clauses, format_listing, listing_to_json, score_reliability
 
 
 def _load_kb_over(path, m) -> fm.KnowledgeBase:
     """The KB at ``path`` over the model's propositions, in the model's order."""
-    names = _names(m)
+    names = proposition_names(m)
     with open(path, encoding="utf-8") as fh:
         kb = fm.parse_kb(fh.read(), fm.PropositionTable(names))
     if len(kb.table) > len(names):
@@ -51,33 +43,17 @@ def _load_kb_over(path, m) -> fm.KnowledgeBase:
 # compile
 # ---------------------------------------------------------------------------
 
-def _baseline_clauses(f, baseline):
-    """The clauses of one formula that a baseline turns into units."""
-    if baseline == "universal":
-        return to_full_dnf(f)
-    imp = match_implication(f)
-    if imp is None or imp[1] or not imp[3]:
-        raise ValueError("penalty baseline requires Horn clauses (positive body and head)")
-    body_pos, _, head, _ = imp
-    return implication_to_sdnf(body_pos, (), head)
-
-
 def cmd_compile(args) -> int:
     kb = fm.load_kb(args.kb_file)
-    if args.baseline == "sdnf":
-        m, base = compile_kb(kb, epsilon=args.epsilon)
-        per_formula = base.per_formula
-    else:
-        groups = [(w, _baseline_clauses(f, args.baseline)) for w, f in kb.items]
-        network = penalty_network if args.baseline == "penalty" else universal_network
-        m = network(groups, len(kb.table), args.epsilon, names=list(kb.table.names))
-        per_formula = [len(part) for _, part in groups]
+    construct = {"sdnf": compile_kb, "penalty": penalty_network,
+                 "universal": universal_network}[args.baseline]
+    m, base = construct(kb, args.epsilon)
     if args.extra_hidden:
         rng = np.random.default_rng(args.seed)
         m = attach_hidden_units(m, args.extra_hidden, args.init_scale, rng)
     save_model(m, args.output)
     print(f"hidden units: {m.n_hidden}")
-    print(f"clauses per formula: {per_formula}")
+    print(f"clauses per formula: {base.per_formula}")
     return 0
 
 
@@ -115,7 +91,7 @@ def cmd_reason(args) -> int:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("a query file must hold one JSON object")
-    names = _names(m)
+    names = proposition_names(m)
     index = {nm: i for i, nm in enumerate(names)}
     evidence = _evidence_from_doc(doc, names)
     targets = doc.get("targets", [])
@@ -130,39 +106,32 @@ def cmd_reason(args) -> int:
 
     if mode == "conditional":
         rep = infer_conditional(m, evidence, targets)
-        out = {
+        print(json.dumps({
             "mode": mode,
             "marginals": {names[t]: rep.marginals[t] for t in targets},
             "decision": {names[t]: bool(rep.decision[t]) for t in targets},
             "map_config": {names[t]: bool(v)
                            for t, v in zip(targets, rep.map_config)},
-        }
-    elif mode == "exact":
+        }, indent=1))
+        return 0
+    if mode == "exact":
         rep = infer_exact(m, evidence)
-        out = {
-            "mode": mode,
-            "assignment": {names[i]: bool(v) for i, v in rep.assignment.items()},
-            "energy_rank": rep.energy_rank,
-            "weighted_sat": rep.weighted_sat,
-        }
+    elif mode == "deterministic":
+        rep = infer_deterministic(
+            m, Query(evidence), DeterministicConfig(sweeps=steps, restarts=restarts, seed=seed))
+    elif mode == "gibbs":
+        rep = infer_gibbs(
+            m, Query(evidence), GibbsConfig(steps=steps, restarts=restarts, seed=seed))
     else:
-        query = Query(evidence)
-        if mode == "deterministic":
-            rep = infer_deterministic(
-                m, query, DeterministicConfig(sweeps=steps, restarts=restarts, seed=seed))
-        elif mode == "gibbs":
-            rep = infer_gibbs(
-                m, query, GibbsConfig(steps=steps, restarts=restarts, seed=seed))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        out = {
-            "mode": mode,
-            "assignment": {names[i]: bool(v) for i, v in rep.assignment.items()},
-            "energy_rank": rep.energy_rank,
-            "weighted_sat": rep.weighted_sat,
-            "steps": rep.steps,
-            "restarts": rep.restarts,
-        }
+        raise ValueError(f"unknown mode {mode!r}")
+    out = {
+        "mode": mode,
+        "assignment": {names[i]: bool(v) for i, v in rep.assignment.items()},
+        "energy_rank": rep.energy_rank,
+        "weighted_sat": rep.weighted_sat,
+    }
+    if mode != "exact":
+        out.update(steps=rep.steps, restarts=rep.restarts)
     print(json.dumps(out, indent=1))
     return 0
 
@@ -180,7 +149,7 @@ def cmd_train(args) -> int:
         if not args.data:
             raise ValueError("need a data CSV or --from-clauses")
         d = Dataset.from_csv(args.data, targets=targets)
-        if d.table.names != _names(m):
+        if d.table.names != proposition_names(m):
             raise ValueError("dataset columns do not match the model")
     cfg = TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
                       epochs=args.epochs, batch_size=args.batch_size,
@@ -208,17 +177,9 @@ def cmd_train(args) -> int:
 # extract
 # ---------------------------------------------------------------------------
 
-def _class_indices(names, attr):
-    idx = [i for i, nm in enumerate(names)
-           if nm == attr or nm.startswith(attr + "_")]
-    if not idx:
-        raise ValueError(f"no propositions for class attribute {attr!r}")
-    return idx
-
-
 def cmd_extract(args) -> int:
     m = load_model(args.model_file)
-    names = _names(m)
+    names = proposition_names(m)
     extracted = extract_clauses(m)
     if args.data:
         if not args.class_attr:
@@ -226,12 +187,7 @@ def cmd_extract(args) -> int:
         d = Dataset.from_csv(args.data)
         if d.table.names != names:
             raise ValueError("dataset columns do not match the model")
-        cls = _class_indices(names, args.class_attr)
-        for ec in extracted:
-            mentions = len(set(ec.clause.pos) & set(cls)) \
-                + len(set(ec.clause.neg) & set(cls))
-            if mentions == 1:
-                ec.reliability = reliability_ratio(ec.clause, d, cls)
+        score_reliability(extracted, d, class_indices(names, args.class_attr))
     print(format_listing(extracted, names))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -264,88 +220,9 @@ def cmd_verify(args) -> int:
 # ingest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OneHotSpec:
-    attributes: list[tuple[str, list[str]]]
-    class_attr: str | None = None
-
-    @classmethod
-    def from_json(cls, path) -> "OneHotSpec":
-        """A spec file {"attributes": [{"name": ..., "values": [...]}, ...],
-        "class": ...}; a file of any other shape raises ``ValueError`` naming
-        the field."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("an ingest spec must hold one JSON object")
-        attrs = doc.get("attributes")
-        if not isinstance(attrs, list):
-            raise ValueError("spec field 'attributes' must be a list of "
-                             f"{{name, values}} objects, not {attrs!r}")
-        out = []
-        for k, att in enumerate(attrs):
-            if not (isinstance(att, dict) and isinstance(att.get("name"), str)):
-                raise ValueError(f"spec attribute {k} must be an object with a string "
-                                 f"'name', not {att!r}")
-            values = att.get("values")
-            if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
-                raise ValueError(f"spec attribute {att['name']!r}: field 'values' must be "
-                                 f"a list of strings, not {values!r}")
-            out.append((att["name"], values))
-        class_attr = doc.get("class")
-        if not (class_attr is None or isinstance(class_attr, str)):
-            raise ValueError(f"spec field 'class' must be null or a string, not {class_attr!r}")
-        return cls(out, class_attr)
-
-    @classmethod
-    def infer(cls, header, rows, class_attr=None) -> "OneHotSpec":
-        attrs = []
-        for col, name in enumerate(header):
-            values = sorted({row[col] for row in rows})
-            attrs.append((name, values))
-        return cls(attrs, class_attr)
-
-    def proposition_names(self) -> list[str]:
-        names = []
-        for attr, values in self.attributes:
-            for v in values:
-                names.append(f"{attr}_{v}")
-        if len(set(names)) != len(names):
-            raise ValueError("one-hot proposition names collide")
-        return names
-
-
-def ingest_categorical(rows, header, spec: OneHotSpec) -> Dataset:
-    """Categorical rows -> one-hot binary Dataset (one true unit per attribute)."""
-    col_of = {name: i for i, name in enumerate(header)}
-    names = spec.proposition_names()
-    table = fm.PropositionTable(names)
-    out = np.zeros((len(rows), len(names)))
-    for r, row in enumerate(rows):
-        for attr, values in spec.attributes:
-            if attr not in col_of:
-                raise ValueError(f"attribute {attr!r} missing from the CSV header")
-            val = row[col_of[attr]]
-            if val not in values:
-                raise ValueError(
-                    f"row {r + 1}: unknown value {val!r} for attribute {attr!r}")
-            out[r, table.index[f"{attr}_{val}"]] = 1.0
-    targets = ()
-    if spec.class_attr:
-        targets = tuple(table.index[f"{spec.class_attr}_{v}"]
-                        for a, vs in spec.attributes if a == spec.class_attr
-                        for v in vs)
-    return Dataset(table, out, targets)
-
-
 def cmd_ingest(args) -> int:
     header, rows = read_csv(args.csv)
-    if args.spec:
-        spec = OneHotSpec.from_json(args.spec)
-    else:
-        spec = OneHotSpec.infer(header, rows, args.class_attr)
-    if args.class_attr:
-        spec.class_attr = args.class_attr
+    spec = OneHotSpec.from_json(args.spec) if args.spec else OneHotSpec.infer(header, rows)
     d = ingest_categorical(rows, header, spec)
     d.to_csv(args.output)
     print(f"wrote {len(d.rows)} rows x {len(d.table)} propositions")
@@ -410,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="one-hot encode a categorical CSV")
     p.add_argument("csv")
     p.add_argument("--spec", default=None)
-    p.add_argument("--class", dest="class_attr", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_ingest)
     return parser

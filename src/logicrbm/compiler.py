@@ -16,10 +16,12 @@ clause is a constant in e0 and a single literal a visible bias, so an
 implication whose body has K + T literals costs K + T units and a
 disjunction of k literals k - 1.  Two comparison baselines are provided:
 the Penalty-logic quadratic form for Horn clauses and the one-unit-per-model
-universal-approximator network.
+universal-approximator network.  All three take ``(kb, epsilon)`` and
+return ``(Rbm, ClauseBase)``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,26 +45,20 @@ class WeightedClause:
 class ClauseBase:
     table: fm.PropositionTable
     clauses: list[WeightedClause] = field(default_factory=list)
-    per_formula: list[int] = field(default_factory=list)   # SDNF clauses of each formula
+    per_formula: list[int] = field(default_factory=list)   # clauses of each formula
 
 
-def clause_patterns(clauses, n_visible: int, epsilon: float):
+def clause_patterns(pos, neg, n_visible: int, epsilon: float):
     """The unit pattern of each clause: signs S (n_visible x units) and bias.
 
-    ``S[i, j]`` is +1 for a positive literal of clause j, -1 for a negative
-    one and 0 otherwise; ``bias[j] = -T_j + epsilon`` with T_j the number of
-    positive literals.  A clause with confidence c becomes the hidden unit
-    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.  A variable outside
-    ``0 .. n_visible - 1``, or one in both polarities, raises ``ValueError``
-    naming the clause's position j.
+    Clause j has the positive literals ``pos[j]`` and the negative ones
+    ``neg[j]`` (index lists).  ``S[i, j]`` is +1 for a positive literal of
+    clause j, -1 for a negative one and 0 otherwise; ``bias[j] = -T_j +
+    epsilon`` with T_j the number of positive literals.  A clause with
+    confidence c becomes the hidden unit ``W[:, j] = c * S[:, j]``, ``b[j] =
+    c * bias[j]``.  A variable outside ``0 .. n_visible - 1``, or one in both
+    polarities, raises ``ValueError`` naming the clause's position j.
     """
-    return _sign_patterns([cl.pos for cl in clauses], [cl.neg for cl in clauses],
-                          n_visible, epsilon)
-
-
-def _sign_patterns(pos, neg, n_visible: int, epsilon: float):
-    """``clause_patterns`` of the clauses whose positive and negative
-    literals are the index lists ``pos[j]`` and ``neg[j]``, in one pass."""
     k = len(pos)
     cells = []
     for lists in (pos, neg):
@@ -92,7 +88,8 @@ def _units(clauses, c, n_visible: int, epsilon: float):
     c = np.asarray(c, dtype=float)
     if (c < 0).any():
         raise ValueError("confidence value must be non-negative")
-    S, bias = clause_patterns(clauses, n_visible, epsilon)
+    S, bias = clause_patterns([cl.pos for cl in clauses], [cl.neg for cl in clauses],
+                              n_visible, epsilon)
     S *= c
     bias *= c
     return S, bias
@@ -226,50 +223,72 @@ def compile_kb(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseB
     return m, ClauseBase(kb.table, merged, per_formula)
 
 
-def penalty_network(groups, n_visible: int, epsilon: float = 0.5, names=None) -> Rbm:
-    """Penalty-logic network for weighted Horn clauses.
-
-    ``groups`` holds one ``(w, clauses)`` pair per Horn clause, the clauses
-    being its implication SDNF.  Every clause becomes a unit with doubled
-    parameters (c = 2w) and the offset is the sum of the weights, which
-    realises E_penalty(x) = 2 * E_sdnf(x) + sum(w) pointwise at epsilon = 0.5.
-    """
-    _check_epsilon(epsilon)
+def _baseline(kb: fm.KnowledgeBase, groups, scale: float, epsilon: float,
+              unit_epsilon: float, e0: float) -> tuple[Rbm, ClauseBase]:
+    """One unit per clause of ``groups``, a ``(w, clauses)`` pair per formula,
+    with the unit pattern at ``unit_epsilon`` scaled by c = scale * w.  The
+    clause base lists every clause at its formula's weight."""
     clauses = [cl for _, part in groups for cl in part]
-    W, b = _units(clauses, [2.0 * w for w, part in groups for _ in part],
-                  n_visible, epsilon)
-    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=float(sum(w for w, _ in groups)),
-               tau=1.0, names=names, epsilon=epsilon)
+    n = len(kb.table)
+    W, b = _units(clauses, [scale * w for w, part in groups for _ in part], n, unit_epsilon)
+    m = Rbm(W=W, a=np.zeros(n), b=b, e0=e0, tau=1.0, names=list(kb.table.names),
+            epsilon=epsilon)
+    return m, ClauseBase(kb.table, [WeightedClause(cl, w) for w, part in groups for cl in part],
+                         [len(part) for _, part in groups])
 
 
-def universal_network(groups, n_visible: int, lam: float = 0.5, names=None) -> Rbm:
-    """One hidden unit per preferred model, for weighted full DNFs.
+def _horn_sdnf(f: fm.Formula) -> list[ConjunctiveClause]:
+    imp = match_implication(f)
+    if imp is None or imp[1] or not imp[3]:
+        raise ValueError("penalty baseline requires Horn clauses (positive body and head)")
+    body_pos, _, head, _ = imp
+    return implication_to_sdnf(body_pos, (), head)
 
-    ``groups`` holds one ``(w, clauses)`` pair per formula, each clause a
-    total model v over the formula's variables.  Its unit gets weights
-    w * (v - 1/2) on those variables and bias w * (-T / 2 + lam), T being
-    the number of true variables in v: the unit pattern at
-    epsilon = 2 * lam, scaled by c = w / 2.  For 0 < lam <= 1/2 the net
-    input is w * lam exactly on v and at most w * (lam - 1/2) elsewhere, so
-    s(x) = -E_rank(x) / lam.
+
+def penalty_network(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseBase]:
+    """Penalty-logic network for a KB of weighted Horn clauses.
+
+    Every formula must be a Horn clause (positive body and head), else
+    ``ValueError``.  Each clause of its implication SDNF becomes a unit with
+    doubled parameters (c = 2w) and the offset is the sum of the weights,
+    which realises E_penalty(x) = 2 * E_sdnf(x) + sum(w) pointwise at
+    epsilon = 0.5.
     """
-    if not 0 < lam <= 0.5:
+    groups = [(w, _horn_sdnf(f)) for w, f in kb.items]
+    _check_epsilon(epsilon)
+    return _baseline(kb, groups, 2.0, epsilon, epsilon, float(sum(w for w, _ in groups)))
+
+
+def universal_network(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseBase]:
+    """One hidden unit per model of each formula, at lambda = ``epsilon``.
+
+    A model v of a formula of weight w, over the formula's variables, gets
+    weights w * (v - 1/2) on those variables and bias w * (-T / 2 + lambda),
+    T being the number of true variables in v: the unit pattern at
+    epsilon = 2 * lambda, scaled by c = w / 2.  For 0 < lambda <= 1/2 the
+    net input is w * lambda exactly on v and at most w * (lambda - 1/2)
+    elsewhere, so s(x) = -E_rank(x) / lambda.  A formula without models
+    raises ``ValueError``.
+    """
+    groups = [(w, to_full_dnf(f)) for w, f in kb.items]
+    if not 0 < epsilon <= 0.5:
         raise ValueError("the universal construction needs 0 < lambda <= 1/2")
     if any(not part for _, part in groups):
         raise ValueError("universal construction needs at least one model")
-    if any(cl.variables() != part[0].variables() for _, part in groups for cl in part):
-        raise ValueError("universal construction requires a full DNF (total-model clauses)")
-    clauses = [cl for _, part in groups for cl in part]
-    W, b = _units(clauses, [0.5 * w for w, part in groups for _ in part],
-                  n_visible, 2 * lam)
-    return Rbm(W=W, a=np.zeros(n_visible), b=b, e0=0.0, tau=1.0,
-               names=names, epsilon=lam)
+    return _baseline(kb, groups, 0.5, epsilon, 2 * epsilon, 0.0)
 
 
 def attach_hidden_units(m: Rbm, count: int, init_scale: float, rng) -> Rbm:
-    """Append free hidden units with uniform random parameters."""
+    """Append free hidden units with parameters uniform in [-init_scale, init_scale).
+
+    The scale must be finite and >= 0, and so must 2 * init_scale, the
+    width that numpy draws over.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not (0 <= init_scale and math.isfinite(2 * init_scale)):
+        raise ValueError(f"init scale must be finite and >= 0 (with 2 * scale finite), "
+                         f"not {init_scale!r}")
     out = m.copy()
     if count == 0:
         return out

@@ -111,30 +111,35 @@ def reliability_ratio(clause: ConjunctiveClause, d: Dataset, class_indices
     return satisfy, violate
 
 
-def format_listing(extracted, names=None) -> str:
-    """`c: literal & literal ... [rr=s/v]`, sorted by confidence descending."""
-    def name(i):
-        return names[i] if names else f"x{i}"
+def score_reliability(extracted, d: Dataset, class_indices) -> None:
+    """Set ``reliability`` to the ``reliability_ratio`` on ``d`` of each
+    extracted clause that mentions exactly one of the class columns."""
+    cls = set(class_indices)
+    for ec in extracted:
+        if len(cls.intersection(ec.clause.pos)) + len(cls.intersection(ec.clause.neg)) == 1:
+            ec.reliability = reliability_ratio(ec.clause, d, cls)
 
+
+def format_listing(extracted, names) -> str:
+    """`c: literal & literal ... [rr=s/v]`, sorted by confidence descending,
+    with ``names[i]`` for proposition i (see ``rbm.proposition_names``)."""
     lines = []
     for ec in sorted(extracted, key=lambda e: -e.c):
-        lits = [name(i) for i in ec.clause.pos] + [f"~{name(i)}" for i in ec.clause.neg]
+        lits = [names[i] for i in ec.clause.pos] + [f"~{names[i]}" for i in ec.clause.neg]
         body = " & ".join(lits) if lits else "<empty>"
         rr = f" [rr={ec.reliability[0]}/{ec.reliability[1]}]" if ec.reliability else ""
         lines.append(f"{ec.c:.4f}: {body}{rr}")
     return "\n".join(lines)
 
 
-def listing_to_json(extracted, names=None) -> str:
-    def name(i):
-        return names[i] if names else f"x{i}"
-
+def listing_to_json(extracted, names) -> str:
+    """The listing as JSON, one object per clause, named as in ``format_listing``."""
     docs = []
     for ec in sorted(extracted, key=lambda e: -e.c):
         docs.append({
             "confidence": ec.c,
-            "pos": [name(i) for i in ec.clause.pos],
-            "neg": [name(i) for i in ec.clause.neg],
+            "pos": [names[i] for i in ec.clause.pos],
+            "neg": [names[i] for i in ec.clause.neg],
             "hidden_index": ec.hidden_index,
             "distance": ec.distance,
             "reliability": list(ec.reliability) if ec.reliability else None,

@@ -209,12 +209,16 @@ class _TargetGrid:
 # Model file I/O
 # ---------------------------------------------------------------------------
 
+def proposition_names(m: Rbm) -> list[str]:
+    """The names of the visible units: ``m.names``, else ``x0, x1, ...``."""
+    return list(m.names) if m.names is not None else [f"x{i}" for i in range(m.n_visible)]
+
+
 def model_to_dict(m: Rbm) -> dict:
     return {
         "n_visible": m.n_visible,
         "n_hidden": m.n_hidden,
-        "names": list(m.names) if m.names is not None
-                 else [f"x{i}" for i in range(m.n_visible)],
+        "names": proposition_names(m),
         "W": m.W.tolist(),
         "a": m.a.tolist(),
         "b": m.b.tolist(),

@@ -17,6 +17,7 @@ those clauses' confidences.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from itertools import chain, repeat
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formula as fm
-from .compiler import _sign_patterns, formula_to_sdnf_clauses
+from .compiler import clause_patterns, formula_to_sdnf_clauses
 from .rbm import (Rbm, _TargetGrid, _UniformBlocks, p_hidden_given_visible,
                   p_visible_given_hidden, _sigmoid, _twice_sigmoid)
 
@@ -87,6 +88,87 @@ def _target_indices(table: fm.PropositionTable, targets) -> tuple[int, ...]:
         if isinstance(t, str) and t not in table:
             raise ValueError(f"unknown target {t!r}: no proposition of that name")
     return tuple(table.index[t] if isinstance(t, str) else t for t in targets)
+
+
+def class_indices(names, attr: str) -> list[int]:
+    """The columns of class attribute ``attr``: the proposition named
+    ``attr`` and its one-hot columns ``attr_<value>``."""
+    idx = [i for i, nm in enumerate(names)
+           if nm == attr or nm.startswith(attr + "_")]
+    if not idx:
+        raise ValueError(f"no propositions for class attribute {attr!r}")
+    return idx
+
+
+@dataclass
+class OneHotSpec:
+    """The values of each categorical attribute; attribute ``a`` with value
+    ``v`` becomes the proposition ``a_v``."""
+    attributes: list[tuple[str, list[str]]]
+
+    @classmethod
+    def from_json(cls, path) -> "OneHotSpec":
+        """A spec file {"attributes": [{"name": ..., "values": [...]}, ...]};
+        a file of any other shape raises ``ValueError`` naming the field."""
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("an ingest spec must hold one JSON object")
+        if "class" in doc:
+            raise ValueError("spec field 'class' is not read: ingest encodes every attribute; "
+                             "name the class columns (<attribute>_<value>) with "
+                             "train --targets instead")
+        attrs = doc.get("attributes")
+        if not isinstance(attrs, list):
+            raise ValueError("spec field 'attributes' must be a list of "
+                             f"{{name, values}} objects, not {attrs!r}")
+        out = []
+        for k, att in enumerate(attrs):
+            if not (isinstance(att, dict) and isinstance(att.get("name"), str)):
+                raise ValueError(f"spec attribute {k} must be an object with a string "
+                                 f"'name', not {att!r}")
+            values = att.get("values")
+            if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+                raise ValueError(f"spec attribute {att['name']!r}: field 'values' must be "
+                                 f"a list of strings, not {values!r}")
+            out.append((att["name"], values))
+        return cls(out)
+
+    @classmethod
+    def infer(cls, header, rows) -> "OneHotSpec":
+        """Every column of the table, with the sorted values it takes."""
+        attrs = []
+        for col, name in enumerate(header):
+            values = sorted({row[col] for row in rows})
+            attrs.append((name, values))
+        return cls(attrs)
+
+    def proposition_names(self) -> list[str]:
+        names = []
+        for attr, values in self.attributes:
+            for v in values:
+                names.append(f"{attr}_{v}")
+        if len(set(names)) != len(names):
+            raise ValueError("one-hot proposition names collide")
+        return names
+
+
+def ingest_categorical(rows, header, spec: OneHotSpec) -> Dataset:
+    """Categorical rows -> one-hot binary Dataset (one true unit per attribute)."""
+    col_of = {name: i for i, name in enumerate(header)}
+    names = spec.proposition_names()
+    table = fm.PropositionTable(names)
+    out = np.zeros((len(rows), len(names)))
+    for r, row in enumerate(rows):
+        for attr, values in spec.attributes:
+            if attr not in col_of:
+                raise ValueError(f"attribute {attr!r} missing from the CSV header")
+            val = row[col_of[attr]]
+            if val not in values:
+                raise ValueError(
+                    f"row {r + 1}: unknown value {val!r} for attribute {attr!r}")
+            out[r, table.index[f"{attr}_{val}"]] = 1.0
+    return Dataset(table, out)
 
 
 def dataset_from_kb(kb: fm.KnowledgeBase, targets=()) -> Dataset:
@@ -254,14 +336,14 @@ def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:
 def _clause_units(m: Rbm):
     """Annotated hidden units with their sign matrix and bias pattern.
 
-    A bad annotation raises ``ValueError`` from ``compiler._sign_patterns``,
+    A bad annotation raises ``ValueError`` from ``compiler.clause_patterns``,
     which counts clauses over the annotated units alone.
     """
     anns = m.clause_annotations or []
     units = np.array([j for j, ann in enumerate(anns) if ann], dtype=int)
     eps = m.epsilon if m.epsilon is not None else 0.5
-    S, bias = _sign_patterns([anns[j]["pos"] for j in units], [anns[j]["neg"] for j in units],
-                             m.n_visible, eps)
+    S, bias = clause_patterns([anns[j]["pos"] for j in units], [anns[j]["neg"] for j in units],
+                              m.n_visible, eps)
     return units, S, bias
 
 

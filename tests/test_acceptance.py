@@ -13,9 +13,7 @@ import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import compile_kb, penalty_network, universal_network
 from logicrbm.extractor import extract_clauses, reliability_ratio
-from logicrbm.normal_forms import (
-    ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
-)
+from logicrbm.normal_forms import ConjunctiveClause, all_assignments
 from logicrbm.rbm import Rbm, energy_rank
 from logicrbm.reasoner import (
     DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
@@ -106,13 +104,10 @@ def test_criterion_3_implication_size_and_correctness(capsys):
         for _ in range(60):
             body_pos, body_neg, head, head_positive = \
                 random_implication(rng, max_body=6)
-            f = implication_formula(body_pos, body_neg, head, head_positive)
-            n = max(body_pos | body_neg | {head}) + 1
-            mu = universal_network([(1.0, to_full_dnf(f))], n)
+            kb = implication_kb(body_pos, body_neg, head, head_positive)
+            mu, _ = universal_network(kb)
             k_t = len(body_pos) + len(body_neg)
             assert mu.n_hidden == 2 ** (k_t + 1) - 1
-            kb = fm.KnowledgeBase(
-                fm.PropositionTable([f"v{i}" for i in range(n)]), [(1.0, f)])
             assert verify_equivalence(mu, kb, mu.epsilon).max_deviation <= 1e-9
 
 
@@ -126,8 +121,9 @@ def test_criterion_4_penalty_identity(capsys):
             head = int(variables[0])
             body = frozenset(int(v) for v in variables[1:])
             n = size + 1
-            pen = penalty_network([(1.0, implication_to_sdnf(body, (), head))], n)
-            sdnf, _ = compile_kb(implication_kb(body, frozenset(), head, True, n))
+            kb = implication_kb(body, frozenset(), head, True, n)
+            pen, _ = penalty_network(kb)
+            sdnf, _ = compile_kb(kb)
             X = all_assignments(n)
             ep = energy_rank(pen, X)
             es = energy_rank(sdnf, X)

@@ -11,10 +11,10 @@ import pytest
 
 import logicrbm
 from logicrbm import formula as fm
-from logicrbm.cli import OneHotSpec, ingest_categorical, main
+from logicrbm.cli import main
 from logicrbm.reasoner import infer_conditional
 from logicrbm.rbm import Rbm, load_model, save_model
-from logicrbm.trainer import Dataset, TrainConfig
+from logicrbm.trainer import Dataset, OneHotSpec, TrainConfig, ingest_categorical
 
 
 def run(capsys, *argv):
@@ -92,6 +92,13 @@ class TestCompile:
         code, stdout, _ = run(capsys, "compile", str(kb), "--baseline", "penalty",
                               "-o", str(tmp_path / "m.json"))
         assert code == 0 and "hidden units: 3" in stdout
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1e308", "-0.5"])
+    def test_extra_hidden_bad_init_scale(self, kb_dir, tmp_path, capsys, scale):
+        out = tmp_path / "m.json"
+        code, stdout, err = run(capsys, "compile", str(kb_dir / "xor.kb"),
+                                "--extra-hidden", "2", "--init-scale", scale, "-o", str(out))
+        assert code == 2 and "init scale" in err and stdout == "" and not out.exists()
 
     def test_extra_hidden_units(self, kb_dir, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -560,7 +567,11 @@ class TestTrainExtract:
         data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
         code, stdout, _ = run(capsys, "extract", str(xor_model), str(data),
                               "--class", "z")
-        assert code == 0 and "[rr=" in stdout
+        # each XOR model clause mentions z once and matches one row
+        assert code == 0 and stdout == ("1.0000: ~x & ~y & ~z [rr=1/0]\n"
+                                        "1.0000: x & y & ~z [rr=1/0]\n"
+                                        "1.0000: x & z & ~y [rr=1/0]\n"
+                                        "1.0000: y & z & ~x [rr=1/0]\n")
 
     def test_extract_json_output(self, tmp_path, xor_model, capsys):
         out = tmp_path / "clauses.json"
@@ -635,8 +646,10 @@ class TestIngest:
         ({"attributes": [{"name": "color", "values": 5}]}, "'values'"),
         ({"attributes": [{"name": "color"}]}, "'values'"),
         ({"attributes": [{"name": "color", "values": ["red"]}], "class": 1}, "'class'"),
+        ({"attributes": [{"name": "color", "values": ["red"]}], "class": "color"},
+         "train --targets"),
     ], ids=["top-level list", "attributes not a list", "attribute not an object",
-            "values not a list", "values missing", "class not a string"])
+            "values not a list", "values missing", "class not a string", "class"])
     def test_bad_spec(self, tmp_path, capsys, spec, field):
         src = tmp_path / "cat.csv"
         src.write_text(self.CSV)
@@ -651,8 +664,7 @@ class TestIngest:
         src = tmp_path / "cat.csv"
         src.write_text(self.CSV)
         out = tmp_path / "onehot.csv"
-        code, stdout, _ = run(capsys, "ingest", str(src), "--class", "label",
-                              "-o", str(out))
+        code, stdout, _ = run(capsys, "ingest", str(src), "-o", str(out))
         assert code == 0 and "3 rows x 6 propositions" in stdout
         header, *rows = out.read_text().strip().splitlines()
         assert header == "color_blue,color_red,size_large,size_small,label_no,label_yes"
@@ -664,14 +676,30 @@ class TestIngest:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "attributes": [{"name": "color", "values": ["red", "blue"]},
-                           {"name": "label", "values": ["yes", "no"]}],
-            "class": "label"}))
+                           {"name": "label", "values": ["yes", "no"]}]}))
         out = tmp_path / "onehot.csv"
         code, _, _ = run(capsys, "ingest", str(src), "--spec", str(spec),
                          "-o", str(out))
         assert code == 0
         assert out.read_text().splitlines()[0] \
             == "color_red,color_blue,label_yes,label_no"
+
+    def test_class_is_chosen_by_train_targets(self, tmp_path, capsys):
+        src = tmp_path / "cat.csv"
+        src.write_text(self.CSV)
+        out = tmp_path / "onehot.csv"
+        code, _, err = run(capsys, "ingest", str(src), "--class", "label", "-o", str(out))
+        assert code == 2 and "--class" in err and not out.exists()
+        # the one-hot class columns are the training targets
+        code, _, _ = run(capsys, "ingest", str(src), "-o", str(out))
+        model = tmp_path / "m.json"
+        kb = tmp_path / "prior.kb"
+        kb.write_text("".join(f"0: {nm}\n" for nm in out.read_text().splitlines()[0].split(","))
+                      + "label_yes <- color_red\n")
+        assert run(capsys, "compile", str(kb), "-o", str(model))[0] == 0
+        code, stdout, err = run(capsys, "train", str(model), str(out), "--targets",
+                                "label_no,label_yes", "--epochs", "1", "-o", str(model))
+        assert code == 0 and "final nll" in stdout, err
 
     def test_unknown_value_names_row_and_attribute(self, tmp_path, capsys):
         src = tmp_path / "cat.csv"

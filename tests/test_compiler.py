@@ -104,7 +104,7 @@ class TestClauseRange:
 
     def test_negative_index_does_not_wrap(self):
         with pytest.raises(ValueError):
-            clause_patterns([ConjunctiveClause((-1,), ())], 2, 0.5)
+            clause_patterns([(-1,)], [()], 2, 0.5)
 
     @pytest.mark.parametrize("var", [-1, 2, 3])
     def test_every_construction_refuses(self, var):
@@ -113,8 +113,8 @@ class TestClauseRange:
                   fm.Implies(body=fm.Var(0), head=fm.Var(var))):
             with pytest.raises(ValueError, match="outside"):
                 compile_kb(one_formula_kb(f, 2))
-        with pytest.raises(ValueError):
-            penalty_network([(1.0, implication_to_sdnf({var}, (), 0))], 2)
+        with pytest.raises(ValueError, match="outside"):
+            penalty_network(one_formula_kb(fm.Implies(body=fm.Var(var), head=fm.Var(0)), 2))
 
 
 class TestCompileImplication:
@@ -321,8 +321,9 @@ class TestCompileKb:
 def penalty_horn(body_pos, head, epsilon=0.5, n_visible=None, confidence=1.0):
     """The penalty network of one Horn clause ``head <- body``."""
     n_visible = max(body_pos | {head}) + 1 if n_visible is None else n_visible
-    return penalty_network([(confidence, implication_to_sdnf(body_pos, (), head))],
-                           n_visible, epsilon)
+    f = implication_formula(frozenset(body_pos), frozenset(), head, True)
+    m, _ = penalty_network(one_formula_kb(f, n_visible, confidence), epsilon)
+    return m
 
 
 class TestPenaltyBaseline:
@@ -352,21 +353,35 @@ class TestPenaltyBaseline:
         with pytest.raises(ValueError):
             penalty_horn({1}, 0, epsilon=1.0)
 
+    @pytest.mark.parametrize("text", [
+        "y <- x & ~z", "~y <- x", "x | y", "x ^ y", "x", "y <- x\nz <- x & ~y",
+    ], ids=["negative body", "negative head", "disjunction", "xor", "fact", "second"])
+    def test_rejects_non_horn_kb(self, text):
+        with pytest.raises(ValueError, match="Horn"):
+            penalty_network(fm.parse_kb(text + "\n"))
 
-def universal(clauses, lam=0.5):
-    """The universal network of one full DNF at weight 1."""
-    n_visible = max((max(cl.variables()) for cl in clauses), default=-1) + 1
-    return universal_network([(1.0, clauses)], n_visible, lam)
+    def test_kb_order_names_and_clause_base(self):
+        kb = fm.parse_kb("2: y <- x1 & x2\n0.5: x1 <- x3\n")
+        m, base = penalty_network(kb, 0.3)
+        assert m.names == ["y", "x1", "x2", "x3"] and m.epsilon == 0.3
+        assert base.per_formula == [3, 2] and m.n_hidden == 5 and m.e0 == 2.5
+        assert [wc.c for wc in base.clauses] == [2.0] * 3 + [0.5] * 2
+
+
+def universal(f, lam=0.5):
+    """The universal network of one formula at weight 1."""
+    m, _ = universal_network(one_formula_kb(f, max(fm.free_vars(f), default=-1) + 1), lam)
+    return m
 
 
 class TestUniversalBaseline:
     def test_horn3_fifteen_units(self):
         f = fm.parse_formula("y <- x1 & ~x2 & ~x3", fm.PropositionTable())
-        m = universal(to_full_dnf(f))
+        m = universal(f)
         assert m.n_hidden == 15  # 2^(K+T+1) - 1 with T=1, K=2
 
     def test_model_1101_unit(self):
-        m = universal([ConjunctiveClause((0, 1, 3), (2,))], lam=0.5)
+        m = universal(fm.parse_formula("v0 & v1 & ~v2 & v3", fm.PropositionTable()))
         assert m.W[:, 0].tolist() == [0.5, 0.5, -0.5, 0.5]
         assert m.b[0] == pytest.approx(-3 / 2 + 0.5)
 
@@ -375,7 +390,7 @@ class TestUniversalBaseline:
         for _ in range(10):
             body_pos, body_neg, head, head_positive = random_implication(rng, max_body=4)
             f = implication_formula(body_pos, body_neg, head, head_positive)
-            m = universal(to_full_dnf(f))
+            m = universal(f)
             assert m.n_hidden == 2 ** (len(body_pos) + len(body_neg) + 1) - 1
             n = max(body_pos | body_neg | {head}) + 1
             X = all_assignments(n)
@@ -383,31 +398,26 @@ class TestUniversalBaseline:
             np.testing.assert_allclose(truth.astype(float),
                                        -energy_rank(m, X) / m.epsilon, atol=1e-9)
 
-    def test_rejects_partial_clauses(self):
-        partial = [ConjunctiveClause((0,), ()), ConjunctiveClause((0,), (1,))]
-        with pytest.raises(ValueError, match="full DNF"):
-            universal(partial)
-        # each group is checked on its own: two full DNFs over different
-        # variables are fine side by side, a partial one is not
-        full = [(1.0, to_full_dnf(fm.Var(0))), (2.0, to_full_dnf(fm.Var(1)))]
-        universal_network(full, 2)
-        with pytest.raises(ValueError, match="full DNF"):
-            universal_network(full + [(1.0, partial)], 2)
+    def test_per_formula_full_dnfs_side_by_side(self):
+        # each formula gets the full DNF over its own variables
+        kb = fm.parse_kb("2: x\ny ^ z\n")
+        m, base = universal_network(kb)
+        assert base.per_formula == [1, 2] and m.n_hidden == 3
+        assert_equivalent(m, kb, 0.5)
 
     def test_lambda_range(self):
         # at Hamming distance 1 from a model the net input is lam - 1/2
         f = fm.parse_formula("y <- x1 & ~x2 & ~x3", fm.PropositionTable())
-        clauses = to_full_dnf(f)
         for lam in (0.0, -0.1, 0.5000001, 0.7):
             with pytest.raises(ValueError):
-                universal(clauses, lam=lam)
+                universal(f, lam=lam)
         kb = fm.KnowledgeBase(fm.PropositionTable(["y", "x1", "x2", "x3"]), [(1.0, f)])
         for lam in (0.01, 0.25, 0.5):
-            assert_equivalent(universal(clauses, lam=lam), kb, lam)
+            assert_equivalent(universal(f, lam=lam), kb, lam)
 
     def test_rejects_formula_without_models(self):
-        with pytest.raises(ValueError):
-            universal([])
+        with pytest.raises(ValueError, match="at least one model"):
+            universal(fm.parse_formula("x & ~x", fm.PropositionTable()))
 
 
 class TestAttachHiddenUnits:

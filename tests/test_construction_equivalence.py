@@ -16,7 +16,7 @@ from logicrbm.compiler import (
     compile_kb, formula_to_sdnf_clauses, match_implication, penalty_network,
     universal_network,
 )
-from logicrbm.normal_forms import all_assignments, implication_to_sdnf, to_full_dnf
+from logicrbm.normal_forms import all_assignments, to_full_dnf
 from logicrbm.rbm import energy_rank, model_to_dict, save_model
 from logicrbm.reasoner import verify_equivalence
 
@@ -260,34 +260,39 @@ def test_clause_route_is_exact(seed):
     assert_same_network(m, ref_fold_literals(ref_compile_kb(rewritten, eps)))
 
 
+def kb_over(n_visible, items):
+    """A knowledge base over x0 .. x(n_visible - 1) holding ``items``."""
+    return fm.KnowledgeBase(fm.PropositionTable([f"x{i}" for i in range(n_visible)]), items)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_compile_penalty_horn_matches_reference(seed):
     """One Horn clause through ``penalty_network``."""
     rng = np.random.default_rng(seed)
-    size = int(rng.integers(0, 7))
+    size = int(rng.integers(1, 7))
     variables = rng.permutation(size + 1)
     head, body = int(variables[0]), frozenset(int(v) for v in variables[1:])
-    n_visible = draw_n_visible(rng, size)
+    n_visible = size + 1 + int(rng.integers(0, 3))
     eps, c = draw_epsilon(rng), draw_confidence(rng)
-    assert_same_network(
-        penalty_network([(c, implication_to_sdnf(body, (), head))],
-                        size + 1 if n_visible is None else n_visible, eps),
-        ref_compile_penalty_horn(body, head, eps, n_visible, c))
+    kb = kb_over(n_visible, [(c, implication_formula(body, frozenset(), head, True))])
+    m, base = penalty_network(kb, eps)
+    assert_same_network(m, ref_compile_penalty_horn(body, head, eps, n_visible, c,
+                                                    kb.table.names))
+    assert base.per_formula == [size + 1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_compile_universal_matches_reference(seed):
-    """One full DNF at weight 1 through ``universal_network``."""
+    """One formula at weight 1 through ``universal_network``."""
     rng = np.random.default_rng(seed)
-    clauses = to_full_dnf(satisfiable_formula(rng, int(rng.integers(1, 6))))
-    top = max((max(cl.variables()) for cl in clauses if cl.variables()), default=-1)
-    n_visible = draw_n_visible(rng, top)
+    f = satisfiable_formula(rng, int(rng.integers(1, 6)))
+    n_visible = max(fm.free_vars(f), default=-1) + 1 + int(rng.integers(0, 3))
     lam = draw_lambda(rng)
-    assert_same_network(
-        universal_network([(1.0, clauses)], top + 1 if n_visible is None else n_visible, lam),
-        ref_compile_universal(clauses, lam, n_visible))
+    m, _ = universal_network(kb_over(n_visible, [(1.0, f)]), lam)
+    assert_same_network(m, ref_compile_universal(to_full_dnf(f), lam, n_visible,
+                                                 [f"x{i}" for i in range(n_visible)]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,30 +300,27 @@ def test_compile_universal_matches_reference(seed):
 def test_baseline_networks_match_per_formula_assembly(seed):
     rng = np.random.default_rng(seed)
     n_vars = int(rng.integers(2, 7))
-    names = [f"v{i}" for i in range(n_vars)]
     eps = draw_epsilon(rng)
     kb = horn_kb(rng, n_vars)
-    groups, parts = [], []
+    parts = []
     for w, f in kb.items:
         body_pos, _, head, _ = match_implication(f)
-        groups.append((w, implication_to_sdnf(body_pos, (), head)))
         parts.append(ref_compile_penalty_horn(body_pos, head, eps, n_vars, w))
-    assert_same_network(penalty_network(groups, n_vars, eps, names),
-                        ref_hstack_models(parts, names, eps))
+    assert_same_network(penalty_network(kb, eps)[0],
+                        ref_hstack_models(parts, kb.table.names, eps))
 
     lam = draw_lambda(rng)
     weights = [draw_confidence(rng) for _ in range(int(rng.integers(0, 4)))]
     formulas = [satisfiable_formula(rng, n_vars) for _ in weights]
-    groups, parts = [], []
+    parts = []
     for w, f in zip(weights, formulas):
-        clauses = to_full_dnf(f)
-        groups.append((w, clauses))
-        part = ref_compile_universal(clauses, lam, n_vars)
+        part = ref_compile_universal(to_full_dnf(f), lam, n_vars)
         part.W *= w
         part.b *= w
         parts.append(part)
-    assert_same_network(universal_network(groups, n_vars, lam, names),
-                        ref_hstack_models(parts, names, lam))
+    kb = fm.KnowledgeBase(kb.table, list(zip(weights, formulas)))
+    assert_same_network(universal_network(kb, lam)[0],
+                        ref_hstack_models(parts, kb.table.names, lam))
 
 
 def reference_model(kb, baseline, epsilon):

@@ -8,10 +8,11 @@ import pytest
 from logicrbm import formula as fm
 from logicrbm.compiler import compile_kb
 from logicrbm.extractor import (
-    EXTRACT_BLOCK, extract_clauses, format_listing, listing_to_json, reliability_ratio,
+    EXTRACT_BLOCK, ExtractedClause, extract_clauses, format_listing, listing_to_json,
+    reliability_ratio, score_reliability,
 )
 from logicrbm.normal_forms import ConjunctiveClause
-from logicrbm.rbm import Rbm
+from logicrbm.rbm import Rbm, proposition_names
 from logicrbm.trainer import Dataset, TrainConfig, train
 
 from conftest import random_kb
@@ -197,6 +198,29 @@ class TestReliabilityRatio:
         assert reliability_ratio(clause, d, (2, 3)) == (6, 0)
 
 
+class TestScoreReliability:
+    def test_scores_clauses_with_one_class_column(self):
+        d = labelled_dataset()
+        clauses = [ConjunctiveClause((0, 2), (1,)),     # one class literal
+                   ConjunctiveClause((0,), (1, 2)),     # one, negated
+                   ConjunctiveClause((0,), (1,)),       # none
+                   ConjunctiveClause((), ())]           # empty
+        extracted = [ExtractedClause(cl, 1.0, j, 0.0, empty=not cl.variables())
+                     for j, cl in enumerate(clauses)]
+        score_reliability(extracted, d, [2])
+        assert [ec.reliability for ec in extracted] == [(2, 1), (1, 2), None, None]
+
+    def test_two_class_columns_are_not_scored(self):
+        # a one-hot class: a clause over both of its columns is skipped, one
+        # over a single column is scored against that column
+        table = fm.PropositionTable(["f", "cls_a", "cls_b"])
+        d = Dataset(table, [[1, 1, 0], [1, 0, 1], [0, 0, 1]])
+        extracted = [ExtractedClause(ConjunctiveClause((0, 1), (2,)), 1.0, 0, 0.0),
+                     ExtractedClause(ConjunctiveClause((0, 2), ()), 1.0, 1, 0.0)]
+        score_reliability(extracted, d, (1, 2))
+        assert [ec.reliability for ec in extracted] == [None, (1, 1)]
+
+
 class TestListing:
     def test_format_sorted_with_rr(self):
         m = rbm_with_columns([1.0, 0.0], [3.0, -3.0])
@@ -209,6 +233,6 @@ class TestListing:
 
     def test_json_fields(self):
         m = rbm_with_columns([1.5, -1.5])
-        docs = json.loads(listing_to_json(extract_clauses(m)))
+        docs = json.loads(listing_to_json(extract_clauses(m), proposition_names(m)))
         assert docs[0]["pos"] == ["x0"] and docs[0]["neg"] == ["x1"]
         assert docs[0]["confidence"] == pytest.approx(1.5)
