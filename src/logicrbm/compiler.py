@@ -238,6 +238,8 @@ def _baseline(kb: fm.KnowledgeBase, groups, scale: float, epsilon: float,
 
 
 def _horn_sdnf(f: fm.Formula) -> list[ConjunctiveClause]:
+    if isinstance(f, fm.Var):
+        return implication_to_sdnf((), (), f.index)
     imp = match_implication(f)
     if imp is None or imp[1] or not imp[3]:
         raise ValueError("penalty baseline requires Horn clauses (positive body and head)")
@@ -248,8 +250,8 @@ def _horn_sdnf(f: fm.Formula) -> list[ConjunctiveClause]:
 def penalty_network(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseBase]:
     """Penalty-logic network for a KB of weighted Horn clauses.
 
-    Every formula must be a Horn clause (positive body and head), else
-    ``ValueError``.  Each clause of its implication SDNF becomes a unit with
+    Every formula must be a Horn clause (positive body and head; a positive
+    fact is one with an empty body), else ``ValueError``.  Each clause of its implication SDNF becomes a unit with
     doubled parameters (c = 2w) and the offset is the sum of the weights,
     which realises E_penalty(x) = 2 * E_sdnf(x) + sum(w) pointwise at
     epsilon = 0.5.

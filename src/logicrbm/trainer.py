@@ -92,7 +92,8 @@ def _target_indices(table: fm.PropositionTable, targets) -> tuple[int, ...]:
 
 def class_indices(names, attr: str) -> list[int]:
     """The columns of class attribute ``attr``: the proposition named
-    ``attr`` and its one-hot columns ``attr_<value>``."""
+    ``attr`` and every column whose name starts with ``attr_``.  The match is
+    by prefix, so another attribute named ``attr_<suffix>`` is taken too."""
     idx = [i for i, nm in enumerate(names)
            if nm == attr or nm.startswith(attr + "_")]
     if not idx:

@@ -354,8 +354,8 @@ class TestPenaltyBaseline:
             penalty_horn({1}, 0, epsilon=1.0)
 
     @pytest.mark.parametrize("text", [
-        "y <- x & ~z", "~y <- x", "x | y", "x ^ y", "x", "y <- x\nz <- x & ~y",
-    ], ids=["negative body", "negative head", "disjunction", "xor", "fact", "second"])
+        "y <- x & ~z", "~y <- x", "x | y", "x ^ y", "~x", "y <- x\nz <- x & ~y",
+    ], ids=["negative body", "negative head", "disjunction", "xor", "negative fact", "second"])
     def test_rejects_non_horn_kb(self, text):
         with pytest.raises(ValueError, match="Horn"):
             penalty_network(fm.parse_kb(text + "\n"))

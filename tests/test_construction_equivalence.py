@@ -270,12 +270,13 @@ def kb_over(n_visible, items):
 def test_compile_penalty_horn_matches_reference(seed):
     """One Horn clause through ``penalty_network``."""
     rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 7))
+    size = int(rng.integers(0, 7))
     variables = rng.permutation(size + 1)
     head, body = int(variables[0]), frozenset(int(v) for v in variables[1:])
     n_visible = size + 1 + int(rng.integers(0, 3))
     eps, c = draw_epsilon(rng), draw_confidence(rng)
-    kb = kb_over(n_visible, [(c, implication_formula(body, frozenset(), head, True))])
+    f = implication_formula(body, frozenset(), head, True) if body else fm.Var(head)
+    kb = kb_over(n_visible, [(c, f)])
     m, base = penalty_network(kb, eps)
     assert_same_network(m, ref_compile_penalty_horn(body, head, eps, n_visible, c,
                                                     kb.table.names))
