@@ -11,7 +11,7 @@ and score each against the data with its reliability ratio
 import numpy as np
 
 from logicrbm import (
-    Dataset, OneHotSpec, TrainConfig, attach_hidden_units, class_indices, compile_kb,
+    Dataset, OneHotSpec, TrainConfig, attach_hidden_units, compile_kb,
     extract_clauses, ingest_categorical, score_reliability, train,
 )
 from logicrbm.extractor import format_listing
@@ -27,8 +27,9 @@ HEADER = ["safety", "boot", "cls"]
 
 
 def main():
-    onehot = ingest_categorical(ROWS, HEADER, OneHotSpec.infer(HEADER, ROWS))
-    classes = class_indices(onehot.table.names, "cls")
+    spec = OneHotSpec.infer(HEADER, ROWS)
+    onehot = ingest_categorical(ROWS, HEADER, spec)
+    classes = [onehot.table.index[f"cls_{v}"] for v in dict(spec.attributes)["cls"]]
     data = Dataset(onehot.table, onehot.rows, classes)
     print(f"one-hot dataset: {len(data.rows)} rows x "
           f"{len(data.table)} propositions, targets {data.target_indices}")

@@ -9,7 +9,7 @@ from .formula import (
     weighted_sat,
 )
 from .normal_forms import (
-    ConjunctiveClause, implication_to_sdnf, to_full_dnf,
+    ConjunctiveClause, clause_to_sdnf, to_full_dnf,
 )
 from .rbm import (
     Rbm, energy_rank, load_model, p_hidden_given_visible, p_visible_given_hidden,
@@ -25,7 +25,7 @@ from .reasoner import (
     verify_equivalence,
 )
 from .trainer import (
-    Dataset, OneHotSpec, TrainConfig, class_indices, dataset_from_kb, epoch_losses,
+    Dataset, OneHotSpec, TrainConfig, dataset_from_kb, epoch_losses,
     ingest_categorical, read_csv, train,
 )
 from .extractor import (

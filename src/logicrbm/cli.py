@@ -22,7 +22,7 @@ from .reasoner import (
     verify_equivalence,
 )
 from .trainer import (
-    Dataset, OneHotSpec, TrainConfig, class_indices, dataset_from_kb, epoch_losses,
+    Dataset, OneHotSpec, TrainConfig, dataset_from_kb, epoch_losses,
     ingest_categorical, read_csv, train,
 )
 from .extractor import extract_clauses, format_listing, listing_to_json, score_reliability
@@ -142,13 +142,12 @@ def cmd_reason(args) -> int:
 
 def cmd_train(args) -> int:
     m = load_model(args.model_file)
-    targets = [t for t in (args.targets.split(",") if args.targets else []) if t]
     if args.from_clauses:
-        d = dataset_from_kb(_load_kb_over(args.from_clauses, m), targets=targets)
+        d = dataset_from_kb(_load_kb_over(args.from_clauses, m), targets=args.targets)
     else:
         if not args.data:
             raise ValueError("need a data CSV or --from-clauses")
-        d = Dataset.from_csv(args.data, targets=targets)
+        d = Dataset.from_csv(args.data, targets=args.targets)
         if d.table.names != proposition_names(m):
             raise ValueError("dataset columns do not match the model")
     cfg = TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
@@ -182,12 +181,12 @@ def cmd_extract(args) -> int:
     names = proposition_names(m)
     extracted = extract_clauses(m)
     if args.data:
-        if not args.class_attr:
-            raise ValueError("reliability scoring needs --class")
-        d = Dataset.from_csv(args.data)
+        if not args.targets:
+            raise ValueError("reliability scoring needs --targets (the class columns)")
+        d = Dataset.from_csv(args.data, targets=args.targets)
         if d.table.names != names:
             raise ValueError("dataset columns do not match the model")
-        score_reliability(extracted, d, class_indices(names, args.class_attr))
+        score_reliability(extracted, d, d.target_indices)
     print(format_listing(extracted, names))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -233,6 +232,11 @@ def cmd_ingest(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _name_list(text: str) -> list[str]:
+    """A comma-separated list of proposition names; empty items are dropped."""
+    return [t for t in text.split(",") if t]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="logicrbm")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cd-k", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--freeze-structure", action="store_true")
-    p.add_argument("--targets", default="")
+    p.add_argument("--targets", type=_name_list, default=[])
     p.add_argument("--loss-log", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
@@ -274,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="read conjunctive clauses out of a model")
     p.add_argument("model_file")
     p.add_argument("data", nargs="?", default=None)
-    p.add_argument("--class", dest="class_attr", default=None)
+    p.add_argument("--targets", type=_name_list, default=[],
+                   help="the class columns to score reliability against")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_extract)
 

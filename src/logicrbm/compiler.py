@@ -12,9 +12,9 @@ the minimised energy satisfies
 for every total assignment.  ``clause_patterns`` builds that sign and bias
 pattern, and every construction here scales it by its confidences.
 ``compile_kb`` needs no unit for a clause of fewer than two literals: a true
-clause is a constant in e0 and a single literal a visible bias, so an
-implication whose body has K + T literals costs K + T units and a
-disjunction of k literals k - 1.  Two comparison baselines are provided:
+clause is a constant in e0 and a single literal a visible bias, so a
+clause of k distinct literals, written as a disjunction or as ``head <-
+body``, costs k - 1 units.  Two comparison baselines are provided:
 the Penalty-logic quadratic form for Horn clauses and the one-unit-per-model
 universal-approximator network.  All three take ``(kb, epsilon)`` and
 return ``(Rbm, ClauseBase)``.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formula as fm
-from .normal_forms import ConjunctiveClause, implication_to_sdnf, to_full_dnf
+from .normal_forms import ConjunctiveClause, clause_to_sdnf, to_full_dnf
 from .rbm import Rbm, _check_epsilon
 
 
@@ -99,80 +99,49 @@ def _annotation(clause: ConjunctiveClause, c: float) -> dict:
     return {"pos": list(clause.pos), "neg": list(clause.neg), "confidence": float(c)}
 
 
-def _literal(g: fm.Formula):
-    """(index, positive) if g is a literal, else None."""
-    if isinstance(g, fm.Var):
-        return g.index, True
-    if isinstance(g, fm.Not) and isinstance(g.operand, fm.Var):
-        return g.operand.index, False
-    return None
+def _clause(f: fm.Formula):
+    """The distinct literals ``(variable, positive)`` of a clause-shaped
+    formula, head first; ``[]`` for a tautology and None for other shapes.
 
-
-def match_implication(f: fm.Formula):
-    """(body_pos, body_neg, head, head_positive) if f is a literal implication."""
-    if not isinstance(f, fm.Implies):
-        return None
-    head = _literal(f.head)
-    if head is None:
-        return None
-    pos, neg = set(), set()
-    stack = [f.body]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, fm.And):
-            stack += [g.left, g.right]
-            continue
-        lit = _literal(g)
-        if lit is None:
-            return None
-        (pos if lit[1] else neg).add(lit[0])
-    if pos & neg or head[0] in pos or head[0] in neg:
-        return None
-    return frozenset(pos), frozenset(neg), head[0], head[1]
-
-
-def _clause_literals(f: fm.Formula):
-    """The distinct literals of an ``Or`` tree of literals, left to right."""
-    if not isinstance(f, fm.Or):
-        return None
-    lits, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, fm.Or):
-            stack += [g.right, g.left]
-            continue
-        lit = _literal(g)
-        if lit is None:
-            return None
-        lits.append(lit)
-    return list(dict.fromkeys(lits))
+    An ``Or`` tree of literals, a lone literal included, is a clause headed
+    by its first literal.  ``head <- body``, with ``head`` such a tree and
+    ``body`` an ``And`` tree of literals, is the clause ``head | ~body``.
+    """
+    parts = [(f.head, fm.Or, True), (f.body, fm.And, False)] \
+        if isinstance(f, fm.Implies) else [(f, fm.Or, True)]
+    lits = []
+    for tree, op, positive in parts:
+        stack = [tree]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, op):
+                stack += [g.right, g.left]
+            elif isinstance(g, fm.Var):
+                lits.append((g.index, positive))
+            elif isinstance(g, fm.Not) and isinstance(g.operand, fm.Var):
+                lits.append((g.operand.index, not positive))
+            else:
+                return None
+    lits = list(dict.fromkeys(lits))
+    return [] if len({v for v, _ in lits}) < len(lits) else lits
 
 
 def formula_to_sdnf_clauses(f: fm.Formula) -> list[ConjunctiveClause]:
-    """Strict-DNF clauses of a formula, by one of three routes.
+    """Strict-DNF clauses of a formula, by one of two routes.
 
-    - A literal implication ``head <- body`` gets its T + K + 1 clauses from
-      ``implication_to_sdnf``.
-    - A disjunction of k distinct literals ``l1 | ... | lk`` is the
-      implication ``l1 <- ~l2 & ... & ~lk`` and gets its k clauses the same
-      way, with the first literal as head and the default elimination order.
-      A disjunction holding a literal and its negation is a tautology: one
-      true clause, which ``compile_kb`` folds into ``e0``.
+    - A clause of k distinct literals, written as a disjunction ``l1 | ... |
+      lk`` or as ``head <- body`` (``head | ~body``), gets its k clauses from
+      ``clause_to_sdnf``; for ``head <- body`` with a literal head and T + K
+      body literals that is T + K + 1.  A clause holding a literal and its
+      negation is a tautology: one true clause, which ``compile_kb`` folds
+      into ``e0``.
     - Anything else (XOR, iff, constants, other shapes) goes through
       ``to_full_dnf``: one clause per model, limited to 20 free variables.
     """
-    imp = match_implication(f)
-    lits = _clause_literals(f)
-    if lits is not None:
-        if len({v for v, _ in lits}) < len(lits):
-            return [ConjunctiveClause((), ())]
-        (head, head_positive), rest = lits[0], lits[1:]
-        imp = ([v for v, positive in rest if not positive],
-               [v for v, positive in rest if positive], head, head_positive)
-    if imp is not None:
-        body_pos, body_neg, head, head_positive = imp
-        return implication_to_sdnf(body_pos, body_neg, head, head_positive=head_positive)
-    return to_full_dnf(f)
+    lits = _clause(f)
+    if lits is None:
+        return to_full_dnf(f)
+    return clause_to_sdnf(lits) if lits else [ConjunctiveClause((), ())]
 
 
 def merge_clauses(clauses) -> list[WeightedClause]:
@@ -238,23 +207,24 @@ def _baseline(kb: fm.KnowledgeBase, groups, scale: float, epsilon: float,
 
 
 def _horn_sdnf(f: fm.Formula) -> list[ConjunctiveClause]:
-    if isinstance(f, fm.Var):
-        return implication_to_sdnf((), (), f.index)
-    imp = match_implication(f)
-    if imp is None or imp[1] or not imp[3]:
+    """The clauses of a fact ``h``, or of ``h <- body`` with h not in the
+    body, whose head is its only positive literal."""
+    lits = _clause(f)
+    horn = isinstance(f, fm.Var) or (isinstance(f, fm.Implies) and isinstance(f.head, fm.Var)
+                                     and f.head.index not in fm.free_vars(f.body))
+    if not (horn and lits) or [p for _, p in lits] != [True] + [False] * (len(lits) - 1):
         raise ValueError("penalty baseline requires Horn clauses (positive body and head)")
-    body_pos, _, head, _ = imp
-    return implication_to_sdnf(body_pos, (), head)
+    return clause_to_sdnf(lits)
 
 
 def penalty_network(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseBase]:
     """Penalty-logic network for a KB of weighted Horn clauses.
 
     Every formula must be a Horn clause (positive body and head; a positive
-    fact is one with an empty body), else ``ValueError``.  Each clause of its implication SDNF becomes a unit with
-    doubled parameters (c = 2w) and the offset is the sum of the weights,
-    which realises E_penalty(x) = 2 * E_sdnf(x) + sum(w) pointwise at
-    epsilon = 0.5.
+    fact is one with an empty body), else ``ValueError``.  Each clause of its
+    strict DNF becomes a unit with doubled parameters (c = 2w) and the offset
+    is the sum of the weights, which realises E_penalty(x) = 2 * E_sdnf(x) +
+    sum(w) pointwise at epsilon = 0.5.
     """
     groups = [(w, _horn_sdnf(f)) for w, f in kb.items]
     _check_epsilon(epsilon)

@@ -110,17 +110,21 @@ FALSE = Const(False)
 
 
 def free_vars(f: Formula) -> frozenset[int]:
-    if isinstance(f, Var):
-        return frozenset((f.index,))
-    if isinstance(f, Not):
-        return free_vars(f.operand)
-    if isinstance(f, Implies):
-        return free_vars(f.body) | free_vars(f.head)
-    if isinstance(f, (And, Or, Iff, Xor)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Const):
-        return frozenset()
-    raise TypeError(f"not a formula node: {f!r}")
+    """The variables of f, found without recursion, so any depth works."""
+    found, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Var):
+            found.add(g.index)
+        elif isinstance(g, Not):
+            stack.append(g.operand)
+        elif isinstance(g, Implies):
+            stack += [g.body, g.head]
+        elif isinstance(g, (And, Or, Iff, Xor)):
+            stack += [g.left, g.right]
+        elif not isinstance(g, Const):
+            raise TypeError(f"not a formula node: {g!r}")
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +357,10 @@ def parse_formula(text: str, table: PropositionTable, line_no: int = 1) -> Formu
     tokens = _tokenize(text, line_no)
     if not tokens:
         raise ParseError("empty formula", line_no, 1)
-    return _Parser(tokens, table, line_no).parse()
+    try:
+        return _Parser(tokens, table, line_no).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", line_no, None) from None
 
 
 def parse_kb(text: str, table: PropositionTable | None = None) -> KnowledgeBase:

@@ -80,42 +80,25 @@ def to_full_dnf(f: fm.Formula) -> list[ConjunctiveClause]:
     return clauses
 
 
-def implication_to_sdnf(body_pos, body_neg, head: int, order=None,
-                        head_positive: bool = True) -> list[ConjunctiveClause]:
-    """Strict DNF of ``head <- body`` with T + K + 1 clauses.
+def clause_to_sdnf(literals) -> list[ConjunctiveClause]:
+    """Strict DNF of the clause ``l1 | ... | lk``, one clause per literal.
 
-    The first clause is the full conjunct (head plus the body literals);
-    then the body variables are eliminated one by one, each contributing a
-    clause over the not-yet-eliminated body literals with the eliminated
-    variable's polarity flipped.  The elimination order is arbitrary for
-    correctness; the default (descending index) keeps compilation
-    deterministic.
+    ``literals`` are distinct-variable ``(variable, positive)`` pairs, head
+    first.  The other literals in ascending variable order, then the head,
+    each give the clause of that literal and the negations of the literals
+    before it, so an assignment satisfies only the clause of its first true
+    literal.  Returned in reverse, so the full conjunct (the head and the
+    negations of all the others) comes first.  A repeated variable raises
+    ``ValueError``.
     """
-    body_pos = frozenset(body_pos)
-    body_neg = frozenset(body_neg)
-    if body_pos & body_neg:
-        raise ValueError("body has a variable in both polarities")
-    if head in body_pos or head in body_neg:
-        raise ValueError("head variable occurs in the body")
-    if order is None:
-        order = sorted(body_pos | body_neg, reverse=True)
-    else:
-        order = list(order)
-        if sorted(order) != sorted(body_pos | body_neg):
-            raise ValueError("elimination order must be a permutation of the body variables")
-
-    if head_positive:
-        full = ConjunctiveClause(tuple(body_pos) + (head,), tuple(body_neg))
-    else:
-        full = ConjunctiveClause(tuple(body_pos), tuple(body_neg) + (head,))
-    clauses = [full]
-    rem_pos, rem_neg = set(body_pos), set(body_neg)
-    for p in order:
-        if p in rem_pos:
-            rem_pos.remove(p)
-            clauses.append(ConjunctiveClause(tuple(rem_pos), tuple(rem_neg) + (p,)))
+    if len({v for v, _ in literals}) < len(literals):
+        raise ValueError("clause has a variable twice")
+    pos, neg, clauses = [], [], []
+    for v, positive in sorted(literals[1:]) + list(literals[:1]):
+        if positive:
+            clauses.append(ConjunctiveClause(pos + [v], neg))
+            neg.append(v)
         else:
-            rem_neg.remove(p)
-            clauses.append(ConjunctiveClause(tuple(rem_pos) + (p,), tuple(rem_neg)))
-    return clauses
-
+            clauses.append(ConjunctiveClause(pos, neg + [v]))
+            pos.append(v)
+    return clauses[::-1]

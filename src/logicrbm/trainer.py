@@ -90,17 +90,6 @@ def _target_indices(table: fm.PropositionTable, targets) -> tuple[int, ...]:
     return tuple(table.index[t] if isinstance(t, str) else t for t in targets)
 
 
-def class_indices(names, attr: str) -> list[int]:
-    """The columns of class attribute ``attr``: the proposition named
-    ``attr`` and every column whose name starts with ``attr_``.  The match is
-    by prefix, so another attribute named ``attr_<suffix>`` is taken too."""
-    idx = [i for i, nm in enumerate(names)
-           if nm == attr or nm.startswith(attr + "_")]
-    if not idx:
-        raise ValueError(f"no propositions for class attribute {attr!r}")
-    return idx
-
-
 @dataclass
 class OneHotSpec:
     """The values of each categorical attribute; attribute ``a`` with value
@@ -176,10 +165,11 @@ def dataset_from_kb(kb: fm.KnowledgeBase, targets=()) -> Dataset:
     """One preferred model per formula: both sides of the implication true.
 
     The row sets the positive literals of the formula's first strict-DNF
-    clause.  For an implication that clause is the full conjunct, body and
-    head; a disjunction ``l1 | ... | lk`` is read as ``l1 <- ~l2 & ... & ~lk``;
-    other formulas get their first model.  Unmentioned propositions are left
-    at 0, and a formula without models adds no row.
+    clause.  For a clause, whether ``head <- body`` or ``l1 | ... | lk``
+    (headed by l1), that is the full conjunct: the head and the negations of
+    its other literals, so an implication's body and head both hold.  Other
+    formulas get their first model.  Unmentioned propositions are left at 0,
+    and a formula without models adds no row.
     """
     n = len(kb.table)
     rows = []

@@ -4,8 +4,8 @@ These are the original per-construction unit loops, which give every
 clause a unit, the fold of single-literal units into the visible biases
 done column by column, the model
 concatenation the command line used for the baselines, the original
-full-DNF conversion and the formula-to-clause routing without the clause
-route for disjunctions of literals, the original
+full-DNF conversion, the original implication matcher and body-variable
+elimination with the formula-to-clause routing built on them, the original
 full-column Gibbs and descent loops over every hidden unit (Gibbs samples
 only the units wired to a free variable, and leaves the rest at 0), the CD-k
 estimator, the per-row discriminative training loop with its zero-buffer
@@ -19,12 +19,9 @@ same seed both must reach the same answers.
 import numpy as np
 
 from logicrbm import formula as fm
-from logicrbm.compiler import match_implication
 from logicrbm.errors import SizeLimitError
 from logicrbm.extractor import DEFAULT_PRUNE_FRACTIONS, ExtractedClause
-from logicrbm.normal_forms import (
-    ConjunctiveClause, all_assignments, implication_to_sdnf,
-)
+from logicrbm.normal_forms import ConjunctiveClause, all_assignments
 from logicrbm.rbm import Rbm, energy_rank, net_hidden, net_visible, _sigmoid
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
 from logicrbm.trainer import Grads
@@ -68,11 +65,81 @@ def ref_compile_sdnf(clauses, epsilon=0.5, n_visible=None, confidences=None, nam
                names=names, epsilon=epsilon, clause_annotations=annotations)
 
 
+def ref_literal(g):
+    """(index, positive) if g is a literal, else None."""
+    if isinstance(g, fm.Var):
+        return g.index, True
+    if isinstance(g, fm.Not) and isinstance(g.operand, fm.Var):
+        return g.operand.index, False
+    return None
+
+
+def ref_match_implication(f):
+    """(body_pos, body_neg, head, head_positive) if f is ``head <- body`` with
+    a literal head and a body of distinct literals, none of them over the
+    head's variable or in both polarities; else None."""
+    if not isinstance(f, fm.Implies) or ref_literal(f.head) is None:
+        return None
+    head, head_positive = ref_literal(f.head)
+    pos, neg = set(), set()
+    for g in ref_leaves(f.body, fm.And):
+        lit = ref_literal(g)
+        if lit is None:
+            return None
+        (pos if lit[1] else neg).add(lit[0])
+    if pos & neg or head in pos or head in neg:
+        return None
+    return frozenset(pos), frozenset(neg), head, head_positive
+
+
+def ref_leaves(f, op):
+    """The leaves of an ``op`` tree, left to right."""
+    if isinstance(f, op):
+        return ref_leaves(f.left, op) + ref_leaves(f.right, op)
+    return [f]
+
+
+def ref_clause_literals(f):
+    """The literals of a disjunction of literals, or of ``head <- body`` read
+    as ``head | ~body`` (``head`` such a disjunction, ``body`` a conjunction
+    of literals), left to right with repeats; else None."""
+    head, body = (f.head, f.body) if isinstance(f, fm.Implies) else (f, None)
+    lits = [ref_literal(g) for g in ref_leaves(head, fm.Or)]
+    if body is not None:
+        lits += [None if lit is None else (lit[0], not lit[1])
+                 for lit in map(ref_literal, ref_leaves(body, fm.And))]
+    return None if None in lits else lits
+
+
+def ref_implication_to_sdnf(body_pos, body_neg, head, order=None, head_positive=True):
+    """Strict DNF of ``head <- body``: the full conjunct, then one clause per
+    body variable eliminated in ``order`` (default descending), over the
+    body literals not yet eliminated with the eliminated one flipped."""
+    body_pos, body_neg = frozenset(body_pos), frozenset(body_neg)
+    assert not body_pos & body_neg and head not in body_pos | body_neg
+    if order is None:
+        order = sorted(body_pos | body_neg, reverse=True)
+    assert sorted(order) == sorted(body_pos | body_neg)
+    if head_positive:
+        clauses = [ConjunctiveClause(tuple(body_pos) + (head,), tuple(body_neg))]
+    else:
+        clauses = [ConjunctiveClause(tuple(body_pos), tuple(body_neg) + (head,))]
+    rem_pos, rem_neg = set(body_pos), set(body_neg)
+    for p in order:
+        if p in rem_pos:
+            rem_pos.remove(p)
+            clauses.append(ConjunctiveClause(tuple(rem_pos), tuple(rem_neg) + (p,)))
+        else:
+            rem_neg.remove(p)
+            clauses.append(ConjunctiveClause(tuple(rem_pos) + (p,), tuple(rem_neg)))
+    return clauses
+
+
 def ref_compile_implication(body_pos, body_neg, head, epsilon=0.5, n_visible=None,
                             confidence=1.0, head_positive=True, names=None):
     order = sorted(frozenset(body_pos) | frozenset(body_neg), reverse=True)
-    sdnf = implication_to_sdnf(body_pos, body_neg, head, order=order,
-                               head_positive=head_positive)
+    sdnf = ref_implication_to_sdnf(body_pos, body_neg, head, order=order,
+                                   head_positive=head_positive)
     n_visible = _infer_n_visible(sdnf, n_visible, extra=(head,))
     eps = epsilon
     c = confidence
@@ -120,14 +187,23 @@ def ref_to_full_dnf(f, limit=20):
 
 
 def ref_sdnf_clauses(f):
-    """Implication clauses for a literal implication, else the full DNF."""
-    imp = match_implication(f)
-    if imp is not None:
-        body_pos, body_neg, head, head_positive = imp
-        order = sorted(body_pos | body_neg, reverse=True)
-        return implication_to_sdnf(body_pos, body_neg, head, order=order,
-                                   head_positive=head_positive)
-    return ref_to_full_dnf(f)
+    """Implication clauses for a literal implication.  Any other clause,
+    ``l1 | ... | lk`` or ``head <- body`` over a disjunctive head or with
+    repeated literals, is read as the implication ``l1 <- ~l2 & ... & ~lk``
+    over its distinct literals; one true clause if it holds a literal and its
+    negation.  Anything else gets the full DNF."""
+    imp = ref_match_implication(f)
+    lits = ref_clause_literals(f) if imp is None else None
+    if lits is not None:
+        lits = list(dict.fromkeys(lits))
+        if len({v for v, _ in lits}) < len(lits):
+            return [ConjunctiveClause((), ())]
+        (head, head_positive), rest = lits[0], lits[1:]
+        imp = ({v for v, positive in rest if not positive},
+               {v for v, positive in rest if positive}, head, head_positive)
+    if imp is None:
+        return ref_to_full_dnf(f)
+    return ref_implication_to_sdnf(*imp[:3], head_positive=imp[3])
 
 
 def ref_compile_kb(kb, epsilon=0.5):
@@ -190,7 +266,7 @@ def ref_fold_literals(m):
 def ref_compile_penalty_horn(body_pos, head, epsilon=0.5, n_visible=None,
                              confidence=1.0, names=None):
     body_pos = frozenset(body_pos)
-    sdnf = implication_to_sdnf(body_pos, (), head, order=sorted(body_pos, reverse=True))
+    sdnf = ref_implication_to_sdnf(body_pos, (), head, order=sorted(body_pos, reverse=True))
     n_visible = _infer_n_visible(sdnf, n_visible, extra=(head,))
     W = np.zeros((n_visible, len(sdnf)))
     b = np.zeros(len(sdnf))

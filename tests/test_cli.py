@@ -566,12 +566,34 @@ class TestTrainExtract:
         data = tmp_path / "xor.csv"
         data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
         code, stdout, _ = run(capsys, "extract", str(xor_model), str(data),
-                              "--class", "z")
+                              "--targets", "z")
         # each XOR model clause mentions z once and matches one row
         assert code == 0 and stdout == ("1.0000: ~x & ~y & ~z [rr=1/0]\n"
                                         "1.0000: x & y & ~z [rr=1/0]\n"
                                         "1.0000: x & z & ~y [rr=1/0]\n"
                                         "1.0000: y & z & ~x [rr=1/0]\n")
+
+    def test_extract_targets_are_exact_column_names(self, tmp_path, capsys):
+        """Only the named columns are class columns, not every column sharing
+        their prefix: size_class_a and size_class_b are attributes here."""
+        names = ["size_big", "size_small", "size_class_a", "size_class_b"]
+        kb = tmp_path / "size.kb"
+        kb.write_text("size_big <- size_small & size_class_a & size_class_b\n")
+        model = tmp_path / "size.json"
+        assert run(capsys, "compile", str(kb), "-o", str(model))[0] == 0
+        data = tmp_path / "size.csv"
+        data.write_text(",".join(names) + "\n1,0,1,0\n0,1,1,1\n0,1,1,0\n1,1,1,1\n0,1,0,1\n")
+        code, stdout, err = run(capsys, "extract", str(model), str(data),
+                                "--targets", "size_big,size_small")
+        assert code == 0, err
+        # the first clause mentions both targets, so it is not scored
+        assert stdout == ("1.0000: size_big & size_small & size_class_a & size_class_b\n"
+                          "1.0000: size_small & ~size_class_a [rr=1/0]\n"
+                          "1.0000: size_small & size_class_a & ~size_class_b [rr=1/1]\n")
+        for targets in ("size", ""):
+            code, stdout, err = run(capsys, "extract", str(model), str(data),
+                                    "--targets", targets)
+            assert code == 2 and stdout == "" and "target" in err
 
     def test_extract_json_output(self, tmp_path, xor_model, capsys):
         out = tmp_path / "clauses.json"
@@ -716,6 +738,30 @@ class TestIngest:
         d = ingest_categorical([["x", "v"], ["y", "u"]], ["a", "b"], spec)
         assert np.array_equal(d.rows.reshape(2, 2, 2).sum(axis=2),
                               np.ones((2, 2)))
+
+
+DEEP_FORMULAS = {
+    "2000 negations": ("~" * 2000 + "x", 2),
+    "250 parentheses": ("(" * 250 + "x" + ")" * 250, 2),
+    "1500 implications": (" -> ".join(f"x{i}" for i in range(1500)), 2),
+    "1500-variable xor": (" ^ ".join(f"x{i}" for i in range(1500)), 3),
+    "1500-variable and": (" & ".join(f"x{i}" for i in range(1500)), 3),
+}
+
+
+@pytest.mark.parametrize("text, exit_code", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS)
+def test_deep_formula_fails_cleanly(text, exit_code, xor_model, tmp_path, capsys):
+    """Nesting too deep to parse exits 2, a long chain over too many
+    variables exits 3: one line on stderr each, never a traceback."""
+    kb = tmp_path / "deep.kb"
+    kb.write_text(text + "\n")
+    out = tmp_path / "m.json"
+    code, stdout, err = run(capsys, "compile", str(kb), "-o", str(out))
+    assert (code, stdout, err.count("\n")) == (exit_code, "", 1) and not out.exists()
+    assert ("nested too deeply" if exit_code == 2 else "full-DNF limit") in err
+    if exit_code == 2:
+        code, stdout, err = run(capsys, "verify", str(xor_model), str(kb))
+        assert (code, stdout, err.count("\n")) == (2, "", 1) and "nested too deeply" in err
 
 
 class TestUsage:

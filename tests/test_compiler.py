@@ -7,19 +7,19 @@ import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import (
     WeightedClause, attach_hidden_units, clause_patterns, compile_kb,
-    formula_to_sdnf_clauses, match_implication, merge_clauses, penalty_network,
-    universal_network,
+    formula_to_sdnf_clauses, merge_clauses, penalty_network, universal_network,
 )
-from logicrbm.normal_forms import (
-    ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
-)
+from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
+from logicrbm.reasoner import verify_equivalence
 from logicrbm.rbm import Rbm, energy_rank
 
 from conftest import (
     check_strict, dnf_satisfied_batch, implication_formula, oracle_truth_table,
     random_clause, random_formula, random_implication, random_kb, satisfied_batch,
 )
-from reference_kernels import ref_compile_implication, ref_compile_sdnf
+from reference_kernels import (
+    ref_compile_implication, ref_compile_sdnf, ref_implication_to_sdnf, ref_sdnf_clauses,
+)
 
 
 def assert_equivalent(m, kb, epsilon, n=None, atol=1e-9):
@@ -81,8 +81,8 @@ class TestCompileSdnf:
         rng = np.random.default_rng(11)
         for _ in range(25):
             body_pos, body_neg, head, head_positive = random_implication(rng, max_body=4)
-            clauses = implication_to_sdnf(body_pos, body_neg, head,
-                                          head_positive=head_positive)
+            clauses = formula_to_sdnf_clauses(
+                implication_formula(body_pos, body_neg, head, head_positive))
             n = max(body_pos | body_neg | {head}) + 1
             m = implication_network(body_pos, body_neg, head, head_positive)
             X = all_assignments(n)
@@ -168,7 +168,7 @@ class TestCompileImplication:
             conf = float(rng.uniform(0.1, 10))
             compact = implication_network(body_pos, body_neg, head, head_positive, c=conf)
             # every clause a unit, under another elimination order
-            clauses = implication_to_sdnf(
+            clauses = ref_implication_to_sdnf(
                 body_pos, body_neg, head,
                 order=sorted(body_pos | body_neg),
                 head_positive=head_positive)
@@ -185,22 +185,58 @@ class TestCompileImplication:
             implication_network({1}, set(), 0, c=-1.0)
 
 
+def sdnf_of(text):
+    """``formula_to_sdnf_clauses`` of one formula, as (pos, neg) pairs."""
+    f = fm.parse_formula(text, fm.PropositionTable())
+    return [(c.pos, c.neg) for c in formula_to_sdnf_clauses(f)]
+
+
 class TestMatchImplication:
+    """``head <- body`` and ``l1 | ... | lk`` take the clause route; the
+    clauses come full conjunct first."""
+
     def test_literal_implication(self):
-        f = fm.parse_formula("y <- x1 & ~x2", fm.PropositionTable())
-        assert match_implication(f) == (frozenset({1}), frozenset({2}), 0, True)
+        assert sdnf_of("y <- x1 & ~x2") == [((0, 1), (2,)), ((1, 2), ()), ((), (1,))]
 
     def test_negated_head(self):
-        f = fm.parse_formula("~p <- r", fm.PropositionTable())
-        assert match_implication(f) == (frozenset({1}), frozenset(), 0, False)
+        assert sdnf_of("~p <- r") == [((1,), (0,)), ((), (1,))]
 
     def test_non_implication(self):
-        f = fm.parse_formula("x | y", fm.PropositionTable())
-        assert match_implication(f) is None
+        # a disjunction is the implication from the negations of its tail
+        assert sdnf_of("x | y") == sdnf_of("x <- ~y") == [((0,), (1,)), ((1,), ())]
+        assert sdnf_of("~x") == [((), (0,))]
 
     def test_non_literal_body_rejected(self):
         f = fm.parse_formula("y <- x1 | x2", fm.PropositionTable())
-        assert match_implication(f) is None
+        assert formula_to_sdnf_clauses(f) == to_full_dnf(f)
+        assert len(to_full_dnf(f)) == 5
+
+
+class TestDegenerateClauses:
+    """Implications with a repeated or complementary literal, or with a
+    disjunction as head, take the clause route over their distinct literals:
+    still strict and exact, with fewer clauses than their full DNF."""
+
+    @pytest.mark.parametrize("text, count, full", [
+        ("x0 <- x0", 1, 2),
+        ("x4 <- ~x4 & x2 & ~x3", 3, 7),
+        ("h <- a & ~a", 1, 4),
+        ("h <- a & a", 2, 3),
+        ("(a | ~b) <- c & a", 1, 8),
+        ("(a | b) <- c", 3, 7),
+        ("(a | b | a) <- ~c", 3, 7),
+    ])
+    def test_strict_exact_and_smaller(self, text, count, full):
+        table = fm.PropositionTable()
+        f = fm.parse_formula(text, table)
+        clauses = formula_to_sdnf_clauses(f)
+        X, truth = oracle_truth_table(f, len(table))
+        assert check_strict(clauses)
+        assert np.array_equal(dnf_satisfied_batch(clauses, X), truth)
+        assert (len(clauses), len(to_full_dnf(f))) == (count, full)
+        assert clauses == ref_sdnf_clauses(f)
+        kb = fm.KnowledgeBase(table, [(3.0, f)])
+        assert verify_equivalence(compile_kb(kb)[0], kb, 0.5).max_deviation == 0.0
 
 
 class TestFormulaRoutes:
@@ -359,6 +395,21 @@ class TestPenaltyBaseline:
     def test_rejects_non_horn_kb(self, text):
         with pytest.raises(ValueError, match="Horn"):
             penalty_network(fm.parse_kb(text + "\n"))
+
+    @pytest.mark.parametrize("text, horn", [
+        ("h <- a & a", True), ("h", True), ("h | ~a", False), ("h <- h & a", False),
+        ("h <- ~h & a", False), ("~x", False), ("(h | a) <- b", False),
+    ])
+    def test_horn_acceptance(self, text, horn):
+        """A fact, or an implication from positive literals to a positive head
+        outside its body; repeated body literals count once."""
+        kb = fm.parse_kb(text + "\n")
+        if horn:
+            _, base = penalty_network(kb)
+            assert base.per_formula == [len(kb.table)]
+        else:
+            with pytest.raises(ValueError, match="Horn"):
+                penalty_network(kb)
 
     def test_kb_order_names_and_clause_base(self):
         kb = fm.parse_kb("2: y <- x1 & x2\n0.5: x1 <- x3\n")

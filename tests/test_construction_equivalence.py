@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from logicrbm import formula as fm
 from logicrbm.cli import main
 from logicrbm.compiler import (
-    compile_kb, formula_to_sdnf_clauses, match_implication, penalty_network,
-    universal_network,
+    compile_kb, formula_to_sdnf_clauses, penalty_network, universal_network,
 )
 from logicrbm.normal_forms import all_assignments, to_full_dnf
 from logicrbm.rbm import energy_rank, model_to_dict, save_model
@@ -26,8 +25,8 @@ from conftest import (
 )
 from reference_kernels import (
     ref_compile_implication, ref_compile_kb, ref_compile_penalty_horn, ref_compile_sdnf,
-    ref_compile_universal, ref_fold_literals, ref_hstack_models, ref_literal_biases,
-    ref_sdnf_clauses,
+    ref_compile_universal, ref_fold_literals, ref_hstack_models, ref_leaves,
+    ref_literal, ref_literal_biases, ref_match_implication, ref_sdnf_clauses,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -116,36 +115,20 @@ def test_compile_implication_matches_reference(seed):
     assert m.names == names and m.epsilon == eps
 
 
-def literal_of(f):
-    """(index, positive) of a literal formula, else None."""
-    if isinstance(f, fm.Var):
-        return f.index, True
-    if isinstance(f, fm.Not) and isinstance(f.operand, fm.Var):
-        return f.operand.index, False
-    return None
-
-
-def or_leaves(f):
-    """The leaves of an Or tree, left to right."""
-    if isinstance(f, fm.Or):
-        return or_leaves(f.left) + or_leaves(f.right)
-    return [f]
-
-
 def on_clause_route(f):
     """True for a disjunction whose leaves are all literals."""
-    return isinstance(f, fm.Or) and all(literal_of(g) is not None for g in or_leaves(f))
+    return isinstance(f, fm.Or) and all(ref_literal(g) is not None for g in ref_leaves(f, fm.Or))
 
 
 def as_implication(f):
     """A clause-route formula rewritten as the formula the reference compiles
     to the same clauses: ``l1 <- ~l2 & ... & ~lk`` over its distinct literals,
     the literal alone for k = 1, or TRUE for a tautology."""
-    lits = list(dict.fromkeys(literal_of(g) for g in or_leaves(f)))
+    lits = list(dict.fromkeys(ref_literal(g) for g in ref_leaves(f, fm.Or)))
     if len({v for v, _ in lits}) < len(lits):
         return fm.TRUE
     if len(lits) == 1:
-        return or_leaves(f)[0]
+        return ref_leaves(f, fm.Or)[0]
     (head, head_positive), rest = lits[0], lits[1:]
     return implication_formula({v for v, positive in rest if not positive},
                                {v for v, positive in rest if positive}, head, head_positive)
@@ -157,9 +140,6 @@ def test_compile_kb_matches_reference(seed):
     rng = np.random.default_rng(seed)
     n_vars = int(rng.integers(1, 7))
     kb = random_kb(rng, n_vars=n_vars)
-    # the reference routes disjunctions of literals through the full DNF;
-    # test_clause_route_is_exact covers them
-    kb.items = [(w, f) for w, f in kb.items if not on_clause_route(f)]
     if rng.random() < 0.3:
         kb.add(draw_confidence(rng), fm.TRUE)
     kb.items = [(0.0 if rng.random() < 0.1 else w, f) for w, f in kb.items]
@@ -242,7 +222,7 @@ def test_clause_route_is_exact(seed):
         if not on_clause_route(f):
             expected.append(len(ref_sdnf_clauses(f)))
             continue
-        lits = list(dict.fromkeys(literal_of(g) for g in or_leaves(f)))
+        lits = list(dict.fromkeys(ref_literal(g) for g in ref_leaves(f, fm.Or)))
         tautology = len({v for v, _ in lits}) < len(lits)
         expected.append(1 if tautology else len(lits))
         alone, _ = compile_kb(fm.KnowledgeBase(table, [(w, f)]), eps)
@@ -305,7 +285,7 @@ def test_baseline_networks_match_per_formula_assembly(seed):
     kb = horn_kb(rng, n_vars)
     parts = []
     for w, f in kb.items:
-        body_pos, _, head, _ = match_implication(f)
+        body_pos, _, head, _ = ref_match_implication(f)
         parts.append(ref_compile_penalty_horn(body_pos, head, eps, n_vars, w))
     assert_same_network(penalty_network(kb, eps)[0],
                         ref_hstack_models(parts, kb.table.names, eps))
@@ -334,7 +314,7 @@ def reference_model(kb, baseline, epsilon):
     parts = []
     for w, f in kb.items:
         if baseline == "penalty":
-            imp = match_implication(f)
+            imp = ref_match_implication(f)
             if imp is None or imp[1] or not imp[3]:
                 return None
             parts.append(ref_compile_penalty_horn(imp[0], imp[2], epsilon, n, w))

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import (
-    ConjunctiveClause, all_assignments, implication_to_sdnf, to_full_dnf,
+    ConjunctiveClause, all_assignments, clause_to_sdnf, to_full_dnf,
 )
 
 from conftest import (
-    check_strict, dnf_satisfied_batch, implication_formula, mutually_exclusive,
+    check_strict, dnf_satisfied_batch, mutually_exclusive,
     oracle_truth_table, random_formula, random_implication, satisfied_batch,
 )
-from reference_kernels import ref_to_full_dnf
+from reference_kernels import ref_implication_to_sdnf, ref_to_full_dnf
 
 
 def clause_set(clauses):
@@ -168,10 +168,25 @@ class TestFullDnfColumns:
         assert high <= 1.5 * low
 
 
+def implication_literals(body_pos, body_neg, head, head_positive=True):
+    """The literals of ``head <- body`` read as ``head | ~body``, head first."""
+    return [(head, head_positive)] + [(v, False) for v in sorted(body_pos)] \
+        + [(v, True) for v in sorted(body_neg)]
+
+
+def random_literals(rng):
+    """1-7 literals over distinct variables, in random order and polarity."""
+    k = int(rng.integers(1, 8))
+    return [(int(v), bool(rng.random() < 0.5)) for v in rng.permutation(k + 3)[:k]]
+
+
 class TestImplicationToSdnf:
+    """``clause_to_sdnf``: one clause per literal of ``head <- body`` (or of
+    any clause), full conjunct first."""
+
     def test_worked_elimination_example(self):
-        # y <- x1 & ~x2 & ~x3 with y=0, x1=1, x2=2, x3=3, order x3,x2,x1
-        clauses = implication_to_sdnf({1}, {2, 3}, 0, order=[3, 2, 1])
+        # y <- x1 & ~x2 & ~x3 with y=0, x1=1, x2=2, x3=3: x3, x2, x1 eliminated
+        clauses = clause_to_sdnf(implication_literals({1}, {2, 3}, 0))
         assert [(c.pos, c.neg) for c in clauses] == [
             ((0, 1), (2, 3)),   # y  x1 ~x2 ~x3
             ((1, 3), (2,)),     # x1 ~x2  x3
@@ -180,33 +195,54 @@ class TestImplicationToSdnf:
         ]
 
     def test_horn_single_body(self):
-        clauses = implication_to_sdnf({1}, (), 0)
+        clauses = clause_to_sdnf([(0, True), (1, False)])
         assert [(c.pos, c.neg) for c in clauses] == [((0, 1), ()), ((), (1,))]
 
     def test_negative_single_body(self):
-        clauses = implication_to_sdnf((), {1}, 0)
+        clauses = clause_to_sdnf([(0, True), (1, True)])
         assert [(c.pos, c.neg) for c in clauses] == [((0,), (1,)), ((1,), ())]
 
     def test_precondition_errors(self):
-        with pytest.raises(ValueError):
-            implication_to_sdnf({1}, {1}, 0)
-        with pytest.raises(ValueError):
-            implication_to_sdnf({0}, (), 0)
-        with pytest.raises(ValueError):
-            implication_to_sdnf({1, 2}, (), 0, order=[1])
+        for literals in ([(0, True), (1, False), (1, True)], [(0, True), (0, False)],
+                         [(0, True), (0, True)], [(2, False), (1, True), (2, False)]):
+            with pytest.raises(ValueError, match="twice"):
+                clause_to_sdnf(literals)
+        # the empty clause is false: no models, no clauses
+        assert clause_to_sdnf([]) == []
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_models_count_strictness(self, seed):
         rng = np.random.default_rng(seed)
-        body_pos, body_neg, head, head_positive = random_implication(rng, max_body=5)
-        ascending = bool(rng.random() < 0.5)
-        order = sorted(body_pos | body_neg, reverse=not ascending)
-        clauses = implication_to_sdnf(body_pos, body_neg, head, order=order,
-                                      head_positive=head_positive)
-        assert len(clauses) == len(body_pos) + len(body_neg) + 1
-        f = implication_formula(body_pos, body_neg, head, head_positive)
-        n = max(body_pos | body_neg | {head}) + 1
+        lits = random_literals(rng)
+        clauses = clause_to_sdnf(lits)
+        assert len(clauses) == len(lits)
+        f = fm.Var(lits[0][0]) if lits[0][1] else fm.Not(fm.Var(lits[0][0]))
+        for v, positive in lits[1:]:
+            f = fm.Or(f, fm.Var(v) if positive else fm.Not(fm.Var(v)))
+        n = max(v for v, _ in lits) + 1
         X, truth = oracle_truth_table(f, n)
         assert np.array_equal(models_of(clauses, n), truth)
         assert_strict_by_enumeration(clauses, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_reference_elimination(self, seed):
+        """The reference elimination loop's clause list, in the same order, for
+        random implications of either head polarity and random disjunctions
+        (``l1 | ... | lk`` as ``l1 <- ~l2 & ... & ~lk``)."""
+        rng = np.random.default_rng(seed)
+        if rng.random() < 0.5:
+            body_pos, body_neg, head, head_positive = random_implication(rng, max_body=6)
+            head_positive = bool(rng.random() < 0.5)
+            lits = implication_literals(body_pos, body_neg, head, head_positive)
+            rest = lits[1:]
+            rng.shuffle(rest)       # the body's written order does not matter
+            lits = lits[:1] + rest
+        else:
+            lits = random_literals(rng)
+            (head, head_positive), rest = lits[0], lits[1:]
+            body_pos = {v for v, positive in rest if not positive}
+            body_neg = {v for v, positive in rest if positive}
+        assert clause_to_sdnf(lits) == ref_implication_to_sdnf(
+            body_pos, body_neg, head, head_positive=head_positive)
