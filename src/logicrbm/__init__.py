@@ -5,8 +5,7 @@ then reason over, train, and extract rules from the resulting networks."""
 from .errors import ParseError, SizeLimitError
 from .formula import (
     Assignment, KnowledgeBase, PropositionTable,
-    evaluate, load_kb, parse_formula, parse_kb,
-    weighted_sat,
+    load_kb, parse_formula, parse_kb, weighted_sat,
 )
 from .normal_forms import (
     ConjunctiveClause, clause_to_sdnf, to_full_dnf,

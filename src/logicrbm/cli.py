@@ -76,9 +76,9 @@ def _evidence_from_doc(doc, names) -> fm.Assignment:
     return fm.Assignment(values, len(names))
 
 
-def _query_int(doc, key, default) -> int:
+def _query_int(doc, key) -> int:
     """An integer field of a query file; an integral float such as 2.0 passes."""
-    val = doc.get(key, default)
+    val = doc[key]
     if isinstance(val, bool) or not (
             isinstance(val, int) or isinstance(val, float) and val.is_integer()):
         raise ValueError(f"query field {key!r} must be an integer, not {val!r}")
@@ -100,9 +100,8 @@ def cmd_reason(args) -> int:
         raise ValueError(f"query targets must be a list of proposition names, not {targets!r}")
     targets = tuple(index[t] for t in targets)
     mode = doc.get("mode", "gibbs")
-    seed = _query_int(doc, "seed", 0)
-    steps = _query_int(doc, "steps", 200)
-    restarts = _query_int(doc, "restarts", 10)
+    # only the search fields the query sets; the configs hold the defaults
+    search = {key: _query_int(doc, key) for key in ("steps", "restarts", "seed") if key in doc}
 
     if mode == "conditional":
         rep = infer_conditional(m, evidence, targets)
@@ -117,11 +116,11 @@ def cmd_reason(args) -> int:
     if mode == "exact":
         rep = infer_exact(m, evidence)
     elif mode == "deterministic":
-        rep = infer_deterministic(
-            m, Query(evidence), DeterministicConfig(sweeps=steps, restarts=restarts, seed=seed))
+        if "steps" in search:
+            search["sweeps"] = search.pop("steps")
+        rep = infer_deterministic(m, Query(evidence), DeterministicConfig(**search))
     elif mode == "gibbs":
-        rep = infer_gibbs(
-            m, Query(evidence), GibbsConfig(steps=steps, restarts=restarts, seed=seed))
+        rep = infer_gibbs(m, Query(evidence), GibbsConfig(**search))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     out = {

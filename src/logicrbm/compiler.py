@@ -26,9 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SizeLimitError
 from . import formula as fm
 from .normal_forms import ConjunctiveClause, clause_to_sdnf, to_full_dnf
 from .rbm import Rbm, _check_epsilon
+from .reasoner import SEARCH_LIMIT
 
 
 @dataclass(frozen=True)
@@ -254,10 +256,14 @@ def attach_hidden_units(m: Rbm, count: int, init_scale: float, rng) -> Rbm:
     """Append free hidden units with parameters uniform in [-init_scale, init_scale).
 
     The scale must be finite and >= 0, and so must 2 * init_scale, the
-    width that numpy draws over.
+    width that numpy draws over.  More than ``SEARCH_LIMIT`` new parameters,
+    count * (n_visible + 1), raise ``SizeLimitError`` before any is drawn.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if count * (m.n_visible + 1) > SEARCH_LIMIT:
+        raise SizeLimitError(f"{count} extra units x {m.n_visible + 1} parameters exceeds "
+                             f"the limit {SEARCH_LIMIT}")
     if not (0 <= init_scale and math.isfinite(2 * init_scale)):
         raise ValueError(f"init scale must be finite and >= 0 (with 2 * scale finite), "
                          f"not {init_scale!r}")

@@ -109,22 +109,32 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def free_vars(f: Formula) -> frozenset[int]:
-    """The variables of f, found without recursion, so any depth works."""
-    found, stack = set(), [f]
+def _postorder(f: Formula) -> list[Formula]:
+    """The nodes of f, each after its operands and left before right.
+
+    Built without recursion, so any depth works: the pre-order that visits
+    right before left, taken with an explicit stack, reversed.  A node that
+    is not a formula raises ``TypeError``.
+    """
+    order, stack = [], [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Var):
-            found.add(g.index)
-        elif isinstance(g, Not):
+        order.append(g)
+        if isinstance(g, Not):
             stack.append(g.operand)
         elif isinstance(g, Implies):
             stack += [g.body, g.head]
         elif isinstance(g, (And, Or, Iff, Xor)):
             stack += [g.left, g.right]
-        elif not isinstance(g, Const):
+        elif not isinstance(g, (Var, Const)):
             raise TypeError(f"not a formula node: {g!r}")
-    return frozenset(found)
+    order.reverse()
+    return order
+
+
+def free_vars(f: Formula) -> frozenset[int]:
+    """The variables of f."""
+    return frozenset(g.index for g in _postorder(f) if isinstance(g, Var))
 
 
 # ---------------------------------------------------------------------------
@@ -172,49 +182,32 @@ class Assignment:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(f: Formula, a: Assignment) -> bool:
-    """Truth value of f under a; a must cover the free variables of f."""
-    if isinstance(f, Var):
-        try:
-            return a.values[f.index]
-        except KeyError:
-            raise ValueError(f"unassigned free variable {f.index}") from None
-    if isinstance(f, Not):
-        return not evaluate(f.operand, a)
-    if isinstance(f, And):
-        return evaluate(f.left, a) and evaluate(f.right, a)
-    if isinstance(f, Or):
-        return evaluate(f.left, a) or evaluate(f.right, a)
-    if isinstance(f, Implies):
-        return (not evaluate(f.body, a)) or evaluate(f.head, a)
-    if isinstance(f, Iff):
-        return evaluate(f.left, a) == evaluate(f.right, a)
-    if isinstance(f, Xor):
-        return evaluate(f.left, a) != evaluate(f.right, a)
-    if isinstance(f, Const):
-        return f.value
-    raise TypeError(f"not a formula node: {f!r}")
+# The truth of a binary node from its operands, taken in field order:
+# ``Implies`` reads (body, head), and ~body | head is body <= head.
+_BINARY = {And: np.logical_and, Or: np.logical_or, Xor: np.not_equal,
+           Iff: np.equal, Implies: np.less_equal}
+
+
+def _evaluate(f: Formula, columns, rows: int) -> np.ndarray:
+    """Truth values of f over ``rows`` assignments, variable v's being the
+    boolean vector ``columns[v]``; a value stack over the post-order."""
+    values = []
+    for g in _postorder(f):
+        if isinstance(g, Var):
+            values.append(columns[g.index])
+        elif isinstance(g, Const):
+            values.append(np.full(rows, g.value))
+        elif isinstance(g, Not):
+            values.append(~values.pop())
+        else:
+            right = values.pop()
+            values.append(_BINARY[type(g)](values.pop(), right))
+    return values[0]
 
 
 def evaluate_batch(f: Formula, X: np.ndarray) -> np.ndarray:
     """Vectorised truth values over the rows of a 0/1 assignment matrix."""
-    if isinstance(f, Var):
-        return X[:, f.index] > 0.5
-    if isinstance(f, Not):
-        return ~evaluate_batch(f.operand, X)
-    if isinstance(f, And):
-        return evaluate_batch(f.left, X) & evaluate_batch(f.right, X)
-    if isinstance(f, Or):
-        return evaluate_batch(f.left, X) | evaluate_batch(f.right, X)
-    if isinstance(f, Implies):
-        return ~evaluate_batch(f.body, X) | evaluate_batch(f.head, X)
-    if isinstance(f, Iff):
-        return evaluate_batch(f.left, X) == evaluate_batch(f.right, X)
-    if isinstance(f, Xor):
-        return evaluate_batch(f.left, X) != evaluate_batch(f.right, X)
-    if isinstance(f, Const):
-        return np.full(len(X), f.value)
-    raise TypeError(f"not a formula node: {f!r}")
+    return _evaluate(f, (X > 0.5).T, len(X))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +227,14 @@ class KnowledgeBase:
 
 def weighted_sat(kb: KnowledgeBase, a: Assignment) -> float:
     """Sum of the weights of the formulas true under a total assignment."""
-    return float(sum(w for w, f in kb.items if evaluate(f, a)))
+    return float(weighted_sat_batch(kb, a.to_vector()[None, :])[0])
 
 
 def weighted_sat_batch(kb: KnowledgeBase, X: np.ndarray) -> np.ndarray:
+    columns = (X > 0.5).T
     out = np.zeros(len(X))
     for w, f in kb.items:
-        out += w * evaluate_batch(f, X)
+        out += w * _evaluate(f, columns, len(X))
     return out
 
 

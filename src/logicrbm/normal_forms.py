@@ -9,7 +9,7 @@ downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,6 @@ def all_assignments(n: int, start: int = 0, stop: int | None = None) -> np.ndarr
     return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
 
 
-def _relabel(f: fm.Formula, col: dict[int, int]) -> fm.Formula:
-    """f with each variable v renamed to col[v]."""
-    if isinstance(f, fm.Var):
-        return fm.Var(col[f.index])
-    if isinstance(f, fm.Const):
-        return f
-    return type(f)(*(_relabel(getattr(f, x.name), col) for x in fields(f)))
-
-
 def to_full_dnf(f: fm.Formula) -> list[ConjunctiveClause]:
     """One clause per satisfying assignment over the free variables.
 
@@ -70,7 +61,7 @@ def to_full_dnf(f: fm.Formula) -> list[ConjunctiveClause]:
         raise SizeLimitError(
             f"{len(variables)} free variables exceeds the full-DNF limit of {DEFAULT_VAR_LIMIT}")
     grid = all_assignments(len(variables))
-    sat = fm.evaluate_batch(_relabel(f, {v: col for col, v in enumerate(variables)}), grid)
+    sat = fm._evaluate(f, dict(zip(variables, grid.T > 0.5)), len(grid))
     clauses = []
     for row in grid[sat]:
         pos = tuple(v for col, v in enumerate(variables) if row[col] > 0.5)

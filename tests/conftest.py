@@ -2,11 +2,12 @@
 
 The oracles deliberately re-derive quantities by brute force (hidden-state
 enumeration, truth tables) so the library code is checked against an
-independent implementation rather than against itself.  The joint and
-free energies, the partition function, clause satisfaction and
-exclusivity, and the formula printer are needed only by tests, so they
-live here and not in the library, as does ``cd_step``, which runs one
-CD-k estimate through the trainer's buffered kernel.
+independent implementation rather than against itself.  The recursive
+formula evaluator, the joint and free energies, the partition function,
+clause satisfaction and exclusivity, and the formula printer are needed
+only by tests, so they live here and not in the library, as does
+``cd_step``, which runs one CD-k estimate through the trainer's buffered
+kernel.
 """
 from pathlib import Path
 
@@ -30,6 +31,31 @@ def kb_dir():
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
+
+def evaluate(f, a) -> bool:
+    """Truth value of f under the assignment a, by recursion over the AST;
+    a must cover the free variables of f."""
+    if isinstance(f, fm.Var):
+        try:
+            return a.values[f.index]
+        except KeyError:
+            raise ValueError(f"unassigned free variable {f.index}") from None
+    if isinstance(f, fm.Not):
+        return not evaluate(f.operand, a)
+    if isinstance(f, fm.And):
+        return evaluate(f.left, a) and evaluate(f.right, a)
+    if isinstance(f, fm.Or):
+        return evaluate(f.left, a) or evaluate(f.right, a)
+    if isinstance(f, fm.Implies):
+        return (not evaluate(f.body, a)) or evaluate(f.head, a)
+    if isinstance(f, fm.Iff):
+        return evaluate(f.left, a) == evaluate(f.right, a)
+    if isinstance(f, fm.Xor):
+        return evaluate(f.left, a) != evaluate(f.right, a)
+    if isinstance(f, fm.Const):
+        return f.value
+    raise TypeError(f"not a formula node: {f!r}")
+
 
 def energy(m, x, h) -> float:
     """The joint energy E(x, h) = -x W h - a.x - b.h + e0."""
@@ -156,7 +182,7 @@ def format_formula(f, table=None) -> str:
 def oracle_truth_table(f, n):
     """Truth value of f on every total assignment over n propositions."""
     X = all_assignments(n)
-    return X, np.array([fm.evaluate(f, fm.Assignment.total(row)) for row in X])
+    return X, np.array([evaluate(f, fm.Assignment.total(row)) for row in X])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from logicrbm.rbm import Rbm, energy_rank, net_hidden, net_visible, _sigmoid
 from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
 from logicrbm.trainer import Grads
 
-from conftest import free_energy
+from conftest import evaluate, free_energy
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def ref_to_full_dnf(f, limit=20):
     X = np.zeros((len(grid), n))
     for col, v in enumerate(variables):
         X[:, v] = grid[:, col]
-    sat = fm.evaluate_batch(f, X)
+    sat = np.array([evaluate(f, fm.Assignment.total(row)) for row in X], dtype=bool)
     clauses = []
     for row in grid[sat]:
         pos = tuple(v for col, v in enumerate(variables) if row[col] > 0.5)

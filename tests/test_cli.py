@@ -12,7 +12,9 @@ import pytest
 import logicrbm
 from logicrbm import formula as fm
 from logicrbm.cli import main
-from logicrbm.reasoner import infer_conditional
+from logicrbm.reasoner import (
+    DeterministicConfig, GibbsConfig, Query, infer_conditional, infer_deterministic, infer_gibbs,
+)
 from logicrbm.rbm import Rbm, load_model, save_model
 from logicrbm.trainer import Dataset, OneHotSpec, TrainConfig, ingest_categorical
 
@@ -99,6 +101,15 @@ class TestCompile:
         code, stdout, err = run(capsys, "compile", str(kb_dir / "xor.kb"),
                                 "--extra-hidden", "2", "--init-scale", scale, "-o", str(out))
         assert code == 2 and "init scale" in err and stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("count", ["1048577", "1000000000000000"])
+    def test_extra_hidden_size_limit(self, kb_dir, tmp_path, capsys, count):
+        # xor.kb has 3 visible units: 4 parameters per extra unit, 2^22 at most
+        out = tmp_path / "m.json"
+        code, stdout, err = run(capsys, "compile", str(kb_dir / "xor.kb"),
+                                "--extra-hidden", count, "-o", str(out))
+        assert (code, stdout, err.count("\n")) == (3, "", 1) and not out.exists()
+        assert "exceeds the limit" in err
 
     def test_extra_hidden_units(self, kb_dir, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -298,6 +309,19 @@ class TestReason:
         q = self.query(tmp_path, {"mode": "gibbs", key: value})
         code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
         assert code == 2 and key in err and stdout == ""
+
+    @pytest.mark.parametrize("mode, search, config", [
+        ("gibbs", infer_gibbs, GibbsConfig()),
+        ("deterministic", infer_deterministic, DeterministicConfig()),
+    ])
+    def test_search_defaults_are_the_library_defaults(self, nixon_model, tmp_path, capsys,
+                                                      mode, search, config):
+        q = self.query(tmp_path, {"evidence": {"n": True}, "mode": mode})
+        code, stdout, _ = run(capsys, "reason", str(nixon_model), str(q))
+        doc = json.loads(stdout)
+        rep = search(load_model(nixon_model), Query(fm.Assignment({0: True}, 4)), config)
+        assert code == 0 and (doc["steps"], doc["restarts"]) == (rep.steps, rep.restarts)
+        assert doc["energy_rank"] == rep.energy_rank
 
     def test_integral_float_fields_accepted(self, xor_model, tmp_path, capsys):
         q = self.query(tmp_path, {"mode": "deterministic", "steps": 5.0, "restarts": 2.0})
@@ -741,24 +765,41 @@ class TestIngest:
 
 
 DEEP_FORMULAS = {
-    "2000 negations": ("~" * 2000 + "x", 2),
-    "250 parentheses": ("(" * 250 + "x" + ")" * 250, 2),
-    "1500 implications": (" -> ".join(f"x{i}" for i in range(1500)), 2),
-    "1500-variable xor": (" ^ ".join(f"x{i}" for i in range(1500)), 3),
-    "1500-variable and": (" & ".join(f"x{i}" for i in range(1500)), 3),
+    # text, then the exit codes of compile and of compile --baseline universal
+    "2000 negations": ("~" * 2000 + "x", 2, 2),
+    "250 parentheses": ("(" * 250 + "x" + ")" * 250, 2, 2),
+    "1500 implications": (" -> ".join(f"x{i}" for i in range(1500)), 2, 2),
+    "1500-variable xor": (" ^ ".join(f"x{i}" for i in range(1500)), 3, 3),
+    "1500-variable and": (" & ".join(f"x{i}" for i in range(1500)), 3, 3),
+    "1500-literal and over 3 variables": (" & ".join(f"x{i % 3}" for i in range(1500)), 0, 0),
+    # each variable 500 times: even parity, so no model for the universal network
+    "1500-literal xor over 3 variables": (" ^ ".join(f"x{i % 3}" for i in range(1500)), 0, 2),
+    "1500-literal or over 3 variables": (" | ".join(f"x{i % 3}" for i in range(1500)), 0, 0),
+    "800 implications over 14 variables": (" -> ".join(f"x{i % 14}" for i in range(800)), 0, 0),
 }
 
 
-@pytest.mark.parametrize("text, exit_code", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS)
-def test_deep_formula_fails_cleanly(text, exit_code, xor_model, tmp_path, capsys):
-    """Nesting too deep to parse exits 2, a long chain over too many
-    variables exits 3: one line on stderr each, never a traceback."""
+@pytest.mark.parametrize("text, exit_code, universal_exit", DEEP_FORMULAS.values(),
+                         ids=DEEP_FORMULAS)
+def test_deep_formula_fails_cleanly(text, exit_code, universal_exit, xor_model, tmp_path,
+                                    capsys):
+    """Nesting too deep to parse exits 2 and a long chain over too many
+    variables exits 3, with one line on stderr and never a traceback.  Any
+    other chain, however long, compiles and verifies exactly."""
     kb = tmp_path / "deep.kb"
     kb.write_text(text + "\n")
-    out = tmp_path / "m.json"
-    code, stdout, err = run(capsys, "compile", str(kb), "-o", str(out))
-    assert (code, stdout, err.count("\n")) == (exit_code, "", 1) and not out.exists()
-    assert ("nested too deeply" if exit_code == 2 else "full-DNF limit") in err
+    reason = {2: "nested too deeply", 3: "full-DNF limit"}.get(exit_code, "at least one model")
+    for baseline, want in (("sdnf", exit_code), ("universal", universal_exit)):
+        out = tmp_path / f"{baseline}.json"
+        code, stdout, err = run(capsys, "compile", str(kb), "--baseline", baseline,
+                                "-o", str(out))
+        if want:
+            assert (code, stdout, err.count("\n")) == (want, "", 1) and not out.exists()
+            assert reason in err
+            continue
+        assert (code, err) == (0, "")
+        code, stdout, err = run(capsys, "verify", str(out), str(kb))
+        assert (code, err) == (0, "") and json.loads(stdout)["max_deviation"] == 0.0
     if exit_code == 2:
         code, stdout, err = run(capsys, "verify", str(xor_model), str(kb))
         assert (code, stdout, err.count("\n")) == (2, "", 1) and "nested too deeply" in err

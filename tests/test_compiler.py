@@ -10,11 +10,12 @@ from logicrbm.compiler import (
     formula_to_sdnf_clauses, merge_clauses, penalty_network, universal_network,
 )
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
-from logicrbm.reasoner import verify_equivalence
+from logicrbm.errors import SizeLimitError
+from logicrbm.reasoner import SEARCH_LIMIT, verify_equivalence
 from logicrbm.rbm import Rbm, energy_rank
 
 from conftest import (
-    check_strict, dnf_satisfied_batch, implication_formula, oracle_truth_table,
+    check_strict, dnf_satisfied_batch, evaluate, implication_formula, oracle_truth_table,
     random_clause, random_formula, random_implication, random_kb, satisfied_batch,
 )
 from reference_kernels import (
@@ -445,7 +446,7 @@ class TestUniversalBaseline:
             assert m.n_hidden == 2 ** (len(body_pos) + len(body_neg) + 1) - 1
             n = max(body_pos | body_neg | {head}) + 1
             X = all_assignments(n)
-            truth = np.array([fm.evaluate(f, fm.Assignment.total(r)) for r in X])
+            truth = np.array([evaluate(f, fm.Assignment.total(r)) for r in X])
             np.testing.assert_allclose(truth.astype(float),
                                        -energy_rank(m, X) / m.epsilon, atol=1e-9)
 
@@ -492,6 +493,13 @@ class TestAttachHiddenUnits:
         X = all_assignments(3)
         bound = np.abs(out.W[:, m.n_hidden:]).sum() + np.abs(out.b[m.n_hidden:]).sum()
         assert np.abs(energy_rank(out, X) - energy_rank(m, X)).max() <= bound + 1e-12
+
+    def test_size_limit_draws_nothing(self):
+        m, _ = compile_kb(fm.parse_kb("x <- y\n"))  # 2 visible: 3 parameters a unit
+        rng = np.random.default_rng(0)
+        with pytest.raises(SizeLimitError):
+            attach_hidden_units(m, SEARCH_LIMIT // 3 + 1, 0.1, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_negative_count(self):
         m, _ = compile_kb(fm.parse_kb("x <- y\n"))

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.errors import ParseError
+from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
 
-from conftest import format_formula, random_formula
+from conftest import evaluate, format_formula, random_formula, random_kb
 
 
 def table(*names):
@@ -148,32 +149,73 @@ def xor_formula():
 class TestEvaluate:
     def test_xor_truth_values(self):
         f = xor_formula()
-        assert fm.evaluate(f, fm.Assignment.total([1, 1, 0])) is True
-        assert fm.evaluate(f, fm.Assignment.total([1, 1, 1])) is False
+        assert evaluate(f, fm.Assignment.total([1, 1, 0])) is True
+        assert evaluate(f, fm.Assignment.total([1, 1, 1])) is False
 
     def test_xor_all_models(self):
         f = xor_formula()
         models = {bits for bits in
                   [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-                  if fm.evaluate(f, fm.Assignment.total(bits))}
+                  if evaluate(f, fm.Assignment.total(bits))}
         assert models == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_const(self):
-        assert fm.evaluate(fm.TRUE, fm.Assignment.total([])) is True
-        assert fm.evaluate(fm.FALSE, fm.Assignment.total([])) is False
+        assert evaluate(fm.TRUE, fm.Assignment.total([])) is True
+        assert evaluate(fm.FALSE, fm.Assignment.total([])) is False
 
     def test_unassigned_variable(self):
         with pytest.raises(ValueError):
-            fm.evaluate(fm.Var(1), fm.Assignment({0: True}, 2))
+            evaluate(fm.Var(1), fm.Assignment({0: True}, 2))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
-        from logicrbm.normal_forms import all_assignments
         X = all_assignments(4)
-        for _ in range(25):
-            f = random_formula(rng, 4)
-            want = [fm.evaluate(f, fm.Assignment.total(row)) for row in X]
+        for _ in range(200):
+            f = random_formula(rng, 4, depth=4)
+            want = [evaluate(f, fm.Assignment.total(row)) for row in X]
             assert np.array_equal(fm.evaluate_batch(f, X), want)
+
+    def test_batch_const_and_bad_node(self):
+        X = np.zeros((3, 1))
+        assert fm.evaluate_batch(fm.And(fm.TRUE, fm.Not(fm.FALSE)), X).tolist() == [True] * 3
+        with pytest.raises(TypeError):
+            fm.evaluate_batch(fm.And(fm.Var(0), "x"), X)
+
+
+def left_chain(op, leaves):
+    f = leaves[0]
+    for g in leaves[1:]:
+        f = op(f, g)
+    return f
+
+
+class TestDeepFormulas:
+    """5 000 nested nodes, far past the interpreter's recursion limit."""
+
+    def test_not_chain(self):
+        f = fm.Var(1)
+        for _ in range(5000):
+            f = fm.Not(f)
+        X = all_assignments(2)
+        assert fm.free_vars(f) == {1}
+        assert np.array_equal(fm.evaluate_batch(f, X), X[:, 1] > 0.5)
+
+    def test_and_chain(self):
+        f = left_chain(fm.And, [fm.Var(i % 3) for i in range(5001)])
+        X = all_assignments(3)
+        assert fm.free_vars(f) == {0, 1, 2}
+        assert fm.evaluate_batch(f, X).tolist() == [False] * 7 + [True]
+        assert to_full_dnf(f) == [ConjunctiveClause((0, 1, 2), ())]
+
+    def test_xor_chain(self):
+        # x0 appears 1 251 times and x1..x3 1 250 times each, so f is x0
+        f = left_chain(fm.Xor, [fm.Var(i % 4) for i in range(5001)])
+        X = all_assignments(4)
+        assert fm.free_vars(f) == {0, 1, 2, 3}
+        assert np.array_equal(fm.evaluate_batch(f, X), X[:, 0] > 0.5)
+        clauses = to_full_dnf(f)
+        assert len(clauses) == 8 and all(cl.pos[:1] == (0,) for cl in clauses)
+        assert all(cl.variables() == {0, 1, 2, 3} for cl in clauses)
 
 
 class TestWeightedSat:
@@ -187,14 +229,17 @@ class TestWeightedSat:
         a = fm.Assignment.total([0, 0, 0, 0])
         assert L.weighted_sat(kb, a) == 2020.0
 
+    def test_partial_assignment_rejected(self, kb_dir):
+        kb = L.load_kb(kb_dir / "nixon.kb")
+        with pytest.raises(ValueError):
+            L.weighted_sat(kb, fm.Assignment({0: True}, 4))
+
     def test_empty_kb(self):
         kb = fm.KnowledgeBase(table("x"))
         assert L.weighted_sat(kb, fm.Assignment.total([1])) == 0.0
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(1)
-        from conftest import random_kb
-        from logicrbm.normal_forms import all_assignments
         kb = random_kb(rng, n_vars=4)
         scaled = fm.KnowledgeBase(kb.table, [(3.5 * w, f) for w, f in kb.items])
         X = all_assignments(4)
@@ -230,11 +275,11 @@ class TestProperties:
     def test_implication_equals_or_not(self, f, bits):
         a = fm.Assignment.total([(bits >> i) & 1 for i in range(4)])
         g = fm.Implies(body=f, head=fm.Var(0))
-        assert fm.evaluate(g, a) == fm.evaluate(fm.Or(fm.Not(f), fm.Var(0)), a)
+        assert evaluate(g, a) == evaluate(fm.Or(fm.Not(f), fm.Var(0)), a)
 
     @settings(max_examples=50, deadline=None)
     @given(formulas())
     def test_free_vars_covers_evaluation_needs(self, f):
         fv = fm.free_vars(f)
         a = fm.Assignment({i: True for i in fv}, 4)
-        fm.evaluate(f, a)  # must not raise
+        evaluate(f, a)  # must not raise
