@@ -139,11 +139,15 @@ def formula_to_sdnf_clauses(f: fm.Formula) -> list[ConjunctiveClause]:
       into ``e0``.
     - Anything else (XOR, iff, constants, other shapes) goes through
       ``to_full_dnf``: one clause per model, limited to 20 free variables.
+      A formula true on every row of its variables is a tautology too.
     """
     lits = _clause(f)
-    if lits is None:
-        return to_full_dnf(f)
-    return clause_to_sdnf(lits) if lits else [ConjunctiveClause((), ())]
+    if lits is not None:
+        return clause_to_sdnf(lits) if lits else [ConjunctiveClause((), ())]
+    clauses = to_full_dnf(f)
+    if clauses and len(clauses) == 2 ** len(clauses[0].variables()):
+        return [ConjunctiveClause((), ())]
+    return clauses
 
 
 def merge_clauses(clauses) -> list[WeightedClause]:

@@ -265,96 +265,82 @@ def _tokenize(text, line_no=1):
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser.
+# The binary connectives: binding strength, loosest first, and the node
+# built from the left and right operands.  Strength 0 associates to the
+# right, the others to the left.
+_CONNECTIVES = {
+    "<->": (0, Iff),
+    "<-": (0, lambda left, right: Implies(body=right, head=left)),
+    "->": (0, lambda left, right: Implies(body=left, head=right)),
+    "^": (1, Xor),
+    "|": (2, Or),
+    "&": (3, And),
+}
 
-    Precedence, loosest first:  <-> / <- / ->  <  ^  <  |  <  &  <  ~
-    Implication and iff associate to the right.
-    """
+# Pending "~", "(" and connective tokens allowed at once.  It also bounds
+# the value stack of ``_evaluate`` on what the parser builds.
+NESTING_LIMIT = 1000
 
-    def __init__(self, tokens, table, line_no=1):
-        self.tokens = tokens
-        self.table = table
-        self.i = 0
-        self.line_no = line_no
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.line_no, None)
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implication()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-        return f
-
-    def implication(self) -> Formula:
-        left = self.xor()
-        tok = self.peek()
-        if tok and tok[1] in ("<-", "->", "<->"):
-            self.take()
-            right = self.implication()
-            if tok[1] == "<-":
-                return Implies(body=right, head=left)
-            if tok[1] == "->":
-                return Implies(body=left, head=right)
-            return Iff(left, right)
-        return left
-
-    def xor(self) -> Formula:
-        f = self.disjunction()
-        while self.peek() and self.peek()[1] == "^":
-            self.take()
-            f = Xor(f, self.disjunction())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() and self.peek()[1] == "|":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek() and self.peek()[1] == "&":
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.take()
-        kind, text, ln, col = tok
-        if text == "~":
-            return Not(self.unary())
-        if text == "(":
-            f = self.implication()
-            close = self.peek()
-            if close is None or close[1] != ")":
-                raise ParseError("expected ')'", ln, col)
-            self.take()
-            return f
-        if kind == "name":
-            return Var(self.table.add(text))
-        raise ParseError(f"unexpected token {text!r}", ln, col)
+def _reduce(operands, pending, floor):
+    """Build the pending connectives of strength ``floor`` or more, innermost
+    first, from the top of ``operands``."""
+    while pending and pending[-1][1] in _CONNECTIVES \
+            and _CONNECTIVES[pending[-1][1]][0] >= floor:
+        right = operands.pop()
+        operands[-1] = _CONNECTIVES[pending.pop()[1]][1](operands[-1], right)
 
 
 def parse_formula(text: str, table: PropositionTable, line_no: int = 1) -> Formula:
-    """Parse a single formula, appending new proposition names to the table."""
+    """Parse a single formula, appending new proposition names to the table.
+
+    Precedence, loosest first:  <-> / <- / ->  <  ^  <  |  <  &  <  ~.
+    Implication and iff associate to the right, the others to the left.
+    One operator-precedence loop keeps two stacks, the operands and the
+    pending ``~``, ``(`` and connective tokens; more than ``NESTING_LIMIT``
+    pending tokens raise ``ParseError``.
+    """
     tokens = _tokenize(text, line_no)
     if not tokens:
         raise ParseError("empty formula", line_no, 1)
-    try:
-        return _Parser(tokens, table, line_no).parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", line_no, None) from None
+    operands, pending = [], []
+    want_operand = True
+    for tok in [*tokens, None]:          # None marks the end of input
+        if len(pending) > NESTING_LIMIT:
+            raise ParseError("formula nested too deeply", line_no, None)
+        op = tok and tok[1]
+        if want_operand:
+            if tok is None:
+                raise ParseError("unexpected end of input", line_no, None)
+            if op in ("~", "("):
+                pending.append(tok)
+                continue
+            if tok[0] != "name":
+                raise ParseError(f"unexpected token {op!r}", tok[2], tok[3])
+            operands.append(Var(table.add(op)))
+        elif op in _CONNECTIVES:
+            strength = _CONNECTIVES[op][0]
+            _reduce(operands, pending, strength + (strength == 0))
+            pending.append(tok)
+            want_operand = True
+            continue
+        else:
+            # ")", the end, or a token that cannot follow an operand: every
+            # connective is built, leaving the innermost "(" on top, if any
+            _reduce(operands, pending, 0)
+            if pending and op == ")":
+                pending.pop()
+            elif pending:
+                raise ParseError("expected ')'", pending[-1][2], pending[-1][3])
+            elif tok is None:
+                return operands[0]
+            else:
+                raise ParseError(f"unexpected token {op!r}", tok[2], tok[3])
+        # an operand is complete: the negations just before it close on it
+        while pending and pending[-1][1] == "~":
+            pending.pop()
+            operands[-1] = Not(operands[-1])
+        want_operand = False
 
 
 def parse_kb(text: str, table: PropositionTable | None = None) -> KnowledgeBase:

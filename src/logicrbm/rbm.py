@@ -64,6 +64,15 @@ class Rbm:
             raise ValueError("temperature tau must be finite and >= 0")
         if self.epsilon is not None:
             _check_epsilon(self.epsilon)
+        if self.names is not None and len(set(self.names)) != len(self.names):
+            raise ValueError("model field 'names' repeats a name")
+        if self.names is not None and len(self.names) != self.n_visible:
+            raise ValueError(f"model lists {len(self.names)} names for "
+                             f"{self.n_visible} visible units")
+        if self.clause_annotations is not None \
+                and len(self.clause_annotations) != self.n_hidden:
+            raise ValueError(f"model lists {len(self.clause_annotations)} clause annotations "
+                             f"for {self.n_hidden} hidden units")
 
     @property
     def n_visible(self) -> int:
@@ -261,17 +270,10 @@ def model_from_dict(doc: dict) -> Rbm:
     names, annotations = doc.get("names"), doc.get("clause_annotations")
     if not (names is None or isinstance(names, list) and all(type(x) is str for x in names)):
         raise ValueError("model field 'names' must be null or a list of strings")
-    if names is not None and len(set(names)) != len(names):
-        raise ValueError("model field 'names' repeats a name")
     if not (annotations is None or isinstance(annotations, list)
             and all(map(_is_annotation, annotations))):
         raise ValueError("model field 'clause_annotations' must be null or a list whose "
                          "entries are null or {pos, neg, confidence}")
-    if names is not None and len(names) != n:
-        raise ValueError(f"model lists {len(names)} names for {n:.0f} visible units")
-    if annotations is not None and len(annotations) != h:
-        raise ValueError(f"model lists {len(annotations)} clause annotations for "
-                         f"{h:.0f} hidden units")
     return Rbm(
         W=np.array(doc["W"], dtype=float).reshape(int(n), int(h)),
         a=np.array(doc["a"], dtype=float),

@@ -6,13 +6,14 @@ the generative term is estimated with CD-k, the discriminative term is
 exact because the target configurations can be enumerated.
 
 Two parameterisations are supported.  Full-parameter training updates W, a
-and b freely.  With ``freeze_structure`` every clause-annotated hidden unit
-keeps its +-1 literal pattern and only its scalar confidence value moves
-(weights stay c_j * sign pattern, bias stays c_j * (-T_j + eps)); free
-hidden units still train fully, and visible biases stay fixed so compiled
-constant terms are preserved.  ``compile_kb`` puts every single-literal
-clause into the visible biases and e0, so frozen training does not tune
-those clauses' confidences.
+and b freely, so its result carries no clause annotations.  With
+``freeze_structure`` every clause-annotated hidden unit keeps its +-1
+literal pattern and only its scalar confidence value moves (weights stay
+c_j * sign pattern, bias stays c_j * (-T_j + eps)); free hidden units still
+train fully, and visible biases stay fixed so compiled constant terms are
+preserved.  ``compile_kb`` puts every single-literal clause into the
+visible biases and e0, so frozen training does not tune those clauses'
+confidences.
 """
 from __future__ import annotations
 
@@ -447,8 +448,11 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             trace.append({"epoch": epoch, **epoch_losses(out, d, cfg.beta > 0)})
     if cfg.epochs:
         # nothing reads the annotations while training, so they take the
-        # confidences once; with no epoch they keep their stored values
+        # confidences once; with no epoch they keep their stored values.
+        # Unfrozen training moves every unit off its clause pattern.
         for j, c_j in zip(units, conf):
             out.clause_annotations[j]["confidence"] = float(c_j)
+        if not cfg.freeze_structure:
+            out.clause_annotations = None
     out.W, out.a, out.b = out.W.copy(), out.a.copy(), out.b.copy()
     return out, trace

@@ -1,25 +1,26 @@
-"""Straightforward reference versions of the constructions and loops.
+"""Straightforward reference versions of the parser, constructions and loops.
 
-These are the original per-construction unit loops, which give every
-clause a unit, the fold of single-literal units into the visible biases
-done column by column, the model
-concatenation the command line used for the baselines, the original
+These are the original recursive-descent parser, the original
+per-construction unit loops, which give every clause a unit, the fold of
+single-literal units into the visible biases done column by column, the
+model concatenation the command line used for the baselines, the original
 full-DNF conversion, the original implication matcher and body-variable
 elimination with the formula-to-clause routing built on them, the original
 full-column Gibbs and descent loops over every hidden unit (Gibbs samples
 only the units wired to a free variable, and leaves the rest at 0), the CD-k
 estimator, the per-row discriminative training loop with its zero-buffer
 and velocity update and the per-column extraction loop, kept here only as
-oracles for the shared clause kernel in ``logicrbm.compiler`` and the
-incremental, batched and blocked kernels in ``logicrbm.reasoner``,
-``logicrbm.trainer`` and ``logicrbm.extractor``.  The search and training
-loops draw random numbers in the same order as the library, so for the
-same seed both must reach the same answers.
+oracles for the operator-precedence parser in ``logicrbm.formula``, the
+shared clause kernel in ``logicrbm.compiler`` and the incremental, batched
+and blocked kernels in ``logicrbm.reasoner``, ``logicrbm.trainer`` and
+``logicrbm.extractor``.  The search and training loops draw random numbers
+in the same order as the library, so for the same seed both must reach the
+same answers.
 """
 import numpy as np
 
 from logicrbm import formula as fm
-from logicrbm.errors import SizeLimitError
+from logicrbm.errors import ParseError, SizeLimitError
 from logicrbm.extractor import DEFAULT_PRUNE_FRACTIONS, ExtractedClause
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments
 from logicrbm.rbm import Rbm, energy_rank, net_hidden, net_visible, _sigmoid
@@ -27,6 +28,100 @@ from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
 from logicrbm.trainer import Grads
 
 from conftest import evaluate, free_energy
+
+
+# ---------------------------------------------------------------------------
+# Parsing: the original recursive descent
+# ---------------------------------------------------------------------------
+
+class _RefParser:
+    """Recursive-descent parser.
+
+    Precedence, loosest first:  <-> / <- / ->  <  ^  <  |  <  &  <  ~
+    Implication and iff associate to the right.
+    """
+
+    def __init__(self, tokens, table, line_no=1):
+        self.tokens = tokens
+        self.table = table
+        self.i = 0
+        self.line_no = line_no
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.line_no, None)
+        self.i += 1
+        return tok
+
+    def parse(self):
+        f = self.implication()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+        return f
+
+    def implication(self):
+        left = self.xor()
+        tok = self.peek()
+        if tok and tok[1] in ("<-", "->", "<->"):
+            self.take()
+            right = self.implication()
+            if tok[1] == "<-":
+                return fm.Implies(body=right, head=left)
+            if tok[1] == "->":
+                return fm.Implies(body=left, head=right)
+            return fm.Iff(left, right)
+        return left
+
+    def xor(self):
+        f = self.disjunction()
+        while self.peek() and self.peek()[1] == "^":
+            self.take()
+            f = fm.Xor(f, self.disjunction())
+        return f
+
+    def disjunction(self):
+        f = self.conjunction()
+        while self.peek() and self.peek()[1] == "|":
+            self.take()
+            f = fm.Or(f, self.conjunction())
+        return f
+
+    def conjunction(self):
+        f = self.unary()
+        while self.peek() and self.peek()[1] == "&":
+            self.take()
+            f = fm.And(f, self.unary())
+        return f
+
+    def unary(self):
+        tok = self.take()
+        kind, text, ln, col = tok
+        if text == "~":
+            return fm.Not(self.unary())
+        if text == "(":
+            f = self.implication()
+            close = self.peek()
+            if close is None or close[1] != ")":
+                raise ParseError("expected ')'", ln, col)
+            self.take()
+            return f
+        if kind == "name":
+            return fm.Var(self.table.add(text))
+        raise ParseError(f"unexpected token {text!r}", ln, col)
+
+
+def ref_parse_formula(text, table, line_no=1):
+    """``parse_formula`` by recursive descent; nesting past the interpreter's
+    recursion limit raises ``RecursionError``."""
+    tokens = fm._tokenize(text, line_no)
+    if not tokens:
+        raise ParseError("empty formula", line_no, 1)
+    return _RefParser(tokens, table, line_no).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +286,8 @@ def ref_sdnf_clauses(f):
     ``l1 | ... | lk`` or ``head <- body`` over a disjunctive head or with
     repeated literals, is read as the implication ``l1 <- ~l2 & ... & ~lk``
     over its distinct literals; one true clause if it holds a literal and its
-    negation.  Anything else gets the full DNF."""
+    negation.  Anything else gets the full DNF, or one true clause if that
+    holds every row of the formula's variables."""
     imp = ref_match_implication(f)
     lits = ref_clause_literals(f) if imp is None else None
     if lits is not None:
@@ -202,7 +298,9 @@ def ref_sdnf_clauses(f):
         imp = ({v for v, positive in rest if not positive},
                {v for v, positive in rest if positive}, head, head_positive)
     if imp is None:
-        return ref_to_full_dnf(f)
+        clauses = ref_to_full_dnf(f)
+        n_rows = 2 ** len(fm.free_vars(f))
+        return [ConjunctiveClause((), ())] if len(clauses) == n_rows else clauses
     return ref_implication_to_sdnf(*imp[:3], head_positive=imp[3])
 
 

@@ -422,6 +422,26 @@ class TestTrainExtract:
             assert (trained == compiled) is frozen
         assert trained["a"][0] != compiled["a"][0]
 
+    def test_unfrozen_training_drops_annotations(self, tmp_path, kb_dir, capsys):
+        """A model trained without --freeze-structure holds null for every
+        unit's annotation, so a frozen run afterwards does not snap the moved
+        units back onto their compiled clauses."""
+        model, tuned, again = (tmp_path / f"{name}.json" for name in ("m", "tuned", "again"))
+        data = tmp_path / "xor.csv"
+        data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        assert run(capsys, "compile", str(kb_dir / "xor.kb"), "-o", str(model))[0] == 0
+        code, _, err = run(capsys, "train", str(model), str(data), "--targets", "z",
+                           "--alpha", "0.5", "--epochs", "7", "-o", str(tuned))
+        assert code == 0, err
+        trained = load_model(tuned)
+        assert json.loads(tuned.read_text())["clause_annotations"] == [None] * 4
+        code, _, err = run(capsys, "train", str(tuned), str(data), "--targets", "z",
+                           "--alpha", "0.5", "--epochs", "1", "--lr", "1e-12",
+                           "--freeze-structure", "-o", str(again))
+        assert code == 0, err
+        np.testing.assert_allclose(load_model(again).W, trained.W, atol=1e-9)
+        np.testing.assert_allclose(load_model(again).b, trained.b, atol=1e-9)
+
     @pytest.mark.parametrize("pos, neg, message", [
         ([0, 1], [1], "both polarities"),
         ([4], [], "outside 0..3"),
@@ -767,7 +787,8 @@ class TestIngest:
 DEEP_FORMULAS = {
     # text, then the exit codes of compile and of compile --baseline universal
     "2000 negations": ("~" * 2000 + "x", 2, 2),
-    "250 parentheses": ("(" * 250 + "x" + ")" * 250, 2, 2),
+    "250 parentheses": ("(" * 250 + "x" + ")" * 250, 0, 0),
+    "1500 parentheses": ("(" * 1500 + "x" + ")" * 1500, 2, 2),
     "1500 implications": (" -> ".join(f"x{i}" for i in range(1500)), 2, 2),
     "1500-variable xor": (" ^ ".join(f"x{i}" for i in range(1500)), 3, 3),
     "1500-variable and": (" & ".join(f"x{i}" for i in range(1500)), 3, 3),
@@ -803,6 +824,18 @@ def test_deep_formula_fails_cleanly(text, exit_code, universal_exit, xor_model, 
     if exit_code == 2:
         code, stdout, err = run(capsys, "verify", str(xor_model), str(kb))
         assert (code, stdout, err.count("\n")) == (2, "", 1) and "nested too deeply" in err
+
+
+def test_full_dnf_tautology_costs_no_unit(tmp_path, capsys):
+    """The 800-long chain over 14 variables holds on every row (its last
+    head, x1, is in its body): one true clause, folded into e0."""
+    kb = tmp_path / "chain.kb"
+    kb.write_text(DEEP_FORMULAS["800 implications over 14 variables"][0] + "\n")
+    model = tmp_path / "chain.json"
+    code, stdout, err = run(capsys, "compile", str(kb), "-o", str(model))
+    assert (code, stdout, err) == (0, "hidden units: 0\nclauses per formula: [1]\n", "")
+    code, stdout, err = run(capsys, "verify", str(model), str(kb))
+    assert (code, err) == (0, "") and json.loads(stdout)["max_deviation"] == 0.0
 
 
 class TestUsage:

@@ -269,7 +269,7 @@ class TestFormulaRoutes:
         assert np.array_equal(dnf_satisfied_batch(clauses, X), truth)
         if route == 0:                      # head <- body: |body| + 1 clauses
             assert len(clauses) == len(fm.free_vars(f))
-        elif route == 1 and truth.all():    # a tautology is one true clause
+        elif truth.all():                   # a tautology is one true clause
             assert clauses == [ConjunctiveClause((), ())]
 
 
@@ -331,6 +331,19 @@ class TestCompileKb:
         assert m.n_hidden == 0
         assert m.e0 == pytest.approx(-2.0 * 0.5)
         assert_equivalent(m, kb, m.epsilon)
+
+    @pytest.mark.parametrize("text", ["(a ^ b) | ~(a ^ b)", "a <-> a", "(a -> b) -> a -> a"])
+    def test_full_dnf_tautology_becomes_offset(self, text):
+        """A formula outside the clause shapes that holds on every row costs
+        no unit: one true clause, folded into e0, and no visible bias."""
+        kb = fm.parse_kb(f"2: {text}\n")
+        assert formula_to_sdnf_clauses(kb.items[0][1]) == [ConjunctiveClause((), ())]
+        m, base = compile_kb(kb)
+        assert (m.n_hidden, base.per_formula, m.e0) == (0, [1], -1.0)
+        assert not m.a.any()
+        assert_equivalent(m, kb, m.epsilon)
+        # the universal baseline keeps one unit per model
+        assert universal_network(kb)[0].n_hidden == 2 ** len(kb.table)
 
     def test_negative_weight_rejected(self):
         kb = fm.parse_kb("x | y\n")

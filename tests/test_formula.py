@@ -9,6 +9,7 @@ from logicrbm.errors import ParseError
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
 
 from conftest import evaluate, format_formula, random_formula, random_kb
+from reference_kernels import ref_parse_formula
 
 
 def table(*names):
@@ -136,6 +137,92 @@ class TestParseKb:
         kb = L.load_kb(kb_dir / "nixon.kb")
         assert kb.table.names == ["n", "r", "q", "p"]
         assert [w for w, _ in kb.items] == [1000.0, 1000.0, 10.0, 10.0]
+
+
+class TestParserOracle:
+    """The operator-precedence loop against the recursive-descent oracle:
+    the same AST and proposition table, or the same error and position."""
+
+    TOKENS = ["a", "b", "c", "~", "&", "|", "^", "->", "<-", "<->", "(", ")"]
+
+    @staticmethod
+    def outcome(parse, text, line_no=1):
+        t = fm.PropositionTable()
+        try:
+            return parse(text, t, line_no), t.names
+        except ParseError as err:
+            return (str(err), err.line, err.column), t.names
+
+    def assert_same(self, text, line_no=1):
+        try:
+            want = self.outcome(ref_parse_formula, text, line_no)
+        except RecursionError:      # past the oracle's reach
+            return
+        assert self.outcome(fm.parse_formula, text, line_no) == want, text
+
+    def random_text(self, rng):
+        """Up to 30 tokens.  Most follow the grammar's turns of operand and
+        connective, closing only open parentheses, and one in ten is any
+        token."""
+        tokens, operand, depth = [], True, 0
+        for _ in range(int(rng.integers(31))):
+            if rng.random() < 0.1:
+                tok = self.TOKENS[rng.integers(len(self.TOKENS))]
+            elif operand:
+                tok = self.TOKENS[rng.choice([0, 0, 1, 1, 2, 3, 10])]
+            elif depth and rng.random() < 0.3:
+                tok = ")"
+            else:
+                tok = self.TOKENS[rng.integers(4, 10)]
+            tokens.append(tok)
+            operand = tok not in ("a", "b", "c", ")")
+            depth += (tok == "(") - (tok == ")")
+        return (" " if rng.random() < 0.7 else "").join(tokens)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_token_strings(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(2500):
+            self.assert_same(self.random_text(rng), int(rng.integers(1, 10)))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_formatted_random_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            f = random_formula(rng, 4, depth=int(rng.integers(1, 7)))
+            self.assert_same(format_formula(f))
+
+    def test_shipped_kbs(self, kb_dir, monkeypatch):
+        kbs = {path: L.load_kb(path) for path in sorted(kb_dir.glob("*.kb"))}
+        monkeypatch.setattr(fm, "parse_formula", ref_parse_formula)
+        for path, kb in kbs.items():
+            ref = L.load_kb(path)
+            assert (kb.items, kb.table.names) == (ref.items, ref.table.names), path.name
+
+    @pytest.mark.parametrize("text", [
+        "(" * 1000 + "x" + ")" * 1000,
+        "~" * 1000 + "x",
+        " -> ".join(f"x{i}" for i in range(1001)),
+        "~(" * 500 + "x" + ")" * 500,
+    ], ids=["parentheses", "negations", "implications", "negated parentheses"])
+    def test_nesting_limit(self, text):
+        """``NESTING_LIMIT`` pending tokens parse; one more is refused."""
+        assert fm.NESTING_LIMIT == 1000
+        fm.parse_formula(text, table())
+        deeper = "(" + text + ")"
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            fm.parse_formula(deeper, table(), line_no=4)
+        assert (err.value.line, err.value.column) == (4, None)
+
+    def test_deep_parentheses_from_deep_stack(self):
+        """The parser takes no interpreter frames per level: 900 nested
+        parentheses parse from inside 800 nested calls."""
+        text = "(" * 900 + "x" + ")" * 900
+
+        def nest(depth):
+            return nest(depth - 1) if depth else fm.parse_formula(text, table())
+
+        assert nest(800) == fm.Var(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Energy kernels, sampling distributions, and model I/O."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ class TestConstruction:
     def test_negative_temperature(self):
         with pytest.raises(ValueError):
             Rbm(W=np.zeros((1, 1)), a=np.zeros(1), b=np.zeros(1), tau=-1.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("names", ["x", "x", "y"], "'names' repeats a name"),
+        ("names", ["x", "y"], "lists 2 names for 3 visible units"),
+        ("clause_annotations", [None] * 5, "lists 5 clause annotations for 4 hidden units"),
+    ], ids=["repeated names", "names length", "annotations length"])
+    def test_model_that_would_not_load_is_refused(self, field, value, message):
+        """What ``load_model`` refuses cannot be built, so every model the
+        library builds can be saved and loaded back."""
+        with pytest.raises(ValueError, match=message):
+            replace(xor_rbm(), **{field: value})
 
     def test_copy_is_deep_for_arrays(self):
         m = random_rbm(np.random.default_rng(0), 3, 2)

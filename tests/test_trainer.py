@@ -249,6 +249,19 @@ class TestTrain:
             assert out.b[j] == pytest.approx(c * (-len(ann["pos"]) + 0.5))
         assert np.array_equal(out.a, m.a)  # visible biases frozen
 
+    def test_unfrozen_training_drops_annotations(self, kb_dir):
+        """Full-parameter training moves every unit off its clause pattern, so
+        the trained model carries no annotation, and a frozen step afterwards
+        leaves the units where training put them."""
+        m, _ = L.compile_kb(L.load_kb(kb_dir / "xor.kb"))
+        out, _ = train(m, xor_dataset(), TrainConfig(alpha=0.5, beta=1.0, epochs=7))
+        assert out.clause_annotations is None and len(m.clause_annotations) == 4
+        assert not np.allclose(out.W, m.W)
+        again, _ = train(out, xor_dataset(), TrainConfig(alpha=0.5, beta=1.0, lr=1e-12,
+                                                         epochs=1, freeze_structure=True))
+        np.testing.assert_allclose(again.W, out.W, atol=1e-9)
+        np.testing.assert_allclose(again.b, out.b, atol=1e-9)
+
     def test_freeze_structure_confidences_move(self, kb_dir):
         kb = L.load_kb(kb_dir / "nixon.kb")
         m, _ = L.compile_kb(kb)
