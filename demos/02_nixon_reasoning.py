@@ -5,13 +5,21 @@ quaker" and weak, contradictory weights to "republicans are not pacifists"
 and "quakers are pacifists".  Clamping n = 1 and minimising energy is the
 same problem as weighted MaxSAT: one of the two weak rules must break, so
 the optimum scores 2010 out of 2020 and the pacifist variable is a tie.
+
+The demo lists both tied maximisers by scoring every completion of the
+evidence with weighted_sat, then shows that annealed Gibbs search and
+zero-temperature descent on the network each reach one of them, and prints
+the exact conditional marginals.
 """
 from pathlib import Path
 
+import numpy as np
+
 from logicrbm import (
-    Assignment, brute_force_maxsat, compile_kb, infer_deterministic,
-    infer_gibbs, load_kb,
+    Assignment, compile_kb, infer_deterministic, infer_gibbs, load_kb,
 )
+from logicrbm.formula import weighted_sat_batch
+from logicrbm.normal_forms import all_assignments
 from logicrbm.reasoner import GibbsConfig, Query, infer_conditional
 
 KB = Path(__file__).resolve().parent.parent / "kb" / "nixon.kb"
@@ -29,10 +37,16 @@ def main():
 
     evidence = Assignment({kb.table.index["n"]: True}, len(names))
 
-    winners, best = brute_force_maxsat(kb, evidence)
+    # every completion of n = 1, in counting order of the other variables
+    free = list(evidence.unassigned())
+    X = np.zeros((2 ** len(free), len(names)))
+    X[:, kb.table.index["n"]] = 1.0
+    X[:, free] = all_assignments(len(free))
+    scores = weighted_sat_batch(kb, X)
+    best = scores.max()
     print(f"\nexhaustive weighted MaxSAT given n=1: best score {best:g}")
-    for w in winners:
-        print(f"  maximizer: {', '.join(f'{nm}={v}' for nm, v in zip(names, w))}")
+    for w in X[np.isclose(scores, best, rtol=0, atol=1e-9)]:
+        print(f"  maximizer: {', '.join(f'{nm}={int(v)}' for nm, v in zip(names, w))}")
 
     report = infer_gibbs(model, Query(evidence=evidence),
                          GibbsConfig(steps=200, restarts=10, seed=0))

@@ -19,16 +19,15 @@ from .compiler import (
     compile_kb, merge_clauses, penalty_network, universal_network,
 )
 from .reasoner import (
-    DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
-    infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
-    verify_equivalence,
+    DeterministicConfig, GibbsConfig, Query, infer_conditional, infer_deterministic,
+    infer_exact, infer_gibbs, verify_equivalence,
 )
 from .trainer import (
     Dataset, OneHotSpec, TrainConfig, dataset_from_kb, epoch_losses,
     ingest_categorical, read_csv, train,
 )
 from .extractor import (
-    ExtractedClause, extract_clauses, reliability_ratio, score_reliability,
+    ExtractedClause, extract_clauses, score_reliability,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ class ParseError(Exception):
 
     def __init__(self, message, line=None, column=None):
         if line is not None:
-            message = f"{message} (line {line}, column {column})"
+            at = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{message} ({at})"
         super().__init__(message)
         self.line = line
         self.column = column

@@ -83,41 +83,26 @@ def extract_clauses(m: Rbm) -> list[ExtractedClause]:
     return out
 
 
-def reliability_ratio(clause: ConjunctiveClause, d: Dataset, class_indices
-                      ) -> tuple[int, int]:
-    """(satisfy, violate) counts of a clause against labelled data.
-
-    The clause must mention exactly one class literal; rows matching the
-    remaining body literals count as satisfy when their class value agrees
-    with the clause's polarity, violate otherwise.  Rows not matching the
-    body are ignored.
-    """
-    class_indices = set(class_indices)
-    in_pos = [i for i in clause.pos if i in class_indices]
-    in_neg = [i for i in clause.neg if i in class_indices]
-    if len(in_pos) + len(in_neg) != 1:
-        raise ValueError("clause must mention exactly one class literal")
-    cls, polarity = (in_pos[0], True) if in_pos else (in_neg[0], False)
-    body_pos = [i for i in clause.pos if i != cls]
-    body_neg = [i for i in clause.neg if i != cls]
-    match = np.ones(len(d.rows), dtype=bool)
-    for i in body_pos:
-        match &= d.rows[:, i] > 0.5
-    for i in body_neg:
-        match &= d.rows[:, i] < 0.5
-    agrees = (d.rows[:, cls] > 0.5) == polarity
-    satisfy = int(np.count_nonzero(match & agrees))
-    violate = int(np.count_nonzero(match & ~agrees))
-    return satisfy, violate
+def _reliability_ratio(clause: ConjunctiveClause, d: Dataset, cls: int) -> tuple[int, int]:
+    """(satisfy, violate) counts on ``d`` of a clause whose one class literal
+    is on column ``cls``.  Rows matching the other literals satisfy the
+    clause when their class value agrees with that literal's polarity and
+    violate it otherwise; the other rows are ignored."""
+    pos = [i for i in clause.pos if i != cls]
+    neg = [i for i in clause.neg if i != cls]
+    match = (d.rows[:, pos] > 0.5).all(axis=1) & (d.rows[:, neg] < 0.5).all(axis=1)
+    agrees = (d.rows[:, cls] > 0.5) == (cls in clause.pos)
+    return int(np.count_nonzero(match & agrees)), int(np.count_nonzero(match & ~agrees))
 
 
 def score_reliability(extracted, d: Dataset, class_indices) -> None:
-    """Set ``reliability`` to the ``reliability_ratio`` on ``d`` of each
+    """Set ``reliability`` to the (satisfy, violate) counts on ``d`` of each
     extracted clause that mentions exactly one of the class columns."""
     cls = set(class_indices)
     for ec in extracted:
-        if len(cls.intersection(ec.clause.pos)) + len(cls.intersection(ec.clause.neg)) == 1:
-            ec.reliability = reliability_ratio(ec.clause, d, cls)
+        hits = cls.intersection(ec.clause.variables())
+        if len(hits) == 1:
+            ec.reliability = _reliability_ratio(ec.clause, d, *hits)
 
 
 def format_listing(extracted, names) -> str:

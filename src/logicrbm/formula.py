@@ -54,53 +54,87 @@ class PropositionTable:
 # Formula AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Formula:
-    pass
+    """A formula node.  Equality, hashing and printing walk the nodes with
+    explicit stacks, so they work at any depth; they agree with what frozen
+    dataclasses would generate, except that hash values differ."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            f, g = pairs.pop()
+            if type(f) is not type(g):
+                return False
+            for a, b in zip(vars(f).values(), vars(g).values()):
+                if isinstance(a, Formula):
+                    pairs.append((a, b))
+                elif a != b:
+                    return False
+        return True
+
+    def __hash__(self):
+        # the post-order of node types and leaf values fixes the tree
+        return hash(tuple((type(g), *vars(g).values()) if isinstance(g, (Var, Const)) else type(g)
+                          for g in _postorder(self)))
+
+    def __repr__(self):
+        texts = []                    # a value stack over the post-order
+        for g in _postorder(self):
+            fields = vars(g)
+            if isinstance(g, (Var, Const)):
+                values = [repr(v) for v in fields.values()]
+            else:
+                values = texts[len(texts) - len(fields):]
+                del texts[len(texts) - len(fields):]
+            args = ", ".join(f"{name}={v}" for name, v in zip(fields, values))
+            texts.append(f"{type(g).__name__}({args})")
+        return texts[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Formula):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     """Implication, stored as head <- body."""
     body: Formula
     head: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Xor(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Formula):
     value: bool
 

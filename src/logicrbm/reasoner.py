@@ -1,8 +1,8 @@
 """Query answering over compiled networks.
 
 Minimising E_rank over completions of the evidence is the same search as
-maximising weighted satisfiability, so the module offers: an exhaustive
-MaxSAT oracle, annealed Gibbs search, zero-temperature coordinate descent,
+maximising weighted satisfiability, so the module offers: annealed Gibbs
+search, zero-temperature coordinate descent, exact search by enumeration,
 exact conditional inference over a small target set, and an enumeration
 check that a network really is equivalent to its knowledge base.
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SizeLimitError
-from . import formula as fm
 from .formula import Assignment, KnowledgeBase, weighted_sat_batch
 from .normal_forms import all_assignments
 from .rbm import (Rbm, _TargetGrid, _UniformBlocks, block_rows, energy_rank, _check_epsilon,
@@ -69,42 +68,6 @@ class InferenceReport:
 
     def vector(self, n) -> np.ndarray:
         return np.array([float(self.assignment[i]) for i in range(n)])
-
-
-def _completion_blocks(evidence: Assignment, width: int):
-    """Every completion of the evidence, as blocks of full rows.
-
-    The free variables run in binary counting order, which is also the
-    lexicographic order of the full states.  Each block has
-    ``block_rows(width)`` rows at most.
-    """
-    free = evidence.unassigned()
-    total = 2 ** len(free)
-    step = block_rows(width)
-    for start in range(0, total, step):
-        grid = all_assignments(len(free), start, min(start + step, total))
-        X = np.zeros((len(grid), evidence.n))
-        for i, v in evidence.values.items():
-            X[:, i] = float(v)
-        X[:, free] = grid
-        yield X
-
-
-def brute_force_maxsat(kb: KnowledgeBase, evidence: Assignment):
-    """Exhaustive argmax of weighted_sat over completions; returns all ties."""
-    if len(evidence.unassigned()) > BRUTE_LIMIT:
-        raise SizeLimitError(
-            f"{len(evidence.unassigned())} unassigned variables exceeds limit {BRUTE_LIMIT}")
-    best, rows, scores = -np.inf, np.zeros((0, evidence.n)), np.zeros(0)
-    for X in _completion_blocks(evidence, evidence.n):
-        s = weighted_sat_batch(kb, X)
-        best = max(best, float(s.max()))
-        rows, scores = np.concatenate([rows, X]), np.concatenate([scores, s])
-        # best only grows, so a row dropped here can never win later
-        near = np.isclose(scores, best, rtol=0, atol=1e-9)
-        rows, scores = rows[near], scores[near]
-    winners = sorted(tuple(int(v) for v in row) for row in rows)
-    return winners, best
 
 
 def _check_search_size(m: Rbm, restarts: int, steps: int):
@@ -177,14 +140,20 @@ class _Clamped:
         return (rng.random((restarts, self.n)) < 0.5)[:, self.free].astype(float)
 
 
-def _best(Xf, energies):
-    """Lowest energy; exact ties broken by the lexicographically smallest
-    state.  The clamped columns are shared, so the free parts decide."""
+def _best(Xf, energies, best=None):
+    """The lowest-energy (state, energy) of the rows ``Xf``, exact ties going
+    to the lexicographically smallest state (the clamped columns are shared,
+    so the free parts decide).  An incumbent ``best`` is kept unless that
+    state is more than 1e-12 lower, or within 1e-12 and smaller."""
     k = int(np.argmin(energies))
     ties = np.flatnonzero(energies == energies[k])
     if len(ties) > 1:
         k = min(ties, key=lambda r: tuple(Xf[r]))
-    return Xf[k].copy(), float(energies[k])
+    x, e = Xf[k].copy(), float(energies[k])
+    if best is None or e < best[1] - 1e-12 or (abs(e - best[1]) <= 1e-12
+                                               and tuple(x) < tuple(best[0])):
+        return x, e
+    return best
 
 
 def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> InferenceReport:
@@ -207,8 +176,8 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     c = _Clamped(m, q.evidence)
     Xf = c.initial_states(config.restarts, rng)
     net, E = c.net_and_energy(Xf)
-    best_x, best_e = _best(Xf, E)
-    trace = [best_e]
+    best = _best(Xf, E)
+    trace = [best[1]]
     scale = float(np.abs(m.W).max(initial=0.0)) or 1.0
     taus = scale * np.geomspace(TAU_START, TAU_END, max(config.steps, 1))
     # samples go to C-ordered buffers: the initial states come from a column
@@ -222,13 +191,10 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
             Xf = np.less(Uv, _twice_sigmoid(c.net_visible(H, PV), PV, tau), out=X)
             net, E = c.net_and_energy(Xf, net)
         # only a state within 1e-12 of the best can replace it
-        if E.min() - best_e <= 1e-12:
-            cand_x, cand_e = _best(Xf, E)
-            if cand_e < best_e - 1e-12 or (abs(cand_e - best_e) <= 1e-12
-                                           and tuple(cand_x) < tuple(best_x)):
-                best_x, best_e = cand_x, cand_e
-        trace.append(best_e)
-    return _report_from_state(m, c.full(best_x), config.steps, config.restarts, trace)
+        if E.min() - best[1] <= 1e-12:
+            best = _best(Xf, E, best)
+        trace.append(best[1])
+    return _report_from_state(m, c.full(best[0]), config.steps, config.restarts, trace)
 
 
 def infer_deterministic(m: Rbm, q: Query,
@@ -259,36 +225,34 @@ def infer_deterministic(m: Rbm, q: Query,
         net[active], E[active] = c.net_and_energy(new)
         for r in active:
             traces[r].append(float(E[r]))
-    best_r = None
-    for r in range(config.restarts):
-        if best_r is None or E[r] < E[best_r] - 1e-12 or (
-                abs(E[r] - E[best_r]) <= 1e-12 and tuple(Xf[r]) < tuple(Xf[best_r])):
-            best_r = r
-    return _report_from_state(m, c.full(Xf[best_r]), config.sweeps, config.restarts,
-                              traces)
+    best = None
+    for r in range(config.restarts):      # in order: the 1e-12 rule is order dependent
+        best = _best(Xf[r:r + 1], E[r:r + 1], best)
+    return _report_from_state(m, c.full(best[0]), config.sweeps, config.restarts, traces)
 
 
 def infer_exact(m: Rbm, evidence: Assignment) -> InferenceReport:
     """Lowest-energy completion of the evidence by enumeration.
 
-    Ties go to the lexicographically smallest state.  The completions are
-    scored in bounded row blocks, and the size check comes before any of
-    them is built.
+    Ties go to the lexicographically smallest state.  The free parts are
+    scored in bounded row blocks after the size check; only the winner
+    becomes a full row.
     """
     c = _Clamped(m, evidence)
     k = len(c.free)
     if k > BRUTE_LIMIT:
         raise SizeLimitError(
             f"{k} unassigned variables exceeds the exact-mode limit {BRUTE_LIMIT}")
-    best_x, best_e = None, np.inf
-    for X in _completion_blocks(evidence, m.n_hidden):
-        # blocks come in lexicographic order, so the first minimum is the
-        # smallest of the exact ties
-        _, E = c.net_and_energy(X[:, c.free])
+    best_xf, best_e = None, np.inf
+    total, step = 2 ** k, block_rows(max(len(c.wired), k))
+    for start in range(0, total, step):
+        Xf = all_assignments(k, start, min(start + step, total))
+        # the first minimum in counting order is the smallest of the exact ties
+        _, E = c.net_and_energy(Xf)
         r = int(np.argmin(E))
-        if best_x is None or E[r] < best_e:
-            best_x, best_e = X[r].copy(), float(E[r])
-    return _report_from_state(m, best_x, 2 ** k, 1, [])
+        if best_xf is None or E[r] < best_e:
+            best_xf, best_e = Xf[r].copy(), float(E[r])
+    return _report_from_state(m, c.full(best_xf), total, 1, [])
 
 
 @dataclass
@@ -342,11 +306,13 @@ def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float) -> Verificatio
     if n != m.n_visible:
         raise ValueError("model and knowledge base have different universes")
     worst, witness = -np.inf, None
-    for X in _completion_blocks(fm.Assignment({}, n), max(m.n_hidden, n)):
+    total, step = 2 ** n, block_rows(max(m.n_hidden, n))
+    for start in range(0, total, step):
+        X = all_assignments(n, start, min(start + step, total))
         dev = np.abs(weighted_sat_batch(kb, X) + energy_rank(m, X) / epsilon)
         k = int(np.argmax(dev))
         if witness is None or dev[k] > worst:
             worst, witness = float(dev[k]), X[k]
     return VerificationReport(max_deviation=worst,
                               witness={i: bool(witness[i] > 0.5) for i in range(n)},
-                              n_assignments=2 ** n)
+                              n_assignments=total)

@@ -15,8 +15,15 @@ shared clause kernel in ``logicrbm.compiler`` and the incremental, batched
 and blocked kernels in ``logicrbm.reasoner``, ``logicrbm.trainer`` and
 ``logicrbm.extractor``.  The search and training loops draw random numbers
 in the same order as the library, so for the same seed both must reach the
-same answers.
+same answers.  ``ref_brute_force_maxsat`` is exact search on the knowledge
+base itself, weighted_sat over every completion, which no network enters:
+the independent side of the identity weighted_sat = -E_rank / eps.
+``REF_NODES`` rebuilds formulas as plain frozen dataclasses, whose generated
+equality, hash and repr are the oracle for the iterative ones on
+``Formula``.
 """
+from dataclasses import fields, make_dataclass
+
 import numpy as np
 
 from logicrbm import formula as fm
@@ -24,7 +31,7 @@ from logicrbm.errors import ParseError, SizeLimitError
 from logicrbm.extractor import DEFAULT_PRUNE_FRACTIONS, ExtractedClause
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments
 from logicrbm.rbm import Rbm, energy_rank, net_hidden, net_visible, _sigmoid
-from logicrbm.reasoner import DeterministicConfig, GibbsConfig, InferenceReport
+from logicrbm.reasoner import BRUTE_LIMIT, DeterministicConfig, GibbsConfig, InferenceReport
 from logicrbm.trainer import Grads
 
 from conftest import evaluate, free_energy
@@ -122,6 +129,18 @@ def ref_parse_formula(text, table, line_no=1):
     if not tokens:
         raise ParseError("empty formula", line_no, 1)
     return _RefParser(tokens, table, line_no).parse()
+
+
+# Formula nodes as plain frozen dataclasses: their generated, recursive
+# equality, hash and repr are the oracle for the iterative ones on ``Formula``.
+REF_NODES = {cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
+             for cls in (fm.Var, fm.Const, fm.Not, fm.And, fm.Or, fm.Implies, fm.Iff, fm.Xor)}
+
+
+def ref_formula(f):
+    """f rebuilt from ``REF_NODES``; recursive, so for shallow formulas."""
+    return REF_NODES[type(f)](*(ref_formula(v) if isinstance(v, fm.Formula) else v
+                                for v in vars(f).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +501,37 @@ def ref_infer_deterministic(m, q, config=None):
     return _report_from_state(m, best_x, config.sweeps, config.restarts, traces)
 
 
-def ref_infer_exact(m, evidence):
-    """Every completion at once, scored over every hidden unit; ties go to
-    the first completion in counting order, the smallest state."""
+def _completions(evidence):
+    """Every completion of the evidence as full rows, in counting order of
+    the free variables, which is also the lexicographic order of the rows."""
     free = evidence.unassigned()
-    X = np.zeros((2 ** len(free), m.n_visible))
+    X = np.zeros((2 ** len(free), evidence.n))
     for i, v in evidence.values.items():
         X[:, i] = float(v)
     X[:, list(free)] = all_assignments(len(free))
+    return X
+
+
+def ref_infer_exact(m, evidence):
+    """Every completion at once, scored over every hidden unit; ties go to
+    the first completion in counting order, the smallest state."""
+    X = _completions(evidence)
     E = energy_rank(m, X)
     k = int(np.argmin(E))
-    return _report_from_state(m, X[k], 2 ** len(free), 1, [])
+    return _report_from_state(m, X[k], len(X), 1, [])
+
+
+def ref_brute_force_maxsat(kb, evidence):
+    """The best weighted_sat over every completion of the evidence, and the
+    completions within 1e-9 of it, sorted."""
+    if len(evidence.unassigned()) > BRUTE_LIMIT:
+        raise SizeLimitError(
+            f"{len(evidence.unassigned())} unassigned variables exceeds limit {BRUTE_LIMIT}")
+    X = _completions(evidence)
+    scores = fm.weighted_sat_batch(kb, X)
+    best = float(scores.max())
+    near = np.isclose(scores, best, rtol=0, atol=1e-9)
+    return sorted(tuple(int(v) for v in row) for row in X[near]), best
 
 
 def _target_grid(x, targets):

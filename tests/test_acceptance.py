@@ -12,19 +12,19 @@ import pytest
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import compile_kb, penalty_network, universal_network
-from logicrbm.extractor import extract_clauses, reliability_ratio
+from logicrbm.extractor import ExtractedClause, extract_clauses, score_reliability
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments
 from logicrbm.rbm import Rbm, energy_rank
 from logicrbm.reasoner import (
-    DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
-    infer_deterministic, infer_gibbs, verify_equivalence,
+    DeterministicConfig, GibbsConfig, Query, infer_deterministic, infer_gibbs,
+    verify_equivalence,
 )
 from logicrbm.trainer import Dataset, TrainConfig, _conditional, train
 
 from conftest import (
     KB_DIR, implication_formula, random_implication, random_kb, random_rbm,
 )
-from reference_kernels import ref_literal_biases
+from reference_kernels import ref_brute_force_maxsat, ref_literal_biases
 
 
 class Criterion:
@@ -153,7 +153,7 @@ def test_criterion_5_descent_and_gibbs(capsys):
             kb = L.load_kb(KB_DIR / kb_name)
             m, _ = compile_kb(kb)
             ev = fm.Assignment(evidence, len(kb.table))
-            _, best = brute_force_maxsat(kb, ev)
+            _, best = ref_brute_force_maxsat(kb, ev)
             hits = 0
             for seed in range(50):
                 rep = infer_gibbs(m, Query(evidence=ev),
@@ -240,5 +240,6 @@ def test_criterion_8_xor_learn_and_extract(capsys):
             fm.PropositionTable(["f", "g", "cls"]),
             np.array([[1, 0, 1]] * 5 + [[1, 0, 0]] * 2 + [[0, 1, 1]] * 3,
                      dtype=float))
-        clause = ConjunctiveClause((0, 2), (1,))
-        assert reliability_ratio(clause, fixture, (2,)) == (5, 2)
+        scored = ExtractedClause(ConjunctiveClause((0, 2), (1,)), 1.0, 0, 0.0)
+        score_reliability([scored], fixture, (2,))
+        assert scored.reliability == (5, 2)

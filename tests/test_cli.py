@@ -826,6 +826,20 @@ def test_deep_formula_fails_cleanly(text, exit_code, universal_exit, xor_model, 
         assert (code, stdout, err.count("\n")) == (2, "", 1) and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x &", "unexpected end of input (line 2)"),
+    ("(" * 1500 + "x" + ")" * 1500, "formula nested too deeply (line 2)"),
+    ("x & )", "unexpected token ')' (line 2, column 5)"),
+], ids=["end of input", "1500 parentheses", "unexpected token"])
+def test_parse_error_text(text, message, tmp_path, capsys):
+    """The line of a parse error, and its column where it has one."""
+    kb = tmp_path / "bad.kb"
+    kb.write_text("# one formula\n" + text + "\n")
+    out = tmp_path / "m.json"
+    code, stdout, err = run(capsys, "compile", str(kb), "-o", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n") and not out.exists()
+
+
 def test_full_dnf_tautology_costs_no_unit(tmp_path, capsys):
     """The 800-long chain over 14 variables holds on every row (its last
     head, x1, is in its body): one true clause, folded into e0."""

@@ -9,7 +9,7 @@ from logicrbm import formula as fm
 from logicrbm.compiler import compile_kb
 from logicrbm.extractor import (
     EXTRACT_BLOCK, ExtractedClause, extract_clauses, format_listing, listing_to_json,
-    reliability_ratio, score_reliability,
+    score_reliability,
 )
 from logicrbm.normal_forms import ConjunctiveClause
 from logicrbm.rbm import Rbm, proposition_names
@@ -165,6 +165,14 @@ def labelled_dataset():
     return Dataset(table, rows)
 
 
+def reliability_ratio(clause, d, class_indices):
+    """The reliability ``score_reliability`` gives one clause (None when the
+    clause does not mention exactly one class column)."""
+    ec = ExtractedClause(clause, 1.0, 0, 0.0)
+    score_reliability([ec], d, class_indices)
+    return ec.reliability
+
+
 class TestReliabilityRatio:
     def test_constructed_counts(self):
         clause = ConjunctiveClause((0, 2), (1,))
@@ -179,11 +187,10 @@ class TestReliabilityRatio:
         assert reliability_ratio(clause, labelled_dataset(), (2,)) == (0, 0)
 
     def test_class_literal_requirements(self):
+        # no class literal, or two: the clause is left unscored
         d = labelled_dataset()
-        with pytest.raises(ValueError):
-            reliability_ratio(ConjunctiveClause((0,), (1,)), d, (2,))
-        with pytest.raises(ValueError):
-            reliability_ratio(ConjunctiveClause((0, 1, 2), ()), d, (1, 2))
+        assert reliability_ratio(ConjunctiveClause((0,), (1,)), d, (2,)) is None
+        assert reliability_ratio(ConjunctiveClause((0, 1, 2), ()), d, (1, 2)) is None
 
     def test_one_hot_style_fixture(self):
         # two-value class encoded one-hot, mirroring the categorical pipeline

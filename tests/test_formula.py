@@ -1,4 +1,6 @@
 """Parser, AST, evaluation, and knowledge-base tests."""
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from logicrbm.errors import ParseError
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
 
 from conftest import evaluate, format_formula, random_formula, random_kb
-from reference_kernels import ref_parse_formula
+from reference_kernels import ref_formula, ref_parse_formula
 
 
 def table(*names):
@@ -105,6 +107,11 @@ class TestParsing:
             fm.parse_formula("a & $b", table(), line_no=7)
         assert err.value.line == 7
         assert err.value.column is not None
+
+    def test_error_without_column_names_the_line(self):
+        with pytest.raises(ParseError, match=r"^unexpected end of input \(line 7\)$") as err:
+            fm.parse_formula("a &", table(), line_no=7)
+        assert (err.value.line, err.value.column) == (7, None)
 
     def test_empty_formula(self):
         with pytest.raises(ParseError):
@@ -303,6 +310,51 @@ class TestDeepFormulas:
         clauses = to_full_dnf(f)
         assert len(clauses) == 8 and all(cl.pos[:1] == (0,) for cl in clauses)
         assert all(cl.variables() == {0, 1, 2, 3} for cl in clauses)
+
+
+class TestFormulaIdentity:
+    """Equality, hashing and printing, against the methods that frozen
+    dataclasses generate (``reference_kernels.REF_NODES``), and past the
+    interpreter's recursion limit."""
+
+    def test_shallow_formulas_match_generated_methods(self):
+        rng = np.random.default_rng(43)
+        # few variables and shallow trees, so that many pairs are equal
+        fs = [random_formula(rng, 2, depth=int(rng.integers(0, 3))) for _ in range(300)]
+        fs += [fm.TRUE, fm.FALSE, fm.Const(True), fm.Not(fm.TRUE)]
+        fs += [copy.deepcopy(f) for f in fs[:100]]
+        refs = [ref_formula(f) for f in fs]
+        equal = 0
+        for i in rng.integers(len(fs), size=(3000, 2)):
+            (f, g), (rf, rg) = [fs[k] for k in i], [refs[k] for k in i]
+            assert (f == g, f != g) == (rf == rg, rf != rg)
+            if f == g:
+                assert hash(f) == hash(g)
+                equal += f is not g
+        assert equal > 100
+        assert [repr(f) for f in fs] == [repr(r) for r in refs]
+        assert len(set(fs)) == len(set(refs))
+        assert (fm.Var(0) == 0, fm.Var(0) != "x") == (refs[0] == 0, True)
+
+    @pytest.mark.parametrize("kind", ["800-long -> chain", "900 nested parentheses"])
+    def test_deep_formulas(self, kind):
+        if kind == "800-long -> chain":
+            text = " -> ".join(f"x{i % 14}" for i in range(800))
+            expected = "Var(index=1)"   # x799, the last head
+            for i in range(798, -1, -1):
+                expected = f"Implies(body=Var(index={i % 14}), head={expected})"
+        else:
+            text = "(" * 900 + "x" + ") & y" * 900
+            expected = "Var(index=0)"
+            for _ in range(900):
+                expected = f"And(left={expected}, right=Var(index=1))"
+        t = table()
+        f, g = fm.parse_formula(text, t), fm.parse_formula(text, t)
+        other = fm.parse_formula(text[:-1] + "z", t)  # the last variable differs
+        assert f == g and not f != g and hash(f) == hash(g)
+        assert f != other and not f == other
+        assert len({f, g, other}) == 2
+        assert repr(f) == expected
 
 
 class TestWeightedSat:

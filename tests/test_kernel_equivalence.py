@@ -14,15 +14,14 @@ from logicrbm.compiler import attach_hidden_units
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import block_rows, energy_rank
 from logicrbm.reasoner import (
-    DeterministicConfig, GibbsConfig, Query, _Clamped, brute_force_maxsat, infer_conditional,
-    infer_exact,
+    DeterministicConfig, GibbsConfig, Query, _Clamped, infer_conditional, infer_exact,
 )
 from logicrbm.trainer import Dataset, TrainConfig, _conditional
 
 from conftest import cd_step, random_kb, random_rbm
 from reference_kernels import (
-    ref_cd_gradient, ref_conditional_nll, ref_discriminative_gradient, ref_infer_deterministic,
-    ref_infer_exact, ref_infer_gibbs, ref_train,
+    ref_brute_force_maxsat, ref_cd_gradient, ref_conditional_nll, ref_discriminative_gradient,
+    ref_infer_deterministic, ref_infer_exact, ref_infer_gibbs, ref_train,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -203,7 +202,7 @@ class TestSparseSearch:
             assert_same_search(m, q, GibbsConfig(steps=30, restarts=3, seed=seed),
                                DeterministicConfig(restarts=3, seed=seed),
                                weigh=lambda X: fm.weighted_sat_batch(kb, X))
-            winners, best = brute_force_maxsat(kb, evidence)
+            winners, best = ref_brute_force_maxsat(kb, evidence)
             rep = infer_exact(m, evidence)
             assert abs(rep.weighted_sat - best) <= 1e-9
             assert tuple(int(rep.assignment[i]) for i in range(8)) in winners

@@ -1,22 +1,22 @@
-"""Inference: MaxSAT oracle, Gibbs search, descent, conditionals, verify."""
+"""Inference: the MaxSAT oracle, Gibbs search, descent, exact search,
+conditionals, verify."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import logicrbm as L
-from logicrbm import formula as fm
+from logicrbm import formula as fm, rbm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.reasoner import (
-    DeterministicConfig, GibbsConfig, Query, brute_force_maxsat,
-    infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
-    verify_equivalence,
+    DeterministicConfig, GibbsConfig, Query, _best, infer_conditional, infer_deterministic,
+    infer_exact, infer_gibbs, verify_equivalence,
 )
 from logicrbm.rbm import Rbm, energy_rank
 
 from conftest import random_kb, random_rbm
-from reference_kernels import ref_conditional_nll
+from reference_kernels import ref_brute_force_maxsat, ref_conditional_nll, ref_infer_exact
 
 
 @pytest.fixture
@@ -36,28 +36,29 @@ def nixon(kb_dir):
 class TestBruteForceMaxsat:
     def test_nixon_given_n(self, nixon):
         kb, _ = nixon
-        winners, best = brute_force_maxsat(kb, fm.Assignment({0: True}, 4))
+        winners, best = ref_brute_force_maxsat(kb, fm.Assignment({0: True}, 4))
         assert best == 2010.0
         assert winners == [(1, 1, 1, 0), (1, 1, 1, 1)]  # p is the tie variable
 
     def test_empty_kb_all_tie(self):
         kb = fm.KnowledgeBase(fm.PropositionTable(["x", "y"]))
-        winners, best = brute_force_maxsat(kb, fm.Assignment({}, 2))
+        winners, best = ref_brute_force_maxsat(kb, fm.Assignment({}, 2))
         assert best == 0.0 and len(winners) == 4
 
     def test_xor_completion(self, xor):
         kb, _ = xor
-        winners, best = brute_force_maxsat(kb, fm.Assignment({0: True, 1: True}, 3))
+        winners, best = ref_brute_force_maxsat(kb, fm.Assignment({0: True, 1: True}, 3))
         assert best == 1.0 and winners == [(1, 1, 0)]
 
     def test_size_limit(self):
         kb = fm.KnowledgeBase(fm.PropositionTable([f"v{i}" for i in range(30)]))
         with pytest.raises(SizeLimitError):
-            brute_force_maxsat(kb, fm.Assignment({}, 30))
+            ref_brute_force_maxsat(kb, fm.Assignment({}, 30))
 
     def test_blocks_match_full_enumeration(self, monkeypatch):
-        # 64-element blocks: 8 rows of 8 variables, so 32 blocks of 256 rows
-        monkeypatch.setattr("logicrbm.rbm.BLOCK_ELEMENTS", 64)
+        # exact search on the compiled network, in blocks of at most 64
+        # elements, reaches one of the knowledge base's maximisers
+        monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", 64)
         rng = np.random.default_rng(31)
         for _ in range(10):
             kb = random_kb(rng, n_vars=8, n_formulas=5, w_low=1.0, w_high=3.0)
@@ -65,21 +66,38 @@ class TestBruteForceMaxsat:
             X = all_assignments(8)
             scores = fm.weighted_sat_batch(kb, X)
             near = np.isclose(scores, scores.max(), rtol=0, atol=1e-9)
-            winners, best = brute_force_maxsat(kb, fm.Assignment({}, 8))
+            winners, best = ref_brute_force_maxsat(kb, fm.Assignment({}, 8))
             assert best == scores.max()
             assert winners == sorted(tuple(int(v) for v in row) for row in X[near])
+            rep = infer_exact(L.compile_kb(kb)[0], fm.Assignment({}, 8))
+            assert rep.weighted_sat == pytest.approx(best, abs=1e-9)
+            assert tuple(int(rep.assignment[i]) for i in range(8)) in winners
 
-    def test_memory_bounded_in_blocks(self):
-        # 20 free variables: the full completion matrix alone would be 160 MB
-        kb = fm.parse_kb("\n".join(f"2: x{i} -> x{i + 1}" for i in range(20)))
-        tracemalloc.start()
-        try:
-            winners, best = brute_force_maxsat(kb, fm.Assignment({0: True}, 21))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
-        assert best == 40.0 and winners == [(1,) * 21]
+
+class TestBest:
+    """The one rule that picks every search's answer."""
+
+    def test_exact_ties_go_to_the_smallest_state(self):
+        Xf = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        x, e = _best(Xf, np.array([-1.0, -1.0, 0.0]))
+        assert x.tolist() == [0.0, 1.0] and e == -1.0
+        assert not np.shares_memory(x, Xf)
+
+    def test_incumbent_kept_unless_clearly_lower_or_tied_and_smaller(self):
+        best = (np.array([0.0, 1.0]), -1.0)
+        larger, smaller = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
+        # 0.5e-12 lower but lexicographically larger: the incumbent stays
+        assert _best(larger, np.array([-1.0 - 0.5e-12]), best) is best
+        # 2e-12 lower: the new state wins although it is larger
+        x, e = _best(larger, np.array([-1.0 - 2e-12]), best)
+        assert x.tolist() == [1.0, 0.0] and e == -1.0 - 2e-12
+        # within 1e-12 either way: the smaller state wins
+        for energy in (-1.0 + 0.5e-12, -1.0, -1.0 - 0.5e-12):
+            x, e = _best(smaller, np.array([energy]), best)
+            assert x.tolist() == [0.0, 0.0] and e == energy
+        assert _best(larger, np.array([-1.0]), best) is best
+        # 2e-12 higher: the incumbent stays although it is smaller
+        assert _best(smaller, np.array([-1.0 + 2e-12]), best) is best
 
 
 class TestSearchConfigs:
@@ -114,7 +132,7 @@ class TestInferGibbs:
         kb, m = nixon
         q = Query(evidence=fm.Assignment({0: True}, 4))
         rep = infer_gibbs(m, q)
-        _, best = brute_force_maxsat(kb, q.evidence)
+        _, best = ref_brute_force_maxsat(kb, q.evidence)
         assert rep.weighted_sat == pytest.approx(best)
 
     def test_seed_reproducible(self, nixon):
@@ -161,7 +179,7 @@ class TestInferExact:
             kb = random_kb(rng, n_vars=5, n_formulas=4, w_low=0.5, w_high=5.0)
             m, _ = L.compile_kb(kb)
             evidence = fm.Assignment({0: bool(rng.random() < 0.5)}, 5)
-            winners, best = brute_force_maxsat(kb, evidence)
+            winners, best = ref_brute_force_maxsat(kb, evidence)
             rep = infer_exact(m, evidence)
             assert rep.weighted_sat == pytest.approx(best, abs=1e-9)
             assert tuple(int(rep.assignment[i]) for i in range(5)) in winners
@@ -184,6 +202,36 @@ class TestInferExact:
         m = Rbm(W=np.zeros((3, 1)), a=np.zeros(3), b=np.zeros(1))
         rep = infer_exact(m, fm.Assignment({1: True}, 3))
         assert rep.assignment == {0: False, 1: True, 2: False}
+
+    @pytest.mark.parametrize("limit", [1, 7, 64, 1 << 20])
+    def test_small_blocks_match_the_reference(self, monkeypatch, limit):
+        monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", limit)
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            m = random_rbm(rng, 7, int(rng.integers(0, 6)))
+            m.epsilon = 0.5
+            clamp = {int(i): bool(rng.random() < 0.5)
+                     for i in rng.permutation(7)[: rng.integers(0, 8)]}
+            evidence = fm.Assignment(clamp, 7)
+            rep, ref = infer_exact(m, evidence), ref_infer_exact(m, evidence)
+            assert rep.assignment == ref.assignment
+            assert rep.energy_rank == ref.energy_rank
+            assert (rep.steps, rep.restarts) == (ref.steps, ref.restarts)
+
+    def test_memory_bounded_in_blocks(self):
+        # 20 free variables: the full completion matrix alone would be 160 MB
+        kb = fm.parse_kb("\n".join(f"2: x{i} -> x{i + 1}" for i in range(20)))
+        m, _ = L.compile_kb(kb)
+        tracemalloc.start()
+        try:
+            rep = infer_exact(m, fm.Assignment({0: True}, 21))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert rep.weighted_sat == pytest.approx(40.0, abs=1e-9)
+        assert rep.assignment == {i: True for i in range(21)}
+        assert rep.steps == 2 ** 20
 
     def test_size_limit_before_allocation(self):
         m = Rbm(W=np.zeros((71, 1)), a=np.zeros(71), b=np.zeros(1))
@@ -211,7 +259,7 @@ class TestInferConditional:
             kb = random_kb(rng, n_vars=4, n_formulas=3, w_low=0.5, w_high=5.0)
             m, _ = L.compile_kb(kb)
             evidence = fm.Assignment({0: bool(rng.random() < 0.5)}, 4)
-            winners, _ = brute_force_maxsat(kb, evidence)
+            winners, _ = ref_brute_force_maxsat(kb, evidence)
             if len(winners) != 1:
                 continue
             m.tau = 0.05  # sharpen so the conditional concentrates on the MAP
@@ -288,6 +336,23 @@ class TestVerifyEquivalence:
         rep = verify_equivalence(m, kb, m.epsilon)
         assert not rep.ok() and rep.max_deviation > 0.01
         assert set(rep.witness) == {0, 1, 2}
+
+    @pytest.mark.parametrize("limit", [1, 7, 64])
+    def test_small_blocks_match_full_enumeration(self, monkeypatch, limit):
+        monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", limit)
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            kb = random_kb(rng, n_vars=6, n_formulas=4)
+            m, _ = L.compile_kb(kb)
+            # distinct visible-bias errors: one worst assignment, by a margin
+            m.a += 1e-3 * rng.normal(size=6)
+            X = all_assignments(6)
+            dev = np.abs(fm.weighted_sat_batch(kb, X) + energy_rank(m, X) / m.epsilon)
+            k = int(np.argmax(dev))
+            rep = verify_equivalence(m, kb, m.epsilon)
+            assert rep.max_deviation == pytest.approx(dev[k], rel=1e-12)
+            assert rep.witness == {i: bool(X[k, i]) for i in range(6)}
+            assert rep.n_assignments == 64
 
     def test_size_limit(self):
         kb = fm.KnowledgeBase(fm.PropositionTable([f"v{i}" for i in range(17)]))
