@@ -5,18 +5,18 @@ then reason over, train, and extract rules from the resulting networks."""
 from .errors import ParseError, SizeLimitError
 from .formula import (
     Assignment, KnowledgeBase, PropositionTable,
-    load_kb, parse_formula, parse_kb, weighted_sat,
+    load_kb, parse_formula, parse_kb,
 )
 from .normal_forms import (
     ConjunctiveClause, clause_to_sdnf, to_full_dnf,
 )
 from .rbm import (
-    Rbm, energy_rank, load_model, p_hidden_given_visible, p_visible_given_hidden,
-    proposition_names, save_model,
+    Rbm, clause_patterns, energy_rank, load_model, p_hidden_given_visible,
+    p_visible_given_hidden, save_model,
 )
 from .compiler import (
-    ClauseBase, WeightedClause, attach_hidden_units, clause_patterns,
-    compile_kb, merge_clauses, penalty_network, universal_network,
+    ClauseBase, WeightedClause, attach_hidden_units, compile_kb, merge_clauses,
+    penalty_network, universal_network,
 )
 from .reasoner import (
     DeterministicConfig, GibbsConfig, Query, infer_conditional, infer_deterministic,

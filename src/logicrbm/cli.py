@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParseError, SizeLimitError
 from . import formula as fm
 from .compiler import attach_hidden_units, compile_kb, penalty_network, universal_network
-from .rbm import load_model, proposition_names, save_model
+from .rbm import load_model, save_model
 from .reasoner import (
     GibbsConfig, DeterministicConfig, Query,
     infer_conditional, infer_deterministic, infer_exact, infer_gibbs,
@@ -30,7 +30,7 @@ from .extractor import extract_clauses, format_listing, listing_to_json, score_r
 
 def _load_kb_over(path, m) -> fm.KnowledgeBase:
     """The KB at ``path`` over the model's propositions, in the model's order."""
-    names = proposition_names(m)
+    names = m.names
     with open(path, encoding="utf-8") as fh:
         kb = fm.parse_kb(fh.read(), fm.PropositionTable(names))
     if len(kb.table) > len(names):
@@ -91,7 +91,7 @@ def cmd_reason(args) -> int:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("a query file must hold one JSON object")
-    names = proposition_names(m)
+    names = m.names
     index = {nm: i for i, nm in enumerate(names)}
     evidence = _evidence_from_doc(doc, names)
     targets = doc.get("targets", [])
@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
         if not args.data:
             raise ValueError("need a data CSV or --from-clauses")
         d = Dataset.from_csv(args.data, targets=args.targets)
-        if d.table.names != proposition_names(m):
+        if d.table.names != m.names:
             raise ValueError("dataset columns do not match the model")
     cfg = TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
                       epochs=args.epochs, batch_size=args.batch_size,
@@ -176,8 +176,10 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
+    if args.targets and not args.data:
+        raise ValueError("--targets needs a data CSV to score reliability against")
     m = load_model(args.model_file)
-    names = proposition_names(m)
+    names = m.names
     extracted = extract_clauses(m)
     if args.data:
         if not args.targets:

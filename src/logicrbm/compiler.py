@@ -9,8 +9,8 @@ the minimised energy satisfies
 
     weighted_sat(x) = -E_rank(x) / eps
 
-for every total assignment.  ``clause_patterns`` builds that sign and bias
-pattern, and every construction here scales it by its confidences.
+for every total assignment.  ``rbm.clause_patterns`` builds that sign and
+bias pattern, and every construction here scales it by its confidences.
 ``compile_kb`` needs no unit for a clause of fewer than two literals: a true
 clause is a constant in e0 and a single literal a visible bias, so a
 clause of k distinct literals, written as a disjunction or as ``head <-
@@ -29,8 +29,7 @@ import numpy as np
 from .errors import SizeLimitError
 from . import formula as fm
 from .normal_forms import ConjunctiveClause, clause_to_sdnf, to_full_dnf
-from .rbm import Rbm, _check_epsilon
-from .reasoner import SEARCH_LIMIT
+from .rbm import SEARCH_LIMIT, Rbm, _annotation, _check_epsilon, _scaled, clause_patterns
 
 
 @dataclass(frozen=True)
@@ -50,55 +49,9 @@ class ClauseBase:
     per_formula: list[int] = field(default_factory=list)   # clauses of each formula
 
 
-def clause_patterns(pos, neg, n_visible: int, epsilon: float):
-    """The unit pattern of each clause: signs S (n_visible x units) and bias.
-
-    Clause j has the positive literals ``pos[j]`` and the negative ones
-    ``neg[j]`` (index lists).  ``S[i, j]`` is +1 for a positive literal of
-    clause j, -1 for a negative one and 0 otherwise; ``bias[j] = -T_j +
-    epsilon`` with T_j the number of positive literals.  A clause with
-    confidence c becomes the hidden unit ``W[:, j] = c * S[:, j]``, ``b[j] =
-    c * bias[j]``.  A variable outside ``0 .. n_visible - 1``, or one in both
-    polarities, raises ``ValueError`` naming the clause's position j.
-    """
-    k = len(pos)
-    cells = []
-    for lists in (pos, neg):
-        var = np.array([i for v in lists for i in v], dtype=int)
-        col = np.repeat(np.arange(k), [len(v) for v in lists])
-        bad = (var < 0) | (var >= n_visible)
-        if bad.any():
-            raise ValueError(f"clause {col[bad.argmax()]} mentions a variable outside "
-                             f"0..{n_visible - 1}")
-        cells.append((var, col))
-    (pos_var, pos_col), (neg_var, neg_col) = cells
-    S = np.zeros((n_visible, k))
-    S[pos_var, pos_col] = 1.0
-    both = S[neg_var, neg_col] == 1.0
-    if both.any():
-        raise ValueError(f"clause {neg_col[both.argmax()]} has a variable in both polarities")
-    S[neg_var, neg_col] = -1.0
-    return S, epsilon - np.bincount(pos_col, minlength=k)
-
-
 def _units(clauses, c, n_visible: int, epsilon: float):
-    """Weights and biases of the units for ``clauses`` at confidences c.
-
-    A negative c would put a satisfied clause's net input below zero, so its
-    unit would never fire and weighted_sat = -E_rank / eps would not hold.
-    """
-    c = np.asarray(c, dtype=float)
-    if (c < 0).any():
-        raise ValueError("confidence value must be non-negative")
-    S, bias = clause_patterns([cl.pos for cl in clauses], [cl.neg for cl in clauses],
-                              n_visible, epsilon)
-    S *= c
-    bias *= c
-    return S, bias
-
-
-def _annotation(clause: ConjunctiveClause, c: float) -> dict:
-    return {"pos": list(clause.pos), "neg": list(clause.neg), "confidence": float(c)}
+    return _scaled(*clause_patterns([cl.pos for cl in clauses], [cl.neg for cl in clauses],
+                                    n_visible, epsilon), c)
 
 
 def _clause(f: fm.Formula):
@@ -278,6 +231,5 @@ def attach_hidden_units(m: Rbm, count: int, init_scale: float, rng) -> Rbm:
     extrab = rng.uniform(-init_scale, init_scale, size=count)
     out.W = np.hstack([out.W, extraW])
     out.b = np.concatenate([out.b, extrab])
-    if out.clause_annotations is not None:
-        out.clause_annotations = list(out.clause_annotations) + [None] * count
+    out.clause_annotations += [None] * count
     return out

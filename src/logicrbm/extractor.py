@@ -107,7 +107,7 @@ def score_reliability(extracted, d: Dataset, class_indices) -> None:
 
 def format_listing(extracted, names) -> str:
     """`c: literal & literal ... [rr=s/v]`, sorted by confidence descending,
-    with ``names[i]`` for proposition i (see ``rbm.proposition_names``)."""
+    with ``names[i]`` for proposition i (a model's ``names``)."""
     lines = []
     for ec in sorted(extracted, key=lambda e: -e.c):
         lits = [names[i] for i in ec.clause.pos] + [f"~{names[i]}" for i in ec.clause.neg]

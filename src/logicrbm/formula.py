@@ -187,29 +187,11 @@ class Assignment:
             if not 0 <= i < self.n:
                 raise ValueError(f"proposition index {i} outside universe of size {self.n}")
 
-    @classmethod
-    def total(cls, bits, n=None) -> "Assignment":
-        bits = list(bits)
-        n = len(bits) if n is None else n
-        return cls({i: bool(v) for i, v in enumerate(bits)}, n)
-
-    @property
-    def is_total(self) -> bool:
-        return len(self.values) == self.n
-
     def assigned(self) -> tuple[int, ...]:
         return tuple(sorted(self.values))
 
     def unassigned(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if i not in self.values)
-
-    def to_vector(self) -> np.ndarray:
-        if not self.is_total:
-            raise ValueError("partial assignment has no total vector")
-        return np.array([float(self.values[i]) for i in range(self.n)])
-
-    def __getitem__(self, i: int) -> bool:
-        return self.values[i]
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +221,6 @@ def _evaluate(f: Formula, columns, rows: int) -> np.ndarray:
     return values[0]
 
 
-def evaluate_batch(f: Formula, X: np.ndarray) -> np.ndarray:
-    """Vectorised truth values over the rows of a 0/1 assignment matrix."""
-    return _evaluate(f, (X > 0.5).T, len(X))
-
-
 # ---------------------------------------------------------------------------
 # Knowledge bases
 # ---------------------------------------------------------------------------
@@ -259,12 +236,8 @@ class KnowledgeBase:
         self.items.append((float(weight), f))
 
 
-def weighted_sat(kb: KnowledgeBase, a: Assignment) -> float:
-    """Sum of the weights of the formulas true under a total assignment."""
-    return float(weighted_sat_batch(kb, a.to_vector()[None, :])[0])
-
-
 def weighted_sat_batch(kb: KnowledgeBase, X: np.ndarray) -> np.ndarray:
+    """The summed weights of the formulas true on each row of a 0/1 matrix."""
     columns = (X > 0.5).T
     out = np.zeros(len(X))
     for w, f in kb.items:

@@ -25,6 +25,9 @@ from .normal_forms import all_assignments
 # work in row blocks of at most this many float64 elements per
 # intermediate array, whatever the size of the enumeration.
 BLOCK_ELEMENTS = 1 << 20
+# Gibbs and descent states (restarts x units), their traces (one entry per
+# step) and ``attach_hidden_units``' new parameters stay within this bound.
+SEARCH_LIMIT = 1 << 22
 CONDITIONAL_LIMIT = 16                  # targets of an exact p(y | x)
 
 
@@ -46,9 +49,9 @@ class Rbm:
     b: np.ndarray                       # hidden biases
     e0: float = 0.0
     tau: float = 1.0
-    names: list[str] | None = None
+    names: list[str] | None = None      # None: x0, x1, ...
     epsilon: float | None = None
-    clause_annotations: list | None = None   # per hidden unit: dict or None
+    clause_annotations: list | None = None   # per hidden unit: dict or None; None: all None
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -64,13 +67,16 @@ class Rbm:
             raise ValueError("temperature tau must be finite and >= 0")
         if self.epsilon is not None:
             _check_epsilon(self.epsilon)
-        if self.names is not None and len(set(self.names)) != len(self.names):
+        if self.names is None:
+            self.names = [f"x{i}" for i in range(self.n_visible)]
+        if self.clause_annotations is None:
+            self.clause_annotations = [None] * self.n_hidden
+        if len(set(self.names)) != len(self.names):
             raise ValueError("model field 'names' repeats a name")
-        if self.names is not None and len(self.names) != self.n_visible:
+        if len(self.names) != self.n_visible:
             raise ValueError(f"model lists {len(self.names)} names for "
                              f"{self.n_visible} visible units")
-        if self.clause_annotations is not None \
-                and len(self.clause_annotations) != self.n_hidden:
+        if len(self.clause_annotations) != self.n_hidden:
             raise ValueError(f"model lists {len(self.clause_annotations)} clause annotations "
                              f"for {self.n_hidden} hidden units")
 
@@ -84,9 +90,8 @@ class Rbm:
 
     def copy(self) -> "Rbm":
         return replace(
-            self, W=self.W.copy(), a=self.a.copy(), b=self.b.copy(),
-            clause_annotations=None if self.clause_annotations is None
-            else [dict(ann) if ann else ann for ann in self.clause_annotations])
+            self, W=self.W.copy(), a=self.a.copy(), b=self.b.copy(), names=list(self.names),
+            clause_annotations=[dict(ann) if ann else ann for ann in self.clause_annotations])
 
 
 def net_hidden(m: Rbm, X) -> np.ndarray:
@@ -215,27 +220,79 @@ class _TargetGrid:
 
 
 # ---------------------------------------------------------------------------
-# Model file I/O
+# Clause units and model file I/O
 # ---------------------------------------------------------------------------
 
-def proposition_names(m: Rbm) -> list[str]:
-    """The names of the visible units: ``m.names``, else ``x0, x1, ...``."""
-    return list(m.names) if m.names is not None else [f"x{i}" for i in range(m.n_visible)]
+def clause_patterns(pos, neg, n_visible: int, epsilon: float):
+    """The unit pattern of each clause: signs S (n_visible x units) and bias.
+
+    Clause j has the positive literals ``pos[j]`` and the negative ones
+    ``neg[j]`` (index lists).  ``S[i, j]`` is +1 for a positive literal of
+    clause j, -1 for a negative one and 0 otherwise; ``bias[j] = -T_j +
+    epsilon`` with T_j the number of positive literals.  A clause with
+    confidence c becomes the hidden unit ``W[:, j] = c * S[:, j]``, ``b[j] =
+    c * bias[j]``.  A variable outside ``0 .. n_visible - 1``, or one in both
+    polarities, raises ``ValueError`` naming the clause's position j.
+    """
+    k = len(pos)
+    cells = []
+    for lists in (pos, neg):
+        var = np.array([i for v in lists for i in v], dtype=int)
+        col = np.repeat(np.arange(k), [len(v) for v in lists])
+        bad = (var < 0) | (var >= n_visible)
+        if bad.any():
+            raise ValueError(f"clause {col[bad.argmax()]} mentions a variable outside "
+                             f"0..{n_visible - 1}")
+        cells.append((var, col))
+    (pos_var, pos_col), (neg_var, neg_col) = cells
+    S = np.zeros((n_visible, k))
+    S[pos_var, pos_col] = 1.0
+    both = S[neg_var, neg_col] == 1.0
+    if both.any():
+        raise ValueError(f"clause {neg_col[both.argmax()]} has a variable in both polarities")
+    S[neg_var, neg_col] = -1.0
+    return S, epsilon - np.bincount(pos_col, minlength=k)
+
+
+def _scaled(S, bias, c):
+    """``S * c`` and ``bias * c`` in place.  A negative c would put a satisfied
+    clause's net input below zero, so its unit would never fire."""
+    c = np.asarray(c, dtype=float)
+    if (c < 0).any():
+        raise ValueError(f"clause {(c < 0).argmax()}: confidence value must be non-negative")
+    S *= c
+    bias *= c
+    return S, bias
+
+
+def _annotation(clause, c: float) -> dict:
+    return {"pos": list(clause.pos), "neg": list(clause.neg), "confidence": float(c)}
+
+
+def _clause_units(m: Rbm):
+    """The annotated hidden units, the ``clause_patterns`` of their clauses (counted
+    over these units alone) and their confidences; they need the model's epsilon."""
+    anns = m.clause_annotations
+    units = np.array([j for j, ann in enumerate(anns) if ann], dtype=int)
+    if len(units) and m.epsilon is None:
+        raise ValueError("clause annotations need the model's epsilon")
+    S, bias = clause_patterns([anns[j]["pos"] for j in units], [anns[j]["neg"] for j in units],
+                              m.n_visible, m.epsilon or 0.0)   # 0.0 only when no unit reads it
+    return units, S, bias, np.array([float(anns[j]["confidence"]) for j in units])
 
 
 def model_to_dict(m: Rbm) -> dict:
     return {
         "n_visible": m.n_visible,
         "n_hidden": m.n_hidden,
-        "names": proposition_names(m),
+        "names": list(m.names),
         "W": m.W.tolist(),
         "a": m.a.tolist(),
         "b": m.b.tolist(),
         "e0": m.e0,
         "tau": m.tau,
         "epsilon": m.epsilon,
-        "clause_annotations": m.clause_annotations
-                              or [None] * m.n_hidden,
+        "clause_annotations": list(m.clause_annotations),
     }
 
 
@@ -274,16 +331,20 @@ def model_from_dict(doc: dict) -> Rbm:
             and all(map(_is_annotation, annotations))):
         raise ValueError("model field 'clause_annotations' must be null or a list whose "
                          "entries are null or {pos, neg, confidence}")
-    return Rbm(
-        W=np.array(doc["W"], dtype=float).reshape(int(n), int(h)),
-        a=np.array(doc["a"], dtype=float),
-        b=np.array(doc["b"], dtype=float),
-        e0=_number(doc, "e0", 0.0),
-        tau=_number(doc, "tau", 1.0),
-        names=names,
-        epsilon=None if doc.get("epsilon") is None else _number(doc, "epsilon", None),
-        clause_annotations=annotations,
-    )
+    m = Rbm(W=np.array(doc["W"], dtype=float).reshape(int(n), int(h)), a=doc["a"], b=doc["b"],
+            e0=_number(doc, "e0", 0.0), tau=_number(doc, "tau", 1.0), names=names,
+            epsilon=None if doc.get("epsilon") is None else _number(doc, "epsilon", None),
+            clause_annotations=annotations)
+    # each annotated unit is its clause at a confidence c >= 0: weights c * S
+    # and bias c * (-T + eps), to 1e-9 relative above 1
+    units, S, bias, c = _clause_units(m)
+    S, bias = _scaled(S, bias, c)
+    off = (np.abs(m.W[:, units] - S) > 1e-9 * np.maximum(1.0, np.abs(S))).any(axis=0) \
+        | (np.abs(m.b[units] - bias) > 1e-9 * np.maximum(1.0, np.abs(bias)))
+    if off.any():
+        raise ValueError(f"hidden unit {units[off.argmax()]}: weights or bias differ from "
+                         "its clause annotation")
+    return m
 
 
 def load_model(path) -> Rbm:

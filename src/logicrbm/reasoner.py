@@ -15,14 +15,11 @@ import numpy as np
 from .errors import SizeLimitError
 from .formula import Assignment, KnowledgeBase, weighted_sat_batch
 from .normal_forms import all_assignments
-from .rbm import (Rbm, _TargetGrid, _UniformBlocks, block_rows, energy_rank, _check_epsilon,
-                  _twice_sigmoid)
+from .rbm import (SEARCH_LIMIT, Rbm, _TargetGrid, _UniformBlocks, block_rows, energy_rank,
+                  _check_epsilon, _twice_sigmoid)
 
 BRUTE_LIMIT = 24
 VERIFY_LIMIT = 16
-# Gibbs and descent hold restarts x (visible + hidden units) elements per
-# state array and one trace entry per step; both stay within this bound.
-SEARCH_LIMIT = 1 << 22
 # Gibbs anneals geometrically from TAU_START down to TAU_END over its steps,
 # both multiplied by the network's largest |W| (1 when W is all zero), so
 # that the chains do not freeze in the first steps on large confidences.

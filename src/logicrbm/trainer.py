@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formula as fm
-from .compiler import clause_patterns, formula_to_sdnf_clauses
-from .rbm import (Rbm, _TargetGrid, _UniformBlocks, p_hidden_given_visible,
+from .compiler import formula_to_sdnf_clauses
+from .rbm import (Rbm, _TargetGrid, _UniformBlocks, _clause_units, p_hidden_given_visible,
                   p_visible_given_hidden, _sigmoid, _twice_sigmoid)
 
 
@@ -149,11 +149,12 @@ def ingest_categorical(rows, header, spec: OneHotSpec) -> Dataset:
     col_of = {name: i for i, name in enumerate(header)}
     names = spec.proposition_names()
     table = fm.PropositionTable(names)
+    for attr, _ in spec.attributes:
+        if attr not in col_of:
+            raise ValueError(f"attribute {attr!r} missing from the CSV header")
     out = np.zeros((len(rows), len(names)))
     for r, row in enumerate(rows):
         for attr, values in spec.attributes:
-            if attr not in col_of:
-                raise ValueError(f"attribute {attr!r} missing from the CSV header")
             val = row[col_of[attr]]
             if val not in values:
                 raise ValueError(
@@ -325,20 +326,6 @@ def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:
             flat[k + n_visible:])
 
 
-def _clause_units(m: Rbm):
-    """Annotated hidden units with their sign matrix and bias pattern.
-
-    A bad annotation raises ``ValueError`` from ``compiler.clause_patterns``,
-    which counts clauses over the annotated units alone.
-    """
-    anns = m.clause_annotations or []
-    units = np.array([j for j, ann in enumerate(anns) if ann], dtype=int)
-    eps = m.epsilon if m.epsilon is not None else 0.5
-    S, bias = clause_patterns([anns[j]["pos"] for j in units], [anns[j]["neg"] for j in units],
-                              m.n_visible, eps)
-    return units, S, bias
-
-
 def epoch_losses(m: Rbm, d: Dataset, nll: bool) -> dict:
     """One trace entry of ``m`` on the whole of ``d``, without its epoch.
 
@@ -391,15 +378,14 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     cd_buffers = {}                        # per batch length
     rng = np.random.default_rng(cfg.seed)
     targets = d.target_indices
-    units, S, bias_pat = _clause_units(out) if cfg.freeze_structure \
-        else (np.zeros(0, dtype=int), None, None)
+    units, S, bias_pat, conf = _clause_units(out) if cfg.freeze_structure \
+        else (np.zeros(0, dtype=int), None, None, np.zeros(0))
     # with every unit frozen, and the visible biases fixed, no parameter
     # takes a gradient step: the confidences alone move
     all_frozen = cfg.freeze_structure and len(units) == h
     # a CD-only step adds the CD estimate's negation, which skips its
     # division at batch size 1
     ascent = cfg.beta == 0 and not cfg.freeze_structure
-    conf = np.array([float(out.clause_annotations[j]["confidence"]) for j in units])
     trace = []
     N = len(d.rows)
     batch = cfg.batch_size or max(N, 1)
@@ -453,6 +439,6 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         for j, c_j in zip(units, conf):
             out.clause_annotations[j]["confidence"] = float(c_j)
         if not cfg.freeze_structure:
-            out.clause_annotations = None
+            out.clause_annotations = [None] * h
     out.W, out.a, out.b = out.W.copy(), out.a.copy(), out.b.copy()
     return out, trace

@@ -33,28 +33,33 @@ def kb_dir():
 # ---------------------------------------------------------------------------
 
 def evaluate(f, a) -> bool:
-    """Truth value of f under the assignment a, by recursion over the AST;
-    a must cover the free variables of f."""
-    if isinstance(f, fm.Var):
-        try:
-            return a.values[f.index]
-        except KeyError:
-            raise ValueError(f"unassigned free variable {f.index}") from None
-    if isinstance(f, fm.Not):
-        return not evaluate(f.operand, a)
-    if isinstance(f, fm.And):
-        return evaluate(f.left, a) and evaluate(f.right, a)
-    if isinstance(f, fm.Or):
-        return evaluate(f.left, a) or evaluate(f.right, a)
-    if isinstance(f, fm.Implies):
-        return (not evaluate(f.body, a)) or evaluate(f.head, a)
-    if isinstance(f, fm.Iff):
-        return evaluate(f.left, a) == evaluate(f.right, a)
-    if isinstance(f, fm.Xor):
-        return evaluate(f.left, a) != evaluate(f.right, a)
-    if isinstance(f, fm.Const):
-        return f.value
-    raise TypeError(f"not a formula node: {f!r}")
+    """Truth value of f under a, an Assignment or a 0/1 row, by recursion
+    over the AST; a must cover the free variables of f."""
+    values = a.values if isinstance(a, fm.Assignment) else {i: bool(v) for i, v in enumerate(a)}
+
+    def truth(g):
+        if isinstance(g, fm.Var):
+            try:
+                return values[g.index]
+            except KeyError:
+                raise ValueError(f"unassigned free variable {g.index}") from None
+        if isinstance(g, fm.Not):
+            return not truth(g.operand)
+        if isinstance(g, fm.And):
+            return truth(g.left) and truth(g.right)
+        if isinstance(g, fm.Or):
+            return truth(g.left) or truth(g.right)
+        if isinstance(g, fm.Implies):
+            return (not truth(g.body)) or truth(g.head)
+        if isinstance(g, fm.Iff):
+            return truth(g.left) == truth(g.right)
+        if isinstance(g, fm.Xor):
+            return truth(g.left) != truth(g.right)
+        if isinstance(g, fm.Const):
+            return g.value
+        raise TypeError(f"not a formula node: {g!r}")
+
+    return truth(f)
 
 
 def energy(m, x, h) -> float:
@@ -182,7 +187,7 @@ def format_formula(f, table=None) -> str:
 def oracle_truth_table(f, n):
     """Truth value of f on every total assignment over n propositions."""
     X = all_assignments(n)
-    return X, np.array([evaluate(f, fm.Assignment.total(row)) for row in X])
+    return X, np.array([evaluate(f, row) for row in X])
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def ref_to_full_dnf(f, limit=20):
     X = np.zeros((len(grid), n))
     for col, v in enumerate(variables):
         X[:, v] = grid[:, col]
-    sat = np.array([evaluate(f, fm.Assignment.total(row)) for row in X], dtype=bool)
+    sat = np.array([evaluate(f, row) for row in X], dtype=bool)
     clauses = []
     for row in grid[sat]:
         pos = tuple(v for col, v in enumerate(variables) if row[col] > 0.5)
@@ -595,9 +595,6 @@ def _scaled_add(g, other, scale):
 
 
 def _clause_patterns(m):
-    if m.clause_annotations is None:
-        return []
-    eps = m.epsilon if m.epsilon is not None else 0.5
     out = []
     for j, ann in enumerate(m.clause_annotations):
         if not ann:
@@ -605,7 +602,7 @@ def _clause_patterns(m):
         s = np.zeros(m.n_visible)
         s[ann["pos"]] = 1.0
         s[ann["neg"]] = -1.0
-        out.append((j, s, -len(ann["pos"]) + eps))
+        out.append((j, s, -len(ann["pos"]) + m.epsilon))
     return out
 
 
@@ -648,9 +645,8 @@ def ref_train(m, d, cfg):
             for j, s, bias_pat in patterns:
                 out.W[:, j] = conf[j] * s
                 out.b[j] = conf[j] * bias_pat
-            if out.clause_annotations is not None:
-                for j, s, _ in patterns:
-                    out.clause_annotations[j]["confidence"] = conf[j]
+            for j, s, _ in patterns:
+                out.clause_annotations[j]["confidence"] = conf[j]
         entry = {"epoch": epoch}
         if cfg.beta > 0:
             entry["nll"] = float(np.mean([

@@ -378,8 +378,10 @@ class TestVerify:
         assert code == 2 and "'a'" in err and stdout == ""
 
     def test_perturbed_model_fails(self, xor_model, kb_dir, tmp_path, capsys):
+        # a visible bias has no annotation to disagree with: the model loads
+        # and differs from its KB (a moved annotated unit does not load)
         doc = json.loads(xor_model.read_text())
-        doc["b"][0] += 0.25
+        doc["a"][0] += 0.25
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, stdout, _ = run(capsys, "verify", str(bad), str(kb_dir / "xor.kb"))
@@ -639,6 +641,13 @@ class TestTrainExtract:
                                     "--targets", targets)
             assert code == 2 and stdout == "" and "target" in err
 
+    def test_extract_targets_need_data(self, tmp_path, xor_model, capsys):
+        out = tmp_path / "clauses.json"
+        code, stdout, err = run(capsys, "extract", str(xor_model), "--targets", "z",
+                                "--json", str(out))
+        assert (code, stdout, err.count("\n")) == (2, "", 1) and "--targets" in err
+        assert not out.exists()
+
     def test_extract_json_output(self, tmp_path, xor_model, capsys):
         out = tmp_path / "clauses.json"
         code, _, _ = run(capsys, "extract", str(xor_model), "--json", str(out))
@@ -647,9 +656,20 @@ class TestTrainExtract:
         assert len(docs) == 4
 
 
+def _first_unit(doc, W=1.0, b=0.0, **annotation):
+    """The compiled XOR model's fields with its first hidden unit's column
+    scaled by W, b added to its bias and its annotation updated."""
+    ann = {**doc["clause_annotations"][0], **annotation}
+    return {"W": [[W * row[0], *row[1:]] for row in doc["W"]],
+            "b": [doc["b"][0] + b, *doc["b"][1:]],
+            "clause_annotations": [ann, *doc["clause_annotations"][1:]]}
+
+
 class TestModelFile:
-    """A model file with a bad scalar or annotation is an input error (exit 2),
-    for every command, and no command writes its output."""
+    """A model file with a bad scalar or annotation, or an annotated unit
+    that is not its clause, is an input error (exit 2) for every command,
+    and no command writes its output.  A case is a field and its value, or
+    a function of the compiled file giving the fields to replace."""
 
     CASES = {
         "epsilon zero": ("epsilon", 0),
@@ -668,13 +688,20 @@ class TestModelFile:
                                    [{"pos": [0], "confidence": 1.0}, None, None, None]),
         "annotation confidence nan": ("clause_annotations", [
             {"pos": [0], "neg": [1, 2], "confidence": float("nan")}, None, None, None]),
+        "annotated column tripled": lambda doc: _first_unit(doc, W=3.0),
+        "annotated bias moved": lambda doc: _first_unit(doc, b=0.25),
+        "annotation past the universe": lambda doc: _first_unit(doc, pos=[99]),
+        # the unit is its clause at confidence -1: only the sign is wrong
+        "negative confidence": lambda doc: _first_unit(doc, W=-1.0, b=-2 * doc["b"][0],
+                                                       confidence=-1.0),
+        "annotations without epsilon": ("epsilon", None),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_rejected(self, xor_model, kb_dir, tmp_path, capsys, case):
-        key, value = self.CASES[case]
         doc = json.loads(xor_model.read_text())
-        doc[key] = value
+        tamper = self.CASES[case]
+        doc.update(tamper(doc) if callable(tamper) else [tamper])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         data = tmp_path / "xor.csv"
@@ -776,6 +803,18 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", str(src), "--spec", str(spec),
                            "-o", str(tmp_path / "out.csv"))
         assert code == 2 and "row 1" in err and "color" in err
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n1,2\n"], ids=["header only", "rows"])
+    def test_attribute_missing_from_header(self, tmp_path, capsys, text):
+        src = tmp_path / "cat.csv"
+        src.write_text(text)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"attributes": [{"name": "zz", "values": ["1"]}]}))
+        out = tmp_path / "onehot.csv"
+        code, stdout, err = run(capsys, "ingest", str(src), "--spec", str(spec),
+                                "-o", str(out))
+        assert code == 2 and "attribute 'zz' missing from the CSV header" in err
+        assert stdout == "" and not out.exists()
 
     def test_one_true_per_attribute(self):
         spec = OneHotSpec([("a", ["x", "y"]), ("b", ["u", "v"])])

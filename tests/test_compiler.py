@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.compiler import (
-    WeightedClause, attach_hidden_units, clause_patterns, compile_kb,
-    formula_to_sdnf_clauses, merge_clauses, penalty_network, universal_network,
+    WeightedClause, attach_hidden_units, compile_kb, formula_to_sdnf_clauses, merge_clauses,
+    penalty_network, universal_network,
 )
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
 from logicrbm.errors import SizeLimitError
-from logicrbm.reasoner import SEARCH_LIMIT, verify_equivalence
-from logicrbm.rbm import Rbm, energy_rank
+from logicrbm.reasoner import verify_equivalence
+from logicrbm.rbm import SEARCH_LIMIT, Rbm, clause_patterns, energy_rank
 
 from conftest import (
     check_strict, dnf_satisfied_batch, evaluate, implication_formula, oracle_truth_table,
@@ -459,7 +459,7 @@ class TestUniversalBaseline:
             assert m.n_hidden == 2 ** (len(body_pos) + len(body_neg) + 1) - 1
             n = max(body_pos | body_neg | {head}) + 1
             X = all_assignments(n)
-            truth = np.array([evaluate(f, fm.Assignment.total(r)) for r in X])
+            truth = np.array([evaluate(f, r) for r in X])
             np.testing.assert_allclose(truth.astype(float),
                                        -energy_rank(m, X) / m.epsilon, atol=1e-9)
 

@@ -12,7 +12,7 @@ from logicrbm.extractor import (
     score_reliability,
 )
 from logicrbm.normal_forms import ConjunctiveClause
-from logicrbm.rbm import Rbm, proposition_names
+from logicrbm.rbm import Rbm
 from logicrbm.trainer import Dataset, TrainConfig, train
 
 from conftest import random_kb
@@ -240,6 +240,6 @@ class TestListing:
 
     def test_json_fields(self):
         m = rbm_with_columns([1.5, -1.5])
-        docs = json.loads(listing_to_json(extract_clauses(m), proposition_names(m)))
+        docs = json.loads(listing_to_json(extract_clauses(m), m.names))
         assert docs[0]["pos"] == ["x0"] and docs[0]["neg"] == ["x1"]
         assert docs[0]["confidence"] == pytest.approx(1.5)

@@ -40,16 +40,12 @@ class TestPropositionTable:
 
 class TestAssignment:
     def test_total(self):
-        a = fm.Assignment.total([1, 0, 1])
-        assert a.is_total and a[0] and not a[1]
-        assert np.array_equal(a.to_vector(), [1.0, 0.0, 1.0])
+        a = fm.Assignment({2: True, 0: True, 1: False}, 3)
+        assert a.assigned() == (0, 1, 2) and a.unassigned() == ()
 
     def test_partial(self):
         a = fm.Assignment({0: True}, 3)
-        assert not a.is_total
         assert a.assigned() == (0,) and a.unassigned() == (1, 2)
-        with pytest.raises(ValueError):
-            a.to_vector()
 
     def test_out_of_universe_index(self):
         with pytest.raises(ValueError):
@@ -240,22 +236,28 @@ def xor_formula():
     return fm.parse_formula("(x ^ y) <-> z", table())
 
 
+def truth_rows(f, X):
+    """The library's truth values of f on the rows of X: the weighted_sat
+    of a knowledge base holding f alone at weight 1."""
+    return fm.weighted_sat_batch(fm.KnowledgeBase(table(), [(1.0, f)]), X) == 1.0
+
+
 class TestEvaluate:
     def test_xor_truth_values(self):
         f = xor_formula()
-        assert evaluate(f, fm.Assignment.total([1, 1, 0])) is True
-        assert evaluate(f, fm.Assignment.total([1, 1, 1])) is False
+        assert evaluate(f, [1, 1, 0]) is True
+        assert evaluate(f, [1, 1, 1]) is False
 
     def test_xor_all_models(self):
         f = xor_formula()
         models = {bits for bits in
                   [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-                  if evaluate(f, fm.Assignment.total(bits))}
+                  if evaluate(f, bits)}
         assert models == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_const(self):
-        assert evaluate(fm.TRUE, fm.Assignment.total([])) is True
-        assert evaluate(fm.FALSE, fm.Assignment.total([])) is False
+        assert evaluate(fm.TRUE, []) is True
+        assert evaluate(fm.FALSE, []) is False
 
     def test_unassigned_variable(self):
         with pytest.raises(ValueError):
@@ -266,14 +268,14 @@ class TestEvaluate:
         X = all_assignments(4)
         for _ in range(200):
             f = random_formula(rng, 4, depth=4)
-            want = [evaluate(f, fm.Assignment.total(row)) for row in X]
-            assert np.array_equal(fm.evaluate_batch(f, X), want)
+            want = [evaluate(f, row) for row in X]
+            assert np.array_equal(truth_rows(f, X), want)
 
     def test_batch_const_and_bad_node(self):
         X = np.zeros((3, 1))
-        assert fm.evaluate_batch(fm.And(fm.TRUE, fm.Not(fm.FALSE)), X).tolist() == [True] * 3
+        assert truth_rows(fm.And(fm.TRUE, fm.Not(fm.FALSE)), X).tolist() == [True] * 3
         with pytest.raises(TypeError):
-            fm.evaluate_batch(fm.And(fm.Var(0), "x"), X)
+            truth_rows(fm.And(fm.Var(0), "x"), X)
 
 
 def left_chain(op, leaves):
@@ -292,13 +294,13 @@ class TestDeepFormulas:
             f = fm.Not(f)
         X = all_assignments(2)
         assert fm.free_vars(f) == {1}
-        assert np.array_equal(fm.evaluate_batch(f, X), X[:, 1] > 0.5)
+        assert np.array_equal(truth_rows(f, X), X[:, 1] > 0.5)
 
     def test_and_chain(self):
         f = left_chain(fm.And, [fm.Var(i % 3) for i in range(5001)])
         X = all_assignments(3)
         assert fm.free_vars(f) == {0, 1, 2}
-        assert fm.evaluate_batch(f, X).tolist() == [False] * 7 + [True]
+        assert truth_rows(f, X).tolist() == [False] * 7 + [True]
         assert to_full_dnf(f) == [ConjunctiveClause((0, 1, 2), ())]
 
     def test_xor_chain(self):
@@ -306,7 +308,7 @@ class TestDeepFormulas:
         f = left_chain(fm.Xor, [fm.Var(i % 4) for i in range(5001)])
         X = all_assignments(4)
         assert fm.free_vars(f) == {0, 1, 2, 3}
-        assert np.array_equal(fm.evaluate_batch(f, X), X[:, 0] > 0.5)
+        assert np.array_equal(truth_rows(f, X), X[:, 0] > 0.5)
         clauses = to_full_dnf(f)
         assert len(clauses) == 8 and all(cl.pos[:1] == (0,) for cl in clauses)
         assert all(cl.variables() == {0, 1, 2, 3} for cl in clauses)
@@ -360,22 +362,15 @@ class TestFormulaIdentity:
 class TestWeightedSat:
     def test_nixon_all_true(self, kb_dir):
         kb = L.load_kb(kb_dir / "nixon.kb")
-        a = fm.Assignment.total([1, 1, 1, 1])
-        assert L.weighted_sat(kb, a) == 2010.0
+        assert fm.weighted_sat_batch(kb, np.ones((1, 4))).tolist() == [2010.0]
 
     def test_nixon_all_false(self, kb_dir):
         kb = L.load_kb(kb_dir / "nixon.kb")
-        a = fm.Assignment.total([0, 0, 0, 0])
-        assert L.weighted_sat(kb, a) == 2020.0
-
-    def test_partial_assignment_rejected(self, kb_dir):
-        kb = L.load_kb(kb_dir / "nixon.kb")
-        with pytest.raises(ValueError):
-            L.weighted_sat(kb, fm.Assignment({0: True}, 4))
+        assert fm.weighted_sat_batch(kb, np.zeros((1, 4))).tolist() == [2020.0]
 
     def test_empty_kb(self):
         kb = fm.KnowledgeBase(table("x"))
-        assert L.weighted_sat(kb, fm.Assignment.total([1])) == 0.0
+        assert fm.weighted_sat_batch(kb, all_assignments(1)).tolist() == [0.0, 0.0]
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(1)
@@ -412,7 +407,7 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(formulas(), st.integers(0, 15))
     def test_implication_equals_or_not(self, f, bits):
-        a = fm.Assignment.total([(bits >> i) & 1 for i in range(4)])
+        a = [(bits >> i) & 1 for i in range(4)]
         g = fm.Implies(body=f, head=fm.Var(0))
         assert evaluate(g, a) == evaluate(fm.Or(fm.Not(f), fm.Var(0)), a)
 

@@ -1,6 +1,6 @@
 """Energy kernels, sampling distributions, and model I/O."""
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from logicrbm.rbm import (
     p_hidden_given_visible, p_visible_given_hidden, save_model,
 )
 
-from conftest import energy, free_energy, oracle_min_energy, partition_brute, random_rbm
+from conftest import (
+    KB_DIR, energy, free_energy, oracle_min_energy, partition_brute, random_rbm,
+)
 
 
 def xor_rbm():
@@ -52,6 +54,19 @@ class TestConstruction:
         m2 = m.copy()
         m2.W[0, 0] += 1.0
         assert m.W[0, 0] != m2.W[0, 0]
+
+    def test_copy_owns_its_lists(self):
+        m = xor_rbm()
+        m2 = m.copy()
+        m2.names[0] = "renamed"
+        m2.clause_annotations[0]["confidence"] = 7.0
+        m2.clause_annotations[1] = None
+        assert m.names[0] == "x" and m.clause_annotations[0]["confidence"] == 1.0
+        assert m.clause_annotations[1] is not None
+
+    def test_missing_names_and_annotations_filled_in(self):
+        m = Rbm(W=np.zeros((3, 2)), a=np.zeros(3), b=np.zeros(2))
+        assert m.names == ["x0", "x1", "x2"] and m.clause_annotations == [None, None]
 
 
 class TestEnergy:
@@ -207,6 +222,14 @@ class TestModelIO:
         assert m.tau == 1.0 and m.e0 == 0.0
         assert model_to_dict(m)["names"] == ["x0"]
 
+    def test_round_trip_without_names_or_annotations(self, tmp_path):
+        m = Rbm(W=[[0.5, -1.0]], a=[0.25], b=[0.0, 2.0])
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        m2 = load_model(path)
+        for f in fields(Rbm):
+            assert np.array_equal(getattr(m, f.name), getattr(m2, f.name)), f.name
+
     def test_names_length_checked(self):
         doc = model_to_dict(xor_rbm())
         doc["names"] = doc["names"][:-1]
@@ -218,3 +241,60 @@ class TestModelIO:
         doc["clause_annotations"] = doc["clause_annotations"] + [None]
         with pytest.raises(ValueError, match="annotations"):
             model_from_dict(doc)
+
+
+def nixon_doc():
+    """The compiled nixon.kb model's fields; its first unit is n & r at 1000."""
+    m, _ = L.compile_kb(L.load_kb(KB_DIR / "nixon.kb"))
+    doc = model_to_dict(m)
+    assert doc["clause_annotations"][0] == {"pos": [0, 1], "neg": [], "confidence": 1000.0}
+    return doc
+
+
+class TestClauseUnitCheck:
+    """Loading compares every annotated unit with its clause: weights c * S
+    and bias c * (-T + eps), to 1e-9 relative above 1, with c >= 0."""
+
+    def test_shipped_kbs_load(self, kb_dir):
+        for path in sorted(kb_dir.glob("*.kb")):
+            for eps in (0.3, 0.5, 0.7):
+                m, _ = L.compile_kb(L.load_kb(path), eps)
+                model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d["W"][0].__setitem__(0, 3000.0), "hidden unit 0: weights or bias differ"),
+        (lambda d: d["W"][3].__setitem__(0, 1e-6), "hidden unit 0: weights or bias differ"),
+        (lambda d: d["b"].__setitem__(1, d["b"][1] + 1e-3), "hidden unit 1: weights or bias"),
+        (lambda d: d["clause_annotations"][2].update(pos=[99]), "clause 2 mentions a variable"),
+        (lambda d: d["clause_annotations"][0].update(neg=[0]), "both polarities"),
+        (lambda d: d["clause_annotations"][1].update(confidence=-1000.0), "clause 1: confidence"),
+        (lambda d: d.update(epsilon=None), "need the model's epsilon"),
+    ], ids=["column tripled", "zero weight moved", "bias moved", "past the universe",
+            "both polarities", "negative confidence", "no epsilon"])
+    def test_mismatch_refused(self, change, message):
+        doc = nixon_doc()
+        change(doc)
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key, j, delta, ok", [
+        ("b", 0, 1.4e-6, True), ("b", 0, 1.6e-6, False),      # |b_0| = 1500
+        ("W", 2, 0.9e-9, True), ("W", 2, 1.1e-9, False),      # W[2, 0] = 0
+    ])
+    def test_tolerance_is_relative_above_one(self, key, j, delta, ok):
+        doc = nixon_doc()
+        if key == "b":
+            doc["b"][j] += delta
+        else:
+            doc["W"][j][0] += delta
+        if ok:
+            model_from_dict(doc)
+        else:
+            with pytest.raises(ValueError, match="hidden unit 0"):
+                model_from_dict(doc)
+
+    def test_unannotated_units_and_no_epsilon_load(self):
+        doc = nixon_doc()
+        doc["clause_annotations"] = [None] * 4
+        doc["epsilon"] = None
+        assert model_from_dict(doc).clause_annotations == [None] * 4

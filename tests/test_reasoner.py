@@ -115,7 +115,7 @@ class TestSearchConfigs:
 class TestInferGibbs:
     def test_all_clamped_echo(self, xor):
         _, m = xor
-        q = Query(evidence=fm.Assignment.total([1, 1, 0]))
+        q = Query(evidence=fm.Assignment({0: True, 1: True, 2: False}, 3))
         rep = infer_gibbs(m, q)
         assert rep.assignment == {0: True, 1: True, 2: False}
         assert rep.energy_rank == pytest.approx(-0.5)

@@ -255,7 +255,7 @@ class TestTrain:
         leaves the units where training put them."""
         m, _ = L.compile_kb(L.load_kb(kb_dir / "xor.kb"))
         out, _ = train(m, xor_dataset(), TrainConfig(alpha=0.5, beta=1.0, epochs=7))
-        assert out.clause_annotations is None and len(m.clause_annotations) == 4
+        assert out.clause_annotations == [None] * 4 and len(m.clause_annotations) == 4
         assert not np.allclose(out.W, m.W)
         again, _ = train(out, xor_dataset(), TrainConfig(alpha=0.5, beta=1.0, lr=1e-12,
                                                          epochs=1, freeze_structure=True))
