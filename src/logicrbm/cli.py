@@ -203,8 +203,7 @@ def cmd_extract(args) -> int:
 def cmd_verify(args) -> int:
     m = load_model(args.model_file)
     kb = _load_kb_over(args.kb_file, m)
-    epsilon = args.epsilon if args.epsilon is not None else (m.epsilon or 0.5)
-    report = verify_equivalence(m, kb, epsilon)
+    report = verify_equivalence(m, kb, m.epsilon)
     names = kb.table.names
     out = {
         "max_deviation": report.max_deviation,
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check model/KB equivalence by enumeration")
     p.add_argument("model_file")
     p.add_argument("kb_file")
-    p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ingest", help="one-hot encode a categorical CSV")

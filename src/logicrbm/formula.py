@@ -59,25 +59,18 @@ class Formula:
     explicit stacks, so they work at any depth; they agree with what frozen
     dataclasses would generate, except that hash values differ."""
 
+    def _key(self) -> tuple:
+        # the post-order of node types and leaf values fixes the tree
+        return tuple((type(g), *vars(g).values()) if isinstance(g, (Var, Const)) else type(g)
+                     for g in _postorder(self))
+
     def __eq__(self, other):
         if not isinstance(other, Formula):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            f, g = pairs.pop()
-            if type(f) is not type(g):
-                return False
-            for a, b in zip(vars(f).values(), vars(g).values()):
-                if isinstance(a, Formula):
-                    pairs.append((a, b))
-                elif a != b:
-                    return False
-        return True
+        return self._key() == other._key()
 
     def __hash__(self):
-        # the post-order of node types and leaf values fixes the tree
-        return hash(tuple((type(g), *vars(g).values()) if isinstance(g, (Var, Const)) else type(g)
-                          for g in _postorder(self)))
+        return hash(self._key())
 
     def __repr__(self):
         texts = []                    # a value stack over the post-order
@@ -186,9 +179,6 @@ class Assignment:
         for i in self.values:
             if not 0 <= i < self.n:
                 raise ValueError(f"proposition index {i} outside universe of size {self.n}")
-
-    def assigned(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
 
     def unassigned(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if i not in self.values)

@@ -36,10 +36,10 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(width, 1))
 
 
-def _check_epsilon(epsilon: float):
+def _check_epsilon(epsilon: float | None):
     """The margin of the identity weighted_sat = -E_rank / eps lies in (0, 1)."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    if epsilon is None or not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), not {epsilon!r}")
 
 
 @dataclass
@@ -63,8 +63,8 @@ class Rbm:
         if not (np.isfinite(self.W).all() and np.isfinite(self.a).all()
                 and np.isfinite(self.b).all() and np.isfinite(self.e0)):
             raise ValueError("RBM parameters must be finite")
-        if not 0 <= self.tau < np.inf:
-            raise ValueError("temperature tau must be finite and >= 0")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("temperature tau must be finite and > 0")
         if self.epsilon is not None:
             _check_epsilon(self.epsilon)
         if self.names is None:
@@ -79,6 +79,8 @@ class Rbm:
         if len(self.clause_annotations) != self.n_hidden:
             raise ValueError(f"model lists {len(self.clause_annotations)} clause annotations "
                              f"for {self.n_hidden} hidden units")
+        if self.epsilon is None and any(self.clause_annotations):
+            raise ValueError("clause annotations need the model's epsilon")
 
     @property
     def n_visible(self) -> int:
@@ -172,14 +174,10 @@ class _UniformBlocks:
 
 
 def p_hidden_given_visible(m: Rbm, x) -> np.ndarray:
-    if m.tau <= 0:
-        raise ValueError("sampling distributions need tau > 0")
     return _sigmoid(net_hidden(m, x), tau=m.tau)
 
 
 def p_visible_given_hidden(m: Rbm, h) -> np.ndarray:
-    if m.tau <= 0:
-        raise ValueError("sampling distributions need tau > 0")
     return _sigmoid(net_visible(m, h), tau=m.tau)
 
 
@@ -198,8 +196,6 @@ class _TargetGrid:
             raise SizeLimitError(f"{len(targets)} targets exceeds limit {CONDITIONAL_LIMIT}")
         if len(set(targets)) < len(targets):
             raise ValueError("targets must be distinct")
-        if m.tau <= 0:
-            raise ValueError("exact conditionals need tau > 0")
         self.m, self.targets, self.tau = m, targets, m.tau
         self.grid = all_assignments(len(targets))                  # (C, T)
         touches = (m.W[targets] != 0).any(axis=0)
@@ -229,10 +225,11 @@ def clause_patterns(pos, neg, n_visible: int, epsilon: float):
     Clause j has the positive literals ``pos[j]`` and the negative ones
     ``neg[j]`` (index lists).  ``S[i, j]`` is +1 for a positive literal of
     clause j, -1 for a negative one and 0 otherwise; ``bias[j] = -T_j +
-    epsilon`` with T_j the number of positive literals.  A clause with
-    confidence c becomes the hidden unit ``W[:, j] = c * S[:, j]``, ``b[j] =
-    c * bias[j]``.  A variable outside ``0 .. n_visible - 1``, or one in both
-    polarities, raises ``ValueError`` naming the clause's position j.
+    epsilon`` with T_j the number of +1s in column j, so a variable listed
+    twice counts once.  A clause with confidence c becomes the hidden unit
+    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.  A variable outside
+    ``0 .. n_visible - 1``, or one in both polarities, raises ``ValueError``
+    naming the clause's position j.
     """
     k = len(pos)
     cells = []
@@ -251,7 +248,7 @@ def clause_patterns(pos, neg, n_visible: int, epsilon: float):
     if both.any():
         raise ValueError(f"clause {neg_col[both.argmax()]} has a variable in both polarities")
     S[neg_var, neg_col] = -1.0
-    return S, epsilon - np.bincount(pos_col, minlength=k)
+    return S, epsilon - (S > 0).sum(axis=0)
 
 
 def _scaled(S, bias, c):
@@ -271,11 +268,9 @@ def _annotation(clause, c: float) -> dict:
 
 def _clause_units(m: Rbm):
     """The annotated hidden units, the ``clause_patterns`` of their clauses (counted
-    over these units alone) and their confidences; they need the model's epsilon."""
+    over these units alone) and their confidences."""
     anns = m.clause_annotations
     units = np.array([j for j, ann in enumerate(anns) if ann], dtype=int)
-    if len(units) and m.epsilon is None:
-        raise ValueError("clause annotations need the model's epsilon")
     S, bias = clause_patterns([anns[j]["pos"] for j in units], [anns[j]["neg"] for j in units],
                               m.n_visible, m.epsilon or 0.0)   # 0.0 only when no unit reads it
     return units, S, bias, np.array([float(anns[j]["confidence"]) for j in units])

@@ -89,29 +89,29 @@ class _Clamped:
     """A network with the evidence folded in.
 
     Clamped columns never change during a search, so their share of the
-    hidden net input and of ``e0 - a.x`` is computed once; a batch of free
-    parts ``Xf`` (columns in ``free`` order) then costs one product with
-    the free rows of W.  Only the ``wired`` hidden units, those with a
-    nonzero weight on some free variable, can move: every other unit's
-    net input is its constant ``base_j``, so its ``max(base_j, 0)`` is
-    folded into ``e_base`` and ``W``, ``base`` and the net inputs keep the
-    wired columns alone.
+    hidden net input and of ``e0 - a.x`` is computed once, from the
+    evidence row ``x0`` (free columns at 0); a batch of free parts ``Xf``
+    (columns in ``free`` order) then costs one product with the free rows
+    of W.  Only the ``wired`` hidden units, those with a nonzero weight on
+    some free variable, can move: every other unit's net input is its
+    constant ``base_j``, so its ``max(base_j, 0)`` is folded into
+    ``e_base`` and ``W``, ``base`` and the net inputs keep the wired
+    columns alone.
     """
 
     def __init__(self, m: Rbm, evidence: Assignment):
         self.n = m.n_visible
         self.free = np.array(evidence.unassigned(), dtype=int)
-        self.clamped = np.array(evidence.assigned(), dtype=int)
-        self.xc = np.array([float(evidence.values[i]) for i in self.clamped])
+        self.x0 = np.zeros(self.n)
+        self.x0[list(evidence.values)] = list(evidence.values.values())
         W_free = m.W[self.free]
         touches = (W_free != 0).any(axis=0)
         self.wired = np.flatnonzero(touches)
-        base = self.xc @ m.W[self.clamped] + m.b
+        base = self.x0 @ m.W + m.b
         self.W = W_free[:, self.wired]
         self.a = m.a[self.free]
         self.base = base[self.wired]
-        self.e_base = (m.e0 - self.xc @ m.a[self.clamped]
-                       - np.maximum(base[~touches], 0.0).sum())
+        self.e_base = m.e0 - self.x0 @ m.a - np.maximum(base[~touches], 0.0).sum()
 
     def net_and_energy(self, Xf, net=None):
         """Wired units' net input, in ``net`` when given, and E_rank of each
@@ -127,8 +127,7 @@ class _Clamped:
         return out
 
     def full(self, xf) -> np.ndarray:
-        x = np.empty(self.n)
-        x[self.clamped] = self.xc
+        x = self.x0.copy()
         x[self.free] = xf
         return x
 
@@ -289,12 +288,12 @@ class VerificationReport:
         return self.max_deviation <= tol
 
 
-def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float) -> VerificationReport:
+def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float | None) -> VerificationReport:
     """Enumerate every assignment and report max |weighted_sat + E_rank/eps|.
 
     The 2^n assignments are checked in bounded row blocks; the witness is
     the first assignment, in counting order, with the largest deviation.
-    ``epsilon`` outside (0, 1) raises ``ValueError``.
+    ``epsilon`` outside (0, 1), or None, raises ``ValueError``.
     """
     _check_epsilon(epsilon)
     n = len(kb.table)

@@ -348,8 +348,7 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     """SGD on the hybrid objective; returns a new network and a loss trace.
 
     Each step is ``param -= lr * (alpha * g_cd + beta * g_cond)`` over one
-    batch.  The model needs tau > 0: both gradients sample or sum over the
-    tau-scaled distributions.
+    batch.
 
     The trace is opt-in: with ``cfg.trace`` it holds, per epoch, the
     ``epoch_losses`` of the network after that epoch (the NLL when beta > 0)
@@ -361,8 +360,6 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         raise ValueError("discriminative training needs target indices")
     if d.rows.shape[1] != m.n_visible:
         raise ValueError("dataset and model dimensions differ")
-    if m.tau <= 0:
-        raise ValueError("training needs tau > 0")
     out = m.copy()
     n, h = out.W.shape
     # The parameters and the gradient each live in one flat buffer, with

@@ -602,7 +602,7 @@ def _clause_patterns(m):
         s = np.zeros(m.n_visible)
         s[ann["pos"]] = 1.0
         s[ann["neg"]] = -1.0
-        out.append((j, s, -len(ann["pos"]) + m.epsilon))
+        out.append((j, s, -len(set(ann["pos"])) + m.epsilon))
     return out
 
 

@@ -199,6 +199,11 @@ class TestReason:
         doc = json.loads(stdout)
         assert doc["assignment"] == {"x": True, "y": True, "z": False}
 
+    def test_unknown_mode(self, xor_model, tmp_path, capsys):
+        q = self.query(tmp_path, {"evidence": {}, "mode": "annealing"})
+        code, stdout, err = run(capsys, "reason", str(xor_model), str(q))
+        assert (code, stdout, err) == (2, "", "error: unknown mode 'annealing'\n")
+
     def test_conditional(self, xor_model, tmp_path, capsys):
         q = self.query(tmp_path, {"evidence": {"x": True, "y": True},
                                   "targets": ["z"], "mode": "conditional"})
@@ -354,11 +359,25 @@ class TestVerify:
         doc = json.loads(stdout)
         assert code == 0 and doc["ok"] and doc["max_deviation"] <= 1e-9
 
-    @pytest.mark.parametrize("eps", ["0", "-1", "1"])
-    def test_epsilon_outside_unit_interval(self, xor_model, kb_dir, capsys, eps):
-        code, stdout, err = run(capsys, "verify", str(xor_model), str(kb_dir / "xor.kb"),
-                                "--epsilon", eps)
-        assert code == 2 and "epsilon" in err and stdout == ""
+    @pytest.mark.parametrize("eps", [0, -1, 1, None])
+    def test_epsilon_outside_unit_interval(self, xor_model, kb_dir, tmp_path, capsys, eps):
+        """verify checks the identity at the model's own epsilon: outside
+        (0, 1) the file does not load, and a model without annotations and
+        with a null epsilon has none to check at."""
+        doc = json.loads(xor_model.read_text())
+        doc.update(epsilon=eps, clause_annotations=None)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "verify", str(bad), str(kb_dir / "xor.kb"))
+        assert (code, stdout, err.count("\n")) == (2, "", 1)
+        assert f"epsilon must lie in (0, 1), not {eps!r}" in err
+
+    def test_no_epsilon_option(self, xor_model, kb_dir, capsys):
+        code, stdout, _ = run(capsys, "verify", "--help")
+        assert code == 0 and "--epsilon" not in stdout
+        code, _, err = run(capsys, "verify", str(xor_model), str(kb_dir / "xor.kb"),
+                           "--epsilon", "0.5")
+        assert code == 2 and "unrecognized arguments: --epsilon" in err
 
     def test_reordered_kb_is_read_in_the_model_order(self, nixon_model, kb_dir, tmp_path,
                                                      capsys):
@@ -648,6 +667,12 @@ class TestTrainExtract:
         assert (code, stdout, err.count("\n")) == (2, "", 1) and "--targets" in err
         assert not out.exists()
 
+    def test_extract_data_over_other_names(self, tmp_path, xor_model, capsys):
+        data = tmp_path / "xzy.csv"
+        data.write_text("x,z,y\n0,0,0\n1,1,0\n")
+        code, stdout, err = run(capsys, "extract", str(xor_model), str(data), "--targets", "z")
+        assert (code, stdout) == (2, "") and "columns do not match the model" in err
+
     def test_extract_json_output(self, tmp_path, xor_model, capsys):
         out = tmp_path / "clauses.json"
         code, _, _ = run(capsys, "extract", str(xor_model), "--json", str(out))
@@ -656,13 +681,14 @@ class TestTrainExtract:
         assert len(docs) == 4
 
 
-def _first_unit(doc, W=1.0, b=0.0, **annotation):
-    """The compiled XOR model's fields with its first hidden unit's column
-    scaled by W, b added to its bias and its annotation updated."""
-    ann = {**doc["clause_annotations"][0], **annotation}
-    return {"W": [[W * row[0], *row[1:]] for row in doc["W"]],
-            "b": [doc["b"][0] + b, *doc["b"][1:]],
-            "clause_annotations": [ann, *doc["clause_annotations"][1:]]}
+def _unit(doc, j=0, W=1.0, b=0.0, **annotation):
+    """The compiled XOR model's fields with hidden unit j's column scaled by
+    W, b added to its bias and its annotation updated."""
+    anns, bias = list(doc["clause_annotations"]), list(doc["b"])
+    anns[j] = {**anns[j], **annotation}
+    bias[j] += b
+    return {"W": [[w * W if k == j else w for k, w in enumerate(row)] for row in doc["W"]],
+            "b": bias, "clause_annotations": anns}
 
 
 class TestModelFile:
@@ -675,6 +701,7 @@ class TestModelFile:
         "epsilon zero": ("epsilon", 0),
         "epsilon above one": ("epsilon", 1.5),
         "e0 null": ("e0", None),
+        "tau zero": ("tau", 0),
         "tau null": ("tau", None),
         "tau nan": ("tau", float("nan")),
         "tau infinite": ("tau", float("inf")),
@@ -688,12 +715,15 @@ class TestModelFile:
                                    [{"pos": [0], "confidence": 1.0}, None, None, None]),
         "annotation confidence nan": ("clause_annotations", [
             {"pos": [0], "neg": [1, 2], "confidence": float("nan")}, None, None, None]),
-        "annotated column tripled": lambda doc: _first_unit(doc, W=3.0),
-        "annotated bias moved": lambda doc: _first_unit(doc, b=0.25),
-        "annotation past the universe": lambda doc: _first_unit(doc, pos=[99]),
+        "annotated column tripled": lambda doc: _unit(doc, W=3.0),
+        "annotated bias moved": lambda doc: _unit(doc, b=0.25),
+        "annotation past the universe": lambda doc: _unit(doc, pos=[99]),
         # the unit is its clause at confidence -1: only the sign is wrong
-        "negative confidence": lambda doc: _first_unit(doc, W=-1.0, b=-2 * doc["b"][0],
-                                                       confidence=-1.0),
+        "negative confidence": lambda doc: _unit(doc, W=-1.0, b=-2 * doc["b"][0],
+                                                 confidence=-1.0),
+        # x & y & ~z listed as x & y & y & ~z, with the bias of three
+        # positive literals: the unit would never fire on its clause
+        "positive literal repeated": lambda doc: _unit(doc, 1, b=-1.0, pos=[0, 1, 1]),
         "annotations without epsilon": ("epsilon", None),
     }
 
@@ -715,7 +745,7 @@ class TestModelFile:
                      ["verify", str(bad), str(kb_dir / "xor.kb")]):
             code, stdout, err = run(capsys, *argv)
             assert code == 2 and err.startswith("error: ") and stdout == "", argv[0]
-            assert not out.exists()
+            assert err.count("\n") == 1 and not out.exists()
 
 
 class TestIngest:
@@ -815,6 +845,17 @@ class TestIngest:
                                 "-o", str(out))
         assert code == 2 and "attribute 'zz' missing from the CSV header" in err
         assert stdout == "" and not out.exists()
+
+    def test_name_collision(self, tmp_path, capsys):
+        # attribute a with value b_c and attribute a_b with value c: both a_b_c
+        spec = OneHotSpec([("a", ["b_c"]), ("a_b", ["c"])])
+        with pytest.raises(ValueError, match="one-hot proposition names collide"):
+            ingest_categorical([["b_c", "c"]], ["a", "a_b"], spec)
+        src = tmp_path / "cat.csv"
+        src.write_text("a,a_b\nb_c,c\n")
+        out = tmp_path / "onehot.csv"
+        code, stdout, err = run(capsys, "ingest", str(src), "-o", str(out))
+        assert (code, stdout) == (2, "") and "collide" in err and not out.exists()
 
     def test_one_true_per_attribute(self):
         spec = OneHotSpec([("a", ["x", "y"]), ("b", ["u", "v"])])

@@ -41,11 +41,11 @@ class TestPropositionTable:
 class TestAssignment:
     def test_total(self):
         a = fm.Assignment({2: True, 0: True, 1: False}, 3)
-        assert a.assigned() == (0, 1, 2) and a.unassigned() == ()
+        assert a.unassigned() == ()
 
     def test_partial(self):
         a = fm.Assignment({0: True}, 3)
-        assert a.assigned() == (0,) and a.unassigned() == (1, 2)
+        assert a.unassigned() == (1, 2)
 
     def test_out_of_universe_index(self):
         with pytest.raises(ValueError):

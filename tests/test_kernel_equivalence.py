@@ -435,6 +435,17 @@ class TestCdKernel:
                                                    batch_size=2, seed=6,
                                                    freeze_structure=frozen))
 
+    def test_hybrid_with_scaled_conditional_matches_reference(self):
+        """With alpha > 0 and beta != 1 the exact gradient is scaled by beta
+        in its own buffer before the CD estimate is added."""
+        rng = np.random.default_rng(10)
+        m, table = mixed_network(rng, 5, 2)
+        d = Dataset(table, (rng.random((6, 5)) < 0.5).astype(float), (0, 4))
+        for frozen in (False, True):
+            assert_same_training(m, d, TrainConfig(alpha=0.5, beta=0.3, lr=0.05, epochs=3,
+                                                   batch_size=2, seed=11,
+                                                   freeze_structure=frozen))
+
     def test_returns_owned_arrays_and_leaves_input_alone(self):
         rng = np.random.default_rng(9)
         m = random_rbm(rng, 3, 4)

@@ -149,9 +149,9 @@ class TestConditionals:
         assert np.all(p_hidden_given_visible(m, x) >= p0)
 
     def test_tau_zero_rejected(self):
-        m = Rbm(W=np.zeros((1, 1)), a=np.zeros(1), b=np.zeros(1), tau=0.0)
-        with pytest.raises(ValueError):
-            p_hidden_given_visible(m, [0])
+        # refused when the network is built, so no conditional divides by it
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            Rbm(W=np.zeros((1, 1)), a=np.zeros(1), b=np.zeros(1), tau=0.0)
 
 
 class TestFreeEnergy:
@@ -269,8 +269,12 @@ class TestClauseUnitCheck:
         (lambda d: d["clause_annotations"][0].update(neg=[0]), "both polarities"),
         (lambda d: d["clause_annotations"][1].update(confidence=-1000.0), "clause 1: confidence"),
         (lambda d: d.update(epsilon=None), "need the model's epsilon"),
+        # n & r listed as n & r & r, with the bias of three positive literals
+        (lambda d: (d["clause_annotations"][0].update(pos=[0, 1, 1]),
+                    d["b"].__setitem__(0, 1000.0 * (d["epsilon"] - 3))),
+         "hidden unit 0: weights or bias differ"),
     ], ids=["column tripled", "zero weight moved", "bias moved", "past the universe",
-            "both polarities", "negative confidence", "no epsilon"])
+            "both polarities", "negative confidence", "no epsilon", "positive literal repeated"])
     def test_mismatch_refused(self, change, message):
         doc = nixon_doc()
         change(doc)
@@ -292,6 +296,12 @@ class TestClauseUnitCheck:
         else:
             with pytest.raises(ValueError, match="hidden unit 0"):
                 model_from_dict(doc)
+
+    def test_repeated_literal_counts_once(self):
+        # T is read from the pattern: n & r & r is n & r, bias c * (-2 + eps)
+        doc = nixon_doc()
+        doc["clause_annotations"][0]["pos"] = [0, 1, 1]
+        assert model_from_dict(doc).clause_annotations[0]["pos"] == [0, 1, 1]
 
     def test_unannotated_units_and_no_epsilon_load(self):
         doc = nixon_doc()

@@ -362,9 +362,14 @@ class TestVerifyEquivalence:
 
     def test_epsilon_outside_unit_interval(self, xor):
         kb, m = xor
-        for eps in (0.0, -1.0, 1.0, float("nan")):
+        for eps in (0.0, -1.0, 1.0, float("nan"), None):
             with pytest.raises(ValueError, match="epsilon"):
                 verify_equivalence(m, kb, eps)
+
+    def test_other_universe_rejected(self, xor, nixon):
+        (_, m), (kb, _) = xor, nixon
+        with pytest.raises(ValueError, match="different universes"):
+            verify_equivalence(m, kb, m.epsilon)
 
     def test_argmin_argmax_duality(self):
         rng = np.random.default_rng(21)

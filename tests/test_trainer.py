@@ -8,7 +8,9 @@ import logicrbm as L
 from logicrbm import formula as fm
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import Rbm
-from logicrbm.trainer import Dataset, TrainConfig, _conditional, dataset_from_kb, train
+from logicrbm.trainer import (
+    Dataset, TrainConfig, _conditional, dataset_from_kb, read_csv, train,
+)
 
 from conftest import cd_step, free_energy, random_rbm
 
@@ -37,6 +39,11 @@ class TestDataset:
         assert d2.table.names == ["x", "y", "z"]
         assert np.array_equal(d.rows, d2.rows)
         assert d2.target_indices == (2,)
+
+    def test_csv_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n\n1,0\n\n0,1\n\n")
+        assert read_csv(path) == (["x", "y"], [["1", "0"], ["0", "1"]])
 
 
 class TestDatasetFromKb:
@@ -311,17 +318,18 @@ class TestTrain:
 
 
 class TestZeroTemperature:
-    """Training and the exact conditional refuse tau <= 0 instead of returning NaN."""
+    """A network at tau <= 0 is refused when it is built, so the exact
+    conditional and training never divide by it."""
 
     def test_conditional_refuses(self):
-        m = random_rbm(np.random.default_rng(0), 3, 2, tau=0.0)
-        for grad in (False, True):
-            with pytest.raises(ValueError, match="tau"):
-                _conditional(m, [1.0, 0.0, 1.0], (2,), grad=grad)
+        with pytest.raises(ValueError, match="tau"):
+            random_rbm(np.random.default_rng(0), 3, 2, tau=0.0)
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (0.5, 1.0)])
     def test_train_refuses(self, alpha, beta):
-        m = random_rbm(np.random.default_rng(0), 3, 2, tau=0.0)
+        # tau set after the build: train's copy is built through the same check
+        m = random_rbm(np.random.default_rng(0), 3, 2)
+        m.tau = 0.0
         targets = (2,) if beta > 0 else ()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau"):
             train(m, xor_dataset(targets), TrainConfig(alpha=alpha, beta=beta, epochs=1))
