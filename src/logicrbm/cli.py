@@ -39,6 +39,14 @@ def _load_kb_over(path, m) -> fm.KnowledgeBase:
     return kb
 
 
+def _dataset_over(path, m, targets) -> Dataset:
+    """The 0/1 CSV at ``path``, whose columns must be the model's propositions."""
+    d = Dataset.from_csv(path, targets=targets)
+    if d.table.names != m.names:
+        raise ValueError("dataset columns do not match the model")
+    return d
+
+
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------
@@ -61,8 +69,7 @@ def cmd_compile(args) -> int:
 # reason
 # ---------------------------------------------------------------------------
 
-def _evidence_from_doc(doc, names) -> fm.Assignment:
-    index = {nm: i for i, nm in enumerate(names)}
+def _evidence_from_doc(doc, index) -> fm.Assignment:
     evidence = doc.get("evidence", {})
     if not isinstance(evidence, dict):
         raise ValueError(f"query evidence must be an object of name: value, not {evidence!r}")
@@ -73,7 +80,7 @@ def _evidence_from_doc(doc, names) -> fm.Assignment:
         if val not in (0, 1):
             raise ValueError(f"evidence for {nm!r} must be true, false, 0 or 1, not {val!r}")
         values[index[nm]] = bool(val)
-    return fm.Assignment(values, len(names))
+    return fm.Assignment(values, len(index))
 
 
 def _query_int(doc, key) -> int:
@@ -93,7 +100,7 @@ def cmd_reason(args) -> int:
         raise ValueError("a query file must hold one JSON object")
     names = m.names
     index = {nm: i for i, nm in enumerate(names)}
-    evidence = _evidence_from_doc(doc, names)
+    evidence = _evidence_from_doc(doc, index)
     targets = doc.get("targets", [])
     if not isinstance(targets, list) or not all(
             isinstance(t, str) and t in index for t in targets):
@@ -143,12 +150,10 @@ def cmd_train(args) -> int:
     m = load_model(args.model_file)
     if args.from_clauses:
         d = dataset_from_kb(_load_kb_over(args.from_clauses, m), targets=args.targets)
+    elif args.data:
+        d = _dataset_over(args.data, m, args.targets)
     else:
-        if not args.data:
-            raise ValueError("need a data CSV or --from-clauses")
-        d = Dataset.from_csv(args.data, targets=args.targets)
-        if d.table.names != m.names:
-            raise ValueError("dataset columns do not match the model")
+        raise ValueError("need a data CSV or --from-clauses")
     cfg = TrainConfig(alpha=args.alpha, beta=args.beta, lr=args.lr,
                       epochs=args.epochs, batch_size=args.batch_size,
                       cd_k=args.cd_k, seed=args.seed,
@@ -179,19 +184,16 @@ def cmd_extract(args) -> int:
     if args.targets and not args.data:
         raise ValueError("--targets needs a data CSV to score reliability against")
     m = load_model(args.model_file)
-    names = m.names
     extracted = extract_clauses(m)
     if args.data:
         if not args.targets:
             raise ValueError("reliability scoring needs --targets (the class columns)")
-        d = Dataset.from_csv(args.data, targets=args.targets)
-        if d.table.names != names:
-            raise ValueError("dataset columns do not match the model")
+        d = _dataset_over(args.data, m, args.targets)
         score_reliability(extracted, d, d.target_indices)
-    print(format_listing(extracted, names))
+    print(format_listing(extracted, m.names))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(listing_to_json(extracted, names))
+            fh.write(listing_to_json(extracted, m.names))
             fh.write("\n")
     return 0
 

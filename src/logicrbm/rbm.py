@@ -36,6 +36,14 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(width, 1))
 
 
+def assignment_blocks(k: int, width: int):
+    """(start, rows): all 2^k 0/1 rows of length k in binary counting order,
+    from row ``start`` on, in blocks of ``block_rows(width)`` rows."""
+    total, step = 2 ** k, block_rows(width)
+    for start in range(0, total, step):
+        yield start, all_assignments(k, start, min(start + step, total))
+
+
 def _check_epsilon(epsilon: float | None):
     """The margin of the identity weighted_sat = -E_rank / eps lies in (0, 1)."""
     if epsilon is None or not 0 < epsilon < 1:
@@ -152,7 +160,7 @@ class _UniformBlocks:
     def __init__(self, steps: int, shapes):
         sizes = [math.prod(shape) for shape in shapes]
         per = sum(sizes)
-        span = min(steps, max(1, BLOCK_ELEMENTS // max(per, 1)))
+        span = min(steps, block_rows(per))
         buf = np.empty(span * per)
         offsets = np.cumsum([0, *sizes])
 
@@ -181,38 +189,67 @@ def p_visible_given_hidden(m: Rbm, h) -> np.ndarray:
     return _sigmoid(net_visible(m, h), tau=m.tau)
 
 
-class _TargetGrid:
-    """Exact p(y | x) over the 2^T configurations y of the targets.
+class _Clamped:
+    """The network with its visible columns ``free`` (in the caller's order)
+    left free and the others fixed by the evidence rows ``X0`` (free
+    columns at 0).
 
-    Configuration c has net input ``net0 + grid_c @ W[T]``; units with no
-    weight on a target add the same soft-plus term for every c, which
-    cancels, so only the ``wired`` units are evaluated.  ``step`` rows keep
-    step x 2^T x wired units within ``BLOCK_ELEMENTS``.
+    The evidence's hidden net input ``net0`` is computed once.  Only the
+    ``wired`` units, those with a nonzero weight on some free variable, can
+    move; a ``loose`` unit's net input stays ``net0_j``.  ``W`` and ``base``
+    keep the wired columns of the free rows and of ``net0``, and ``e_base``
+    is each row's ``e0 - a.x0`` less its loose units' ``max(net0_j, 0)``, so
+    free parts ``Xf`` (columns in ``free`` order) cost one product with W.
     """
 
-    def __init__(self, m: Rbm, targets):
-        targets = list(targets)
-        if len(targets) > CONDITIONAL_LIMIT:
-            raise SizeLimitError(f"{len(targets)} targets exceeds limit {CONDITIONAL_LIMIT}")
-        if len(set(targets)) < len(targets):
-            raise ValueError("targets must be distinct")
-        self.m, self.targets, self.tau = m, targets, m.tau
-        self.grid = all_assignments(len(targets))                  # (C, T)
-        touches = (m.W[targets] != 0).any(axis=0)
+    def __init__(self, m: Rbm, free, X0):
+        self.tau, self.free, self.X0 = m.tau, np.asarray(free, dtype=int), X0
+        W_free = m.W[self.free]
+        touches = (W_free != 0).any(axis=0)
         self.wired, self.loose = np.flatnonzero(touches), np.flatnonzero(~touches)
-        self.grid_net = self.grid @ m.W[np.ix_(targets, self.wired)]   # (C, wired)
-        self.grid_a = self.grid @ m.a[targets] / m.tau             # (C,)
-        self.step = block_rows(len(self.grid) * max(len(self.wired), 1))
+        self.W, self.a, self.net0 = W_free[:, self.wired], m.a[self.free], net_hidden(m, X0)
+        self.base = self.net0[:, self.wired]
+        self.e_base = m.e0 - X0 @ m.a - np.maximum(self.net0[:, self.loose], 0.0).sum(axis=1)
 
-    def log_p(self, X0):
-        """net0, wired z = net / tau, soft-plus(z), log p(c | x); targets at 0."""
-        net0 = X0 @ self.m.W + self.m.b                            # (B, H)
-        z = net0[:, None, self.wired] + self.grid_net              # (B, C, wired)
+    def blocks(self):
+        """(start, Xf): the free configurations in counting order, in blocks
+        that keep every row's wired net inputs within ``BLOCK_ELEMENTS``."""
+        k = len(self.free)
+        return assignment_blocks(k, len(self.X0) * max(len(self.wired), k))
+
+    def net_and_energy(self, Xf, net=None):
+        """The wired net input, in ``net`` when given, and E_rank of each row
+        of free values under the one evidence row."""
+        net = np.matmul(Xf, self.W, out=net)
+        net += self.base
+        return net, self.e_base - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
+
+    def net_visible(self, H, out=None):
+        """Free visibles' net input from the wired units' states."""
+        out = np.matmul(H, self.W.T, out=out)
+        out += self.a
+        return out
+
+    def z(self, Xf):
+        """net / tau of the wired units at each evidence row and configuration
+        ``Xf``: (rows, configurations, wired)."""
+        z = np.add(self.base[:, None, :], Xf @ self.W)
         z /= self.tau
-        soft = np.logaddexp(0.0, z)
-        logp = self.grid_a + soft.sum(axis=2)
+        return z
+
+    def log_p(self):
+        """log p(c | x) of each evidence row x at the configurations c of the
+        free columns, in counting order, normalised once over the blocks.  A
+        loose unit adds the same soft-plus term at every c, which cancels."""
+        k = len(self.free)
+        if k > CONDITIONAL_LIMIT:
+            raise SizeLimitError(f"{k} targets exceeds limit {CONDITIONAL_LIMIT}")
+        if len(set(self.free.tolist())) < k:
+            raise ValueError("targets must be distinct")
+        logp = np.concatenate([Xf @ self.a / self.tau + np.logaddexp(0.0, self.z(Xf)).sum(axis=2)
+                               for _, Xf in self.blocks()], axis=1)
         logp -= np.logaddexp.reduce(logp, axis=1, keepdims=True)
-        return net0, z, soft, logp
+        return logp
 
 
 # ---------------------------------------------------------------------------

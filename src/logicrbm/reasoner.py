@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SizeLimitError
 from .formula import Assignment, KnowledgeBase, weighted_sat_batch
 from .normal_forms import all_assignments
-from .rbm import (SEARCH_LIMIT, Rbm, _TargetGrid, _UniformBlocks, block_rows, energy_rank,
+from .rbm import (SEARCH_LIMIT, Rbm, _Clamped, _UniformBlocks, assignment_blocks, energy_rank,
                   _check_epsilon, _twice_sigmoid)
 
 BRUTE_LIMIT = 24
@@ -67,16 +67,10 @@ class InferenceReport:
         return np.array([float(self.assignment[i]) for i in range(n)])
 
 
-def _check_search_size(m: Rbm, restarts: int, steps: int):
-    width = m.n_visible + m.n_hidden
-    if restarts * width > SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"{restarts} restarts x {width} units exceeds the search limit {SEARCH_LIMIT}")
-    if steps > SEARCH_LIMIT:
-        raise SizeLimitError(f"{steps} steps exceeds the search limit {SEARCH_LIMIT}")
-
-
-def _report_from_state(m: Rbm, x, steps, restarts, trace) -> InferenceReport:
+def _report_from_state(m: Rbm, c: _Clamped, xf, steps, restarts, trace) -> InferenceReport:
+    """The report of the free values ``xf`` under the evidence row of ``c``."""
+    x = c.X0[0].copy()
+    x[c.free] = xf
     er = energy_rank(m, x)
     ws = None if m.epsilon is None else -er / m.epsilon
     return InferenceReport(
@@ -85,55 +79,29 @@ def _report_from_state(m: Rbm, x, steps, restarts, trace) -> InferenceReport:
         steps=steps, restarts=restarts, energy_trace=trace)
 
 
-class _Clamped:
-    """A network with the evidence folded in.
+def _clamped(m: Rbm, evidence: Assignment, free=None) -> _Clamped:
+    """The network clamped by the evidence, with ``free`` or else the rest left free."""
+    if evidence.n != m.n_visible:
+        raise ValueError(f"evidence over {evidence.n} variables for a model of {m.n_visible}")
+    x0 = np.array([[float(evidence.values.get(i, 0)) for i in range(m.n_visible)]])
+    return _Clamped(m, evidence.unassigned() if free is None else free, x0)
 
-    Clamped columns never change during a search, so their share of the
-    hidden net input and of ``e0 - a.x`` is computed once, from the
-    evidence row ``x0`` (free columns at 0); a batch of free parts ``Xf``
-    (columns in ``free`` order) then costs one product with the free rows
-    of W.  Only the ``wired`` hidden units, those with a nonzero weight on
-    some free variable, can move: every other unit's net input is its
-    constant ``base_j``, so its ``max(base_j, 0)`` is folded into
-    ``e_base`` and ``W``, ``base`` and the net inputs keep the wired
-    columns alone.
-    """
 
-    def __init__(self, m: Rbm, evidence: Assignment):
-        self.n = m.n_visible
-        self.free = np.array(evidence.unassigned(), dtype=int)
-        self.x0 = np.zeros(self.n)
-        self.x0[list(evidence.values)] = list(evidence.values.values())
-        W_free = m.W[self.free]
-        touches = (W_free != 0).any(axis=0)
-        self.wired = np.flatnonzero(touches)
-        base = self.x0 @ m.W + m.b
-        self.W = W_free[:, self.wired]
-        self.a = m.a[self.free]
-        self.base = base[self.wired]
-        self.e_base = m.e0 - self.x0 @ m.a - np.maximum(base[~touches], 0.0).sum()
-
-    def net_and_energy(self, Xf, net=None):
-        """Wired units' net input, in ``net`` when given, and E_rank of each
-        row of free values."""
-        net = np.matmul(Xf, self.W, out=net)
-        net += self.base
-        return net, self.e_base - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
-
-    def net_visible(self, H, out=None):
-        """Free visibles' net input from the wired units' states."""
-        out = np.matmul(H, self.W.T, out=out)
-        out += self.a
-        return out
-
-    def full(self, xf) -> np.ndarray:
-        x = self.x0.copy()
-        x[self.free] = xf
-        return x
-
-    def initial_states(self, restarts, rng) -> np.ndarray:
-        """Uniform random free parts, drawn over every visible column."""
-        return (rng.random((restarts, self.n)) < 0.5)[:, self.free].astype(float)
+def _start_search(m: Rbm, q: Query, restarts: int, steps: int, seed: int):
+    """The clamped network, the random generator and the first states of a search:
+    ``restarts`` uniform random free parts, drawn over every visible column,
+    with their net inputs and energies.  A state or trace beyond
+    ``SEARCH_LIMIT`` raises ``SizeLimitError`` first."""
+    width = m.n_visible + m.n_hidden
+    if restarts * width > SEARCH_LIMIT:
+        raise SizeLimitError(
+            f"{restarts} restarts x {width} units exceeds the search limit {SEARCH_LIMIT}")
+    if steps > SEARCH_LIMIT:
+        raise SizeLimitError(f"{steps} steps exceeds the search limit {SEARCH_LIMIT}")
+    rng = np.random.default_rng(seed)
+    c = _clamped(m, q.evidence)
+    Xf = (rng.random((restarts, m.n_visible)) < 0.5)[:, c.free].astype(float)
+    return (c, rng, Xf, *c.net_and_energy(Xf))
 
 
 def _best(Xf, energies, best=None):
@@ -167,11 +135,7 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     probabilities.
     """
     config = config or GibbsConfig()
-    _check_search_size(m, config.restarts, config.steps)
-    rng = np.random.default_rng(config.seed)
-    c = _Clamped(m, q.evidence)
-    Xf = c.initial_states(config.restarts, rng)
-    net, E = c.net_and_energy(Xf)
+    c, rng, Xf, net, E = _start_search(m, q, config.restarts, config.steps, config.seed)
     best = _best(Xf, E)
     trace = [best[1]]
     scale = float(np.abs(m.W).max(initial=0.0)) or 1.0
@@ -190,7 +154,7 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
         if E.min() - best[1] <= 1e-12:
             best = _best(Xf, E, best)
         trace.append(best[1])
-    return _report_from_state(m, c.full(best[0]), config.steps, config.restarts, trace)
+    return _report_from_state(m, c, best[0], config.steps, config.restarts, trace)
 
 
 def infer_deterministic(m: Rbm, q: Query,
@@ -203,11 +167,7 @@ def infer_deterministic(m: Rbm, q: Query,
     its own fixed point and keeps its own energy trace.
     """
     config = config or DeterministicConfig()
-    _check_search_size(m, config.restarts, config.sweeps)
-    rng = np.random.default_rng(config.seed)
-    c = _Clamped(m, q.evidence)
-    Xf = c.initial_states(config.restarts, rng)
-    net, E = c.net_and_energy(Xf)
+    c, _, Xf, net, E = _start_search(m, q, config.restarts, config.sweeps, config.seed)
     traces = [[float(e)] for e in E]
     active = np.arange(config.restarts)
     for _ in range(config.sweeps):
@@ -224,7 +184,7 @@ def infer_deterministic(m: Rbm, q: Query,
     best = None
     for r in range(config.restarts):      # in order: the 1e-12 rule is order dependent
         best = _best(Xf[r:r + 1], E[r:r + 1], best)
-    return _report_from_state(m, c.full(best[0]), config.sweeps, config.restarts, traces)
+    return _report_from_state(m, c, best[0], config.sweeps, config.restarts, traces)
 
 
 def infer_exact(m: Rbm, evidence: Assignment) -> InferenceReport:
@@ -234,21 +194,19 @@ def infer_exact(m: Rbm, evidence: Assignment) -> InferenceReport:
     scored in bounded row blocks after the size check; only the winner
     becomes a full row.
     """
-    c = _Clamped(m, evidence)
+    c = _clamped(m, evidence)
     k = len(c.free)
     if k > BRUTE_LIMIT:
         raise SizeLimitError(
             f"{k} unassigned variables exceeds the exact-mode limit {BRUTE_LIMIT}")
     best_xf, best_e = None, np.inf
-    total, step = 2 ** k, block_rows(max(len(c.wired), k))
-    for start in range(0, total, step):
-        Xf = all_assignments(k, start, min(start + step, total))
+    for _, Xf in c.blocks():
         # the first minimum in counting order is the smallest of the exact ties
         _, E = c.net_and_energy(Xf)
         r = int(np.argmin(E))
         if best_xf is None or E[r] < best_e:
             best_xf, best_e = Xf[r].copy(), float(E[r])
-    return _report_from_state(m, c.full(best_xf), total, 1, [])
+    return _report_from_state(m, c, best_xf, 2 ** k, 1, [])
 
 
 @dataclass
@@ -268,14 +226,13 @@ def infer_conditional(m: Rbm, evidence: Assignment, targets) -> ConditionalRepor
     if sorted(targets + tuple(evidence.values)) != list(range(m.n_visible)):
         raise ValueError("targets must be distinct, disjoint from the evidence "
                          "and with it cover every visible unit")
-    k = _TargetGrid(m, targets)
-    x0 = np.array([[float(evidence.values.get(i, 0)) for i in range(m.n_visible)]])
-    p = np.exp(k.log_p(x0)[3][0])
+    p = np.exp(_clamped(m, evidence, targets).log_p()[0])
     p /= p.sum()
-    marginals = {t: float(p[k.grid[:, col] > 0.5].sum()) for col, t in enumerate(targets)}
+    grid = all_assignments(len(targets))
+    marginals = {t: float(p[grid[:, col] > 0.5].sum()) for col, t in enumerate(targets)}
     decision = {t: marginals[t] >= 0.5 for t in targets}
     return ConditionalReport(targets, p, marginals, decision,
-                             map_config=tuple(int(v) for v in k.grid[int(np.argmax(p))]))
+                             map_config=tuple(int(v) for v in grid[int(np.argmax(p))]))
 
 
 @dataclass
@@ -302,13 +259,11 @@ def verify_equivalence(m: Rbm, kb: KnowledgeBase, epsilon: float | None) -> Veri
     if n != m.n_visible:
         raise ValueError("model and knowledge base have different universes")
     worst, witness = -np.inf, None
-    total, step = 2 ** n, block_rows(max(m.n_hidden, n))
-    for start in range(0, total, step):
-        X = all_assignments(n, start, min(start + step, total))
+    for _, X in assignment_blocks(n, max(m.n_hidden, n)):
         dev = np.abs(weighted_sat_batch(kb, X) + energy_rank(m, X) / epsilon)
         k = int(np.argmax(dev))
         if witness is None or dev[k] > worst:
             worst, witness = float(dev[k]), X[k]
     return VerificationReport(max_deviation=worst,
                               witness={i: bool(witness[i] > 0.5) for i in range(n)},
-                              n_assignments=total)
+                              n_assignments=2 ** n)

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import formula as fm
 from .compiler import formula_to_sdnf_clauses
-from .rbm import (Rbm, _TargetGrid, _UniformBlocks, _clause_units, p_hidden_given_visible,
-                  p_visible_given_hidden, _sigmoid, _twice_sigmoid)
+from .rbm import (Rbm, _Clamped, _UniformBlocks, _clause_units, block_rows,
+                  p_hidden_given_visible, p_visible_given_hidden, _sigmoid, _twice_sigmoid)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -223,43 +223,48 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True, into: Grads | None = 
     """Exact -log p(y | x) for each row, and the gradient of their mean.
 
     The gradient is added to ``into`` when given (the caller zeroes it),
-    else to fresh zero arrays.
-
-    Each row carries its own label y in the target columns, and p(y | x)
-    comes from ``rbm._TargetGrid`` in its row blocks.  The wired units'
-    gradient sums over the grid; for the loose ones, with ``D = sum_c
-    coeff_c x_c`` (zero outside the target columns), ``gW[:, j] =
-    -D sig(net0)_j / tau`` and ``gb[j] = 0``.
+    else to fresh zero arrays.  Each row carries its own label y in the
+    target columns.  p(y | x) is ``rbm._Clamped.log_p`` of each row block,
+    whose configurations split only where one row's do not fit one block;
+    the gradient makes a second pass over them for the wired units.
+    For the loose ones, with ``D = sum_c coeff_c x_c`` (zero outside the
+    target columns), ``gW[:, j] = -D sig(net0)_j / tau`` and ``gb[j] = 0``.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    k = _TargetGrid(m, targets)
-    targets, grid, wired, loose, tau, step = k.targets, k.grid, k.wired, k.loose, k.tau, k.step
-    N = len(rows)
+    targets, tau, N = list(targets), m.tau, len(rows)
     # index of each row's label in counting order
     true = (rows[:, targets] @ (2 ** np.arange(len(targets) - 1, -1, -1))).astype(int)
     nll = np.empty(N)
     g = into
     if grad and g is None:
         g = Grads(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b))
+    # rows per block: their configurations of every hidden unit fit one block
+    step = block_rows(2 ** len(targets) * max(m.n_hidden, len(targets)))
     for start in range(0, N, step):
         X0 = rows[start:start + step].copy()
         X0[:, targets] = 0.0
-        net0, z, buf, logp = k.log_p(X0)
-        r = np.arange(len(X0))
-        nll[start:start + step] = -logp[r, true[start:start + step]]
+        c = _Clamped(m, targets, X0)
+        logp = c.log_p()
+        r, y = np.arange(len(X0)), true[start:start + step]
+        nll[start:start + step] = -logp[r, y]
         if not grad:
             continue
         coeff = -np.exp(logp)                                 # (B, C)
-        coeff[r, true[start:start + step]] += 1.0
+        coeff[r, y] += 1.0
         coeff /= N                                            # gradient of the mean
-        D = coeff @ grid                                      # (B, T), target columns of D
-        P = _sigmoid(z, out=buf)                              # (B, C, wired)
-        P *= coeff[:, :, None]                                # coeff_rc * sig_rcw
-        gb_w = -P.sum(axis=1) / tau                           # (B, wired), per row
-        g.b[wired] += gb_w.sum(axis=0)
-        g.W[:, wired] += X0.T @ gb_w
-        g.W[np.ix_(targets, wired)] -= (grid.T @ P).sum(axis=0) / tau
-        g.W[np.ix_(targets, loose)] -= D.T @ _sigmoid(net0[:, loose] / tau) / tau
+        sums = None
+        for lo, Xf in c.blocks():
+            cb = coeff[:, lo:lo + len(Xf)]
+            P = _sigmoid(c.z(Xf))
+            P *= cb[:, :, None]                               # coeff_rc * sig_rcw
+            part = (cb @ Xf, P.sum(axis=1), (Xf.T @ P).sum(axis=0))
+            sums = part if sums is None else [s + p for s, p in zip(sums, part)]
+        D, P_c, P_grid = sums                                 # D: (B, T), target columns
+        gb_w = -P_c / tau                                     # (B, wired), per row
+        g.b[c.wired] += gb_w.sum(axis=0)
+        g.W[:, c.wired] += X0.T @ gb_w
+        g.W[np.ix_(targets, c.wired)] -= P_grid / tau
+        g.W[np.ix_(targets, c.loose)] -= D.T @ _sigmoid(c.net0[:, c.loose] / tau) / tau
         g.a[targets] -= D.sum(axis=0) / tau
     return nll, g
 

@@ -14,7 +14,7 @@ from logicrbm.compiler import attach_hidden_units
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import block_rows, energy_rank
 from logicrbm.reasoner import (
-    DeterministicConfig, GibbsConfig, Query, _Clamped, infer_conditional, infer_exact,
+    DeterministicConfig, GibbsConfig, Query, _clamped, infer_conditional, infer_exact,
 )
 from logicrbm.trainer import Dataset, TrainConfig, _conditional
 
@@ -162,11 +162,12 @@ class TestSparseSearch:
     @given(SEEDS)
     def test_clamped_kernel_keeps_only_wired_units(self, seed):
         rng, m, q = sparse_search_instance(seed)
-        c = _Clamped(m, q.evidence)
+        c = _clamped(m, q.evidence)
         assert c.W.shape[1] == m.n_hidden - loose_units(m, q.evidence)
         Xf = (rng.random((4, len(c.free))) < 0.5).astype(float)
         _, E = c.net_and_energy(Xf)
-        X = np.array([c.full(x) for x in Xf])
+        X = np.repeat(c.X0, len(Xf), axis=0)
+        X[:, c.free] = Xf
         np.testing.assert_allclose(E, energy_rank(m, X), rtol=0, atol=1e-9)
 
     @settings(max_examples=150, deadline=None)
@@ -325,6 +326,35 @@ class TestConditionalKernel:
         for col, t in enumerate(targets):
             assert abs(rep.marginals[t] - ref[grid[:, col] > 0.5].sum()) <= 1e-12
 
+    @pytest.mark.parametrize("limit", [1, 7, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS)
+    def test_split_configurations_match_reference(self, limit, seed):
+        """With ``BLOCK_ELEMENTS`` patched small, one row's configurations
+        span several blocks (at limit 1, one configuration each): the
+        probabilities, the NLL and the gradient still match the reference."""
+        rng = np.random.default_rng(seed)
+        n, h = int(rng.integers(2, 8)), int(rng.integers(1, 10))
+        m = sparse_rbm(rng, n, h, zero_columns=[0])       # unit 0 is always loose
+        m.tau = float(rng.choice(TAUS))
+        targets = rng.permutation(n)[: rng.integers(1, min(n, 5) + 1)].tolist()
+        rows = (rng.random((int(rng.integers(1, 5)), n)) < 0.5).astype(float)
+        x = rows[0]
+        evidence = fm.Assignment({i: bool(x[i]) for i in range(n) if i not in targets}, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rbm, "BLOCK_ELEMENTS", limit)
+            rep = infer_conditional(m, evidence, targets)
+            nll, g = _conditional(m, rows, targets)
+        grid = all_assignments(len(targets))
+        ref = np.exp([-ref_conditional_nll(m, x, y, targets) for y in grid])
+        np.testing.assert_allclose(rep.probabilities, ref, rtol=0, atol=1e-12)
+        ref_nll = [ref_conditional_nll(m, r, r[targets], targets) for r in rows]
+        np.testing.assert_allclose(nll, ref_nll, rtol=0, atol=1e-12)
+        grads = [ref_discriminative_gradient(m, r, r[targets], targets) for r in rows]
+        for part in ("W", "a", "b"):
+            ref_part = sum(getattr(gr, part) for gr in grads) / len(rows)
+            np.testing.assert_allclose(getattr(g, part), ref_part, rtol=0, atol=1e-12)
+
     def test_ten_targets_span_several_row_blocks(self):
         rng = np.random.default_rng(10)
         n, hidden, N = 14, 64, 40
@@ -359,6 +389,7 @@ class TestConditionalKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 1.1 * peaks[1]
+        assert peaks[0] <= 40 * 2**20, peaks[0]
         new, ref = results
         for arr, ref_arr in ((new.W, ref.W), (new.a, ref.a), (new.b, ref.b)):
             np.testing.assert_allclose(arr, ref_arr, rtol=0, atol=1e-10)
@@ -513,7 +544,7 @@ class TestUniformBlocks:
                               seed=int(rng.integers(1 << 31)))
             monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", default)
             whole = L.infer_gibbs(m, q, cfg)
-            c = _Clamped(m, q.evidence)
+            c = _clamped(m, q.evidence)
             per_step = cfg.restarts * (len(c.wired) + len(c.free))
             # a limit that is not a whole number of steps leaves a ragged last block
             monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", steps_per_block * per_step + per_step // 2)

@@ -14,6 +14,7 @@ from logicrbm.reasoner import (
     infer_exact, infer_gibbs, verify_equivalence,
 )
 from logicrbm.rbm import Rbm, energy_rank
+from logicrbm.trainer import _conditional
 
 from conftest import random_kb, random_rbm
 from reference_kernels import ref_brute_force_maxsat, ref_conditional_nll, ref_infer_exact
@@ -31,6 +32,29 @@ def nixon(kb_dir):
     kb = L.load_kb(kb_dir / "nixon.kb")
     m, _ = L.compile_kb(kb)
     return kb, m
+
+
+def horn_network():
+    """400 weighted Horn rules over 200 variables, each with three body
+    literals (30% negated); every variable occurs in 8 rules."""
+    rng = np.random.default_rng(1)
+    stream = np.concatenate([rng.permutation(200) for _ in range(8)])
+    rules = []
+    for r in range(400):
+        body, head = stream[4 * r:4 * r + 3], stream[4 * r + 3]
+        lits = " & ".join(("~" if rng.random() < 0.3 else "") + f"v{i}" for i in body)
+        rules.append(f"{1 + r % 10}: v{head} <- {lits}")
+    return rng, L.compile_kb(fm.parse_kb("\n".join(rules)))[0]
+
+
+def traced_peak(kernel):
+    """The kernel's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = kernel()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBruteForceMaxsat:
@@ -239,6 +263,24 @@ class TestInferExact:
             infer_exact(m, fm.Assignment({}, 71))
 
 
+class TestEvidenceUniverse:
+    """A search refuses evidence over a universe other than the model's."""
+
+    SEARCHES = {
+        "gibbs": lambda m, ev: infer_gibbs(m, Query(ev), GibbsConfig(steps=5)),
+        "deterministic": lambda m, ev: infer_deterministic(m, Query(ev)),
+        "exact": infer_exact,
+    }
+
+    @pytest.mark.parametrize("mode", sorted(SEARCHES))
+    @pytest.mark.parametrize("evidence", [fm.Assignment({0: True}, 2), fm.Assignment({}, 4)],
+                             ids=["smaller", "larger"])
+    def test_other_universe_rejected(self, kb_dir, mode, evidence):
+        m, _ = L.compile_kb(L.load_kb(kb_dir / "xor.kb"))
+        with pytest.raises(ValueError, match=f"evidence over {evidence.n} variables"):
+            self.SEARCHES[mode](m, evidence)
+
+
 class TestInferConditional:
     def test_zero_weights_uniform(self):
         m = Rbm(W=np.zeros((3, 2)), a=np.zeros(3), b=np.zeros(2))
@@ -288,30 +330,33 @@ class TestInferConditional:
             infer_conditional(m, fm.Assignment({0: True, 1: True}, 3), (2, 2))
 
     def test_twelve_targets_in_bounded_memory(self):
-        # 400 weighted Horn rules over 200 variables, each with three body
-        # literals (30% negated); every variable occurs in 8 rules
-        rng = np.random.default_rng(1)
-        stream = np.concatenate([rng.permutation(200) for _ in range(8)])
-        rules = []
-        for r in range(400):
-            body, head = stream[4 * r:4 * r + 3], stream[4 * r + 3]
-            lits = " & ".join(("~" if rng.random() < 0.3 else "") + f"v{i}" for i in body)
-            rules.append(f"{1 + r % 10}: v{head} <- {lits}")
-        m, _ = L.compile_kb(fm.parse_kb("\n".join(rules)))
+        rng, m = horn_network()
         targets = rng.choice(200, 12, replace=False).tolist()
         x = (rng.random(200) < 0.5).astype(float)
         evidence = fm.Assignment({i: bool(x[i]) for i in range(200) if i not in targets}, 200)
-        tracemalloc.start()
-        try:
-            rep = infer_conditional(m, evidence, targets)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced_peak(lambda: infer_conditional(m, evidence, targets))
         assert peak <= 48 * 2**20, peak
         y = [int(x[t]) for t in targets]
         k = int("".join(map(str, y)), 2)
         assert np.log(rep.probabilities[k]) == pytest.approx(
             -ref_conditional_nll(m, x, y, targets), abs=1e-9)
+
+    def test_sixteen_targets_in_bounded_memory(self):
+        """At the target limit one row's 2^16 configurations x wired units
+        no longer fit one block: both exact kernels split them, and agree."""
+        rng, m = horn_network()
+        targets = rng.choice(200, 16, replace=False).tolist()
+        rows = (rng.random((4, 200)) < 0.5).astype(float)
+        x = rows[0]
+        evidence = fm.Assignment({i: bool(x[i]) for i in range(200) if i not in targets}, 200)
+        rep, peak = traced_peak(lambda: infer_conditional(m, evidence, targets))
+        assert peak <= 48 * 2**20, peak
+        (nll, g), peak = traced_peak(lambda: _conditional(m, rows, targets))
+        assert peak <= 48 * 2**20, peak
+        assert rep.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        k = int("".join(str(int(x[t])) for t in targets), 2)
+        assert nll[0] == pytest.approx(-np.log(rep.probabilities[k]), abs=1e-9)
+        assert np.isfinite(g.W).all() and np.isfinite(g.a).all() and np.isfinite(g.b).all()
 
     def test_probabilities_normalize(self, nixon):
         _, m = nixon
