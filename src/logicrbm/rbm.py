@@ -222,7 +222,71 @@ class _Clamped:
         of free values under the one evidence row."""
         net = np.matmul(Xf, self.W, out=net)
         net += self.base
-        return net, self.e_base - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
+        return net, self.energy(Xf, net)
+
+    def energy(self, Xf, net):
+        """E_rank of free values ``Xf`` with wired net input ``net``, under the
+        one evidence row."""
+        return self.e_base[0] - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
+
+    def descend(self, Xf, net, E, rounds=None, traces=None):
+        """Steepest single-flip descent on E_rank, the tau = 0 limit of search.
+
+        Flipping free variable i (d = 1 - 2 x_i) changes E_rank by
+        ``-a_i d - sum_j [relu(net_j + d W_ij) - relu(net_j)]`` over the
+        nonzeros of its row, so a round scores every flip of every row in
+        O(rows x nnz(W)), in row blocks of ``block_rows(nnz)``.  Each row
+        whose lowest change is below -1e-12 flips the lowest free index whose
+        change is below -1e-12 and within 1e-12 of it, so every flip lowers
+        the energy; ``Xf``, ``net`` and ``E`` are updated in place,
+        and each moved row's new energy goes to its list in ``traces`` when
+        given.  Stops after ``rounds`` rounds (None: no bound) or when no row
+        moves, every row then being a single-flip local minimum.  Draws no
+        random numbers.
+        """
+        nonzero = self.W != 0
+        # the nonzeros in row-major order, so each variable's form one run
+        w, counts = self.W[nonzero], nonzero.sum(axis=1)
+        col = np.broadcast_to(np.arange(self.W.shape[1]), self.W.shape)[nonzero]
+        touched = np.flatnonzero(counts)
+        first = (np.cumsum(counts) - counts)[touched]
+
+        def deltas(rows):
+            """d = 1 - 2 x and the energy change of every flip, for the rows ``rows``."""
+            d = 1.0 - 2.0 * Xf[rows]
+            old = net[rows[:, None], col]
+            new = np.repeat(d, counts, axis=1)
+            new *= w
+            new += old
+            np.maximum(new, 0.0, out=new)
+            np.maximum(old, 0.0, out=old)
+            new -= old                                    # relu gain of each nonzero
+            delta = -d * self.a
+            if len(touched):
+                delta[:, touched] -= np.add.reduceat(new, first, axis=1)
+            return d, delta
+
+        step, k = block_rows(len(w)), len(self.free)
+        active, done = np.arange(len(Xf)), 0
+        while k and len(active) and (rounds is None or done < rounds):
+            done += 1
+            moved = []
+            for lo in range(0, len(active), step):
+                rows = active[lo:lo + step]
+                d, delta = deltas(rows)
+                lowest = delta <= delta.min(axis=1, keepdims=True) + 1e-12
+                lowest &= delta < -1e-12
+                go = lowest.any(axis=1)
+                i = lowest.argmax(axis=1)[go]
+                rows, sign = rows[go], d[go, i]
+                Xf[rows, i] += sign
+                net[rows] += sign[:, None] * self.W[i]
+                moved.append(rows)
+            active = np.concatenate(moved)
+            E[active] = self.energy(Xf[active], net[active])
+            if traces is not None:
+                for r in active:
+                    traces[r].append(float(E[r]))
 
     def net_visible(self, H, out=None):
         """Free visibles' net input from the wired units' states."""

@@ -2,7 +2,7 @@
 
 Minimising E_rank over completions of the evidence is the same search as
 maximising weighted satisfiability, so the module offers: annealed Gibbs
-search, zero-temperature coordinate descent, exact search by enumeration,
+search, zero-temperature single-flip descent, exact search by enumeration,
 exact conditional inference over a small target set, and an enumeration
 check that a network really is equivalent to its knowledge base.
 """
@@ -34,7 +34,7 @@ class Query:
 
 @dataclass
 class GibbsConfig:
-    steps: int = 200
+    steps: int = 50
     restarts: int = 10
     seed: int = 0
 
@@ -121,9 +121,9 @@ def _best(Xf, energies, best=None):
 
 
 def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> InferenceReport:
-    """Clamped Gibbs chains with a geometric temperature anneal.
+    """Clamped Gibbs chains with a geometric temperature anneal, then descent.
 
-    Runs all restarts in lockstep and reports the best-energy visible state
+    Runs all restarts in lockstep and keeps the best-energy visible state
     visited by any chain at any step.  Only the free visible columns and
     the wired hidden units are updated, and each step draws uniforms for
     those alone, in blocks of whole steps (``rbm._UniformBlocks``); a
@@ -132,7 +132,11 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
     and the next hidden sample.  The temperature falls from ``TAU_START`` to
     ``TAU_END`` times the largest ``|W|`` of the network, so a network
     with some nonzero weight, scaled as a whole, anneals through the same
-    probabilities.
+    probabilities.  Every chain's final state and the best state then
+    descend to single-flip local minima (``_Clamped.descend``), and the
+    answer is the best of those and the anneal's best.  ``energy_trace`` is
+    the anneal's best energy after each step; the answer is never above its
+    last entry.
     """
     config = config or GibbsConfig()
     c, rng, Xf, net, E = _start_search(m, q, config.restarts, config.steps, config.seed)
@@ -154,33 +158,26 @@ def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> Inferenc
         if E.min() - best[1] <= 1e-12:
             best = _best(Xf, E, best)
         trace.append(best[1])
+    ends = np.vstack([Xf, best[0]])
+    c.descend(ends, *c.net_and_energy(ends))
+    best = _best(ends, c.net_and_energy(ends)[1], best)
     return _report_from_state(m, c, best[0], config.steps, config.restarts, trace)
 
 
 def infer_deterministic(m: Rbm, q: Query,
                         config: DeterministicConfig | None = None) -> InferenceReport:
-    """tau = 0 coordinate descent from random restarts.
+    """tau = 0 search: steepest single-flip descent from random restarts.
 
-    Each sweep sets h_j = [net_j > 0] and then every unclamped visible to
-    [net_i > 0]; both are exact conditional minimisations, so E_rank never
-    increases along a run.  The restarts sweep in lockstep; each stops at
-    its own fixed point and keeps its own energy trace.
+    Each restart flips, round by round, the free variable that lowers
+    E_rank most (``_Clamped.descend``), for at most ``sweeps`` rounds or
+    until no flip lowers it, so E_rank never increases along a run.  The
+    restarts run in lockstep; each keeps its own energy trace.
     """
     config = config or DeterministicConfig()
     c, _, Xf, net, E = _start_search(m, q, config.restarts, config.sweeps, config.seed)
     traces = [[float(e)] for e in E]
-    active = np.arange(config.restarts)
-    for _ in range(config.sweeps):
-        h = (net[active] > 0).astype(float)
-        new = (c.net_visible(h) > 0).astype(float)
-        moved = (new != Xf[active]).any(axis=1)
-        active, new = active[moved], new[moved]
-        if not len(active):
-            break
-        Xf[active] = new
-        net[active], E[active] = c.net_and_energy(new)
-        for r in active:
-            traces[r].append(float(E[r]))
+    c.descend(Xf, net, E, config.sweeps, traces)
+    _, E = c.net_and_energy(Xf)
     best = None
     for r in range(config.restarts):      # in order: the 1e-12 rule is order dependent
         best = _best(Xf[r:r + 1], E[r:r + 1], best)

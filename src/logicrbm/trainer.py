@@ -259,6 +259,7 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True, into: Grads | None = 
             P *= cb[:, :, None]                               # coeff_rc * sig_rcw
             part = (cb @ Xf, P.sum(axis=1), (Xf.T @ P).sum(axis=0))
             sums = part if sums is None else [s + p for s, p in zip(sums, part)]
+            del P                                             # before the next block's z
         D, P_c, P_grid = sums                                 # D: (B, T), target columns
         gb_w = -P_c / tau                                     # (B, wired), per row
         g.b[c.wired] += gb_w.sum(axis=0)

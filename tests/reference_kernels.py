@@ -445,6 +445,35 @@ def _best(X, energies):
     return X[k].copy(), float(energies[k])
 
 
+def _ref_descend(m, x, free, rounds=None, trace=None):
+    """Steepest single-flip descent of the full row ``x`` over its ``free``
+    columns, in place: each round scores every flip by ``energy_rank`` of
+    the flipped row and, if the lowest change is below -1e-12, takes the
+    lowest index whose change is below -1e-12 and within 1e-12 of it.  At
+    most ``rounds`` flips (None: until none lowers the energy); each new
+    energy goes to ``trace``."""
+    e, done = float(energy_rank(m, x)), 0
+    while free and (rounds is None or done < rounds):
+        flipped = np.repeat(x[None, :], len(free), axis=0)
+        flipped[np.arange(len(free)), free] = 1.0 - x[free]
+        delta = energy_rank(m, flipped) - e
+        low = delta.min()
+        if not low < -1e-12:
+            break
+        i = free[int(np.argmax((delta <= low + 1e-12) & (delta < -1e-12)))]
+        x[i] = 1.0 - x[i]
+        e, done = float(energy_rank(m, x)), done + 1
+        if trace is not None:
+            trace.append(e)
+    return x
+
+
+def _replaces(cand_x, cand_e, best_x, best_e):
+    """The running-best rule: more than 1e-12 lower, or within 1e-12 and smaller."""
+    return best_x is None or cand_e < best_e - 1e-12 or (
+        abs(cand_e - best_e) <= 1e-12 and tuple(cand_x) < tuple(best_x))
+
+
 def ref_infer_gibbs(m, q, config=None):
     config = config or GibbsConfig()
     rng = np.random.default_rng(config.seed)
@@ -467,10 +496,15 @@ def ref_infer_gibbs(m, q, config=None):
             pv = _sigmoid(net_visible(m, H)[:, free] / tau)
             X[:, free] = (rng.random(pv.shape) < pv).astype(float)
         cand_x, cand_e = _best(X, energy_rank(m, X))
-        if cand_e < best_e - 1e-12 or (abs(cand_e - best_e) <= 1e-12
-                                       and tuple(cand_x) < tuple(best_x)):
+        if _replaces(cand_x, cand_e, best_x, best_e):
             best_x, best_e = cand_x, cand_e
         trace.append(best_e)
+    # every chain's last state and the best state, each descended to a
+    # single-flip local minimum
+    ends = np.array([_ref_descend(m, x.copy(), free) for x in [*X, best_x]])
+    cand_x, cand_e = _best(ends, energy_rank(m, ends))
+    if _replaces(cand_x, cand_e, best_x, best_e):
+        best_x = cand_x
     return _report_from_state(m, best_x, config.steps, config.restarts, trace)
 
 
@@ -483,20 +517,10 @@ def ref_infer_deterministic(m, q, config=None):
     best_x, best_e, traces = None, np.inf, []
     for x in starts:
         trace = [float(energy_rank(m, x))]
-        for _ in range(config.sweeps):
-            h = (net_hidden(m, x) > 0).astype(float)
-            new = x.copy()
-            if free:
-                new[free] = (net_visible(m, h)[free] > 0).astype(float)
-            e = float(energy_rank(m, new))
-            if np.array_equal(new, x):
-                break
-            x = new
-            trace.append(e)
+        x = _ref_descend(m, x, free, config.sweeps, trace)
         traces.append(trace)
         e = float(energy_rank(m, x))
-        if e < best_e - 1e-12 or (abs(e - best_e) <= 1e-12
-                                  and (best_x is None or tuple(x) < tuple(best_x))):
+        if _replaces(x, e, best_x, best_e):
             best_x, best_e = x.copy(), e
     return _report_from_state(m, best_x, config.sweeps, config.restarts, traces)
 

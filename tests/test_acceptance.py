@@ -154,12 +154,14 @@ def test_criterion_5_descent_and_gibbs(capsys):
             m, _ = compile_kb(kb)
             ev = fm.Assignment(evidence, len(kb.table))
             _, best = ref_brute_force_maxsat(kb, ev)
-            hits = 0
-            for seed in range(50):
-                rep = infer_gibbs(m, Query(evidence=ev),
-                                  GibbsConfig(steps=200, restarts=10, seed=seed))
-                hits += abs(rep.weighted_sat - best) <= 1e-9
-            assert hits >= 45, f"{kb_name}: {hits}/50 seeds reached the optimum"
+            # the explicit 200 steps and the default anneal
+            for steps in (200, GibbsConfig().steps):
+                hits = 0
+                for seed in range(50):
+                    rep = infer_gibbs(m, Query(evidence=ev),
+                                      GibbsConfig(steps=steps, restarts=10, seed=seed))
+                    hits += abs(rep.weighted_sat - best) <= 1e-9
+                assert hits >= 45, f"{kb_name}, {steps} steps: {hits}/50 seeds reached the optimum"
 
 
 def test_criterion_6_gradient_correctness(capsys):

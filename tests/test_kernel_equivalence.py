@@ -95,6 +95,63 @@ class TestSearchKernels:
                 kb, np.array([r.vector(m.n_visible) for r in gibbs]))
             assert abs(weights[0] - weights[1]) <= 1e-9
 
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_answers_are_single_flip_minima(self, seed):
+        rng, m, q = random_search_instance(seed)
+        s = int(rng.integers(1 << 31))
+        # every flip lowers the energy, so no state repeats within 2^n rounds
+        reports = (L.infer_gibbs(m, q, GibbsConfig(steps=int(rng.integers(0, 40)),
+                                                   restarts=int(rng.integers(1, 6)), seed=s)),
+                   L.infer_deterministic(m, q, DeterministicConfig(
+                       sweeps=2 ** m.n_visible, restarts=int(rng.integers(1, 6)), seed=s)))
+        free = list(q.evidence.unassigned())
+        for rep in reports:
+            x = rep.vector(m.n_visible)
+            flipped = np.repeat(x[None, :], len(free), axis=0)
+            flipped[np.arange(len(free)), free] = 1.0 - x[free]
+            assert (energy_rank(m, flipped) >= rep.energy_rank - 1e-9).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_gibbs_answer_never_above_its_anneal(self, seed):
+        rng, m, q = random_search_instance(seed)
+        cfg = GibbsConfig(steps=int(rng.integers(0, 40)), restarts=int(rng.integers(1, 6)),
+                          seed=int(rng.integers(1 << 31)))
+        rep = L.infer_gibbs(m, q, cfg)
+        assert rep.energy_rank <= rep.energy_trace[-1] + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS)
+    def test_gibbs_without_steps_descends_from_every_restart(self, seed):
+        """The same seed draws the same first states, and with no anneal
+        each chain's last state is its first."""
+        rng, m, q = random_search_instance(seed)
+        restarts, s = int(rng.integers(1, 6)), int(rng.integers(1 << 31))
+        gibbs = L.infer_gibbs(m, q, GibbsConfig(steps=0, restarts=restarts, seed=s))
+        descent = L.infer_deterministic(
+            m, q, DeterministicConfig(sweeps=2 ** m.n_visible, restarts=restarts, seed=s))
+        assert gibbs.energy_rank == pytest.approx(descent.energy_rank, abs=1e-9)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    def test_descent_across_blocks_matches_whole(self, monkeypatch, rows_per_block):
+        """Restart blocks of ``block_rows(nnz)`` rows change no flip."""
+        default, split = rbm.BLOCK_ELEMENTS, 0
+        for seed in range(40):
+            rng, m, q = random_search_instance(seed)
+            cfg = DeterministicConfig(sweeps=int(rng.integers(1, 20)),
+                                      restarts=int(rng.integers(2, 6)),
+                                      seed=int(rng.integers(1 << 31)))
+            monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", default)
+            whole = L.infer_deterministic(m, q, cfg)
+            nnz = int((_clamped(m, q.evidence).W != 0).sum())
+            monkeypatch.setattr(rbm, "BLOCK_ELEMENTS", rows_per_block * nnz + nnz // 2)
+            new = L.infer_deterministic(m, q, cfg)
+            split += nnz > 0 and cfg.restarts > rows_per_block
+            assert new.assignment == whole.assignment
+            assert new.energy_trace == whole.energy_trace
+        assert split >= 20
+
 
 def sparse_rbm(rng, n_visible, n_hidden, zero_columns=()):
     """A random network with most weights zero, so a query leaves units loose."""
