@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normal_forms import ConjunctiveClause
-from .rbm import Rbm
+from .rbm import Rbm, column_nonzeros
 from .trainer import Dataset
 
 DEFAULT_PRUNE_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
@@ -35,21 +35,34 @@ EXTRACT_BLOCK = 1 << 15
 
 
 def _block_scores(Wb: np.ndarray):
-    """Winning prune fraction, its scale c and its distance for each column.
+    """Each column's winning prune fraction, scored from its nonzeros.
 
-    Every column is scored against every fraction at once.  A fraction
+    Returns the rows and columns of the block's nonzeros (``column_nonzeros``),
+    the sign of each where the winner keeps it and 0 where it prunes it, and
+    each column's scale c and distance.  Every column is scored against
+    every fraction at once.  A zero entry is kept only where the fraction
+    times the column's top magnitude is 0 (at fraction 0, or in an all-zero
+    column); it then adds to the count of the mean alone.  A fraction
     replaces the running best only when its distance is smaller by more
     than 1e-15, so the first of near-equal candidates wins.  An all-zero
     column keeps every entry, and scores c = 0 at distance 0.
     """
-    A = np.abs(Wb)
-    top = A.max(axis=0)
-    best_k = np.zeros(Wb.shape[1], dtype=int)
-    for k, f in enumerate(DEFAULT_PRUNE_FRACTIONS):
-        keep = A >= f * top
-        c = np.where(keep, A, 0.0).sum(axis=0) / keep.sum(axis=0)
-        resid = Wb - np.sign(Wb) * keep * c
-        dist = np.sqrt(np.einsum("ij,ij->j", resid, resid))
+    n, h = Wb.shape
+    rows, cols, w = column_nonzeros(Wb)
+    A = np.abs(w)
+    nnz = np.bincount(cols, minlength=h)
+    top = np.zeros(h)
+    top[nnz > 0] = np.maximum.reduceat(A, (np.cumsum(nnz) - nnz)[nnz > 0])
+    fractions = np.asarray(DEFAULT_PRUNE_FRACTIONS)
+    best_k = np.zeros(h, dtype=int)
+    for k, f in enumerate(fractions):
+        keep = A >= f * top[cols]
+        count = np.bincount(cols, keep, minlength=h) + np.where(f * top == 0, n - nnz, 0)
+        # sums run down each column in row order, as dense sums over rows do;
+        # a count is 0 only in a model without visible units
+        c = np.bincount(cols, A * keep, minlength=h) / np.maximum(count, 1)
+        resid = w - np.sign(w) * keep * c[cols]
+        dist = np.sqrt(np.bincount(cols, resid * resid, minlength=h))
         if k == 0:
             best_c, best_d = c, dist
             continue
@@ -57,14 +70,15 @@ def _block_scores(Wb: np.ndarray):
         best_k[better] = k
         best_c = np.where(better, c, best_c)
         best_d = np.where(better, dist, best_d)
-    keep = A >= np.asarray(DEFAULT_PRUNE_FRACTIONS)[best_k] * top
-    return keep, best_c, best_d
+    kept = np.sign(w) * (A >= (fractions[best_k] * top)[cols])
+    return rows, cols, kept, best_c, best_d
 
 
-def _rows_per_column(mask: np.ndarray) -> list[tuple[int, ...]]:
-    """The True row indices of each column, ascending."""
-    rows = np.nonzero(mask.T)[1].tolist()
-    ends = np.cumsum(mask.sum(axis=0)).tolist()
+def _rows_per_column(rows, cols, mask, h: int) -> list[tuple[int, ...]]:
+    """The rows of the ``mask``ed cells of each of ``h`` columns, ascending;
+    ``rows`` and ``cols`` run column by column."""
+    ends = np.cumsum(np.bincount(cols[mask], minlength=h)).tolist()
+    rows = rows[mask].tolist()
     return [tuple(rows[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
 
@@ -73,10 +87,9 @@ def extract_clauses(m: Rbm) -> list[ExtractedClause]:
     out = []
     step = max(1, EXTRACT_BLOCK // max(m.n_visible, 1))
     for start in range(0, m.n_hidden, step):
-        Wb = m.W[:, start:start + step]
-        keep, cs, dists = _block_scores(Wb)
-        for j, (pos, neg) in enumerate(zip(_rows_per_column(keep & (Wb > 0)),
-                                           _rows_per_column(keep & (Wb < 0)))):
+        rows, cols, kept, cs, dists = _block_scores(m.W[:, start:start + step])
+        for j, (pos, neg) in enumerate(zip(_rows_per_column(rows, cols, kept > 0, len(cs)),
+                                           _rows_per_column(rows, cols, kept < 0, len(cs)))):
             out.append(ExtractedClause(clause=ConjunctiveClause(pos, neg), c=float(cs[j]),
                                        hidden_index=start + j, distance=float(dists[j]),
                                        empty=not (pos or neg)))

@@ -113,11 +113,14 @@ def net_visible(m: Rbm, H) -> np.ndarray:
 
 
 def energy_rank(m: Rbm, X) -> np.ndarray | float:
-    """min_h E(x, h); accepts a single vector or a batch of rows."""
+    """min_h E(x, h); accepts a single vector or a batch of rows.  It holds
+    one (rows, n_hidden) array, the net input, rectified in place."""
     X = np.asarray(X, dtype=float)
     single = X.ndim == 1
-    net = net_hidden(m, np.atleast_2d(X))
-    out = m.e0 - np.atleast_2d(X) @ m.a - np.maximum(net, 0.0).sum(axis=1)
+    X = np.atleast_2d(X)
+    net = X @ m.W
+    net += m.b
+    out = m.e0 - X @ m.a - np.maximum(net, 0.0, out=net).sum(axis=1)
     return float(out[0]) if single else out
 
 
@@ -320,17 +323,21 @@ class _Clamped:
 # Clause units and model file I/O
 # ---------------------------------------------------------------------------
 
-def clause_patterns(pos, neg, n_visible: int, epsilon: float):
-    """The unit pattern of each clause: signs S (n_visible x units) and bias.
+def column_nonzeros(W: np.ndarray):
+    """Rows, columns and values of the nonzeros of ``W``, column by column
+    and down each column.  Its temporaries are two booleans per entry."""
+    cols, rows = np.divmod(np.flatnonzero(W.T != 0), W.shape[0])
+    return rows, cols, W[rows, cols]
 
-    Clause j has the positive literals ``pos[j]`` and the negative ones
-    ``neg[j]`` (index lists).  ``S[i, j]`` is +1 for a positive literal of
-    clause j, -1 for a negative one and 0 otherwise; ``bias[j] = -T_j +
-    epsilon`` with T_j the number of +1s in column j, so a variable listed
-    twice counts once.  A clause with confidence c becomes the hidden unit
-    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.  A variable outside
-    ``0 .. n_visible - 1``, or one in both polarities, raises ``ValueError``
-    naming the clause's position j.
+
+def _clause_cells(pos, neg, n_visible: int):
+    """The literals of clauses with the positive literals ``pos[j]`` and the
+    negative ones ``neg[j]`` (index lists), as cells: variable, clause and
+    sign (+1 or -1), positive literals first.  Also which variables each
+    clause mentions, a (clauses x n_visible) boolean, and T_j, the number of
+    distinct positive literals of clause j, so a variable listed twice
+    counts once.  A variable outside ``0 .. n_visible - 1``, or one in both
+    polarities, raises ``ValueError`` naming the clause's position j.
     """
     k = len(pos)
     cells = []
@@ -343,21 +350,48 @@ def clause_patterns(pos, neg, n_visible: int, epsilon: float):
                              f"0..{n_visible - 1}")
         cells.append((var, col))
     (pos_var, pos_col), (neg_var, neg_col) = cells
-    S = np.zeros((n_visible, k))
-    S[pos_var, pos_col] = 1.0
-    both = S[neg_var, neg_col] == 1.0
+    mentions = np.zeros((k, n_visible), dtype=bool)
+    mentions[pos_col, pos_var] = True
+    T = mentions.sum(axis=1)
+    both = mentions[neg_col, neg_var]
     if both.any():
         raise ValueError(f"clause {neg_col[both.argmax()]} has a variable in both polarities")
-    S[neg_var, neg_col] = -1.0
-    return S, epsilon - (S > 0).sum(axis=0)
+    mentions[neg_col, neg_var] = True
+    sign = np.repeat([1.0, -1.0], [len(pos_var), len(neg_var)])
+    return (np.concatenate((pos_var, neg_var)), np.concatenate((pos_col, neg_col)), sign,
+            mentions, T)
 
 
-def _scaled(S, bias, c):
-    """``S * c`` and ``bias * c`` in place.  A negative c would put a satisfied
+def clause_patterns(pos, neg, n_visible: int, epsilon: float):
+    """The unit pattern of each clause: signs S (n_visible x units) and bias.
+
+    Clause j has the positive literals ``pos[j]`` and the negative ones
+    ``neg[j]`` (index lists).  ``S[i, j]`` is +1 for a positive literal of
+    clause j, -1 for a negative one and 0 otherwise; ``bias[j] = -T_j +
+    epsilon`` with T_j the number of +1s in column j, so a variable listed
+    twice counts once.  A clause with confidence c becomes the hidden unit
+    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.  A variable outside
+    ``0 .. n_visible - 1``, or one in both polarities, raises ``ValueError``
+    naming the clause's position j.
+    """
+    var, col, sign, _, T = _clause_cells(pos, neg, n_visible)
+    S = np.zeros((n_visible, len(pos)))
+    S[var, col] = sign
+    return S, epsilon - T
+
+
+def _confidences(c) -> np.ndarray:
+    """Clause confidences as floats.  A negative c would put a satisfied
     clause's net input below zero, so its unit would never fire."""
     c = np.asarray(c, dtype=float)
     if (c < 0).any():
         raise ValueError(f"clause {(c < 0).argmax()}: confidence value must be non-negative")
+    return c
+
+
+def _scaled(S, bias, c):
+    """``S * c`` and ``bias * c`` in place, for confidences c >= 0."""
+    c = _confidences(c)
     S *= c
     bias *= c
     return S, bias
@@ -367,14 +401,17 @@ def _annotation(clause, c: float) -> dict:
     return {"pos": list(clause.pos), "neg": list(clause.neg), "confidence": float(c)}
 
 
-def _clause_units(m: Rbm):
-    """The annotated hidden units, the ``clause_patterns`` of their clauses (counted
-    over these units alone) and their confidences."""
-    anns = m.clause_annotations
-    units = np.array([j for j, ann in enumerate(anns) if ann], dtype=int)
-    S, bias = clause_patterns([anns[j]["pos"] for j in units], [anns[j]["neg"] for j in units],
-                              m.n_visible, m.epsilon or 0.0)   # 0.0 only when no unit reads it
-    return units, S, bias, np.array([float(anns[j]["confidence"]) for j in units])
+def _clause_units(annotations, n_visible: int, epsilon: float | None):
+    """The annotated hidden units of a model's ``annotations``, the
+    ``_clause_cells`` of their clauses (clause j is unit ``units[j]``), their
+    bias pattern ``-T_j + epsilon`` and their confidences."""
+    units = [j for j, ann in enumerate(annotations) if ann]
+    anns = [annotations[j] for j in units]
+    *cells, T = _clause_cells([ann["pos"] for ann in anns], [ann["neg"] for ann in anns],
+                              n_visible)
+    eps = epsilon or 0.0                    # 0.0 only when no unit reads it
+    return (np.array(units, dtype=int), cells, eps - T,
+            np.array([float(ann["confidence"]) for ann in anns]))
 
 
 def model_to_dict(m: Rbm) -> dict:
@@ -432,11 +469,21 @@ def model_from_dict(doc: dict) -> Rbm:
             epsilon=None if doc.get("epsilon") is None else _number(doc, "epsilon", None),
             clause_annotations=annotations)
     # each annotated unit is its clause at a confidence c >= 0: weights c * S
-    # and bias c * (-T + eps), to 1e-9 relative above 1
-    units, S, bias, c = _clause_units(m)
-    S, bias = _scaled(S, bias, c)
-    off = (np.abs(m.W[:, units] - S) > 1e-9 * np.maximum(1.0, np.abs(S))).any(axis=0) \
-        | (np.abs(m.b[units] - bias) > 1e-9 * np.maximum(1.0, np.abs(bias)))
+    # and bias c * (-T + eps), to 1e-9 relative above 1.  Its literals' entries
+    # are compared one by one; any other nonzero of its column is off pattern.
+    units, (var, col, sign, mentions), bias, c = _clause_units(m.clause_annotations,
+                                                               m.n_visible, m.epsilon)
+    c = _confidences(c)
+    lit, bias = sign * c[col], bias * c
+    off = np.zeros(len(units), dtype=bool)
+    off[col[np.abs(m.W[var, units[col]] - lit) > 1e-9 * np.maximum(1.0, np.abs(lit))]] = True
+    off |= np.abs(m.b[units] - bias) > 1e-9 * np.maximum(1.0, np.abs(bias))
+    clause_of = np.full(m.n_hidden, -1)      # each column's clause, -1 for none
+    clause_of[units] = np.arange(len(units))
+    rows, cols, w = column_nonzeros(m.W)
+    mine = np.flatnonzero(clause_of[cols] >= 0)
+    j, i = clause_of[cols[mine]], rows[mine]
+    off[j[(np.abs(w[mine]) > 1e-9) & ~mentions[j, i]]] = True
     if off.any():
         raise ValueError(f"hidden unit {units[off.argmax()]}: weights or bias differ from "
                          "its clause annotation")

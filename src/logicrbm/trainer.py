@@ -27,8 +27,9 @@ import numpy as np
 
 from . import formula as fm
 from .compiler import formula_to_sdnf_clauses
-from .rbm import (Rbm, _Clamped, _UniformBlocks, _clause_units, block_rows,
-                  p_hidden_given_visible, p_visible_given_hidden, _sigmoid, _twice_sigmoid)
+from .rbm import (Rbm, _Clamped, _UniformBlocks, _clause_units, block_rows, column_nonzeros,
+                  p_hidden_given_visible, p_visible_given_hidden, _sigmoid,
+                  _twice_sigmoid)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -356,6 +357,12 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     Each step is ``param -= lr * (alpha * g_cd + beta * g_cond)`` over one
     batch.
 
+    Steps run on the units that can move.  With alpha = 0 and
+    ``freeze_structure``, a clause unit whose pattern and weights miss every
+    target column keeps its confidence; it takes its clause values once and
+    is left out of the steps, so frozen training costs in proportion to the
+    units wired to a target.
+
     The trace is opt-in: with ``cfg.trace`` it holds, per epoch, the
     ``epoch_losses`` of the network after that epoch (the NLL when beta > 0)
     under the key ``epoch``; otherwise it is ``[]`` and no loss is
@@ -368,34 +375,66 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         raise ValueError("dataset and model dimensions differ")
     out = m.copy()
     n, h = out.W.shape
+    targets = d.target_indices
+    N = len(d.rows)
+    units, (var, col, sign, mentions), bias_pat, conf = _clause_units(
+        out.clause_annotations if cfg.freeze_structure else [], n, out.epsilon)
+    # A unit with no weight on a target row takes its exact gradient on the
+    # target rows alone, so without a CD term a frozen unit whose pattern is
+    # also 0 there gets a zero confidence gradient: it is still, and the
+    # steps run on the sub-network of the other units, the columns ``cols``.
+    live = np.ones(len(units), dtype=bool)
+    if cfg.alpha == 0:
+        live = (out.W[np.ix_(targets, units)] != 0).any(axis=0)
+        live |= mentions[:, targets].any(axis=1)
+    moves = np.ones(h, dtype=bool)
+    moves[units[~live]] = False
+    cols = np.flatnonzero(moves)
+    if cfg.epochs and N:
+        # as every step would, the still units take their clause values:
+        # their columns' nonzeros go to 0, then their literals are set
+        nz_row, nz_col, _ = column_nonzeros(out.W)
+        still = ~moves[nz_col]
+        out.W[nz_row[still], nz_col[still]] = 0.0
+        cell = ~live[col]
+        out.W[var[cell], units[col[cell]]] = sign[cell] * conf[col[cell]]
+        out.b[units[~live]] = conf[~live] * bias_pat[~live]
+    S = np.zeros((n, len(units)))
+    S[var, col] = sign
+    S, bias_pat, c_live = S[:, live], bias_pat[live], conf[live]
+    at = np.searchsorted(cols, units[live])            # their columns in the sub-network
+    sub = Rbm(W=out.W[:, cols], a=out.a, b=out.b[cols], e0=out.e0, tau=out.tau)
+    k = len(cols)
     # The parameters and the gradient each live in one flat buffer, with
     # W, a and b as views, so that a step updates them all in one operation.
-    theta = np.concatenate((out.W.ravel(), out.a, out.b))
+    theta = np.concatenate((sub.W.ravel(), sub.a, sub.b))
     G = np.empty_like(theta)
-    out.W, out.a, out.b = _flat_views(theta, n, h)
-    g = Grads(*_flat_views(G, n, h))
+    sub.W, sub.a, sub.b = _flat_views(theta, n, k)
+    g = Grads(*_flat_views(G, n, k))
     # the discriminative gradient is summed in a buffer of its own when it
     # is added to a CD estimate
     C = np.empty_like(theta) if cfg.alpha > 0 and cfg.beta > 0 else G
-    c = Grads(*_flat_views(C, n, h))
+    c = Grads(*_flat_views(C, n, k))
     cd_buffers = {}                        # per batch length
     rng = np.random.default_rng(cfg.seed)
-    targets = d.target_indices
-    units, S, bias_pat, conf = _clause_units(out) if cfg.freeze_structure \
-        else (np.zeros(0, dtype=int), None, None, np.zeros(0))
     # with every unit frozen, and the visible biases fixed, no parameter
     # takes a gradient step: the confidences alone move
-    all_frozen = cfg.freeze_structure and len(units) == h
+    all_frozen = cfg.freeze_structure and len(at) == k
     # a CD-only step adds the CD estimate's negation, which skips its
     # division at batch size 1
     ascent = cfg.beta == 0 and not cfg.freeze_structure
     trace = []
-    N = len(d.rows)
     batch = cfg.batch_size or max(N, 1)
     # the doubled uniforms of one epoch: its full batches, then the ragged one
-    draws = (_cd_uniforms(N // batch, batch, n, h, cfg.cd_k),
-             _cd_uniforms(int(N % batch > 0), N % batch, n, h, cfg.cd_k)) \
+    draws = (_cd_uniforms(N // batch, batch, n, k, cfg.cd_k),
+             _cd_uniforms(int(N % batch > 0), N % batch, n, k, cfg.cd_k)) \
         if cfg.alpha > 0 else ()
+
+    def write_back():
+        out.W[:, cols] = sub.W
+        out.a[:] = sub.a
+        out.b[cols] = sub.b
+
     for epoch in range(cfg.epochs):
         # one gather per epoch: each batch is a slice of the shuffled rows
         shuffled = d.rows[rng.permutation(N)] if batch < N else d.rows
@@ -405,24 +444,24 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             if cfg.alpha > 0:
                 bufs = cd_buffers.get(len(rows))
                 if bufs is None:
-                    bufs = cd_buffers[len(rows)] = _cd_buffers(n, h, len(rows))
-                _cd_into(out, rows, U, bufs, g, G, ascent)
+                    bufs = cd_buffers[len(rows)] = _cd_buffers(n, k, len(rows))
+                _cd_into(sub, rows, U, bufs, g, G, ascent)
                 if cfg.alpha != 1.0:       # x * 1.0 is x, bit for bit
                     G *= cfg.alpha
             if cfg.beta > 0:
                 C.fill(0.0)
-                _conditional(out, rows, targets, into=c)
+                _conditional(sub, rows, targets, into=c)
                 if cfg.beta != 1.0:
                     C *= cfg.beta
                 if C is not G:
                     G += C
             if cfg.freeze_structure:
-                gW, gb = (g.W, g.b) if all_frozen else (g.W[:, units], g.b[units])
+                gW, gb = (g.W, g.b) if all_frozen else (g.W[:, at], g.b[at])
                 dc = np.einsum("ij,ij->j", S, gW) + bias_pat * gb
-                conf = np.maximum(conf - cfg.lr * dc, 0.0)
+                c_live = np.maximum(c_live - cfg.lr * dc, 0.0)
                 if all_frozen:
-                    np.multiply(S, conf, out=out.W)
-                    np.multiply(conf, bias_pat, out=out.b)
+                    np.multiply(S, c_live, out=sub.W)
+                    np.multiply(c_live, bias_pat, out=sub.b)
                     continue
                 g.a.fill(0.0)              # visible biases stay fixed
             G *= cfg.lr
@@ -431,17 +470,19 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
             else:
                 theta -= G
             if cfg.freeze_structure:
-                out.W[:, units] = S * conf
-                out.b[units] = conf * bias_pat
+                sub.W[:, at] = S * c_live
+                sub.b[at] = c_live * bias_pat
         if cfg.trace:
+            write_back()
             trace.append({"epoch": epoch, **epoch_losses(out, d, cfg.beta > 0)})
+    write_back()
     if cfg.epochs:
         # nothing reads the annotations while training, so they take the
         # confidences once; with no epoch they keep their stored values.
         # Unfrozen training moves every unit off its clause pattern.
+        conf[live] = c_live
         for j, c_j in zip(units, conf):
             out.clause_annotations[j]["confidence"] = float(c_j)
         if not cfg.freeze_structure:
             out.clause_annotations = [None] * h
-    out.W, out.a, out.b = out.W.copy(), out.a.copy(), out.b.copy()
     return out, trace

@@ -1,6 +1,7 @@
 """Clause extraction from weight columns and reliability scoring."""
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,23 @@ class TestAgainstReferenceLoop:
     def test_no_hidden_units(self):
         m = Rbm(W=np.zeros((3, 0)), a=np.zeros(3), b=np.zeros(0))
         assert extract_clauses(m) == []
+
+    @pytest.mark.parametrize("W", [
+        [[0.0], [0.0], [2.5], [0.0]],
+        [[-1.0], [-3.0], [-0.5]],
+        [[1.0, 0.0, 0.3], [-2.0, 0.0, 0.0], [0.5, 0.0, -4.0]],
+        # pruning at 0.25 (the zero goes, c = 1.5) and at 0.5 (the 3 alone stays,
+        # c = 3) leave residuals of equal norm; the earlier fraction wins
+        [[-3.0, 3.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]],
+        [[2.0, 0.0, -0.5]],
+        np.zeros((3, 0)),
+    ], ids=["single nonzero", "all negative", "all-zero column inside a block",
+            "exact fraction tie", "one visible unit", "no hidden units"])
+    def test_edge_columns(self, W):
+        W = np.array(W, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_matches_reference(Rbm(W=W, a=np.zeros(W.shape[0]), b=np.zeros(W.shape[1])))
 
     def test_working_memory_does_not_grow_with_the_network(self):
         rng = np.random.default_rng(50)

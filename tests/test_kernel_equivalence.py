@@ -363,6 +363,39 @@ class TestConditionalKernel:
                           seed=int(rng.integers(1 << 31)), freeze_structure=frozen)
         assert_same_training(m, d, cfg)
 
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS)
+    def test_frozen_units_off_the_targets_stay(self, seed):
+        """A compiled network trained frozen without a CD term: the units whose
+        clauses miss every target keep their columns, biases and confidences
+        bit for bit, and the rest train as in the reference."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        kb = random_kb(rng, n_vars=n, n_formulas=4, w_low=0.5, w_high=3.0)
+        m, _ = L.compile_kb(kb)
+        assume(m.n_hidden > 0)
+        assert all(m.clause_annotations)
+        # the targets miss one unit's clause, so that unit is loose
+        ann = m.clause_annotations[int(rng.integers(m.n_hidden))]
+        outside = np.setdiff1d(np.arange(n), ann["pos"] + ann["neg"])
+        assume(len(outside))
+        targets = tuple(sorted(rng.permutation(outside)[
+            : rng.integers(1, min(3, len(outside)) + 1)].tolist()))
+        rows = (rng.random((int(rng.integers(1, 9)), n)) < 0.5).astype(float)
+        d = Dataset(kb.table, rows, targets)
+        cfg = TrainConfig(alpha=0.0, beta=float(rng.choice([1.0, 0.3])), lr=0.05,
+                          epochs=int(rng.integers(1, 6)), batch_size=int(rng.integers(0, 4)),
+                          seed=int(rng.integers(1 << 31)), freeze_structure=True)
+        assert_same_training(m, d, cfg)
+        out, _ = L.train(m, d, cfg)
+        loose = [j for j, a in enumerate(m.clause_annotations)
+                 if not set(targets) & set(a["pos"] + a["neg"])]
+        assert loose
+        for j in loose:
+            assert out.W[:, j].tobytes() == m.W[:, j].tobytes()
+            assert out.b[j].tobytes() == m.b[j].tobytes()
+            assert out.clause_annotations[j]["confidence"] == m.clause_annotations[j]["confidence"]
+
     @settings(max_examples=150, deadline=None)
     @given(SEEDS, st.sampled_from([0.3, 1.0, 2.5]))
     def test_inference_matches_reference(self, seed, tau):

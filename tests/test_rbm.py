@@ -284,6 +284,7 @@ class TestClauseUnitCheck:
     @pytest.mark.parametrize("key, j, delta, ok", [
         ("b", 0, 1.4e-6, True), ("b", 0, 1.6e-6, False),      # |b_0| = 1500
         ("W", 2, 0.9e-9, True), ("W", 2, 1.1e-9, False),      # W[2, 0] = 0
+        ("W", 3, 5e-10, True), ("W", 3, -2e-9, False),        # W[3, 0] = 0
     ])
     def test_tolerance_is_relative_above_one(self, key, j, delta, ok):
         doc = nixon_doc()
