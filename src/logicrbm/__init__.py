@@ -11,8 +11,8 @@ from .normal_forms import (
     ConjunctiveClause, clause_to_sdnf, to_full_dnf,
 )
 from .rbm import (
-    Rbm, clause_patterns, energy_rank, load_model, p_hidden_given_visible,
-    p_visible_given_hidden, save_model,
+    Rbm, energy_rank, load_model, p_hidden_given_visible, p_visible_given_hidden,
+    save_model,
 )
 from .compiler import (
     ClauseBase, WeightedClause, attach_hidden_units, compile_kb, merge_clauses,

@@ -9,8 +9,8 @@ the minimised energy satisfies
 
     weighted_sat(x) = -E_rank(x) / eps
 
-for every total assignment.  ``rbm.clause_patterns`` builds that sign and
-bias pattern, and every construction here scales it by its confidences.
+for every total assignment.  Every construction here writes its units
+through ``rbm._ClauseUnits``, from one clause annotation per unit.
 ``compile_kb`` needs no unit for a clause of fewer than two literals: a true
 clause is a constant in e0 and a single literal a visible bias, so a
 clause of k distinct literals, written as a disjunction or as ``head <-
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import SizeLimitError
 from . import formula as fm
 from .normal_forms import ConjunctiveClause, clause_to_sdnf, to_full_dnf
-from .rbm import SEARCH_LIMIT, Rbm, _annotation, _check_epsilon, _scaled, clause_patterns
+from .rbm import SEARCH_LIMIT, Rbm, _annotation, _check_epsilon, _ClauseUnits
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,11 @@ class ClauseBase:
     per_formula: list[int] = field(default_factory=list)   # clauses of each formula
 
 
-def _units(clauses, c, n_visible: int, epsilon: float):
-    return _scaled(*clause_patterns([cl.pos for cl in clauses], [cl.neg for cl in clauses],
-                                    n_visible, epsilon), c)
+def _units(annotations, n_visible: int, epsilon: float):
+    """W and b of one clause unit per annotation, at the bias pattern of ``epsilon``."""
+    W, b = np.zeros((n_visible, len(annotations))), np.zeros(len(annotations))
+    _ClauseUnits(annotations, n_visible, epsilon).write(W, b)
+    return W, b
 
 
 def _clause(f: fm.Formula):
@@ -144,10 +146,10 @@ def compile_kb(kb: fm.KnowledgeBase, epsilon: float = 0.5) -> tuple[Rbm, ClauseB
         elif lits:
             a[lits[0]] -= wc.c * epsilon
             e0 -= wc.c * epsilon
-    W, b = _units([wc.clause for wc in units], [wc.c for wc in units], n, epsilon)
+    annotations = [_annotation(wc.clause, wc.c) for wc in units]
+    W, b = _units(annotations, n, epsilon)
     m = Rbm(W=W, a=a, b=b, e0=e0, tau=1.0,
-            names=list(kb.table.names), epsilon=epsilon,
-            clause_annotations=[_annotation(wc.clause, wc.c) for wc in units])
+            names=list(kb.table.names), epsilon=epsilon, clause_annotations=annotations)
     return m, ClauseBase(kb.table, merged, per_formula)
 
 
@@ -156,9 +158,9 @@ def _baseline(kb: fm.KnowledgeBase, groups, scale: float, epsilon: float,
     """One unit per clause of ``groups``, a ``(w, clauses)`` pair per formula,
     with the unit pattern at ``unit_epsilon`` scaled by c = scale * w.  The
     clause base lists every clause at its formula's weight."""
-    clauses = [cl for _, part in groups for cl in part]
     n = len(kb.table)
-    W, b = _units(clauses, [scale * w for w, part in groups for _ in part], n, unit_epsilon)
+    W, b = _units([_annotation(cl, scale * w) for w, part in groups for cl in part], n,
+                  unit_epsilon)
     m = Rbm(W=W, a=np.zeros(n), b=b, e0=e0, tau=1.0, names=list(kb.table.names),
             epsilon=epsilon)
     return m, ClauseBase(kb.table, [WeightedClause(cl, w) for w, part in groups for cl in part],

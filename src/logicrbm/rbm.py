@@ -69,12 +69,8 @@ class Rbm:
                 or self.b.shape != (self.W.shape[1],):
             raise ValueError("inconsistent parameter shapes")
         if not (np.isfinite(self.W).all() and np.isfinite(self.a).all()
-                and np.isfinite(self.b).all() and np.isfinite(self.e0)):
+                and np.isfinite(self.b).all()):
             raise ValueError("RBM parameters must be finite")
-        if not 0 < self.tau < np.inf:
-            raise ValueError("temperature tau must be finite and > 0")
-        if self.epsilon is not None:
-            _check_epsilon(self.epsilon)
         if self.names is None:
             self.names = [f"x{i}" for i in range(self.n_visible)]
         if self.clause_annotations is None:
@@ -89,6 +85,17 @@ class Rbm:
                              f"for {self.n_hidden} hidden units")
         if self.epsilon is None and any(self.clause_annotations):
             raise ValueError("clause annotations need the model's epsilon")
+
+    def __setattr__(self, name, value):
+        """e0, tau and epsilon are checked whenever they are set, in the
+        dataclass's ``__init__`` as after it."""
+        if name == "e0" and not np.isfinite(value):
+            raise ValueError("RBM parameters must be finite")
+        if name == "tau" and not 0 < value < np.inf:
+            raise ValueError("temperature tau must be finite and > 0")
+        if name == "epsilon" and value is not None:
+            _check_epsilon(value)
+        super().__setattr__(name, value)
 
     @property
     def n_visible(self) -> int:
@@ -330,88 +337,92 @@ def column_nonzeros(W: np.ndarray):
     return rows, cols, W[rows, cols]
 
 
-def _clause_cells(pos, neg, n_visible: int):
-    """The literals of clauses with the positive literals ``pos[j]`` and the
-    negative ones ``neg[j]`` (index lists), as cells: variable, clause and
-    sign (+1 or -1), positive literals first.  Also which variables each
-    clause mentions, a (clauses x n_visible) boolean, and T_j, the number of
-    distinct positive literals of clause j, so a variable listed twice
-    counts once.  A variable outside ``0 .. n_visible - 1``, or one in both
-    polarities, raises ``ValueError`` naming the clause's position j.
+class _ClauseUnits:
+    """The clause units of a network: hidden unit ``units[j]`` is clause j,
+    with weight ``sign * c_j`` on each literal, 0 elsewhere in its column,
+    and bias ``c_j * (eps - T_j)``, T_j the number of distinct positive
+    literals, so a variable listed twice counts once.
+
+    Built from one annotation per hidden unit ({pos, neg, confidence}, or
+    None for a unit that is no clause), it holds the literals as cells,
+    variable ``var``, clause ``col`` and ``sign`` (+1 or -1, positive
+    literals first), which variables each clause ``mentions`` (clauses x
+    n_visible), the bias pattern ``bias = eps - T`` and the confidences
+    ``c``.  A variable outside ``0 .. n_visible - 1`` or in both
+    polarities, or a negative confidence (its unit would never fire on a
+    satisfied clause), raises ``ValueError`` naming the hidden unit.
     """
-    k = len(pos)
-    cells = []
-    for lists in (pos, neg):
-        var = np.array([i for v in lists for i in v], dtype=int)
-        col = np.repeat(np.arange(k), [len(v) for v in lists])
+
+    def __init__(self, annotations, n_visible: int, epsilon: float | None):
+        units = [j for j, ann in enumerate(annotations) if ann]
+        anns = [annotations[j] for j in units]
+        self.units = np.array(units, dtype=int)
+        sides = [[ann[key] for ann in anns] for key in ("pos", "neg")]
+        var = np.array([i for lists in sides for v in lists for i in v], dtype=int)
+        col = np.concatenate([np.repeat(np.arange(len(anns)), [len(v) for v in lists])
+                              for lists in sides])
         bad = (var < 0) | (var >= n_visible)
         if bad.any():
-            raise ValueError(f"clause {col[bad.argmax()]} mentions a variable outside "
-                             f"0..{n_visible - 1}")
-        cells.append((var, col))
-    (pos_var, pos_col), (neg_var, neg_col) = cells
-    mentions = np.zeros((k, n_visible), dtype=bool)
-    mentions[pos_col, pos_var] = True
-    T = mentions.sum(axis=1)
-    both = mentions[neg_col, neg_var]
-    if both.any():
-        raise ValueError(f"clause {neg_col[both.argmax()]} has a variable in both polarities")
-    mentions[neg_col, neg_var] = True
-    sign = np.repeat([1.0, -1.0], [len(pos_var), len(neg_var)])
-    return (np.concatenate((pos_var, neg_var)), np.concatenate((pos_col, neg_col)), sign,
-            mentions, T)
+            self._refuse(col[bad.argmax()], f"its clause mentions a variable outside "
+                                            f"0..{n_visible - 1}")
+        p = sum(map(len, sides[0]))                 # cells [:p] are positive literals
+        self.mentions = np.zeros((len(anns), n_visible), dtype=bool)
+        self.mentions[col[:p], var[:p]] = True
+        T = self.mentions.sum(axis=1)
+        both = self.mentions[col[p:], var[p:]]
+        if both.any():
+            self._refuse(col[p + both.argmax()], "its clause has a variable in both polarities")
+        self.mentions[col[p:], var[p:]] = True
+        self.c = np.array([float(ann["confidence"]) for ann in anns])
+        if (self.c < 0).any():
+            self._refuse((self.c < 0).argmax(), "confidence value must be non-negative")
+        self.var, self.col, self.sign = var, col, np.repeat([1.0, -1.0], [p, len(var) - p])
+        self.bias = (epsilon or 0.0) - T            # 0.0 only when no unit reads it
 
+    def _refuse(self, j, why: str):
+        raise ValueError(f"hidden unit {self.units[j]}: {why}")
 
-def clause_patterns(pos, neg, n_visible: int, epsilon: float):
-    """The unit pattern of each clause: signs S (n_visible x units) and bias.
+    def signs(self) -> np.ndarray:
+        """S (n_visible x clauses): ``sign`` on each clause's literals, 0
+        elsewhere.  Fortran-ordered, as a selection of columns is: a sum over
+        its rows with ``np.einsum`` takes its order from the layout."""
+        S = np.zeros(self.mentions.shape[::-1], order="F")
+        S[self.var, self.col] = self.sign
+        return S
 
-    Clause j has the positive literals ``pos[j]`` and the negative ones
-    ``neg[j]`` (index lists).  ``S[i, j]`` is +1 for a positive literal of
-    clause j, -1 for a negative one and 0 otherwise; ``bias[j] = -T_j +
-    epsilon`` with T_j the number of +1s in column j, so a variable listed
-    twice counts once.  A clause with confidence c becomes the hidden unit
-    ``W[:, j] = c * S[:, j]``, ``b[j] = c * bias[j]``.  A variable outside
-    ``0 .. n_visible - 1``, or one in both polarities, raises ``ValueError``
-    naming the clause's position j.
-    """
-    var, col, sign, _, T = _clause_cells(pos, neg, n_visible)
-    S = np.zeros((n_visible, len(pos)))
-    S[var, col] = sign
-    return S, epsilon - T
+    def values(self, c=None):
+        """The rule: each cell's weight ``sign * c_j`` and each unit's bias
+        ``bias_j * c_j``, at the confidences ``c`` (by default its own)."""
+        c = self.c if c is None else c
+        return self.sign * c[self.col], self.bias * c
 
+    def write(self, W, b, c=None):
+        """Each unit's literal weights and bias at the confidences ``c`` into
+        W and b; the other entries of its column are left as they are."""
+        W[self.var, self.units[self.col]], b[self.units] = self.values(c)
 
-def _confidences(c) -> np.ndarray:
-    """Clause confidences as floats.  A negative c would put a satisfied
-    clause's net input below zero, so its unit would never fire."""
-    c = np.asarray(c, dtype=float)
-    if (c < 0).any():
-        raise ValueError(f"clause {(c < 0).argmax()}: confidence value must be non-negative")
-    return c
-
-
-def _scaled(S, bias, c):
-    """``S * c`` and ``bias * c`` in place, for confidences c >= 0."""
-    c = _confidences(c)
-    S *= c
-    bias *= c
-    return S, bias
+    def check(self, W, b):
+        """Refuse, naming the first, a unit off its clause: a literal's weight
+        or the bias more than 1e-9 (relative above 1) from its clause value,
+        or any other nonzero of its column above 1e-9.  Only the literals'
+        entries and the nonzeros of W are read."""
+        lit, bias = self.values()
+        off = np.zeros(len(self.units), dtype=bool)
+        far = np.abs(W[self.var, self.units[self.col]] - lit) > 1e-9 * np.maximum(1.0, np.abs(lit))
+        off[self.col[far]] = True
+        off |= np.abs(b[self.units] - bias) > 1e-9 * np.maximum(1.0, np.abs(bias))
+        clause_of = np.full(W.shape[1], -1)      # each column's clause, -1 for none
+        clause_of[self.units] = np.arange(len(self.units))
+        rows, cols, w = column_nonzeros(W)
+        mine = np.flatnonzero(clause_of[cols] >= 0)
+        j, i = clause_of[cols[mine]], rows[mine]
+        off[j[(np.abs(w[mine]) > 1e-9) & ~self.mentions[j, i]]] = True
+        if off.any():
+            self._refuse(off.argmax(), "weights or bias differ from its clause annotation")
 
 
 def _annotation(clause, c: float) -> dict:
     return {"pos": list(clause.pos), "neg": list(clause.neg), "confidence": float(c)}
-
-
-def _clause_units(annotations, n_visible: int, epsilon: float | None):
-    """The annotated hidden units of a model's ``annotations``, the
-    ``_clause_cells`` of their clauses (clause j is unit ``units[j]``), their
-    bias pattern ``-T_j + epsilon`` and their confidences."""
-    units = [j for j, ann in enumerate(annotations) if ann]
-    anns = [annotations[j] for j in units]
-    *cells, T = _clause_cells([ann["pos"] for ann in anns], [ann["neg"] for ann in anns],
-                              n_visible)
-    eps = epsilon or 0.0                    # 0.0 only when no unit reads it
-    return (np.array(units, dtype=int), cells, eps - T,
-            np.array([float(ann["confidence"]) for ann in anns]))
 
 
 def model_to_dict(m: Rbm) -> dict:
@@ -468,25 +479,7 @@ def model_from_dict(doc: dict) -> Rbm:
             e0=_number(doc, "e0", 0.0), tau=_number(doc, "tau", 1.0), names=names,
             epsilon=None if doc.get("epsilon") is None else _number(doc, "epsilon", None),
             clause_annotations=annotations)
-    # each annotated unit is its clause at a confidence c >= 0: weights c * S
-    # and bias c * (-T + eps), to 1e-9 relative above 1.  Its literals' entries
-    # are compared one by one; any other nonzero of its column is off pattern.
-    units, (var, col, sign, mentions), bias, c = _clause_units(m.clause_annotations,
-                                                               m.n_visible, m.epsilon)
-    c = _confidences(c)
-    lit, bias = sign * c[col], bias * c
-    off = np.zeros(len(units), dtype=bool)
-    off[col[np.abs(m.W[var, units[col]] - lit) > 1e-9 * np.maximum(1.0, np.abs(lit))]] = True
-    off |= np.abs(m.b[units] - bias) > 1e-9 * np.maximum(1.0, np.abs(bias))
-    clause_of = np.full(m.n_hidden, -1)      # each column's clause, -1 for none
-    clause_of[units] = np.arange(len(units))
-    rows, cols, w = column_nonzeros(m.W)
-    mine = np.flatnonzero(clause_of[cols] >= 0)
-    j, i = clause_of[cols[mine]], rows[mine]
-    off[j[(np.abs(w[mine]) > 1e-9) & ~mentions[j, i]]] = True
-    if off.any():
-        raise ValueError(f"hidden unit {units[off.argmax()]}: weights or bias differ from "
-                         "its clause annotation")
+    _ClauseUnits(m.clause_annotations, m.n_visible, m.epsilon).check(m.W, m.b)
     return m
 
 

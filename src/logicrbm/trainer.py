@@ -7,11 +7,11 @@ exact because the target configurations can be enumerated.
 
 Two parameterisations are supported.  Full-parameter training updates W, a
 and b freely, so its result carries no clause annotations.  With
-``freeze_structure`` every clause-annotated hidden unit keeps its +-1
-literal pattern and only its scalar confidence value moves (weights stay
-c_j * sign pattern, bias stays c_j * (-T_j + eps)); free hidden units still
-train fully, and visible biases stay fixed so compiled constant terms are
-preserved.  ``compile_kb`` puts every single-literal clause into the
+``freeze_structure`` every clause-annotated hidden unit is written from
+its clause before the first step, and then only its scalar confidence
+value moves (weights c_j * sign pattern, bias c_j * (-T_j + eps)); free
+hidden units still train fully, and visible biases stay fixed so compiled
+constant terms are preserved.  ``compile_kb`` puts every single-literal clause into the
 visible biases and e0, so frozen training does not tune those clauses'
 confidences.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import formula as fm
 from .compiler import formula_to_sdnf_clauses
-from .rbm import (Rbm, _Clamped, _UniformBlocks, _clause_units, block_rows, column_nonzeros,
+from .rbm import (Rbm, _Clamped, _ClauseUnits, _UniformBlocks, block_rows, column_nonzeros,
                   p_hidden_given_visible, p_visible_given_hidden, _sigmoid,
                   _twice_sigmoid)
 
@@ -357,10 +357,11 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     Each step is ``param -= lr * (alpha * g_cd + beta * g_cond)`` over one
     batch.
 
-    Steps run on the units that can move.  With alpha = 0 and
-    ``freeze_structure``, a clause unit whose pattern and weights miss every
-    target column keeps its confidence; it takes its clause values once and
-    is left out of the steps, so frozen training costs in proportion to the
+    With ``freeze_structure``, every clause unit is written from its clause
+    once, before the first step, and then moves with its confidence alone.
+    Steps run on the units that can move: with alpha = 0, a clause unit
+    whose clause misses every target column keeps its confidence and is
+    left out of the steps, so frozen training costs in proportion to the
     units wired to a target.
 
     The trace is opt-in: with ``cfg.trace`` it holds, per epoch, the
@@ -377,32 +378,29 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     n, h = out.W.shape
     targets = d.target_indices
     N = len(d.rows)
-    units, (var, col, sign, mentions), bias_pat, conf = _clause_units(
-        out.clause_annotations if cfg.freeze_structure else [], n, out.epsilon)
-    # A unit with no weight on a target row takes its exact gradient on the
-    # target rows alone, so without a CD term a frozen unit whose pattern is
-    # also 0 there gets a zero confidence gradient: it is still, and the
-    # steps run on the sub-network of the other units, the columns ``cols``.
-    live = np.ones(len(units), dtype=bool)
+    annotations = out.clause_annotations if cfg.freeze_structure else [None] * h
+    frozen = _ClauseUnits(annotations, n, out.epsilon)
+    # Every frozen unit is written from its clause before the first step.  A
+    # unit with no weight on a target row takes its exact gradient on the
+    # target rows alone, so without a CD term a frozen unit whose clause
+    # misses every target gets a zero confidence gradient: it is still, and
+    # the steps run on the sub-network of the other units, the columns ``cols``.
+    live = np.ones(len(frozen.units), dtype=bool)
     if cfg.alpha == 0:
-        live = (out.W[np.ix_(targets, units)] != 0).any(axis=0)
-        live |= mentions[:, targets].any(axis=1)
+        live = frozen.mentions[:, targets].any(axis=1)
     moves = np.ones(h, dtype=bool)
-    moves[units[~live]] = False
+    moves[frozen.units[~live]] = False
     cols = np.flatnonzero(moves)
     if cfg.epochs and N:
-        # as every step would, the still units take their clause values:
-        # their columns' nonzeros go to 0, then their literals are set
+        # every frozen unit takes its clause values once, before the first
+        # step: its column's nonzeros go to 0, then its literals are written
         nz_row, nz_col, _ = column_nonzeros(out.W)
-        still = ~moves[nz_col]
-        out.W[nz_row[still], nz_col[still]] = 0.0
-        cell = ~live[col]
-        out.W[var[cell], units[col[cell]]] = sign[cell] * conf[col[cell]]
-        out.b[units[~live]] = conf[~live] * bias_pat[~live]
-    S = np.zeros((n, len(units)))
-    S[var, col] = sign
-    S, bias_pat, c_live = S[:, live], bias_pat[live], conf[live]
-    at = np.searchsorted(cols, units[live])            # their columns in the sub-network
+        mine = np.isin(nz_col, frozen.units)
+        out.W[nz_row[mine], nz_col[mine]] = 0.0
+        frozen.write(out.W, out.b)
+    # the sub-network's clause units, the frozen units that move, at ``at``
+    moving = _ClauseUnits([annotations[j] for j in cols], n, out.epsilon)
+    at, S, c_live = moving.units, moving.signs(), moving.c
     sub = Rbm(W=out.W[:, cols], a=out.a, b=out.b[cols], e0=out.e0, tau=out.tau)
     k = len(cols)
     # The parameters and the gradient each live in one flat buffer, with
@@ -417,9 +415,6 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     c = Grads(*_flat_views(C, n, k))
     cd_buffers = {}                        # per batch length
     rng = np.random.default_rng(cfg.seed)
-    # with every unit frozen, and the visible biases fixed, no parameter
-    # takes a gradient step: the confidences alone move
-    all_frozen = cfg.freeze_structure and len(at) == k
     # a CD-only step adds the CD estimate's negation, which skips its
     # division at batch size 1
     ascent = cfg.beta == 0 and not cfg.freeze_structure
@@ -456,22 +451,21 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
                 if C is not G:
                     G += C
             if cfg.freeze_structure:
-                gW, gb = (g.W, g.b) if all_frozen else (g.W[:, at], g.b[at])
-                dc = np.einsum("ij,ij->j", S, gW) + bias_pat * gb
+                # einsum's order of summation follows its operands' layout:
+                # g.W itself when every unit of the sub-network is frozen
+                gW = g.W if len(at) == k else g.W[:, at]
+                dc = np.einsum("ij,ij->j", S, gW) + moving.bias * g.b[at]
                 c_live = np.maximum(c_live - cfg.lr * dc, 0.0)
-                if all_frozen:
-                    np.multiply(S, c_live, out=sub.W)
-                    np.multiply(c_live, bias_pat, out=sub.b)
-                    continue
-                g.a.fill(0.0)              # visible biases stay fixed
+                g.W[:, at] = 0.0           # frozen units move with c alone,
+                g.b[at] = 0.0
+                g.a.fill(0.0)              # and visible biases stay fixed
             G *= cfg.lr
             if ascent:                     # theta - (-x) is theta + x, bit for bit
                 theta += G
             else:
                 theta -= G
             if cfg.freeze_structure:
-                sub.W[:, at] = S * c_live
-                sub.b[at] = c_live * bias_pat
+                moving.write(sub.W, sub.b, c_live)
         if cfg.trace:
             write_back()
             trace.append({"epoch": epoch, **epoch_losses(out, d, cfg.beta > 0)})
@@ -480,8 +474,8 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         # nothing reads the annotations while training, so they take the
         # confidences once; with no epoch they keep their stored values.
         # Unfrozen training moves every unit off its clause pattern.
-        conf[live] = c_live
-        for j, c_j in zip(units, conf):
+        frozen.c[live] = c_live
+        for j, c_j in zip(frozen.units, frozen.c):
             out.clause_annotations[j]["confidence"] = float(c_j)
         if not cfg.freeze_structure:
             out.clause_annotations = [None] * h

@@ -12,7 +12,7 @@ from logicrbm.compiler import (
 from logicrbm.normal_forms import ConjunctiveClause, all_assignments, to_full_dnf
 from logicrbm.errors import SizeLimitError
 from logicrbm.reasoner import verify_equivalence
-from logicrbm.rbm import SEARCH_LIMIT, Rbm, clause_patterns, energy_rank
+from logicrbm.rbm import SEARCH_LIMIT, Rbm, energy_rank
 
 from conftest import (
     check_strict, dnf_satisfied_batch, evaluate, implication_formula, oracle_truth_table,
@@ -102,10 +102,6 @@ class TestCompileSdnf:
 
 class TestClauseRange:
     """A clause variable outside 0..n_visible-1 is refused, not wrapped."""
-
-    def test_negative_index_does_not_wrap(self):
-        with pytest.raises(ValueError):
-            clause_patterns([(-1,)], [()], 2, 0.5)
 
     @pytest.mark.parametrize("var", [-1, 2, 3])
     def test_every_construction_refuses(self, var):

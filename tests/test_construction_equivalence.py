@@ -3,7 +3,9 @@
 sign of zero, and the command line must write the same model files.  A
 disjunction of literals must compile exactly as its implication form does,
 and ``compile_kb`` must fold exactly the single-literal clauses into the
-visible biases."""
+visible biases.  Every construction's network, and a frozen-trained copy
+of a compiled one, loads back bit for bit, and loading refuses a clause
+unit moved off its clause past the 1e-9 rule."""
 import json
 
 import numpy as np
@@ -16,8 +18,9 @@ from logicrbm.compiler import (
     compile_kb, formula_to_sdnf_clauses, penalty_network, universal_network,
 )
 from logicrbm.normal_forms import all_assignments, to_full_dnf
-from logicrbm.rbm import energy_rank, model_to_dict, save_model
+from logicrbm.rbm import energy_rank, model_from_dict, model_to_dict, save_model
 from logicrbm.reasoner import verify_equivalence
+from logicrbm.trainer import Dataset, TrainConfig, train
 
 from conftest import (
     KB_DIR, implication_formula, random_clause, random_formula, random_implication,
@@ -342,3 +345,61 @@ def test_cli_writes_the_reference_model(kb_path, baseline, tmp_path, capsys):
     save_model(ref, tmp_path / "ref.json")
     assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
     assert stdout == f"hidden units: {ref.n_hidden}\nclauses per formula: {per_formula}\n"
+
+
+def reloaded(m):
+    return model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+
+
+def frozen_trained(rng, m, table):
+    """``m`` after a few steps of frozen training on random rows."""
+    n = m.n_visible
+    rows = (rng.random((int(rng.integers(1, 9)), n)) < 0.5).astype(float)
+    targets = tuple(int(t) for t in rng.permutation(n)[:rng.integers(1, min(n, 3) + 1)])
+    cfg = TrainConfig(alpha=float(rng.choice([0.0, 0.5])), beta=1.0,
+                      lr=float(rng.uniform(0.001, 0.2)), epochs=int(rng.integers(1, 4)),
+                      batch_size=int(rng.integers(0, 4)), freeze_structure=True,
+                      seed=int(rng.integers(1 << 31)))
+    return train(m, Dataset(table, rows, targets), cfg)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_clause_units_load_back_and_hold_their_clauses(seed):
+    """A save and load round trip returns W, a, b and the annotations bit for
+    bit.  Moving one literal weight, the bias or a zero entry of a random
+    clause unit's column by 2e-9 * max(1, |value|) is refused naming that
+    unit; moving it by 5e-10 * max(1, |value|) is accepted."""
+    rng = np.random.default_rng(seed)
+    n_vars, lam = int(rng.integers(2, 6)), draw_lambda(rng)
+    kb = random_kb(rng, n_vars=n_vars)
+    compiled = compile_kb(kb, lam)[0]
+    sat = fm.KnowledgeBase(kb.table, [(draw_confidence(rng), satisfiable_formula(rng, n_vars))
+                                      for _ in range(int(rng.integers(1, 4)))])
+    annotated = [compiled, frozen_trained(rng, compiled, kb.table)]
+    for m in [*annotated, universal_network(sat, lam)[0],
+              penalty_network(horn_kb(rng, n_vars), lam)[0]]:
+        back = reloaded(m)
+        for name in ("W", "a", "b"):
+            assert getattr(back, name).tobytes() == getattr(m, name).tobytes(), name
+        assert back.clause_annotations == m.clause_annotations
+        assert (back.e0, back.epsilon) == (m.e0, m.epsilon)
+
+    m = annotated[int(rng.integers(2))]
+    units = [j for j, ann in enumerate(m.clause_annotations) if ann]
+    if not units:
+        return
+    j = int(rng.choice(units))
+    lits = m.clause_annotations[j]["pos"] + m.clause_annotations[j]["neg"]
+    rows = lits + [i for i in range(n_vars) if i not in lits]
+    pick, sign = int(rng.integers(len(rows) + 1)), float(rng.choice([-1.0, 1.0]))
+    for step, ok in ((2e-9, False), (5e-10, True)):
+        doc = json.loads(json.dumps(model_to_dict(m)))
+        # a literal's weight, a zero entry of the column, or (pick = len(rows)) the bias
+        holder = doc["b"] if pick == len(rows) else doc["W"][rows[pick]]
+        holder[j] += sign * step * max(1.0, abs(holder[j]))
+        if ok:
+            model_from_dict(doc)
+        else:
+            with pytest.raises(ValueError, match=f"hidden unit {j}: weights or bias differ"):
+                model_from_dict(doc)

@@ -1,5 +1,6 @@
 """Every name imported by the package, the tests and the demos is used,
-and the package imports only at module level.
+the package imports only at module level, and the command line reaches
+no private (``_``-prefixed) name of the library.
 
 No linter ships with the project, so this scan stands in for one: it
 parses each file and reports the imported names that are never read.
@@ -56,3 +57,48 @@ def test_function_imports_are_found(tmp_path):
                     "        import json\n\nclass C:\n    async def h(self):\n"
                     "        import csv\n")
     assert function_imports(path) == [4, 6, 10]
+
+
+def private_uses(path: Path) -> list[str]:
+    """The package's ``_``-prefixed names that a package module imports, or
+    reads as attributes of a package module it imported (dunders aside)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    submodules = {p.stem for p in PACKAGE}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] == "logicrbm"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "logicrbm"
+                                                   or node.module.startswith("logicrbm.")):
+            found += [a.name for a in node.names if private(a.name)]
+            if node.module in (None, "logicrbm"):
+                modules |= {a.asname or a.name for a in node.names if a.name in submodules}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(ast.unparse(node))
+    return sorted(found)
+
+
+def test_cli_calls_public_functions_only():
+    """The command line is a client of the library: it reaches no private helper."""
+    assert private_uses(ROOT / "src" / "logicrbm" / "cli.py") == []
+
+
+def test_private_uses_are_found(tmp_path):
+    path = tmp_path / "client.py"
+    path.write_text("import logicrbm.rbm\nimport numpy as np\n"
+                    "from . import formula as fm, rbm\nfrom .rbm import _Clamped, Rbm\n"
+                    "from logicrbm.trainer import _conditional\nfrom logicrbm import trainer\n"
+                    "fm._tokens(rbm._check_epsilon, trainer.train, np._core, L.__name__)\n"
+                    "logicrbm.rbm._Clamped\n")
+    assert private_uses(path) == ["_Clamped", "_conditional", "fm._tokens",
+                                  "logicrbm.rbm._Clamped", "rbm._check_epsilon"]

@@ -49,6 +49,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             replace(xor_rbm(), **{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", 0.0, "tau must be finite and > 0"),
+        ("tau", float("inf"), "tau must be finite and > 0"),
+        ("epsilon", 2.0, "epsilon must lie in"),
+        ("epsilon", 0.0, "epsilon must lie in"),
+        ("e0", float("nan"), "must be finite"),
+        ("e0", float("-inf"), "must be finite"),
+    ])
+    def test_scalars_checked_when_set(self, field, value, message):
+        """tau, epsilon and e0 are checked on every assignment, not only when
+        the network is built, and a refused value leaves the field as it was."""
+        m = xor_rbm()
+        before = getattr(m, field)
+        with pytest.raises(ValueError, match=message):
+            setattr(m, field, value)
+        assert getattr(m, field) == before
+        with pytest.raises(ValueError, match=message):
+            replace(m, **{field: value})
+
     def test_copy_is_deep_for_arrays(self):
         m = random_rbm(np.random.default_rng(0), 3, 2)
         m2 = m.copy()
@@ -265,16 +284,26 @@ class TestClauseUnitCheck:
         (lambda d: d["W"][0].__setitem__(0, 3000.0), "hidden unit 0: weights or bias differ"),
         (lambda d: d["W"][3].__setitem__(0, 1e-6), "hidden unit 0: weights or bias differ"),
         (lambda d: d["b"].__setitem__(1, d["b"][1] + 1e-3), "hidden unit 1: weights or bias"),
-        (lambda d: d["clause_annotations"][2].update(pos=[99]), "clause 2 mentions a variable"),
+        (lambda d: d["clause_annotations"][2].update(pos=[99]),
+         "hidden unit 2: its clause mentions a variable"),
         (lambda d: d["clause_annotations"][0].update(neg=[0]), "both polarities"),
-        (lambda d: d["clause_annotations"][1].update(confidence=-1000.0), "clause 1: confidence"),
+        (lambda d: d["clause_annotations"][1].update(confidence=-1000.0),
+         "hidden unit 1: confidence"),
+        # errors name the hidden unit, not the clause's place among the annotated ones
+        (lambda d: (d["clause_annotations"].__setitem__(0, None),
+                    d["clause_annotations"][1].update(pos=[5])),
+         "hidden unit 1: its clause mentions a variable outside 0..3"),
+        (lambda d: (d["clause_annotations"].__setitem__(0, None),
+                    d["clause_annotations"][2].update(neg=d["clause_annotations"][2]["pos"])),
+         "hidden unit 2: its clause has a variable in both polarities"),
         (lambda d: d.update(epsilon=None), "need the model's epsilon"),
         # n & r listed as n & r & r, with the bias of three positive literals
         (lambda d: (d["clause_annotations"][0].update(pos=[0, 1, 1]),
                     d["b"].__setitem__(0, 1000.0 * (d["epsilon"] - 3))),
          "hidden unit 0: weights or bias differ"),
     ], ids=["column tripled", "zero weight moved", "bias moved", "past the universe",
-            "both polarities", "negative confidence", "no epsilon", "positive literal repeated"])
+            "both polarities", "negative confidence", "unannotated first, past the universe",
+            "unannotated first, both polarities", "no epsilon", "positive literal repeated"])
     def test_mismatch_refused(self, change, message):
         doc = nixon_doc()
         change(doc)

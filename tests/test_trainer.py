@@ -318,8 +318,8 @@ class TestTrain:
 
 
 class TestZeroTemperature:
-    """A network at tau <= 0 is refused when it is built, so the exact
-    conditional and training never divide by it."""
+    """A tau <= 0 is refused when the network is built and whenever tau is
+    set, so the exact conditional and training never divide by it."""
 
     def test_conditional_refuses(self):
         with pytest.raises(ValueError, match="tau"):
@@ -327,9 +327,12 @@ class TestZeroTemperature:
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (0.5, 1.0)])
     def test_train_refuses(self, alpha, beta):
-        # tau set after the build: train's copy is built through the same check
+        # tau is checked whenever it is set, so setting it to 0 after the
+        # build is refused and training runs at the tau the network kept
         m = random_rbm(np.random.default_rng(0), 3, 2)
-        m.tau = 0.0
-        targets = (2,) if beta > 0 else ()
         with pytest.raises(ValueError, match="tau"):
-            train(m, xor_dataset(targets), TrainConfig(alpha=alpha, beta=beta, epochs=1))
+            m.tau = 0.0
+        assert m.tau == 1.0
+        targets = (2,) if beta > 0 else ()
+        out, _ = train(m, xor_dataset(targets), TrainConfig(alpha=alpha, beta=beta, epochs=1))
+        assert out.tau == 1.0
