@@ -25,8 +25,9 @@ from .normal_forms import all_assignments
 # work in row blocks of at most this many float64 elements per
 # intermediate array, whatever the size of the enumeration.
 BLOCK_ELEMENTS = 1 << 20
-# Gibbs and descent states (restarts x units), their traces (one entry per
-# step) and ``attach_hidden_units``' new parameters stay within this bound.
+# Search states (restarts x units), a search's steps or rounds, CD-k's
+# uniforms (cd_k x rows per step x units) and ``attach_hidden_units``' new
+# parameters stay within this bound.
 SEARCH_LIMIT = 1 << 22
 CONDITIONAL_LIMIT = 16                  # targets of an exact p(y | x)
 
@@ -62,39 +63,47 @@ class Rbm:
     clause_annotations: list | None = None   # per hidden unit: dict or None; None: all None
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.W.ndim != 2 or self.a.shape != (self.W.shape[0],) \
-                or self.b.shape != (self.W.shape[1],):
+        if self.a.shape != (self.n_visible,) or self.b.shape != (self.n_hidden,):
             raise ValueError("inconsistent parameter shapes")
         if not (np.isfinite(self.W).all() and np.isfinite(self.a).all()
                 and np.isfinite(self.b).all()):
             raise ValueError("RBM parameters must be finite")
-        if self.names is None:
-            self.names = [f"x{i}" for i in range(self.n_visible)]
-        if self.clause_annotations is None:
-            self.clause_annotations = [None] * self.n_hidden
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("model field 'names' repeats a name")
-        if len(self.names) != self.n_visible:
-            raise ValueError(f"model lists {len(self.names)} names for "
-                             f"{self.n_visible} visible units")
-        if len(self.clause_annotations) != self.n_hidden:
-            raise ValueError(f"model lists {len(self.clause_annotations)} clause annotations "
-                             f"for {self.n_hidden} hidden units")
-        if self.epsilon is None and any(self.clause_annotations):
-            raise ValueError("clause annotations need the model's epsilon")
 
     def __setattr__(self, name, value):
-        """e0, tau and epsilon are checked whenever they are set, in the
-        dataclass's ``__init__`` as after it."""
+        """Every field is checked whenever it is set, in the dataclass's
+        ``__init__`` as after it, and a refused value leaves it as it was.  A
+        None ``names`` or ``clause_annotations`` takes its default, and an
+        annotation needs an epsilon, from either side.  ``__post_init__``
+        checks a's and b's shapes and the arrays' finiteness once."""
+        if name in ("W", "a", "b"):
+            value = np.asarray(value, dtype=float)
+            if name == "W" and value.ndim != 2:
+                raise ValueError("inconsistent parameter shapes")
         if name == "e0" and not np.isfinite(value):
             raise ValueError("RBM parameters must be finite")
         if name == "tau" and not 0 < value < np.inf:
             raise ValueError("temperature tau must be finite and > 0")
-        if name == "epsilon" and value is not None:
-            _check_epsilon(value)
+        if name == "epsilon":
+            if value is not None:
+                _check_epsilon(value)
+            elif any(getattr(self, "clause_annotations", None) or ()):
+                raise ValueError("clause annotations need the model's epsilon")
+        if name == "names":
+            if value is None:
+                value = [f"x{i}" for i in range(self.n_visible)]
+            if len(set(value)) != len(value):
+                raise ValueError("model field 'names' repeats a name")
+            if len(value) != self.n_visible:
+                raise ValueError(f"model lists {len(value)} names for "
+                                 f"{self.n_visible} visible units")
+        if name == "clause_annotations":
+            if value is None:
+                value = [None] * self.n_hidden
+            if len(value) != self.n_hidden:
+                raise ValueError(f"model lists {len(value)} clause annotations "
+                                 f"for {self.n_hidden} hidden units")
+            if self.epsilon is None and any(value):
+                raise ValueError("clause annotations need the model's epsilon")
         super().__setattr__(name, value)
 
     @property
@@ -232,14 +241,9 @@ class _Clamped:
         of free values under the one evidence row."""
         net = np.matmul(Xf, self.W, out=net)
         net += self.base
-        return net, self.energy(Xf, net)
+        return net, self.e_base[0] - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
 
-    def energy(self, Xf, net):
-        """E_rank of free values ``Xf`` with wired net input ``net``, under the
-        one evidence row."""
-        return self.e_base[0] - Xf @ self.a - np.maximum(net, 0.0).sum(axis=1)
-
-    def descend(self, Xf, net, E, rounds=None, traces=None):
+    def descend(self, Xf, net, rounds=None):
         """Steepest single-flip descent on E_rank, the tau = 0 limit of search.
 
         Flipping free variable i (d = 1 - 2 x_i) changes E_rank by
@@ -248,11 +252,9 @@ class _Clamped:
         O(rows x nnz(W)), in row blocks of ``block_rows(nnz)``.  Each row
         whose lowest change is below -1e-12 flips the lowest free index whose
         change is below -1e-12 and within 1e-12 of it, so every flip lowers
-        the energy; ``Xf``, ``net`` and ``E`` are updated in place,
-        and each moved row's new energy goes to its list in ``traces`` when
-        given.  Stops after ``rounds`` rounds (None: no bound) or when no row
-        moves, every row then being a single-flip local minimum.  Draws no
-        random numbers.
+        the energy; ``Xf`` and ``net`` are updated in place.  Stops after
+        ``rounds`` rounds (None: no bound) or when no row moves, every row
+        then being a single-flip local minimum.  Draws no random numbers.
         """
         nonzero = self.W != 0
         # the nonzeros in row-major order, so each variable's form one run
@@ -293,10 +295,6 @@ class _Clamped:
                 net[rows] += sign[:, None] * self.W[i]
                 moved.append(rows)
             active = np.concatenate(moved)
-            E[active] = self.energy(Xf[active], net[active])
-            if traces is not None:
-                for r in active:
-                    traces[r].append(float(E[r]))
 
     def net_visible(self, H, out=None):
         """Free visibles' net input from the wired units' states."""

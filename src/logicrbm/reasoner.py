@@ -87,23 +87,6 @@ def _clamped(m: Rbm, evidence: Assignment, free=None) -> _Clamped:
     return _Clamped(m, evidence.unassigned() if free is None else free, x0)
 
 
-def _start_search(m: Rbm, q: Query, restarts: int, steps: int, seed: int):
-    """The clamped network, the random generator and the first states of a search:
-    ``restarts`` uniform random free parts, drawn over every visible column,
-    with their net inputs and energies.  A state or trace beyond
-    ``SEARCH_LIMIT`` raises ``SizeLimitError`` first."""
-    width = m.n_visible + m.n_hidden
-    if restarts * width > SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"{restarts} restarts x {width} units exceeds the search limit {SEARCH_LIMIT}")
-    if steps > SEARCH_LIMIT:
-        raise SizeLimitError(f"{steps} steps exceeds the search limit {SEARCH_LIMIT}")
-    rng = np.random.default_rng(seed)
-    c = _clamped(m, q.evidence)
-    Xf = (rng.random((restarts, m.n_visible)) < 0.5)[:, c.free].astype(float)
-    return (c, rng, Xf, *c.net_and_energy(Xf))
-
-
 def _best(Xf, energies, best=None):
     """The lowest-energy (state, energy) of the rows ``Xf``, exact ties going
     to the lexicographically smallest state (the clamped columns are shared,
@@ -120,68 +103,79 @@ def _best(Xf, energies, best=None):
     return best
 
 
-def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> InferenceReport:
-    """Clamped Gibbs chains with a geometric temperature anneal, then descent.
+def _search(m: Rbm, q: Query, restarts: int, seed: int, steps: int,
+            rounds: int | None = None) -> InferenceReport:
+    """The one energy search: random starts, an anneal of ``steps`` Gibbs
+    steps, then descent for at most ``rounds`` rounds (None: no bound).
 
-    Runs all restarts in lockstep and keeps the best-energy visible state
-    visited by any chain at any step.  Only the free visible columns and
-    the wired hidden units are updated, and each step draws uniforms for
-    those alone, in blocks of whole steps (``rbm._UniformBlocks``); a
-    sample compares the doubled uniform 2u with ``1 + tanh(net / 2 tau)``,
-    which is u < p exactly.  Each step's net input serves both its energy
-    and the next hidden sample.  The temperature falls from ``TAU_START`` to
-    ``TAU_END`` times the largest ``|W|`` of the network, so a network
-    with some nonzero weight, scaled as a whole, anneals through the same
-    probabilities.  Every chain's final state and the best state then
-    descend to single-flip local minima (``_Clamped.descend``), and the
-    answer is the best of those and the anneal's best.  ``energy_trace`` is
-    the anneal's best energy after each step; the answer is never above its
-    last entry.
+    The ``restarts`` starts are uniform random free parts, drawn over every
+    visible column.  The chains run in lockstep and update only the free
+    columns and the wired hidden units, drawing uniforms for those alone in
+    blocks of whole steps (``rbm._UniformBlocks``); a sample compares the
+    doubled uniform 2u with ``1 + tanh(net / 2 tau)``, which is u < p
+    exactly.  The temperature falls from ``TAU_START`` to ``TAU_END`` times
+    the largest ``|W|``, so a network with some nonzero weight, scaled as a
+    whole, anneals through the same probabilities.  Every chain's last
+    state and the best state visited then descend (``_Clamped.descend``);
+    the answer is the ``_best`` of all, and ``energy_trace`` is the best
+    energy over the starts, after each step and after the descent, the
+    answer's.  With no step there is no anneal work.  A state beyond
+    ``SEARCH_LIMIT``, or more steps or rounds, raises ``SizeLimitError`` first.
     """
-    config = config or GibbsConfig()
-    c, rng, Xf, net, E = _start_search(m, q, config.restarts, config.steps, config.seed)
+    width, work = m.n_visible + m.n_hidden, max(steps, rounds or 0)
+    if restarts * width > SEARCH_LIMIT:
+        raise SizeLimitError(
+            f"{restarts} restarts x {width} units exceeds the search limit {SEARCH_LIMIT}")
+    if work > SEARCH_LIMIT:
+        raise SizeLimitError(f"{work} steps exceeds the search limit {SEARCH_LIMIT}")
+    rng = np.random.default_rng(seed)
+    c = _clamped(m, q.evidence)
+    Xf = (rng.random((restarts, m.n_visible)) < 0.5)[:, c.free].astype(float)
+    net, E = c.net_and_energy(Xf)
     best = _best(Xf, E)
     trace = [best[1]]
-    scale = float(np.abs(m.W).max(initial=0.0)) or 1.0
-    taus = scale * np.geomspace(TAU_START, TAU_END, max(config.steps, 1))
-    # samples go to C-ordered buffers: the initial states come from a column
-    # gather that may be ordered otherwise, and a product over another
-    # memory layout can round differently
-    H, PV, X = np.empty(net.shape), np.empty(Xf.shape), np.empty(Xf.shape)
-    draws = _UniformBlocks(config.steps, [H.shape, PV.shape])
-    for tau, (Uh, Uv) in zip(taus, draws(rng)):
-        np.less(Uh, _twice_sigmoid(net, H, tau), out=H)
-        if len(c.free):
-            Xf = np.less(Uv, _twice_sigmoid(c.net_visible(H, PV), PV, tau), out=X)
-            net, E = c.net_and_energy(Xf, net)
-        # only a state within 1e-12 of the best can replace it
-        if E.min() - best[1] <= 1e-12:
-            best = _best(Xf, E, best)
-        trace.append(best[1])
-    ends = np.vstack([Xf, best[0]])
-    c.descend(ends, *c.net_and_energy(ends))
-    best = _best(ends, c.net_and_energy(ends)[1], best)
-    return _report_from_state(m, c, best[0], config.steps, config.restarts, trace)
+    if steps:
+        scale = float(np.abs(m.W).max(initial=0.0)) or 1.0
+        taus = scale * np.geomspace(TAU_START, TAU_END, steps)
+        # samples go to C-ordered buffers: the initial states come from a
+        # column gather that may be ordered otherwise, and a product over
+        # another memory layout can round differently
+        H, PV, X = np.empty(net.shape), np.empty(Xf.shape), np.empty(Xf.shape)
+        draws = _UniformBlocks(steps, [H.shape, PV.shape])
+        for tau, (Uh, Uv) in zip(taus, draws(rng)):
+            np.less(Uh, _twice_sigmoid(net, H, tau), out=H)
+            if len(c.free):
+                Xf = np.less(Uv, _twice_sigmoid(c.net_visible(H, PV), PV, tau), out=X)
+                net, E = c.net_and_energy(Xf, net)
+            # only a state within 1e-12 of the best can replace it
+            if E.min() - best[1] <= 1e-12:
+                best = _best(Xf, E, best)
+            trace.append(best[1])
+        del H, PV, draws                   # the samples are not kept through the descent
+        # with no step the best state is one of the starts and needs no row
+        Xf = np.vstack([Xf, best[0]])
+        net, _ = c.net_and_energy(Xf)
+    c.descend(Xf, net, rounds)
+    best = _best(Xf, c.net_and_energy(Xf)[1], best)
+    trace.append(best[1])
+    return _report_from_state(m, c, best[0], work, restarts, trace)
+
+
+def infer_gibbs(m: Rbm, q: Query, config: GibbsConfig | None = None) -> InferenceReport:
+    """Annealed Gibbs search from random restarts, then descent until no
+    single flip helps (``_search``); ``energy_trace`` has ``steps + 2``
+    entries."""
+    config = config or GibbsConfig()
+    return _search(m, q, config.restarts, config.seed, config.steps)
 
 
 def infer_deterministic(m: Rbm, q: Query,
                         config: DeterministicConfig | None = None) -> InferenceReport:
-    """tau = 0 search: steepest single-flip descent from random restarts.
-
-    Each restart flips, round by round, the free variable that lowers
-    E_rank most (``_Clamped.descend``), for at most ``sweeps`` rounds or
-    until no flip lowers it, so E_rank never increases along a run.  The
-    restarts run in lockstep; each keeps its own energy trace.
-    """
+    """tau = 0 search, the Gibbs search with no anneal step: steepest
+    single-flip descent (a GSAT move) from random restarts for at most
+    ``sweeps`` rounds (``_search``); ``energy_trace`` has 2 entries."""
     config = config or DeterministicConfig()
-    c, _, Xf, net, E = _start_search(m, q, config.restarts, config.sweeps, config.seed)
-    traces = [[float(e)] for e in E]
-    c.descend(Xf, net, E, config.sweeps, traces)
-    _, E = c.net_and_energy(Xf)
-    best = None
-    for r in range(config.restarts):      # in order: the 1e-12 rule is order dependent
-        best = _best(Xf[r:r + 1], E[r:r + 1], best)
-    return _report_from_state(m, c, best[0], config.sweeps, config.restarts, traces)
+    return _search(m, q, config.restarts, config.seed, 0, config.sweeps)
 
 
 def infer_exact(m: Rbm, evidence: Assignment) -> InferenceReport:

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import formula as fm
 from .compiler import formula_to_sdnf_clauses
-from .rbm import (Rbm, _Clamped, _ClauseUnits, _UniformBlocks, block_rows, column_nonzeros,
-                  p_hidden_given_visible, p_visible_given_hidden, _sigmoid,
+from .errors import SizeLimitError
+from .rbm import (SEARCH_LIMIT, Rbm, _Clamped, _ClauseUnits, _UniformBlocks, block_rows,
+                  column_nonzeros, p_hidden_given_visible, p_visible_given_hidden, _sigmoid,
                   _twice_sigmoid)
 
 
@@ -374,10 +375,15 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
         raise ValueError("discriminative training needs target indices")
     if d.rows.shape[1] != m.n_visible:
         raise ValueError("dataset and model dimensions differ")
+    N = len(d.rows)
+    batch = cfg.batch_size or max(N, 1)
+    # with a CD term every unit moves: a step draws cd_k uniforms per row and unit
+    size = cfg.cd_k * min(batch, N) * (m.n_visible + m.n_hidden)
+    if cfg.alpha > 0 and size > SEARCH_LIMIT:
+        raise SizeLimitError(f"cd_k x rows x units = {size} exceeds the limit {SEARCH_LIMIT}")
     out = m.copy()
     n, h = out.W.shape
     targets = d.target_indices
-    N = len(d.rows)
     annotations = out.clause_annotations if cfg.freeze_structure else [None] * h
     frozen = _ClauseUnits(annotations, n, out.epsilon)
     # Every frozen unit is written from its clause before the first step.  A
@@ -419,11 +425,10 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     # division at batch size 1
     ascent = cfg.beta == 0 and not cfg.freeze_structure
     trace = []
-    batch = cfg.batch_size or max(N, 1)
     # the doubled uniforms of one epoch: its full batches, then the ragged one
     draws = (_cd_uniforms(N // batch, batch, n, k, cfg.cd_k),
              _cd_uniforms(int(N % batch > 0), N % batch, n, k, cfg.cd_k)) \
-        if cfg.alpha > 0 else ()
+        if cfg.alpha > 0 and N else ()
 
     def write_back():
         out.W[:, cols] = sub.W

@@ -445,13 +445,12 @@ def _best(X, energies):
     return X[k].copy(), float(energies[k])
 
 
-def _ref_descend(m, x, free, rounds=None, trace=None):
+def _ref_descend(m, x, free, rounds=None):
     """Steepest single-flip descent of the full row ``x`` over its ``free``
     columns, in place: each round scores every flip by ``energy_rank`` of
     the flipped row and, if the lowest change is below -1e-12, takes the
     lowest index whose change is below -1e-12 and within 1e-12 of it.  At
-    most ``rounds`` flips (None: until none lowers the energy); each new
-    energy goes to ``trace``."""
+    most ``rounds`` flips (None: until none lowers the energy)."""
     e, done = float(energy_rank(m, x)), 0
     while free and (rounds is None or done < rounds):
         flipped = np.repeat(x[None, :], len(free), axis=0)
@@ -463,8 +462,6 @@ def _ref_descend(m, x, free, rounds=None, trace=None):
         i = free[int(np.argmax((delta <= low + 1e-12) & (delta < -1e-12)))]
         x[i] = 1.0 - x[i]
         e, done = float(energy_rank(m, x)), done + 1
-        if trace is not None:
-            trace.append(e)
     return x
 
 
@@ -499,30 +496,30 @@ def ref_infer_gibbs(m, q, config=None):
         if _replaces(cand_x, cand_e, best_x, best_e):
             best_x, best_e = cand_x, cand_e
         trace.append(best_e)
-    # every chain's last state and the best state, each descended to a
-    # single-flip local minimum
-    ends = np.array([_ref_descend(m, x.copy(), free) for x in [*X, best_x]])
+    return _descend_all(m, X, best_x, best_e, free, None, trace, config.steps,
+                        config.restarts)
+
+
+def _descend_all(m, X, best_x, best_e, free, rounds, trace, steps, restarts):
+    """Every chain's last state and the best state, each descended to a
+    single-flip local minimum (at most ``rounds`` flips); the answer is the
+    best of those and the incumbent, whose energy ends the trace."""
+    ends = np.array([_ref_descend(m, x.copy(), free, rounds) for x in [*X, best_x]])
     cand_x, cand_e = _best(ends, energy_rank(m, ends))
     if _replaces(cand_x, cand_e, best_x, best_e):
-        best_x = cand_x
-    return _report_from_state(m, best_x, config.steps, config.restarts, trace)
+        best_x, best_e = cand_x, cand_e
+    return _report_from_state(m, best_x, steps, restarts, [*trace, best_e])
 
 
 def ref_infer_deterministic(m, q, config=None):
+    """GSAT-style descent from random starts: Gibbs search without its anneal."""
     config = config or DeterministicConfig()
     rng = np.random.default_rng(config.seed)
-    evidence = q.evidence
-    free = [i for i in range(m.n_visible) if i not in evidence.values]
-    starts = _init_states(m, evidence, config.restarts, rng)
-    best_x, best_e, traces = None, np.inf, []
-    for x in starts:
-        trace = [float(energy_rank(m, x))]
-        x = _ref_descend(m, x, free, config.sweeps, trace)
-        traces.append(trace)
-        e = float(energy_rank(m, x))
-        if _replaces(x, e, best_x, best_e):
-            best_x, best_e = x.copy(), e
-    return _report_from_state(m, best_x, config.sweeps, config.restarts, traces)
+    free = [i for i in range(m.n_visible) if i not in q.evidence.values]
+    X = _init_states(m, q.evidence, config.restarts, rng)
+    best_x, best_e = _best(X, energy_rank(m, X))
+    return _descend_all(m, X, best_x, best_e, free, config.sweeps, [best_e], config.sweeps,
+                        config.restarts)
 
 
 def _completions(evidence):

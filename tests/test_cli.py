@@ -546,6 +546,18 @@ class TestTrainExtract:
         assert code == 2 and flag.lstrip("-").replace("-", "_") in err and stdout == ""
         assert not out.exists()
 
+    def test_train_cd_k_size_limit(self, tmp_path, xor_model, capsys):
+        """CD-k's uniforms are bounded before any is allocated: exit 3, one
+        stderr line and no output file."""
+        data = tmp_path / "xor.csv"
+        data.write_text("x,y,z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        out = tmp_path / "trained.json"
+        code, stdout, err = run(capsys, "train", str(xor_model), str(data), "--alpha", "1",
+                                "--beta", "0", "--cd-k", "1000000000", "--epochs", "1",
+                                "-o", str(out))
+        assert (code, stdout, err.count("\n")) == (3, "", 1) and not out.exists()
+        assert "cd_k" in err
+
     def test_train_refuses_zero_temperature(self, tmp_path, xor_model, capsys):
         doc = json.loads(xor_model.read_text())
         doc["tau"] = 0

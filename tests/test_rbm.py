@@ -19,6 +19,10 @@ from conftest import (
 )
 
 
+def load_model_back(m):
+    return model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+
+
 def xor_rbm():
     kb = fm.parse_kb("(x ^ y) <-> z")
     m, _ = L.compile_kb(kb)
@@ -67,6 +71,35 @@ class TestConstruction:
         assert getattr(m, field) == before
         with pytest.raises(ValueError, match=message):
             replace(m, **{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("epsilon", None, "clause annotations need the model's epsilon"),
+        ("names", ["a", "a", "b"], "'names' repeats a name"),
+        ("names", ["a", "b"], "lists 2 names for 3 visible units"),
+        ("clause_annotations", [None] * 5, "lists 5 clause annotations for 4 hidden units"),
+    ], ids=["no epsilon", "repeated names", "names length", "annotations length"])
+    def test_fields_checked_when_set(self, field, value, message):
+        """Names and the annotations' need of an epsilon are checked on every
+        assignment, so ``save_model`` never writes what ``load_model``
+        refuses; a refused value leaves the field as it was."""
+        m = xor_rbm()
+        before = getattr(m, field)
+        with pytest.raises(ValueError, match=message):
+            setattr(m, field, value)
+        assert getattr(m, field) == before
+        m.names = ["a", "b", "c"]
+        assert load_model_back(m).names == ["a", "b", "c"]
+
+    def test_annotations_refused_without_epsilon(self):
+        annotated = xor_rbm()
+        m = Rbm(W=annotated.W, a=annotated.a, b=annotated.b, e0=annotated.e0)
+        with pytest.raises(ValueError, match="clause annotations need the model's epsilon"):
+            m.clause_annotations = annotated.clause_annotations
+        assert m.clause_annotations == [None] * 4
+        m.epsilon = annotated.epsilon
+        m.clause_annotations = annotated.clause_annotations
+        grown = L.attach_hidden_units(m, 2, 0.1, np.random.default_rng(0))
+        assert grown.clause_annotations == annotated.clause_annotations + [None, None]
 
     def test_copy_is_deep_for_arrays(self):
         m = random_rbm(np.random.default_rng(0), 3, 2)

@@ -192,8 +192,8 @@ class TestInferDeterministic:
             q = Query(evidence=fm.Assignment(clamp, m.n_visible))
             rep = infer_deterministic(m, q, DeterministicConfig(sweeps=20, restarts=3,
                                                                 seed=int(rng.integers(1e6))))
-            for trace in rep.energy_trace:
-                assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+            trace = rep.energy_trace
+            assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
 class TestSearchQuality:
@@ -208,6 +208,18 @@ class TestSearchQuality:
             for rep in (infer_deterministic(m, Query(evidence), DeterministicConfig(seed=seed)),
                         infer_gibbs(m, Query(evidence), GibbsConfig(seed=seed))):
                 assert rep.weighted_sat == pytest.approx(best, abs=1e-9)
+
+    def test_horn_traces_end_at_the_answer(self):
+        """The last trace entry is the energy after the descent, the
+        answer's, in both modes."""
+        rng, m = horn_network()
+        for seed in range(10):
+            free = rng.choice(200, 14, replace=False).tolist()
+            x = rng.random(200) < 0.5
+            q = Query(fm.Assignment({i: bool(x[i]) for i in range(200) if i not in free}, 200))
+            for rep in (infer_deterministic(m, q, DeterministicConfig(seed=seed)),
+                        infer_gibbs(m, q, GibbsConfig(seed=seed))):
+                assert abs(rep.energy_trace[-1] - rep.energy_rank) <= 1e-9
 
     def test_dense_free_rows_in_bounded_memory(self):
         """10 restarts x about 2^20 nonzero free weights: the flips of a

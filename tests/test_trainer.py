@@ -1,11 +1,13 @@
 """Training: exact discriminative gradients, CD estimates, hybrid SGD."""
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import logicrbm as L
-from logicrbm import formula as fm
+from logicrbm import formula as fm, trainer
+from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
 from logicrbm.rbm import Rbm
 from logicrbm.trainer import (
@@ -214,6 +216,28 @@ class TestTrain:
         # with full-batch exact gradients and a small step the curve is
         # monotone up to tiny numerical wiggle
         assert all(b <= a + 1e-6 for a, b in zip(nll, nll[1:]))
+
+    def test_cd_uniforms_bounded(self, monkeypatch):
+        """cd_k x rows per step x units beyond ``SEARCH_LIMIT`` raises before
+        anything is drawn or allocated; without a CD term, or without rows,
+        cd_k sizes nothing."""
+        m = random_rbm(np.random.default_rng(0), 3, 4)
+        cfg = TrainConfig(alpha=1.0, beta=0.0, epochs=1, cd_k=10 ** 9)
+        t0 = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="cd_k"):
+            train(m, xor_dataset(targets=()), cfg)
+        assert time.perf_counter() - t0 < 0.5
+        # 4 rows x 7 units per round: 10 rounds fit 280 uniforms, 11 do not
+        monkeypatch.setattr(trainer, "SEARCH_LIMIT", 280)
+        with pytest.raises(SizeLimitError):
+            train(m, xor_dataset(targets=()), replace(cfg, cd_k=11))
+        train(m, xor_dataset(targets=()), replace(cfg, cd_k=10))
+        monkeypatch.undo()
+        out, _ = train(m, xor_dataset(), replace(cfg, alpha=0.0, beta=1.0))
+        assert not np.array_equal(out.W, m.W)
+        empty = Dataset(xor_dataset().table, np.zeros((0, 3)))
+        out, _ = train(m, empty, cfg)
+        assert np.array_equal(out.W, m.W)
 
     def test_requires_targets_for_discriminative(self):
         m = random_rbm(np.random.default_rng(0), 3, 2)
