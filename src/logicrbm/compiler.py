@@ -22,7 +22,7 @@ return ``(Rbm, ClauseBase)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -231,7 +231,5 @@ def attach_hidden_units(m: Rbm, count: int, init_scale: float, rng) -> Rbm:
         return out
     extraW = rng.uniform(-init_scale, init_scale, size=(m.n_visible, count))
     extrab = rng.uniform(-init_scale, init_scale, size=count)
-    out.W = np.hstack([out.W, extraW])
-    out.b = np.concatenate([out.b, extrab])
-    out.clause_annotations += [None] * count
-    return out
+    return replace(out, W=np.hstack([out.W, extraW]), b=np.concatenate([out.b, extrab]),
+                   clause_annotations=out.clause_annotations + [None] * count)

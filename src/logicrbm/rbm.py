@@ -62,23 +62,24 @@ class Rbm:
     epsilon: float | None = None
     clause_annotations: list | None = None   # per hidden unit: dict or None; None: all None
 
-    def __post_init__(self):
-        if self.a.shape != (self.n_visible,) or self.b.shape != (self.n_hidden,):
-            raise ValueError("inconsistent parameter shapes")
-        if not (np.isfinite(self.W).all() and np.isfinite(self.a).all()
-                and np.isfinite(self.b).all()):
-            raise ValueError("RBM parameters must be finite")
-
     def __setattr__(self, name, value):
         """Every field is checked whenever it is set, in the dataclass's
-        ``__init__`` as after it, and a refused value leaves it as it was.  A
-        None ``names`` or ``clause_annotations`` takes its default, and an
-        annotation needs an epsilon, from either side.  ``__post_init__``
-        checks a's and b's shapes and the arrays' finiteness once."""
+        ``__init__`` as after it, and a refused value leaves it as it was.
+        W, a and b are finite float arrays, a float array or view kept as it
+        is, with a and b shaped by W and a new W by them.  A None ``names``
+        or ``clause_annotations`` takes its default, and an annotation needs
+        an epsilon, from either side."""
         if name in ("W", "a", "b"):
             value = np.asarray(value, dtype=float)
-            if name == "W" and value.ndim != 2:
+            if name == "W":
+                fits = value.ndim == 2 and (not hasattr(self, "b")
+                                            or value.shape == (len(self.a), len(self.b)))
+            else:
+                fits = value.shape == (self.W.shape[name == "b"],)
+            if not fits:
                 raise ValueError("inconsistent parameter shapes")
+            if not np.isfinite(value).all():
+                raise ValueError("RBM parameters must be finite")
         if name == "e0" and not np.isfinite(value):
             raise ValueError("RBM parameters must be finite")
         if name == "tau" and not 0 < value < np.inf:
@@ -164,30 +165,32 @@ def _sigmoid(z, out=None, tau: float = 1.0):
 
 class _UniformBlocks:
     """Doubled uniforms 2u, u from ``rng.random()``, for ``steps`` steps that
-    each draw arrays of ``shapes``, in that order.
+    each draw arrays of ``shapes``, in that order, ``rounds`` times over.
 
     ``Generator.random`` fills doubles one after another, so one draw of a
     block of whole steps gives every step the values that separate draws
     would, and leaves the generator in the same state.  A block holds at
     most ``BLOCK_ELEMENTS`` values, or one step if that is larger, and is
     doubled in one pass (doubling is exact).  Calling the object with a
-    generator yields each step's arrays as views into one reused buffer,
-    valid until the next step is taken; a block is drawn only when its
-    first step is reached.
+    generator yields each step's arrays, one per shape, as views into one
+    reused buffer, valid until the next step is taken; with ``rounds`` each
+    has shape ``(rounds, *shape)``, its rounds strided through the step's
+    values.  A block is drawn only when its first step is reached.
     """
 
-    def __init__(self, steps: int, shapes):
+    def __init__(self, steps: int, shapes, rounds: int | None = None):
         sizes = [math.prod(shape) for shape in shapes]
-        per = sum(sizes)
+        lead = () if rounds is None else (rounds,)
+        per = math.prod(lead) * sum(sizes)
         span = min(steps, block_rows(per))
         buf = np.empty(span * per)
         offsets = np.cumsum([0, *sizes])
 
         def block(k):
             flat = buf[:k * per]
-            rows = flat.reshape(k, per)
+            rows = flat.reshape(k, math.prod(lead), sum(sizes))
             # splitting the contiguous last axis keeps every part a view
-            return flat, [rows[:, lo:hi].reshape(k, *shape)
+            return flat, [rows[:, :, lo:hi].reshape(k, *lead, *shape)
                           for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
 
         full, rest = divmod(steps, span) if span else (0, 0)

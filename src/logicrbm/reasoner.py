@@ -88,14 +88,13 @@ def _clamped(m: Rbm, evidence: Assignment, free=None) -> _Clamped:
 
 
 def _best(Xf, energies, best=None):
-    """The lowest-energy (state, energy) of the rows ``Xf``, exact ties going
-    to the lexicographically smallest state (the clamped columns are shared,
-    so the free parts decide).  An incumbent ``best`` is kept unless that
-    state is more than 1e-12 lower, or within 1e-12 and smaller."""
-    k = int(np.argmin(energies))
-    ties = np.flatnonzero(energies == energies[k])
-    if len(ties) > 1:
-        k = min(ties, key=lambda r: tuple(Xf[r]))
+    """The (state, energy) of the rows ``Xf`` that is lexicographically
+    smallest among those within 1e-12 of the lowest energy (the clamped
+    columns are shared, so the free parts decide): states that tie in exact
+    arithmetic may round a few ulps apart.  An incumbent ``best`` is kept
+    unless that state is more than 1e-12 lower, or within 1e-12 and smaller."""
+    near = np.flatnonzero(energies <= energies.min() + 1e-12)
+    k = near[0] if len(near) == 1 else min(near, key=lambda r: tuple(Xf[r]))
     x, e = Xf[k].copy(), float(energies[k])
     if best is None or e < best[1] - 1e-12 or (abs(e - best[1]) <= 1e-12
                                                and tuple(x) < tuple(best[0])):

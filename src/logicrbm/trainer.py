@@ -29,8 +29,7 @@ from . import formula as fm
 from .compiler import formula_to_sdnf_clauses
 from .errors import SizeLimitError
 from .rbm import (SEARCH_LIMIT, Rbm, _Clamped, _ClauseUnits, _UniformBlocks, block_rows,
-                  column_nonzeros, p_hidden_given_visible, p_visible_given_hidden, _sigmoid,
-                  _twice_sigmoid)
+                  column_nonzeros, p_hidden_given_visible, p_visible_given_hidden, _sigmoid)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -272,66 +271,66 @@ def _conditional(m: Rbm, rows, targets, grad: bool = True, into: Grads | None = 
     return nll, g
 
 
-def _cd_buffers(n_visible: int, n_hidden: int, rows: int) -> tuple:
-    """Scratch arrays for one CD-k step over a batch of ``rows`` rows."""
-    return (np.empty((rows, n_hidden)), np.empty((rows, n_hidden)),
-            np.empty((rows, n_hidden)), np.empty((rows, n_visible)),
-            np.empty((rows, n_visible)), np.empty((n_visible, n_hidden)))
-
-
-def _cd_uniforms(steps: int, rows: int, n_visible: int, n_hidden: int,
-                 cd_k: int) -> _UniformBlocks:
-    """The doubled uniforms of ``steps`` CD-k steps over ``rows`` rows each:
-    per Gibbs round, the hidden draws and then the visible ones."""
-    return _UniformBlocks(steps, [(rows, n_hidden), (rows, n_visible)] * cd_k)
-
-
-def _cd_into(m: Rbm, X0, U, bufs: tuple, g: Grads, G, ascent: bool = False):
-    """CD-k estimate of the gradient of mean -log p(x) over X0, written into g.
-
-    With ``ascent`` g gets the negated gradient, mean(pos - neg), which
-    skips a pass over G at batch size 1.  ``U`` holds the step's doubled
-    uniforms from ``_cd_uniforms``, ``g`` holds W, a and b as views of the
-    flat buffer ``G`` (see ``_flat_views``), and every intermediate lives
-    in ``bufs`` (see ``_cd_buffers``).  The arithmetic is that of the
-    textbook step, regrouped only where IEEE arithmetic gives the same
-    bits: a sample compares 2u with 2p (see ``_twice_sigmoid``), a mean is
-    a sum divided by B, ``-x / B`` is ``x / -B`` and ``_sigmoid`` divides
-    by 2 tau in one step.
-    """
-    ph0, phk, H, pv, Xk, dW = bufs
-    W, a, b, tau = m.W, m.a, m.b, m.tau
-    np.matmul(X0, W, out=ph0)
-    ph0 += b
-    p = _twice_sigmoid(ph0, ph0, tau)
-    for k in range(0, len(U), 2):
-        np.less(U[k], p, out=H)
-        np.matmul(H, W.T, out=pv)
-        pv += a
-        np.less(U[k + 1], _twice_sigmoid(pv, pv, tau), out=Xk)
-        np.matmul(Xk, W, out=phk)
-        phk += b
-        p = _twice_sigmoid(phk, phk, tau)
-    ph0 *= 0.5                  # the probabilities of the gradient
-    phk *= 0.5
-    np.matmul(X0.T, ph0, out=g.W)
-    g.W -= np.matmul(Xk.T, phk, out=dW)
-    if len(X0) == 1:            # a sum over one row is that row
-        np.subtract(X0[0], Xk[0], out=g.a)
-        np.subtract(ph0[0], phk[0], out=g.b)
-    else:
-        np.add.reduce(np.subtract(X0, Xk, out=pv), axis=0, out=g.a)
-        np.add.reduce(np.subtract(ph0, phk, out=H), axis=0, out=g.b)
-    B = len(X0) if ascent else -len(X0)
-    if B != 1:
-        G /= B
-
-
 def _flat_views(flat, n_visible: int, n_hidden: int) -> tuple:
-    """W, a and b as views into one flat parameter-shaped buffer."""
-    k = n_visible * n_hidden
-    return (flat[:k].reshape(n_visible, n_hidden), flat[k:k + n_visible],
-            flat[k + n_visible:])
+    """W, a and b as views of one flat buffer laid out W, b, a: its head is
+    ``[[W], [b]]``, b being the weights of a visible unit that is always on."""
+    Wb = flat[:(n_visible + 1) * n_hidden].reshape(n_visible + 1, n_hidden)
+    return Wb[:-1], flat[Wb.size:], Wb[-1]
+
+
+def _cd_kernel(m: Rbm, rows: int, G):
+    """CD-k over batches of ``rows`` rows: a function of the batch X0 and its
+    doubled uniforms U, one (cd_k, rows, units) array per kind, hidden then
+    visible, that writes twice mean(pos - neg), the negated gradient of mean
+    -log p(x), into G (W, a and b of ``m`` and G: ``_flat_views``).
+
+    The biases are the weights of units that are always on and probabilities
+    stay doubled, ``1 + tanh(net / 2 tau)`` (``_twice_sigmoid``): at one row
+    the gradient of W and b is one product, ``[x0, 1; xk, 1]^T [2 p0; -2
+    pk]``, and a's another, ``[x0; xk]^T [2; -2]``, each entry a difference
+    of exact products.  More rows sum in the textbook's order.  A half-step
+    keeps its bias add: a product over the always-on unit sums in another
+    order wherever BLAS splits its sums.  Its constants are arrays of the
+    operand's shape (no broadcast), and samples are drawn as booleans.
+    """
+    W, a, b = m.W, m.a, m.b
+    (n, h), tau2 = W.shape, 2.0 * m.tau
+    D, P, c = np.ones((2 * rows, n + 1)), np.empty((2 * rows, h)), np.repeat([2.0, -2.0], rows)
+    x0, p0, pk, DT, DvT = D[:rows, :n], P[:rows], P[rows:], D.T, D[:, :n].T
+    # a product over a strided operand may sum in another order: one
+    # reconstruction row is a row of D, more get an array of their own
+    xk = D[rows:, :n] if rows == 1 else np.empty((rows, n))
+    H, Hb, Xb = np.empty((rows, h)), np.empty((rows, h), bool), np.empty((rows, n), bool)
+    pv, dW, gWb = np.empty((rows, n)), np.empty((n, h)), G[:(n + 1) * h].reshape(n + 1, h)
+    gW, ga, gb = _flat_views(G, n, h)
+    hidden = (W, b[None], np.full((rows, h), tau2), np.ones((rows, h)))
+    visible = (W.T, a[None], np.full((rows, n), tau2), np.ones((rows, n)))
+
+    def half_step(S, weights, bias, twice_tau, one, out):
+        np.dot(S, weights, out=out)
+        np.add(out, bias, out=out)
+        np.divide(out, twice_tau, out=out)
+        np.tanh(out, out=out)
+        return np.add(out, one, out=out)
+
+    def step(X0, U):
+        x0[...] = X0
+        p = half_step(X0, *hidden, p0)
+        for Uh, Uv in zip(*U):
+            H[...] = np.less(Uh, p, out=Hb)
+            xk[...] = np.less(Uv, half_step(H, *visible, pv), out=Xb)
+            p = half_step(xk, *hidden, pk)
+        np.negative(pk, out=pk)
+        if rows == 1:
+            np.dot(DT, P, out=gWb)
+            np.dot(DvT, c, out=ga)
+        else:
+            np.add(np.dot(X0.T, p0, out=gW), np.dot(xk.T, pk, out=dW), out=gW)
+            np.add.reduce(np.add(p0, pk, out=H), axis=0, out=gb)
+            np.add.reduce(np.subtract(X0, xk, out=pv), axis=0, out=ga)
+            np.add(ga, ga, out=ga)
+            np.divide(G, rows, out=G)
+    return step
 
 
 def epoch_losses(m: Rbm, d: Dataset, nll: bool) -> dict:
@@ -356,7 +355,11 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     """SGD on the hybrid objective; returns a new network and a loss trace.
 
     Each step is ``param -= lr * (alpha * g_cd + beta * g_cond)`` over one
-    batch.
+    batch, bit for bit: the parameters live in one flat buffer (W, then b
+    as the weights of a visible unit that is always on, then a), and the
+    step adds lr / 2 times a buffer holding twice the negated gradient; the
+    CD-k kernel (``_cd_kernel``) is built once per batch length, and the
+    step's other terms are chosen once for the configuration.
 
     With ``freeze_structure``, every clause unit is written from its clause
     once, before the first step, and then moves with its confidence alone.
@@ -407,70 +410,66 @@ def train(m: Rbm, d: Dataset, cfg: TrainConfig) -> tuple[Rbm, list[dict]]:
     # the sub-network's clause units, the frozen units that move, at ``at``
     moving = _ClauseUnits([annotations[j] for j in cols], n, out.epsilon)
     at, S, c_live = moving.units, moving.signs(), moving.c
-    sub = Rbm(W=out.W[:, cols], a=out.a, b=out.b[cols], e0=out.e0, tau=out.tau)
     k = len(cols)
-    # The parameters and the gradient each live in one flat buffer, with
-    # W, a and b as views, so that a step updates them all in one operation.
-    theta = np.concatenate((sub.W.ravel(), sub.a, sub.b))
+    # The parameters and the gradient each live in one flat buffer with W, a
+    # and b as views (``_flat_views``): a step updates them all in one operation.
+    theta = np.concatenate((out.W[:, cols].ravel(), out.b[cols], out.a))
     G = np.empty_like(theta)
-    sub.W, sub.a, sub.b = _flat_views(theta, n, k)
+    sub = Rbm(*_flat_views(theta, n, k), e0=out.e0, tau=out.tau)
     g = Grads(*_flat_views(G, n, k))
-    # the discriminative gradient is summed in a buffer of its own when it
-    # is added to a CD estimate
+    # G holds -2 (alpha g_cd + beta g_cond): doubling and negating are exact,
+    # and a step of lr / 2 along it is the textbook step, bit for bit
+    half = cfg.lr / 2
+    # the exact gradient has a buffer of its own when added to a CD estimate
     C = np.empty_like(theta) if cfg.alpha > 0 and cfg.beta > 0 else G
     c = Grads(*_flat_views(C, n, k))
-    cd_buffers = {}                        # per batch length
     rng = np.random.default_rng(cfg.seed)
-    # a CD-only step adds the CD estimate's negation, which skips its
-    # division at batch size 1
-    ascent = cfg.beta == 0 and not cfg.freeze_structure
     trace = []
-    # the doubled uniforms of one epoch: its full batches, then the ragged one
-    draws = (_cd_uniforms(N // batch, batch, n, k, cfg.cd_k),
-             _cd_uniforms(int(N % batch > 0), N % batch, n, k, cfg.cd_k)) \
-        if cfg.alpha > 0 and N else ()
+    # an epoch's CD steps, its full batches and then the ragged one, draw
+    # doubled uniforms in blocks and share a kernel per batch length
+    draws = [(_UniformBlocks(steps, [(rows, k), (rows, n)], cfg.cd_k), _cd_kernel(sub, rows, G))
+             for steps, rows in [(N // batch, batch), (int(N % batch > 0), N % batch)]
+             if steps] if cfg.alpha > 0 else []
 
     def write_back():
         out.W[:, cols] = sub.W
         out.a[:] = sub.a
         out.b[cols] = sub.b
 
+    def conditional(rows, *_):
+        C.fill(0.0)
+        _conditional(sub, rows, targets, into=c)
+        np.multiply(C, -2.0 * cfg.beta, out=C)
+
+    def confidences(*_):
+        # einsum's order of summation follows its operands' layout:
+        # g.W itself when every unit of the sub-network is frozen
+        gW = g.W if len(at) == k else g.W[:, at]
+        dc = np.einsum("ij,ij->j", S, gW) + moving.bias * g.b[at]
+        np.maximum(c_live + half * dc, 0.0, out=c_live)
+        g.W[:, at] = 0.0                   # frozen units move with c alone,
+        g.b[at] = 0.0
+        g.a.fill(0.0)                      # and visible biases stay fixed
+
+    # The step's terms, chosen once for the configuration; each takes the
+    # batch, its uniforms and its CD kernel.  x * 1.0 is x, bit for bit.
+    halves = np.full_like(theta, half)     # bit for bit the scalar product
+    terms = [(cfg.alpha > 0, lambda rows, U, cd: cd(rows, U)),
+             (cfg.alpha not in (0.0, 1.0), lambda *_: np.multiply(G, cfg.alpha, out=G)),
+             (cfg.beta > 0, conditional), (C is not G, lambda *_: np.add(G, C, out=G)),
+             (cfg.freeze_structure, confidences),
+             (True, lambda *_: np.add(theta, np.multiply(G, halves, out=G), out=theta)),
+             (cfg.freeze_structure, lambda *_: moving.write(sub.W, sub.b, c_live))]
+    terms = [term for wanted, term in terms if wanted]
     for epoch in range(cfg.epochs):
         # one gather per epoch: each batch is a slice of the shuffled rows
         shuffled = d.rows[rng.permutation(N)] if batch < N else d.rows
-        uniforms = chain(*(u(rng) for u in draws)) if draws else repeat(())
-        for start, U in zip(range(0, N, batch), uniforms):
+        steps = chain(*(zip(u(rng), repeat(cd)) for u, cd in draws)) if draws \
+            else repeat(((), None))
+        for start, (U, cd) in zip(range(0, N, batch), steps):
             rows = shuffled[start:start + batch]
-            if cfg.alpha > 0:
-                bufs = cd_buffers.get(len(rows))
-                if bufs is None:
-                    bufs = cd_buffers[len(rows)] = _cd_buffers(n, k, len(rows))
-                _cd_into(sub, rows, U, bufs, g, G, ascent)
-                if cfg.alpha != 1.0:       # x * 1.0 is x, bit for bit
-                    G *= cfg.alpha
-            if cfg.beta > 0:
-                C.fill(0.0)
-                _conditional(sub, rows, targets, into=c)
-                if cfg.beta != 1.0:
-                    C *= cfg.beta
-                if C is not G:
-                    G += C
-            if cfg.freeze_structure:
-                # einsum's order of summation follows its operands' layout:
-                # g.W itself when every unit of the sub-network is frozen
-                gW = g.W if len(at) == k else g.W[:, at]
-                dc = np.einsum("ij,ij->j", S, gW) + moving.bias * g.b[at]
-                c_live = np.maximum(c_live - cfg.lr * dc, 0.0)
-                g.W[:, at] = 0.0           # frozen units move with c alone,
-                g.b[at] = 0.0
-                g.a.fill(0.0)              # and visible biases stay fixed
-            G *= cfg.lr
-            if ascent:                     # theta - (-x) is theta + x, bit for bit
-                theta += G
-            else:
-                theta -= G
-            if cfg.freeze_structure:
-                moving.write(sub.W, sub.b, c_live)
+            for term in terms:
+                term(rows, U, cd)
         if cfg.trace:
             write_back()
             trace.append({"epoch": epoch, **epoch_losses(out, d, cfg.beta > 0)})

@@ -17,8 +17,8 @@ import pytest
 from logicrbm import formula as fm
 from logicrbm.errors import SizeLimitError
 from logicrbm.normal_forms import all_assignments
-from logicrbm.rbm import Rbm, net_hidden
-from logicrbm.trainer import Grads, _cd_buffers, _cd_into, _cd_uniforms, _flat_views
+from logicrbm.rbm import Rbm, _UniformBlocks, net_hidden
+from logicrbm.trainer import Grads, _cd_kernel, _flat_views
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -108,13 +108,16 @@ def partition_brute(m) -> float:
 
 
 def cd_step(m, X, cd_k, rng) -> Grads:
-    """The CD-k gradient estimate over the batch X, from the trainer's kernel."""
+    """The CD-k gradient estimate over the batch X, from the trainer's kernel,
+    which returns it doubled and negated (both exact to undo)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    G = np.empty(m.W.size + m.n_visible + m.n_hidden)
-    g = Grads(*_flat_views(G, m.n_visible, m.n_hidden))
-    U = next(_cd_uniforms(1, len(X), m.n_visible, m.n_hidden, cd_k)(rng))
-    _cd_into(m, X, U, _cd_buffers(m.n_visible, m.n_hidden, len(X)), g, G)
-    return g
+    n, h = m.W.shape
+    theta = np.concatenate((m.W.ravel(), m.b, m.a))
+    G = np.empty_like(theta)
+    U = next(_UniformBlocks(1, [(len(X), h), (len(X), n)], cd_k)(rng))
+    _cd_kernel(Rbm(*_flat_views(theta, n, h), tau=m.tau), len(X), G)(X, U)
+    G *= -0.5
+    return Grads(*_flat_views(G, n, h))
 
 
 def satisfied_batch(clause, X):

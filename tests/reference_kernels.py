@@ -439,9 +439,9 @@ def _init_states(m, evidence, restarts, rng):
 
 
 def _best(X, energies):
+    """The first row in lexicographic order within 1e-12 of the lowest energy."""
     order = np.lexsort(tuple(X[:, c] for c in range(X.shape[1] - 1, -1, -1)))
-    ordered = order[np.argsort(energies[order], kind="stable")]
-    k = ordered[0]
+    k = order[np.argmax(energies[order] <= energies.min() + 1e-12)]
     return X[k].copy(), float(energies[k])
 
 

@@ -90,6 +90,28 @@ class TestConstruction:
         m.names = ["a", "b", "c"]
         assert load_model_back(m).names == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("a", np.zeros(5), "inconsistent parameter shapes"),
+        ("b", np.zeros(3), "inconsistent parameter shapes"),
+        ("W", np.zeros((4, 4)), "inconsistent parameter shapes"),
+        ("b", np.full(4, np.nan), "must be finite"),
+        ("a", np.array([0.0, np.inf, 0.0]), "must be finite"),
+        ("W", np.full((3, 4), np.nan), "must be finite"),
+    ], ids=["a length", "b length", "W shape", "NaN b", "infinite a", "NaN W"])
+    def test_parameter_arrays_checked_when_set(self, field, value, message):
+        """W, a and b keep matching shapes and finite values on every
+        assignment, so ``save_model`` never writes what ``load_model``
+        refuses; an accepted float array, a view included, is kept as is."""
+        m = xor_rbm()
+        before = getattr(m, field).copy()
+        with pytest.raises(ValueError, match=message):
+            setattr(m, field, value)
+        assert np.array_equal(getattr(m, field), before)
+        flat = np.concatenate([m.W.ravel(), m.b])
+        m.W, m.b = flat[:12].reshape(3, 4), flat[12:]
+        assert np.shares_memory(m.W, flat) and np.shares_memory(m.b, flat)
+        assert np.array_equal(load_model_back(m).b, flat[12:])
+
     def test_annotations_refused_without_epsilon(self):
         annotated = xor_rbm()
         m = Rbm(W=annotated.W, a=annotated.a, b=annotated.b, e0=annotated.e0)

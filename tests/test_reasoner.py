@@ -107,6 +107,15 @@ class TestBest:
         assert x.tolist() == [0.0, 1.0] and e == -1.0
         assert not np.shares_memory(x, Xf)
 
+    def test_near_ties_go_to_the_smallest_state(self):
+        """Within a batch a state up to 1e-12 above the lowest energy ties
+        with it, as a state within 1e-12 of the incumbent does."""
+        Xf = np.array([[1.0, 0.0], [0.0, 1.0]])
+        x, e = _best(Xf, np.array([-1.0 - 0.5e-12, -1.0]))
+        assert x.tolist() == [0.0, 1.0] and e == -1.0
+        x, e = _best(Xf, np.array([-1.0 - 2e-12, -1.0]))
+        assert x.tolist() == [1.0, 0.0] and e == -1.0 - 2e-12
+
     def test_incumbent_kept_unless_clearly_lower_or_tied_and_smaller(self):
         best = (np.array([0.0, 1.0]), -1.0)
         larger, smaller = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])

@@ -1,5 +1,6 @@
 """Training: exact discriminative gradients, CD estimates, hybrid SGD."""
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,21 @@ class TestTrain:
         empty = Dataset(xor_dataset().table, np.zeros((0, 3)))
         out, _ = train(m, empty, cfg)
         assert np.array_equal(out.W, m.W)
+
+    def test_cd_uniforms_cost_one_step(self):
+        """A CD-k step holds its uniforms in one buffer and hands the kernel
+        one (cd_k, rows, units) view of each kind, so its memory does not
+        grow by Python objects per Gibbs round."""
+        m = random_rbm(np.random.default_rng(0), 3, 4)
+        cfg = TrainConfig(alpha=1.0, beta=0.0, epochs=1, cd_k=20_000)
+        step_bytes = cfg.cd_k * 4 * (3 + 4) * 8          # 4 rows x 7 units per round
+        tracemalloc.start()
+        try:
+            train(m, xor_dataset(targets=()), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * step_bytes, (peak, step_bytes)
 
     def test_requires_targets_for_discriminative(self):
         m = random_rbm(np.random.default_rng(0), 3, 2)
